@@ -33,6 +33,7 @@ from .errors import (
     LcpSolveError,
     MultimpactError,
     NonDegeneracyViolation,
+    SceneFormatError,
     SequentialCapExceeded,
 )
 from .lcp import (
@@ -97,6 +98,7 @@ __all__ = [
     "ConeViolationError",
     "NonDegeneracyViolation",
     "SequentialCapExceeded",
+    "SceneFormatError",
     "LcpInstance",
     "LcpSolution",
     "SolverOptions",

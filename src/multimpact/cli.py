@@ -28,7 +28,7 @@ import numpy as np
 
 from . import io as mio
 from .contact import ImpactProblem
-from .errors import MultimpactError
+from .errors import MultimpactError, SceneFormatError
 from .oracles import routh_dense_reference
 from .resolution import (
     anitescu_resolve,
@@ -38,6 +38,7 @@ from .resolution import (
 )
 from .scenes import EXAMPLE_NAMES, build_example, build_problem, load_scene
 from .setapprox import (
+    MAXBIT,
     PostImpactSet,
     SobolSampler,
     UniformSampler,
@@ -163,6 +164,14 @@ def _fill_defaults(config: RunConfig, meta: dict) -> None:
         config.epsilon = config.h / 10.0
     if config.epsilon >= config.h:
         raise ConfigError("epsilon must be smaller than h")
+    if config.sampler == "sobol":
+        # Trajectory i draws Sobol indices [1 + i*n, 1 + (i+1)*n).
+        count = config.traj_index + 1 if config.command == "simulate" else config.m
+        if 1 + count * config.n >= 1 << MAXBIT:
+            raise ConfigError(
+                f"Sobol draws would reach index {count * config.n}, beyond "
+                f"the {MAXBIT}-bit sequence; lower --n, --m or --traj-index"
+            )
 
 
 def _output_path(config: RunConfig, meta: dict) -> Path:
@@ -427,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
     except MultimpactError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, SceneFormatError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
 

@@ -8,6 +8,7 @@ __all__ = [
     "ConeViolationError",
     "NonDegeneracyViolation",
     "SequentialCapExceeded",
+    "SceneFormatError",
 ]
 
 
@@ -38,3 +39,10 @@ class NonDegeneracyViolation(MultimpactError):
 
 class SequentialCapExceeded(MultimpactError):
     """One-contact-at-a-time resolution did not settle within the cap."""
+
+
+class SceneFormatError(ValueError):
+    """A scene description is well-formed JSON but inconsistent (for
+    example a ``v0`` whose length differs from the scene's velocity
+    dimension).  Not a solver failure, so it does not derive from
+    :class:`MultimpactError`."""

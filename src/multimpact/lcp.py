@@ -191,20 +191,6 @@ def residuals(lcp: LcpInstance, z: np.ndarray) -> tuple[float, float, float]:
     return comp_gap, neg_z, neg_w
 
 
-def certify(
-    lcp: LcpInstance, sol: LcpSolution, opts: SolverOptions | None = None
-) -> bool:
-    """True when a solved solution meets the residual contract:
-    ``z >= -tol``, ``w >= -tol`` and ``|z.w| <= tol * (1 + |z||w|)``."""
-    opts = opts or DEFAULT_OPTIONS
-    if sol.status != "solved":
-        return False
-    comp_gap, neg_z, neg_w = residuals(lcp, sol.z)
-    tol = opts.residual_tol
-    scale = 1.0 + float(np.linalg.norm(sol.z)) * float(np.linalg.norm(sol.w))
-    return neg_z <= tol and neg_w <= tol and comp_gap <= tol * scale
-
-
 def copositivity_sample_check(
     m: np.ndarray, trials: int = 1000, rng_seed: int = 0
 ) -> bool:

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .contact import ImpactProblem
+from .errors import SceneFormatError
 
 __all__ = [
     "PlanarBody",
@@ -430,6 +431,16 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def scene_from_dict(data: dict) -> Scene:
+    scene = _scene_from_dict(data)
+    if len(scene.v0) != scene.n_v:
+        raise SceneFormatError(
+            f"scene {scene.name!r}: v0 has {len(scene.v0)} entries, "
+            f"expected {scene.n_v}"
+        )
+    return scene
+
+
+def _scene_from_dict(data: dict) -> Scene:
     kind = data.get("kind", "rigid")
     if kind == "linkage":
         contacts = [

@@ -6,7 +6,11 @@ applying a small finishing step yields a point cloud covering the reachable
 post-impact set.  This module provides:
 
 - a deterministic Sobol sequence (52-bit, Gray-code order, up to 32
-  dimensions) with direction numbers frozen in source;
+  dimensions) with direction numbers frozen in source.  Each dimension's
+  direction table is built on first use and shared read-only, and a
+  block of consecutive points is one cumulative XOR of direction columns
+  in a fixed number of numpy calls (Gray-code construction of Antonov &
+  Saleev 1979; Bratley & Fox, ACM TOMS Algorithm 659, 1988);
 - draw samplers with per-trajectory determinism, so results do not depend
   on worker scheduling;
 - the finishing-step stiffness bound ``psi``, the sampling driver
@@ -16,6 +20,7 @@ post-impact set.  This module provides:
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -84,9 +89,11 @@ _DIRECTION_DATA: tuple[tuple[int, tuple[int, ...]], ...] = (
 )
 
 
+@functools.cache
 def _direction_table(dimension: int) -> np.ndarray:
     """Direction integers, shape (dimension, MAXBIT), as uint64 with the
-    leading bit of column k at position MAXBIT-1-k."""
+    leading bit of column k at position MAXBIT-1-k.  Memoised and
+    read-only, since every stream of this dimension shares it."""
     if dimension < 1:
         raise ValueError("dimension must be at least 1")
     if dimension > MAX_DIMENSION:
@@ -107,6 +114,7 @@ def _direction_table(dimension: int) -> np.ndarray:
                     new ^= m_vals[k - i] << i
             m_vals.append(new)
         table[dim] = [m_vals[k] << (MAXBIT - 1 - k) for k in range(MAXBIT)]
+    table.flags.writeable = False
     return table
 
 
@@ -129,15 +137,28 @@ class SobolStream:
             self.direction_numbers = _direction_table(self.dimension)
 
 
-def _values_at(table: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Sobol points for explicit indices (Gray-code construction allows
-    random access: XOR the direction columns of the set bits)."""
-    gray = indices ^ (indices >> 1)
-    out = np.zeros((len(indices), table.shape[0]), dtype=np.uint64)
-    for bit in range(MAXBIT):
-        mask = (gray >> bit) & 1 == 1
-        if mask.any():
-            out[mask] ^= table[:, bit]
+_BIT_SHIFTS = np.arange(MAXBIT, dtype=np.uint64)
+
+
+def _values_at(table: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Sobol points ``start .. start+count-1``, shape (count, dimension).
+
+    Random access by the Gray-code construction: the first point XORs the
+    direction columns of the set bits of ``gray(start)``; each later index
+    ``i`` flips only bit ``ctz(i)`` of the Gray code, so a cumulative XOR
+    over the columns ``ctz(i)`` gives the rest.  Temporaries are
+    O(count * dimension)."""
+    out = np.empty((count, table.shape[0]), dtype=np.uint64)
+    if count:
+        gray = np.uint64(start ^ (start >> 1))
+        out[0] = np.bitwise_xor.reduce(
+            table[:, ((gray >> _BIT_SHIFTS) & np.uint64(1)).astype(bool)], axis=1
+        )
+        indices = np.arange(start + 1, start + count, dtype=np.uint64)
+        lowest_bit = indices & (~indices + np.uint64(1))
+        # Powers of two below 2**53 are exact doubles, so frexp gives ctz + 1.
+        out[1:] = table.T[np.frexp(lowest_bit.astype(float))[1] - 1]
+        np.bitwise_xor.accumulate(out, axis=0, out=out)
     return out / float(1 << MAXBIT)
 
 
@@ -147,18 +168,14 @@ def sobol_block(dimension: int, start: int, count: int) -> np.ndarray:
         raise ValueError("start and count must be nonnegative")
     if start + count >= 1 << MAXBIT:
         raise ValueError("Sobol index range exceeds the 52-bit sequence")
-    table = _direction_table(dimension)
-    indices = np.arange(start, start + count, dtype=np.uint64)
-    return _values_at(table, indices)
+    return _values_at(_direction_table(dimension), start, count)
 
 
 def sobol_next(stream: SobolStream) -> np.ndarray:
     """The next point of the stream (advances ``next_index``)."""
     if stream.next_index >= 1 << MAXBIT:
         raise ValueError("Sobol stream exhausted")
-    point = _values_at(
-        stream.direction_numbers, np.array([stream.next_index], dtype=np.uint64)
-    )[0]
+    point = _values_at(stream.direction_numbers, stream.next_index, 1)[0]
     stream.next_index += 1
     return point
 

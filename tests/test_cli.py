@@ -73,6 +73,34 @@ def test_corrupt_scene_file_is_an_io_error(tmp_path, capsys):
                      "--output", str(tmp_path / "x.csv")]) == 3
 
 
+def test_short_v0_in_a_scene_file_is_an_io_error(tmp_path, capsys):
+    scene = tmp_path / "phone.json"
+    assert cli.main(["example", "--scene", "phone", "--output", str(scene)]) == 0
+    data = json.loads(scene.read_text())
+    data["v0"] = data["v0"][:2]
+    scene.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert cli.main(["simulate", "--scene", str(scene),
+                     "--output", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "v0" in err
+    assert "Traceback" not in err
+
+
+def test_sobol_index_beyond_the_sequence_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert cli.main(["simulate", "--scene", "phone", "--n", "10",
+                     "--traj-index", str(10**15), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    # 1 + m*n must stay below 2**52; m = 2**49, n = 8 gives exactly 2**52 + 1.
+    assert cli.main(["approximate", "--scene", "phone", "--n", "8",
+                     "--m", str(2**49), "--jobs", "1", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_solver_failures_map_to_exit_code_two(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run", lambda config: (_ for _ in ()).throw(
         MultimpactError("boom")))

@@ -19,7 +19,7 @@ from multimpact import (
     sample_count_bound,
     sobol_next,
 )
-from multimpact.setapprox import MAX_DIMENSION, sobol_block
+from multimpact.setapprox import MAX_DIMENSION, MAXBIT, _direction_table, sobol_block
 
 SENTINEL = 2**63 - 1
 
@@ -60,6 +60,51 @@ def test_consecutive_sobol_points_flip_every_leading_bit():
     block = sobol_block(4, 0, 128)
     deltas = np.abs(block[1::2] - block[0::2])
     np.testing.assert_array_equal(deltas, 0.5 * np.ones_like(deltas))
+
+
+@pytest.mark.parametrize("dimension", [2, 5, 32])
+@pytest.mark.parametrize("start", [371, 10_000_001])
+def test_sobol_bits_match_scipy_after_fast_forward(dimension, start):
+    qmc = pytest.importorskip("scipy.stats.qmc")
+    engine = qmc.Sobol(d=dimension, scramble=False)
+    engine.fast_forward(start)
+    reference = engine.random(64)
+    np.testing.assert_array_equal(
+        sobol_block(dimension, start, 64).view(np.uint64), reference.view(np.uint64)
+    )
+
+
+def _slow_sobol_block(dimension, start, count):
+    """Reference construction: XOR the direction column of every set bit
+    of each index's Gray code, one pass per bit."""
+    table = _direction_table(dimension)
+    indices = np.arange(start, start + count, dtype=np.uint64)
+    gray = indices ^ (indices >> np.uint64(1))
+    out = np.zeros((count, dimension), dtype=np.uint64)
+    for bit in range(MAXBIT):
+        mask = (gray >> np.uint64(bit)) & np.uint64(1) == 1
+        if mask.any():
+            out[mask] ^= table[:, bit]
+    return out / float(1 << MAXBIT)
+
+
+@pytest.mark.parametrize("count", [0, 1, 257])
+@pytest.mark.parametrize("dimension", [1, 3, 32])
+def test_sobol_bits_match_the_per_bit_reference_near_the_index_cap(dimension, count):
+    start = 2**MAXBIT - 300
+    block = sobol_block(dimension, start, count)
+    assert block.shape == (count, dimension)
+    np.testing.assert_array_equal(
+        block.view(np.uint64), _slow_sobol_block(dimension, start, count).view(np.uint64)
+    )
+
+
+def test_cached_direction_tables_are_read_only():
+    table = _direction_table(4)
+    assert _direction_table(4) is table
+    assert SobolStream(dimension=4).direction_numbers is table
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
 
 
 def test_sobol_dimension_limits():
