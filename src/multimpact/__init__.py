@@ -39,7 +39,6 @@ from .errors import (
 from .lcp import (
     LcpInstance,
     LcpSolution,
-    SolverOptions,
     copositivity_sample_check,
     lemke_solve,
     residuals,
@@ -77,13 +76,14 @@ from .setapprox import (
     SobolStream,
     UniformSampler,
     approximate,
+    classify_outcomes,
     epsilon_net_check,
     estimate_step_lipschitz,
     psi,
     sample_count_bound,
     sobol_next,
 )
-from .cli import ConfigError, RunConfig, classify_outcomes, run
+from .cli import ConfigError, RunConfig, run
 
 __version__ = "0.1.0"
 
@@ -101,7 +101,6 @@ __all__ = [
     "SceneFormatError",
     "LcpInstance",
     "LcpSolution",
-    "SolverOptions",
     "lemke_solve",
     "residuals",
     "copositivity_sample_check",

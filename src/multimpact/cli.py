@@ -43,9 +43,10 @@ from .setapprox import (
     SobolSampler,
     UniformSampler,
     approximate,
+    classify_outcomes,
 )
 
-__all__ = ["main", "run", "RunConfig", "ConfigError", "classify_outcomes"]
+__all__ = ["main", "run", "RunConfig", "ConfigError"]
 
 DESK_SCALE_TRAJECTORIES = 4096  # default sample count without --paper-scale
 
@@ -97,37 +98,6 @@ class RunConfig:
             raise ConfigError("ds must be positive")
         if self.traj_index < 0:
             raise ConfigError("traj-index must be nonnegative")
-
-
-def classify_outcomes(
-    post_set: PostImpactSet | np.ndarray,
-    problem: ImpactProblem,
-    tol: float = 1e-6,
-) -> dict[str, dict[str, int]]:
-    """Per-contact outcome-class counts over sampled velocities.
-
-    ``post_set`` may be a :class:`PostImpactSet` or a bare array of
-    post-impact velocities, one row per sample.  A contact lifts when its
-    separation rate exceeds ``tol``; otherwise it slides when its slip
-    rate magnitude exceeds ``tol``; otherwise it sticks.
-    """
-    samples = post_set.samples if isinstance(post_set, PostImpactSet) else post_set
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.size == 0:
-        raise ValueError("classify_outcomes requires a nonempty sample set")
-    out: dict[str, dict[str, int]] = {}
-    jn_v = samples @ problem.jn.T
-    jt_v = samples @ problem.jd[0::2].T
-    for i, label in enumerate(problem.labels):
-        lift = jn_v[:, i] > tol
-        slide = ~lift & (np.abs(jt_v[:, i]) > tol)
-        stick = ~lift & ~slide
-        out[label] = {
-            "lift": int(lift.sum()),
-            "slide": int(slide.sum()),
-            "stick": int(stick.sum()),
-        }
-    return out
 
 
 def _load(config: RunConfig) -> tuple[ImpactProblem, np.ndarray, dict]:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 __all__ = [
     "ImpactProblem",
@@ -31,6 +30,11 @@ __all__ = [
     "save_problem",
     "load_problem",
 ]
+
+# Relative approach speed below which a contact does not count as impacting.
+APPROACH_TOL = 1e-10
+# Absolute slack allowed in each condition of the friction-cone audit.
+CONE_TOL = 1e-8
 
 
 @dataclass(eq=False)
@@ -60,16 +64,16 @@ class ImpactProblem:
         self.jd = np.atleast_2d(np.asarray(self.jd, dtype=float))
         self.mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
 
+        if not np.isfinite(self.mass).all():
+            raise ValueError("mass matrix must be finite")
         n_v = self.mass.shape[0]
         if self.mass.shape != (n_v, n_v):
             raise ValueError("mass matrix must be square")
         if not np.allclose(self.mass, self.mass.T, atol=1e-12 * (1 + abs(self.mass).max())):
             raise ValueError("mass matrix must be symmetric")
         try:
-            self._cho = cho_factor(self.mass)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises ValueError
-            raise ValueError("mass matrix must be positive definite") from exc
-        except ValueError as exc:
+            np.linalg.cholesky(self.mass)
+        except np.linalg.LinAlgError as exc:
             raise ValueError("mass matrix must be positive definite") from exc
 
         m = self.jn.shape[0]
@@ -107,17 +111,7 @@ class ImpactProblem:
 
     def mass_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Apply the inverse mass matrix to a vector or stack of columns."""
-        return cho_solve(self._cho, rhs)
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_cho", None)
-        state.pop("_workspace", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._cho = cho_factor(self.mass)
+        return np.linalg.solve(self.mass, rhs)
 
 
 def kinetic_energy(problem: ImpactProblem, v: np.ndarray) -> float:
@@ -132,13 +126,13 @@ def mass_norm(problem: ImpactProblem, v: np.ndarray) -> float:
     return float(np.sqrt(max(0.0, float(v @ problem.mass @ v))))
 
 
-def is_impacting(problem: ImpactProblem, v: np.ndarray, tol_v: float = 1e-10) -> bool:
+def is_impacting(problem: ImpactProblem, v: np.ndarray) -> bool:
     """True when some contact is approaching: ``min_i jn_i . v`` is below
-    ``-tol_v * (1 + |v|)``.  The relative term keeps the test meaningful
-    across velocity scales."""
+    ``-APPROACH_TOL * (1 + |v|)``.  The relative term keeps the test
+    meaningful across velocity scales."""
     v = np.asarray(v, dtype=float)
     rates = problem.jn @ v
-    return bool(rates.min() < -tol_v * (1.0 + float(np.linalg.norm(v))))
+    return bool(rates.min() < -APPROACH_TOL * (1.0 + float(np.linalg.norm(v))))
 
 
 def in_linear_cone(
@@ -146,13 +140,12 @@ def in_linear_cone(
     v_plus: np.ndarray,
     lambda_n: np.ndarray,
     beta: np.ndarray,
-    tol: float = 1e-8,
 ) -> bool:
     """Audit a post-impact velocity and impulse pair against the linearized
     friction-cone feasibility conditions.
 
     Checks, per contact i (with the canonical tangential slack
-    ``gamma_i = max(0, -min_k jd_{i,k} . v_plus)``):
+    ``gamma_i = max(0, -min_k jd_{i,k} . v_plus)`` and ``tol = CONE_TOL``):
 
     - nonnegative impulses: ``lambda_n_i >= -tol`` and ``beta >= -tol``;
     - no impulse at a separating contact: ``lambda_n_i * (jn_i . v_plus) <= tol``;
@@ -175,15 +168,15 @@ def in_linear_cone(
     gamma = np.maximum(0.0, -jd_v.min(axis=1))
     budget = problem.mu * lambda_n - beta2.sum(axis=1)
 
-    if np.any(lambda_n < -tol) or np.any(beta < -tol):
+    if np.any(lambda_n < -CONE_TOL) or np.any(beta < -CONE_TOL):
         return False
-    if np.any(lambda_n * jn_v > tol):
+    if np.any(lambda_n * jn_v > CONE_TOL):
         return False
-    if np.any(beta2 * (jd_v + gamma[:, None]) > tol):
+    if np.any(beta2 * (jd_v + gamma[:, None]) > CONE_TOL):
         return False
-    if np.any(budget < -tol):
+    if np.any(budget < -CONE_TOL):
         return False
-    if np.any(gamma * budget > tol):
+    if np.any(gamma * budget > CONE_TOL):
         return False
     return True
 

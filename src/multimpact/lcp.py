@@ -16,11 +16,19 @@ import numpy as np
 __all__ = [
     "LcpInstance",
     "LcpSolution",
-    "SolverOptions",
     "lemke_solve",
     "residuals",
     "copositivity_sample_check",
 ]
+
+# Pivot elements at or below this count as zero (assembled matrices are O(1)).
+PIVOT_TOL = 1e-11
+# Relative width within which lexicographic ratios count as tied.
+LEX_TIE_TOL = 1e-11
+# Pivot budget; a solve that exhausts it ends with status "max_pivots".
+MAX_PIVOTS = 5000
+# Certification bound on the residuals of a solved LCP (see ``residuals``).
+RESIDUAL_TOL = 1e-9
 
 
 @dataclass(eq=False)
@@ -57,38 +65,19 @@ class LcpSolution:
     status: str  # "solved" | "ray_termination" | "max_pivots"
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Numerical knobs for ``lemke_solve``.
-
-    pivot_tol: absolute threshold below which a prospective pivot element
-        is treated as zero (assembled matrices are O(1) scale).
-    max_pivots: hard budget on pivot steps.
-    residual_tol: certification tolerance used by callers when auditing a
-        solution via ``residuals``.
-    """
-
-    pivot_tol: float = 1e-11
-    max_pivots: int = 5000
-    residual_tol: float = 1e-9
-
-
-DEFAULT_OPTIONS = SolverOptions()
-
-
 def _lex_argmin(table: np.ndarray, cand: np.ndarray, d: np.ndarray) -> int:
     """Among candidate rows pick the one minimizing ``table[r] / d[r]``
     lexicographically (column by column, narrowing ties)."""
     for col in range(table.shape[1]):
         vals = table[cand, col] / d[cand]
         best = vals.min()
-        cand = cand[vals <= best + 1e-11 * (1.0 + abs(best))]
+        cand = cand[vals <= best + LEX_TIE_TOL * (1.0 + abs(best))]
         if cand.size == 1:
             break
     return int(cand[0])
 
 
-def lemke_solve(lcp: LcpInstance, opts: SolverOptions | None = None) -> LcpSolution:
+def lemke_solve(lcp: LcpInstance) -> LcpSolution:
     """Solve an LCP by Lemke complementary pivoting.
 
     Uses the all-ones covering vector; ties in the ratio test are broken
@@ -99,7 +88,6 @@ def lemke_solve(lcp: LcpInstance, opts: SolverOptions | None = None) -> LcpSolut
     floating-point degeneracy; instances outside that class may end in
     ``ray_termination``.
     """
-    opts = opts or DEFAULT_OPTIONS
     n = lcp.n
     q = lcp.q
     if np.all(q >= 0.0):
@@ -126,21 +114,14 @@ def lemke_solve(lcp: LcpInstance, opts: SolverOptions | None = None) -> LcpSolut
     # minimum of the raw tableau rows (most negative q wins, identity
     # columns settle ties).  This choice keeps every other row
     # lexicographically positive after the pivot.
-    cand = np.arange(n)
-    for col in range(table.shape[1]):
-        vals = table[cand, col]
-        best = vals.min()
-        cand = cand[vals <= best + 1e-11 * (1.0 + abs(best))]
-        if cand.size == 1:
-            break
-    row = int(cand[0])
+    row = _lex_argmin(table, np.arange(n), np.ones(n))
     entering = z0_id
     pivot_count = 0
 
     while True:
         d = table[:, 1:] @ column(entering)
         if entering != z0_id:
-            eligible = np.flatnonzero(d > opts.pivot_tol)
+            eligible = np.flatnonzero(d > PIVOT_TOL)
             if eligible.size == 0:
                 return _extract(lcp, basis, table, pivot_count, "ray_termination")
             row = _lex_argmin(table, eligible, d)
@@ -155,7 +136,7 @@ def lemke_solve(lcp: LcpInstance, opts: SolverOptions | None = None) -> LcpSolut
 
         if leaving == z0_id:
             return _extract(lcp, basis, table, pivot_count, "solved")
-        if pivot_count >= opts.max_pivots:
+        if pivot_count >= MAX_PIVOTS:
             return _extract(lcp, basis, table, pivot_count, "max_pivots")
         # Complementary rule: the partner of the leaving variable enters.
         entering = leaving + n if leaving < n else leaving - n

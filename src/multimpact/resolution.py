@@ -29,7 +29,7 @@ from .errors import (
     NonDegeneracyViolation,
     SequentialCapExceeded,
 )
-from .lcp import DEFAULT_OPTIONS, LcpInstance, SolverOptions, lemke_solve, residuals
+from .lcp import RESIDUAL_TOL, LcpInstance, lemke_solve, residuals
 
 __all__ = [
     "ImpactLcpLayout",
@@ -45,6 +45,9 @@ __all__ = [
     "termination_constant",
     "tail_bound",
 ]
+
+# Slack allowed when verifying the certificate's progress ``(M^-1 F) . r >= 1``.
+CERT_SLACK = 1e-7
 
 
 @dataclass(frozen=True)
@@ -172,14 +175,13 @@ def assemble_impact_lcp(
     return LcpInstance(ws.full_matrix, q), ImpactLcpLayout(m)
 
 
-def _certified_solve(lcp: LcpInstance, opts: SolverOptions, context: str) -> np.ndarray:
-    sol = lemke_solve(lcp, opts)
+def _certified_solve(lcp: LcpInstance, context: str) -> np.ndarray:
+    sol = lemke_solve(lcp)
     if sol.status != "solved":
         raise LcpSolveError(sol.status, context)
     comp_gap, neg_z, neg_w = residuals(lcp, sol.z)
-    tol = opts.residual_tol
     scale = 1.0 + float(np.linalg.norm(sol.z)) * float(np.linalg.norm(sol.w))
-    if neg_z > tol or neg_w > tol or comp_gap > tol * scale:
+    if neg_z > RESIDUAL_TOL or neg_w > RESIDUAL_TOL or comp_gap > RESIDUAL_TOL * scale:
         raise LcpSolveError(
             "solved",
             f"{context}: residuals exceed tolerance "
@@ -192,8 +194,6 @@ def sim_step(
     problem: ImpactProblem,
     v: np.ndarray,
     lambda_max: np.ndarray,
-    opts: SolverOptions | None = None,
-    cone_tol: float = 1e-8,
 ) -> tuple[np.ndarray, StepRecord]:
     """Resolve one capped impulse step; returns ``(v_after, record)``.
 
@@ -202,7 +202,6 @@ def sim_step(
     raises :class:`LcpSolveError`; a post-step state failing the
     friction-cone audit raises :class:`ConeViolationError`.
     """
-    opts = opts or DEFAULT_OPTIONS
     v = np.asarray(v, dtype=float)
     lambda_max = np.asarray(lambda_max, dtype=float)
     m = problem.n_contacts
@@ -221,12 +220,12 @@ def sim_step(
         return v.copy(), record
 
     lcp, layout = assemble_impact_lcp(problem, v, lambda_max)
-    z = _certified_solve(lcp, opts, "capped impact step")
+    z = _certified_solve(lcp, "capped impact step")
     lambda_n = z[layout.lambda_n]
     beta = z[layout.beta]
     ws = _workspace(problem)
     v_after = v + ws.minv_jbar_t @ np.concatenate([lambda_n, beta])
-    if not in_linear_cone(problem, v_after, lambda_n, beta, tol=cone_tol):
+    if not in_linear_cone(problem, v_after, lambda_n, beta):
         raise ConeViolationError(
             "post-step state failed the friction-cone feasibility audit"
         )
@@ -249,7 +248,6 @@ def sim(
     n_max: int,
     sampler,
     traj_index: int = 0,
-    opts: SolverOptions | None = None,
 ) -> Trajectory:
     """Run the stochastic impact integrator from ``v0``.
 
@@ -267,7 +265,7 @@ def sim(
     steps: list[StepRecord] = []
     while is_impacting(problem, v) and len(steps) < n_max:
         fraction = next(draws)
-        v, record = sim_step(problem, v, h * np.asarray(fraction), opts)
+        v, record = sim_step(problem, v, h * np.asarray(fraction))
         steps.append(record)
     return Trajectory(
         steps=steps,
@@ -280,7 +278,7 @@ def sim(
 
 
 def _uncapped_resolve(
-    problem: ImpactProblem, v: np.ndarray, opts: SolverOptions
+    problem: ImpactProblem, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One-shot resolution with no impulse caps; returns (v_after,
     lambda_n, beta)."""
@@ -290,21 +288,18 @@ def _uncapped_resolve(
     if np.all(q[:m] >= 0.0):
         return np.asarray(v, dtype=float).copy(), np.zeros(m), np.zeros(2 * m)
     lcp = LcpInstance(ws.uncapped_matrix, q)
-    z = _certified_solve(lcp, opts, "uncapped resolution")
+    z = _certified_solve(lcp, "uncapped resolution")
     lambda_n = z[:m]
     beta = z[m : 3 * m]
     v_after = v + ws.minv_jbar_t @ np.concatenate([lambda_n, beta])
     return v_after, lambda_n, beta
 
 
-def anitescu_resolve(
-    problem: ImpactProblem, v: np.ndarray, opts: SolverOptions | None = None
-) -> np.ndarray:
+def anitescu_resolve(problem: ImpactProblem, v: np.ndarray) -> np.ndarray:
     """Deterministic one-shot baseline: resolve all contacts simultaneously
     with unbounded normal impulses (the classical time-stepping impact law)."""
-    opts = opts or DEFAULT_OPTIONS
     v = np.asarray(v, dtype=float)
-    v_after, lambda_n, beta = _uncapped_resolve(problem, v, opts)
+    v_after, lambda_n, beta = _uncapped_resolve(problem, v)
     if not in_linear_cone(problem, v_after, lambda_n, beta):
         raise ConeViolationError(
             "uncapped resolution failed the friction-cone feasibility audit"
@@ -329,7 +324,6 @@ def sequential_resolve(
     problem: ImpactProblem,
     v: np.ndarray,
     order: list[int | str],
-    opts: SolverOptions | None = None,
     cap: int = 100,
 ) -> Trajectory:
     """One-contact-at-a-time baseline.
@@ -341,7 +335,6 @@ def sequential_resolve(
     ``cap`` single-contact resolutions raises
     :class:`SequentialCapExceeded`.
     """
-    opts = opts or DEFAULT_OPTIONS
     v = np.asarray(v, dtype=float).copy()
     m = problem.n_contacts
     label_index = {label: i for i, label in enumerate(problem.labels)}
@@ -365,8 +358,7 @@ def sequential_resolve(
         idx = cycle[position % m]
         position += 1
         single = singles[idx]
-        rate = float(single.jn[0] @ v)
-        if rate >= -1e-10 * (1.0 + float(np.linalg.norm(v))):
+        if not is_impacting(single, v):
             idle_sweeps += 1
             continue
         idle_sweeps = 0
@@ -376,7 +368,7 @@ def sequential_resolve(
                 f"more than {cap} single-contact resolutions without settling"
             )
         energy_before = kinetic_energy(problem, v)
-        v_after, lam_single, beta_single = _uncapped_resolve(single, v, opts)
+        v_after, lam_single, beta_single = _uncapped_resolve(single, v)
         if not in_linear_cone(single, v_after, lam_single, beta_single):
             raise ConeViolationError(
                 "single-contact resolution failed the friction-cone audit"
@@ -409,7 +401,7 @@ def sequential_resolve(
     )
 
 
-def compute_r(problem: ImpactProblem, opts: SolverOptions | None = None) -> np.ndarray:
+def compute_r(problem: ImpactProblem) -> np.ndarray:
     """Impulse-progress certificate: a vector ``r`` with
     ``(M^-1 F) . r >= 1`` for every extreme impulse ray ``F`` (normal plus
     friction at either tangential extreme), minimizing the 1-norm.
@@ -420,7 +412,6 @@ def compute_r(problem: ImpactProblem, opts: SolverOptions | None = None) -> np.n
     jamming impulse combination and raises
     :class:`NonDegeneracyViolation`.
     """
-    opts = opts or DEFAULT_OPTIONS
     m = problem.n_contacts
     n_v = problem.n_v
     rays = np.empty((2 * m, n_v))
@@ -437,7 +428,7 @@ def compute_r(problem: ImpactProblem, opts: SolverOptions | None = None) -> np.n
     lcp_m[2 * n_v :, n_v : 2 * n_v] = -gmat
     lcp_q = np.concatenate([np.ones(2 * n_v), -np.ones(2 * m)])
 
-    sol = lemke_solve(LcpInstance(lcp_m, lcp_q), opts)
+    sol = lemke_solve(LcpInstance(lcp_m, lcp_q))
     if sol.status != "solved":
         raise NonDegeneracyViolation(
             "no impulse-progress certificate exists: the extreme impulse rays "
@@ -445,7 +436,7 @@ def compute_r(problem: ImpactProblem, opts: SolverOptions | None = None) -> np.n
         )
     r = sol.z[:n_v] - sol.z[n_v : 2 * n_v]
     worst = float((gmat @ r).min())
-    if worst < 1.0 - 1e-7:
+    if worst < 1.0 - CERT_SLACK:
         raise NonDegeneracyViolation(
             f"certificate failed verification: min ray progress {worst:.6f} < 1"
         )
@@ -456,7 +447,6 @@ def termination_constant(
     problem: ImpactProblem,
     h: float,
     r: np.ndarray | None = None,
-    opts: SolverOptions | None = None,
 ) -> tuple[int, Callable[[float], float]]:
     """Step-count tail bound: the integer constant ``c`` and the tail
     probability function.
@@ -470,7 +460,7 @@ def termination_constant(
     if h <= 0.0:
         raise ValueError("per-step impulse budget h must be positive")
     if r is None:
-        r = compute_r(problem, opts)
+        r = compute_r(problem)
     m = problem.n_contacts
     sigma = float(np.linalg.eigvalsh(problem.mass)[0])
     ratio = (m + 1) * float(np.linalg.norm(r)) / (h * math.sqrt(sigma))

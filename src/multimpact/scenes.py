@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 EXAMPLE_NAMES = ("phone", "compass", "box_wall", "disk_stack")
+_CONTACT_KINDS = ("vertex-plane", "disk-plane", "disk-disk")
 
 
 def _rot(theta: float) -> np.ndarray:
@@ -74,8 +75,8 @@ class PlanarBody:
         self.pose = np.asarray(self.pose, dtype=float)
         if self.pose.shape != (3,):
             raise ValueError("body pose must be (x, y, theta)")
-        if self.mass <= 0 or self.inertia <= 0:
-            raise ValueError("body mass and inertia must be positive")
+        if not (0.0 < self.mass < np.inf and 0.0 < self.inertia < np.inf):
+            raise ValueError("body mass and inertia must be positive and finite")
 
 
 @dataclass
@@ -90,7 +91,10 @@ class HalfPlane:
     def __post_init__(self) -> None:
         self.point = np.asarray(self.point, dtype=float)
         normal = np.asarray(self.normal, dtype=float)
-        self.normal = normal / np.linalg.norm(normal)
+        length = float(np.linalg.norm(normal))
+        if normal.shape != (2,) or not 0.0 < length < np.inf:
+            raise ValueError(f"plane {self.name!r} needs a finite nonzero 2-D normal")
+        self.normal = normal / length
 
 
 @dataclass
@@ -182,6 +186,10 @@ def _contact_geometry(
         r_a = float(other.shape["radius"])
         delta = qb[:2] - qa[:2]
         dist = float(np.linalg.norm(delta))
+        if dist == 0.0:
+            raise SceneFormatError(
+                f"scene {scene.name!r}: disk centres of contact {spec.label!r} coincide"
+            )
         normal = delta / dist
         value = dist - r_a - r_b
         point = qa[:2] + r_a * normal
@@ -431,13 +439,43 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def scene_from_dict(data: dict) -> Scene:
-    scene = _scene_from_dict(data)
-    if len(scene.v0) != scene.n_v:
-        raise SceneFormatError(
-            f"scene {scene.name!r}: v0 has {len(scene.v0)} entries, "
-            f"expected {scene.n_v}"
-        )
+    """Build a scene from its JSON form; an inconsistent description
+    raises :class:`SceneFormatError`."""
+    try:
+        scene = _scene_from_dict(data)
+        _check_consistency(scene)
+    except (TypeError, ValueError) as exc:
+        raise SceneFormatError(f"scene {data.get('name')!r}: {exc}") from exc
     return scene
+
+
+def _check_consistency(scene: Scene) -> None:
+    """Raise ValueError at the first value or reference that cannot be built."""
+    if len(scene.v0) != scene.n_v:
+        raise ValueError(f"v0 has {len(scene.v0)} entries, expected {scene.n_v}")
+    if scene.kind == "linkage" and scene.pose.shape != (4,):
+        raise ValueError(f"pose has shape {scene.pose.shape}, expected (4,)")
+    planes = {plane.name for plane in scene.environment}
+    for spec in scene.contacts:
+        where = f"contact {spec.label!r}"
+        if not 0.0 < spec.mu < np.inf:
+            raise ValueError(f"{where}: mu must be positive, got {spec.mu}")
+        if scene.kind == "linkage":
+            if spec.leg not in (0, 1):
+                raise ValueError(f"{where}: leg must be 0 or 1, got {spec.leg}")
+            continue
+        if spec.kind not in _CONTACT_KINDS:
+            raise ValueError(f"{where}: unknown contact kind {spec.kind!r}")
+        bodies = [spec.body, spec.against] if spec.kind == "disk-disk" else [spec.body]
+        for index in bodies:
+            if not (isinstance(index, int) and 0 <= index < len(scene.bodies)):
+                raise ValueError(f"{where}: body index {index} out of range")
+        if spec.kind != "disk-disk" and spec.plane not in planes:
+            raise ValueError(f"{where}: no environment plane named {spec.plane!r}")
+        if spec.kind == "vertex-plane":
+            count = len(scene.bodies[spec.body].shape.get("vertices", ()))
+            if not (isinstance(spec.vertex, int) and 0 <= spec.vertex < count):
+                raise ValueError(f"{where}: vertex index {spec.vertex} out of range")
 
 
 def _scene_from_dict(data: dict) -> Scene:

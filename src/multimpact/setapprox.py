@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contact import ImpactProblem, is_impacting
-from .lcp import SolverOptions
 from .resolution import _workspace, sim, sim_step
 
 __all__ = [
@@ -41,6 +40,7 @@ __all__ = [
     "PostImpactSet",
     "psi",
     "approximate",
+    "classify_outcomes",
     "epsilon_net_check",
     "sample_count_bound",
     "estimate_step_lipschitz",
@@ -239,12 +239,11 @@ def _run_trajectories(
     sampler,
     finishing: np.ndarray,
     indices: list[int],
-    opts: SolverOptions | None,
 ) -> list[tuple[int, np.ndarray | None]]:
     out: list[tuple[int, np.ndarray | None]] = []
     for idx in indices:
-        traj = sim(problem, v0, h, n_max, sampler, traj_index=idx, opts=opts)
-        v_fin, _ = sim_step(problem, traj.v_final, finishing, opts)
+        traj = sim(problem, v0, h, n_max, sampler, traj_index=idx)
+        v_fin, _ = sim_step(problem, traj.v_final, finishing)
         if is_impacting(problem, v_fin):
             out.append((idx, None))
         else:
@@ -261,7 +260,6 @@ def approximate(
     m_trajectories: int,
     sampler,
     jobs: int = 1,
-    opts: SolverOptions | None = None,
 ) -> PostImpactSet:
     """Sample ``m_trajectories`` resolutions of the impact at ``v0``.
 
@@ -282,7 +280,7 @@ def approximate(
     indices = list(range(m_trajectories))
     if jobs <= 1 or m_trajectories == 1:
         results = _run_trajectories(
-            problem, v0, h, n_max, sampler, finishing, indices, opts
+            problem, v0, h, n_max, sampler, finishing, indices
         )
     else:
         jobs = min(jobs, m_trajectories)
@@ -292,7 +290,7 @@ def approximate(
             futures = [
                 pool.submit(
                     _run_trajectories,
-                    problem, v0, h, n_max, sampler, finishing, chunk, opts,
+                    problem, v0, h, n_max, sampler, finishing, chunk,
                 )
                 for chunk in chunks
             ]
@@ -319,6 +317,37 @@ def approximate(
             "seed": getattr(sampler, "seed", None),
         },
     )
+
+
+def classify_outcomes(
+    post_set: PostImpactSet | np.ndarray,
+    problem: ImpactProblem,
+    tol: float = 1e-6,
+) -> dict[str, dict[str, int]]:
+    """Per-contact outcome-class counts over sampled velocities.
+
+    ``post_set`` may be a :class:`PostImpactSet` or a bare array of
+    post-impact velocities, one row per sample.  A contact lifts when its
+    separation rate exceeds ``tol``; otherwise it slides when its slip
+    rate magnitude exceeds ``tol``; otherwise it sticks.
+    """
+    samples = post_set.samples if isinstance(post_set, PostImpactSet) else post_set
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    if samples.size == 0:
+        raise ValueError("classify_outcomes requires a nonempty sample set")
+    out: dict[str, dict[str, int]] = {}
+    jn_v = samples @ problem.jn.T
+    jt_v = samples @ problem.jd[0::2].T
+    for i, label in enumerate(problem.labels):
+        lift = jn_v[:, i] > tol
+        slide = ~lift & (np.abs(jt_v[:, i]) > tol)
+        stick = ~lift & ~slide
+        out[label] = {
+            "lift": int(lift.sum()),
+            "slide": int(slide.sum()),
+            "stick": int(stick.sum()),
+        }
+    return out
 
 
 def epsilon_net_check(
@@ -384,7 +413,6 @@ def estimate_step_lipschitz(
     n_pairs: int = 10000,
     seed: int = 0,
     scale: float = 1.0,
-    opts: SolverOptions | None = None,
 ) -> float:
     """Empirical (non-certified) Lipschitz constant of the one-step map in
     its velocity argument: the largest observed ratio
@@ -397,8 +425,8 @@ def estimate_step_lipschitz(
         v1 = scale * rng.normal(size=problem.n_v)
         v2 = v1 + scale * 10.0 ** rng.uniform(-4, 0) * rng.normal(size=problem.n_v)
         caps = h * rng.random(m)
-        out1, _ = sim_step(problem, v1, caps, opts)
-        out2, _ = sim_step(problem, v2, caps, opts)
+        out1, _ = sim_step(problem, v1, caps)
+        out2, _ = sim_step(problem, v2, caps)
         gap = float(np.linalg.norm(v1 - v2))
         if gap > 0.0:
             worst = max(worst, float(np.linalg.norm(out1 - out2)) / gap)

@@ -66,11 +66,49 @@ def test_missing_scene_file_is_an_io_error(tmp_path, capsys):
     assert "i/o error:" in capsys.readouterr().err
 
 
-def test_corrupt_scene_file_is_an_io_error(tmp_path, capsys):
+def _set(path, value):
+    """An edit of a scene dict that sets the entry at ``path`` to ``value``."""
+    def edit(data):
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "scene, edit, message",
+    [
+        (None, None, "Expecting"),
+        ("phone", _set(("contacts", 0, "vertex"), 4), "vertex index 4 out of range"),
+        ("phone", _set(("contacts", 1, "body"), 1), "body index 1 out of range"),
+        ("disk_stack", _set(("contacts", 0, "against"), 3), "body index 3 out of range"),
+        ("phone", _set(("contacts", 0, "kind"), "edge-plane"), "unknown contact kind"),
+        ("phone", _set(("bodies", 0, "mass"), 0.0), "mass and inertia must be positive"),
+        ("phone", _set(("contacts", 0, "mu"), 0.0), "mu must be positive"),
+        ("disk_stack", _set(("bodies", 1, "pose"), [-1.0, 1.0, 0.0]),
+         "disk centres of contact 'E' coincide"),
+        ("phone", _set(("environment", 0, "normal"), [0.0, 0.0]), "nonzero 2-D normal"),
+        ("compass", _set(("pose",), [0.0, 0.2, 1.4]), "expected (4,)"),
+    ],
+    ids=["not-json", "vertex-index", "body-index", "against-index", "contact-kind",
+         "body-mass", "mu", "coincident-centres", "zero-normal", "linkage-pose"],
+)
+def test_corrupt_scene_file_is_an_io_error(tmp_path, capsys, scene, edit, message):
     bad = tmp_path / "bad.json"
-    bad.write_text("{ not json")
+    if scene is None:
+        bad.write_text("{ not json")
+    else:
+        assert cli.main(["example", "--scene", scene, "--output", str(bad)]) == 0
+        data = json.loads(bad.read_text())
+        edit(data)
+        bad.write_text(json.dumps(data))
+    capsys.readouterr()
     assert cli.main(["simulate", "--scene", str(bad),
                      "--output", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and err.count("\n") == 1
+    assert message in err
 
 
 def test_short_v0_in_a_scene_file_is_an_io_error(tmp_path, capsys):

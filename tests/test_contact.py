@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import multimpact
 
 from multimpact import (
     ImpactProblem,
@@ -46,6 +53,11 @@ def test_validation_rejects_malformed_inputs():
         ImpactProblem(**{**good, "mass": np.array([[1.0, 0.5], [0.0, 1.0]])})
     with pytest.raises(ValueError):
         ImpactProblem(**{**good, "mass": -np.eye(2)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="finite"):
+            ImpactProblem(**{**good, "mass": [[np.inf]], "jn": [[1.0]],
+                             "jd": [[1.0], [-1.0]]})
     with pytest.raises(ValueError):
         ImpactProblem(**{**good, "jn": np.array([[0.0, 0.0]])})
     with pytest.raises(ValueError):
@@ -71,6 +83,15 @@ def test_mass_solve_matches_direct_inverse(rng):
     np.testing.assert_allclose(
         problem.mass_solve(rhs), np.linalg.solve(problem.mass, rhs), atol=1e-12
     )
+
+
+def test_import_loads_no_scipy():
+    # A fresh interpreter, so modules other tests imported do not count.
+    src = str(Path(multimpact.__file__).parents[1])
+    code = "import sys, multimpact; print([m for m in sys.modules if m.startswith('scipy')])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def test_energy_and_norm_frozen_values():

@@ -8,11 +8,11 @@ from hypothesis import given, strategies as st
 
 from multimpact import (
     LcpInstance,
-    SolverOptions,
     copositivity_sample_check,
     lemke_solve,
     residuals,
 )
+from multimpact import lcp as lcp_module
 from conftest import random_pd_lcp
 
 
@@ -56,10 +56,12 @@ def test_infeasible_instance_terminates_on_ray():
     assert sol.status == "ray_termination"
 
 
-def test_pivot_budget_is_enforced():
+def test_pivot_budget_is_enforced(monkeypatch):
+    monkeypatch.setattr(lcp_module, "MAX_PIVOTS", 1)
     lcp = LcpInstance(np.eye(2), np.array([-1.0, -2.0]))
-    sol = lemke_solve(lcp, SolverOptions(max_pivots=1))
+    sol = lemke_solve(lcp)
     assert sol.status == "max_pivots"
+    assert sol.pivot_count == 1
 
 
 def test_solution_is_deterministic():
