@@ -11,10 +11,12 @@ compared against classical single-outcome baselines.
 
 Layout:
 
-- :mod:`multimpact.lcp` - dense Lemke solver with lexicographic pivoting;
+- :mod:`multimpact.lcp` - dense Lemke solver with lexicographic pivoting,
+  for one instance or a stack sharing ``M``;
 - :mod:`multimpact.contact` - contact problem data and feasibility audits;
 - :mod:`multimpact.scenes` - planar scene geometry and bundled examples;
-- :mod:`multimpact.resolution` - capped stepping, baselines, certificates;
+- :mod:`multimpact.resolution` - lockstep capped stepping, baselines,
+  certificates;
 - :mod:`multimpact.setapprox` - Sobol/uniform sampling of outcome sets;
 - :mod:`multimpact.oracles` - independent reference computations;
 - :mod:`multimpact.io` - lossless CSV/JSON export;
@@ -40,6 +42,7 @@ from .lcp import (
     LcpInstance,
     LcpSolution,
     copositivity_sample_check,
+    lemke_many,
     lemke_solve,
     residuals,
 )
@@ -54,7 +57,9 @@ from .resolution import (
     restrict_contacts,
     sequential_resolve,
     sim,
+    sim_block,
     sim_step,
+    step_block,
     tail_bound,
     termination_constant,
 )
@@ -102,6 +107,7 @@ __all__ = [
     "LcpInstance",
     "LcpSolution",
     "lemke_solve",
+    "lemke_many",
     "residuals",
     "copositivity_sample_check",
     "DenseTrajectory",
@@ -113,6 +119,8 @@ __all__ = [
     "assemble_impact_lcp",
     "sim_step",
     "sim",
+    "step_block",
+    "sim_block",
     "anitescu_resolve",
     "sequential_resolve",
     "restrict_contacts",

@@ -406,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     except MultimpactError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError, SceneFormatError) as exc:
+    except (OSError, json.JSONDecodeError, SceneFormatError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
 

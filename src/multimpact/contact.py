@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .lcp import ordered_matvec, ordered_sum
+
 __all__ = [
     "ImpactProblem",
     "kinetic_energy",
@@ -49,7 +51,10 @@ class ImpactProblem:
     jd : (2m, n_v) doubled tangential Jacobian; rows 2i and 2i+1 are exact
         opposites and span the tangent line of contact i.
     mu : (m,) positive friction coefficients.
-    labels : human-readable contact names, one per contact.
+    labels : distinct human-readable contact names, one per contact.
+
+    The problem keeps read-only copies of its arrays, so per-problem
+    caches built from them (the step LCP blocks) cannot go stale.
     """
 
     mass: np.ndarray
@@ -59,10 +64,10 @@ class ImpactProblem:
     labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        self.mass = np.asarray(self.mass, dtype=float)
-        self.jn = np.atleast_2d(np.asarray(self.jn, dtype=float))
-        self.jd = np.atleast_2d(np.asarray(self.jd, dtype=float))
-        self.mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
+        self.mass = _frozen(self.mass)
+        self.jn = np.atleast_2d(_frozen(self.jn))
+        self.jd = np.atleast_2d(_frozen(self.jd))
+        self.mu = np.atleast_1d(_frozen(self.mu))
 
         if not np.isfinite(self.mass).all():
             raise ValueError("mass matrix must be finite")
@@ -95,6 +100,8 @@ class ImpactProblem:
         if len(self.labels) != m:
             raise ValueError("labels must have one entry per contact")
         self.labels = tuple(self.labels)
+        if len(set(self.labels)) != m:
+            raise ValueError(f"contact labels must be distinct, got {self.labels}")
 
     @property
     def n_v(self) -> int:
@@ -114,6 +121,13 @@ class ImpactProblem:
         return np.linalg.solve(self.mass, rhs)
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy of ``values``."""
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 def kinetic_energy(problem: ImpactProblem, v: np.ndarray) -> float:
     """Kinetic energy ``v . M v / 2`` of a generalized velocity."""
     v = np.asarray(v, dtype=float)
@@ -126,13 +140,16 @@ def mass_norm(problem: ImpactProblem, v: np.ndarray) -> float:
     return float(np.sqrt(max(0.0, float(v @ problem.mass @ v))))
 
 
-def is_impacting(problem: ImpactProblem, v: np.ndarray) -> bool:
+def is_impacting(problem: ImpactProblem, v: np.ndarray) -> bool | np.ndarray:
     """True when some contact is approaching: ``min_i jn_i . v`` is below
     ``-APPROACH_TOL * (1 + |v|)``.  The relative term keeps the test
-    meaningful across velocity scales."""
+    meaningful across velocity scales.  For a stack of velocities (one
+    per row) returns one flag per row."""
     v = np.asarray(v, dtype=float)
-    rates = problem.jn @ v
-    return bool(rates.min() < -APPROACH_TOL * (1.0 + float(np.linalg.norm(v))))
+    rates = ordered_matvec(problem.jn, v)
+    speed = np.sqrt(ordered_sum(v * v))
+    out = rates.min(axis=-1) < -APPROACH_TOL * (1.0 + speed)
+    return bool(out) if v.ndim == 1 else out
 
 
 def in_linear_cone(
@@ -154,31 +171,33 @@ def in_linear_cone(
     - cone budget: ``mu_i * lambda_n_i - sum_k beta_{i,k} >= -tol``;
     - slipping contacts exhaust the budget:
       ``gamma_i * (mu_i lambda_n_i - sum_k beta_{i,k}) <= tol``.
+
+    For stacks (one state per row of ``v_plus``, ``lambda_n`` and
+    ``beta``) returns one verdict per row.
     """
     v_plus = np.asarray(v_plus, dtype=float)
-    lambda_n = np.atleast_1d(np.asarray(lambda_n, dtype=float))
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    stack = v_plus.shape[:-1]
     m = problem.n_contacts
-    if lambda_n.shape != (m,) or beta.shape != (2 * m,):
+    lambda_n = np.asarray(lambda_n, dtype=float).reshape(*stack, -1)
+    beta = np.asarray(beta, dtype=float).reshape(*stack, -1)
+    if lambda_n.shape[-1] != m or beta.shape[-1] != 2 * m:
         raise ValueError("impulse vectors do not match the contact count")
 
-    jn_v = problem.jn @ v_plus
-    jd_v = (problem.jd @ v_plus).reshape(m, 2)
-    beta2 = beta.reshape(m, 2)
-    gamma = np.maximum(0.0, -jd_v.min(axis=1))
-    budget = problem.mu * lambda_n - beta2.sum(axis=1)
+    jn_v = ordered_matvec(problem.jn, v_plus)
+    jd_v = ordered_matvec(problem.jd, v_plus).reshape(*stack, m, 2)
+    beta2 = beta.reshape(*stack, m, 2)
+    gamma = np.maximum(0.0, -jd_v.min(axis=-1))
+    budget = problem.mu * lambda_n - (beta2[..., 0] + beta2[..., 1])
 
-    if np.any(lambda_n < -CONE_TOL) or np.any(beta < -CONE_TOL):
-        return False
-    if np.any(lambda_n * jn_v > CONE_TOL):
-        return False
-    if np.any(beta2 * (jd_v + gamma[:, None]) > CONE_TOL):
-        return False
-    if np.any(budget < -CONE_TOL):
-        return False
-    if np.any(gamma * budget > CONE_TOL):
-        return False
-    return True
+    bad = (
+        (lambda_n < -CONE_TOL).any(axis=-1)
+        | (beta < -CONE_TOL).any(axis=-1)
+        | (lambda_n * jn_v > CONE_TOL).any(axis=-1)
+        | (beta2 * (jd_v + gamma[..., None]) > CONE_TOL).any(axis=(-2, -1))
+        | (budget < -CONE_TOL).any(axis=-1)
+        | (gamma * budget > CONE_TOL).any(axis=-1)
+    )
+    return bool(~bad) if v_plus.ndim == 1 else ~bad
 
 
 def problem_to_dict(problem: ImpactProblem) -> dict:

@@ -7,6 +7,12 @@ budget slacks and tangential slip speeds.  Iterating steps until no contact
 is approaching yields one sampled resolution of a simultaneous impact; the
 per-step impulse caps are what make distinct outcomes reachable.
 
+The stepping runs in lockstep: ``sim_block`` advances a stack of
+trajectories together, and each ``step_block`` solves all their step
+LCPs, which share one matrix, in one ``lemke_many`` call.  Every check
+then runs row by row.  ``sim_step`` and ``sim`` are the same engine on a
+stack of one, and a row's bits do not depend on the stack around it.
+
 Also provided: two deterministic baselines (an uncapped one-shot resolution
 and a one-contact-at-a-time sweep), an impulse-progress certificate ``r``
 obtained from a small linear program, and the integer constant turning that
@@ -29,13 +35,23 @@ from .errors import (
     NonDegeneracyViolation,
     SequentialCapExceeded,
 )
-from .lcp import RESIDUAL_TOL, LcpInstance, lemke_solve, residuals
+from .lcp import (
+    RESIDUAL_TOL,
+    LcpInstance,
+    lemke_many,
+    lemke_solve,
+    ordered_matvec,
+    ordered_sum,
+    residuals,
+)
 
 __all__ = [
     "ImpactLcpLayout",
     "StepRecord",
     "Trajectory",
     "assemble_impact_lcp",
+    "step_block",
+    "sim_block",
     "sim_step",
     "sim",
     "anitescu_resolve",
@@ -119,6 +135,7 @@ class _Workspace:
     def __init__(self, problem: ImpactProblem):
         m = problem.n_contacts
         jbar = problem.jbar  # (3m, n_v)
+        self.jbar = jbar
         self.minv_jbar_t = problem.mass_solve(jbar.T)  # (n_v, 3m)
         delassus = jbar @ self.minv_jbar_t  # (3m, 3m)
         self.a_nn = delassus[:m, :m]
@@ -162,32 +179,114 @@ def assemble_impact_lcp(
     problem: ImpactProblem, v: np.ndarray, lambda_max: np.ndarray
 ) -> tuple[LcpInstance, ImpactLcpLayout]:
     """Build the capped step LCP at velocity ``v`` with per-contact normal
-    impulse caps ``lambda_max``."""
+    impulse caps ``lambda_max``.  Given a stack of velocities and caps
+    (one per row) it builds the stack of step LCPs, which share ``M``."""
     v = np.asarray(v, dtype=float)
     lambda_max = np.asarray(lambda_max, dtype=float)
     m = problem.n_contacts
-    if lambda_max.shape != (m,):
+    if lambda_max.shape != v.shape[:-1] + (m,):
         raise ValueError("lambda_max must have one cap per contact")
     if not np.isfinite(lambda_max).all() or np.any(lambda_max < 0.0):
         raise ValueError("impulse caps must be finite and nonnegative")
     ws = _workspace(problem)
-    q = np.concatenate([lambda_max, problem.jn @ v, problem.jd @ v, np.zeros(m)])
+    q = np.concatenate(
+        [lambda_max, ordered_matvec(ws.jbar, v), np.zeros(lambda_max.shape)], axis=-1
+    )
     return LcpInstance(ws.full_matrix, q), ImpactLcpLayout(m)
 
 
 def _certified_solve(lcp: LcpInstance, context: str) -> np.ndarray:
-    sol = lemke_solve(lcp)
-    if sol.status != "solved":
-        raise LcpSolveError(sol.status, context)
+    """Solve one instance with ``lemke_solve``, or a stack with
+    ``lemke_many``, and certify the residuals of every row; the first row
+    that fails raises :class:`LcpSolveError`."""
+    sol = lemke_many(lcp.m, lcp.q) if lcp.q.ndim == 2 else lemke_solve(lcp)
+    unsolved = np.atleast_1d(sol.status != "solved")
+    if unsolved.any():
+        raise LcpSolveError(str(np.atleast_1d(sol.status)[unsolved.argmax()]), context)
     comp_gap, neg_z, neg_w = residuals(lcp, sol.z)
-    scale = 1.0 + float(np.linalg.norm(sol.z)) * float(np.linalg.norm(sol.w))
-    if neg_z > RESIDUAL_TOL or neg_w > RESIDUAL_TOL or comp_gap > RESIDUAL_TOL * scale:
+    scale = 1.0 + np.sqrt(ordered_sum(sol.z * sol.z) * ordered_sum(sol.w * sol.w))
+    bad = np.atleast_1d(
+        (neg_z > RESIDUAL_TOL) | (neg_w > RESIDUAL_TOL) | (comp_gap > RESIDUAL_TOL * scale)
+    )
+    if bad.any():
+        i = bad.argmax()
+        gap, nz, nw = (np.atleast_1d(x)[i] for x in (comp_gap, neg_z, neg_w))
         raise LcpSolveError(
             "solved",
             f"{context}: residuals exceed tolerance "
-            f"(gap={comp_gap:.3e}, neg_z={neg_z:.3e}, neg_w={neg_w:.3e})",
+            f"(gap={gap:.3e}, neg_z={nz:.3e}, neg_w={nw:.3e})",
         )
     return sol.z
+
+
+def step_block(
+    problem: ImpactProblem, v: np.ndarray, lambda_max: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Resolve one capped impulse step for each row of a stack of
+    velocities ``v`` (k, n_v) with caps ``lambda_max`` (k, m).
+
+    Returns ``(v_after, lambda_n, beta)``, one row per input row.  A row
+    with no approaching contact, or with every cap zero, keeps its
+    velocity and takes no impulse.  The other rows' step LCPs are solved
+    together; the first row whose LCP does not certify raises
+    :class:`LcpSolveError`, and the first whose post-step state fails the
+    friction-cone audit raises :class:`ConeViolationError`.
+    """
+    v = np.asarray(v, dtype=float)
+    lambda_max = np.asarray(lambda_max, dtype=float)
+    m = problem.n_contacts
+    v_after = v.copy()
+    lambda_n = np.zeros((len(v), m))
+    beta = np.zeros((len(v), 2 * m))
+    live = np.flatnonzero(is_impacting(problem, v) & np.any(lambda_max > 0.0, axis=1))
+    if live.size:
+        lcp, layout = assemble_impact_lcp(problem, v[live], lambda_max[live])
+        z = _certified_solve(lcp, "capped impact step")
+        impulses = z[:, layout.lambda_n.start : layout.beta.stop]
+        stepped = v[live] + ordered_matvec(_workspace(problem).minv_jbar_t, impulses)
+        lam, bet = z[:, layout.lambda_n], z[:, layout.beta]
+        if not np.all(in_linear_cone(problem, stepped, lam, bet)):
+            raise ConeViolationError(
+                "post-step state failed the friction-cone feasibility audit"
+            )
+        v_after[live], lambda_n[live], beta[live] = stepped, lam, bet
+    return v_after, lambda_n, beta
+
+
+def sim_block(
+    problem: ImpactProblem,
+    v0: np.ndarray,
+    h: float,
+    fractions: np.ndarray,
+    on_step: Callable | None = None,
+) -> np.ndarray:
+    """Run the stochastic impact integrator for a stack of trajectories
+    in lockstep.
+
+    ``fractions`` (k, n_max, m) holds each trajectory's per-step cap
+    fractions in [0, 1); ``v0`` is one start velocity or one per row.
+    Step ``j`` scales the fractions by ``h`` and applies
+    :func:`step_block` to every trajectory that still has an approaching
+    contact; a trajectory stops as soon as none approaches, or after
+    ``n_max`` steps.  ``on_step(lambda_max, v_before, v_after, lambda_n,
+    beta)``, if given, sees each step of the rows it stepped.
+    Returns the final velocities, one row per trajectory.
+    """
+    if h <= 0.0:
+        raise ValueError("per-step impulse budget h must be positive")
+    k, n_max, _ = fractions.shape
+    v = np.array(np.broadcast_to(np.asarray(v0, dtype=float), (k, problem.n_v)))
+    rows = np.flatnonzero(is_impacting(problem, v))
+    for j in range(n_max):
+        if not rows.size:
+            break
+        caps = h * fractions[rows, j]
+        v_after, lambda_n, beta = step_block(problem, v[rows], caps)
+        if on_step is not None:
+            on_step(caps, v[rows], v_after, lambda_n, beta)
+        v[rows] = v_after
+        rows = rows[is_impacting(problem, v_after)]
+    return v
 
 
 def sim_step(
@@ -197,48 +296,25 @@ def sim_step(
 ) -> tuple[np.ndarray, StepRecord]:
     """Resolve one capped impulse step; returns ``(v_after, record)``.
 
-    If no contact is approaching, or every cap is zero, the velocity is
-    returned unchanged with a zero-impulse record.  A non-solved LCP status
-    raises :class:`LcpSolveError`; a post-step state failing the
-    friction-cone audit raises :class:`ConeViolationError`.
+    This is :func:`step_block` on a stack of one.  If no contact is
+    approaching, or every cap is zero, the velocity is returned unchanged
+    with a zero-impulse record.  A non-solved LCP status raises
+    :class:`LcpSolveError`; a post-step state failing the friction-cone
+    audit raises :class:`ConeViolationError`.
     """
     v = np.asarray(v, dtype=float)
     lambda_max = np.asarray(lambda_max, dtype=float)
-    m = problem.n_contacts
-    energy = kinetic_energy(problem, v)
-
-    if not is_impacting(problem, v) or not np.any(lambda_max > 0.0):
-        record = StepRecord(
-            lambda_max=lambda_max.copy(),
-            lambda_n=np.zeros(m),
-            beta=np.zeros(2 * m),
-            v_before=v.copy(),
-            v_after=v.copy(),
-            energy_before=energy,
-            energy_after=energy,
-        )
-        return v.copy(), record
-
-    lcp, layout = assemble_impact_lcp(problem, v, lambda_max)
-    z = _certified_solve(lcp, "capped impact step")
-    lambda_n = z[layout.lambda_n]
-    beta = z[layout.beta]
-    ws = _workspace(problem)
-    v_after = v + ws.minv_jbar_t @ np.concatenate([lambda_n, beta])
-    if not in_linear_cone(problem, v_after, lambda_n, beta):
-        raise ConeViolationError(
-            "post-step state failed the friction-cone feasibility audit"
-        )
+    v_after, lambda_n, beta = step_block(problem, v[None], lambda_max[None])
     record = StepRecord(
         lambda_max=lambda_max.copy(),
-        lambda_n=lambda_n.copy(),
-        beta=beta.copy(),
+        lambda_n=lambda_n[0],
+        beta=beta[0],
         v_before=v.copy(),
-        v_after=v_after.copy(),
-        energy_before=energy,
-        energy_after=kinetic_energy(problem, v_after),
+        v_after=v_after[0].copy(),
+        energy_before=kinetic_energy(problem, v),
+        energy_after=kinetic_energy(problem, v_after[0]),
     )
-    return v_after, record
+    return v_after[0], record
 
 
 def sim(
@@ -249,31 +325,41 @@ def sim(
     sampler,
     traj_index: int = 0,
 ) -> Trajectory:
-    """Run the stochastic impact integrator from ``v0``.
+    """Run the stochastic impact integrator from ``v0``: :func:`sim_block`
+    on a stack of one, with a record of every step.
 
-    Each iteration draws per-contact cap fractions from ``sampler`` (an
-    object with ``draws(traj_index, n, m)`` yielding vectors in [0,1)^m),
-    scales them by ``h`` and applies one capped step, stopping as soon as
-    no contact approaches or after ``n_max`` steps.
+    ``sampler.draw_block(traj_index, 1, n_max, m)`` supplies the
+    per-contact cap fractions in [0, 1); each step scales one draw by
+    ``h`` and applies one capped step, stopping as soon as no contact
+    approaches or after ``n_max`` steps.
     """
-    if h <= 0.0:
-        raise ValueError("per-step impulse budget h must be positive")
     if n_max < 0:
         raise ValueError("step cap must be nonnegative")
-    v = np.asarray(v0, dtype=float).copy()
-    draws = sampler.draws(traj_index, n_max, problem.n_contacts)
+    v0 = np.asarray(v0, dtype=float)
     steps: list[StepRecord] = []
-    while is_impacting(problem, v) and len(steps) < n_max:
-        fraction = next(draws)
-        v, record = sim_step(problem, v, h * np.asarray(fraction))
-        steps.append(record)
+
+    def record(lambda_max, v_before, v_after, lambda_n, beta) -> None:
+        steps.append(
+            StepRecord(
+                lambda_max=lambda_max[0],
+                lambda_n=lambda_n[0],
+                beta=beta[0],
+                v_before=v_before[0],
+                v_after=v_after[0],
+                energy_before=kinetic_energy(problem, v_before[0]),
+                energy_after=kinetic_energy(problem, v_after[0]),
+            )
+        )
+
+    fractions = sampler.draw_block(traj_index, 1, n_max, problem.n_contacts)
+    v = sim_block(problem, v0, h, fractions, on_step=record)
     return Trajectory(
         steps=steps,
-        terminated=not is_impacting(problem, v),
+        terminated=not is_impacting(problem, v)[0],
         h=h,
         rng_seed=getattr(sampler, "seed", None),
-        v0=np.asarray(v0, dtype=float).copy(),
-        v_final=v,
+        v0=v0.copy(),
+        v_final=v[0],
     )
 
 

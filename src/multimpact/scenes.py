@@ -439,14 +439,28 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def scene_from_dict(data: dict) -> Scene:
-    """Build a scene from its JSON form; an inconsistent description
-    raises :class:`SceneFormatError`."""
+    """Build a scene from its JSON form; an incomplete or inconsistent
+    description raises :class:`SceneFormatError`."""
     try:
         scene = _scene_from_dict(data)
         _check_consistency(scene)
+    except KeyError as exc:
+        raise SceneFormatError(
+            f"scene {data.get('name')!r}: missing field {exc.args[0]!r}"
+        ) from exc
     except (TypeError, ValueError) as exc:
         raise SceneFormatError(f"scene {data.get('name')!r}: {exc}") from exc
     return scene
+
+
+def _is_disk(body: PlanarBody) -> bool:
+    shape = body.shape if isinstance(body.shape, dict) else {}
+    radius = shape.get("radius")
+    return (
+        shape.get("type") == "disk"
+        and isinstance(radius, (int, float))
+        and 0.0 < radius < np.inf
+    )
 
 
 def _check_consistency(scene: Scene) -> None:
@@ -455,6 +469,13 @@ def _check_consistency(scene: Scene) -> None:
         raise ValueError(f"v0 has {len(scene.v0)} entries, expected {scene.n_v}")
     if scene.kind == "linkage" and scene.pose.shape != (4,):
         raise ValueError(f"pose has shape {scene.pose.shape}, expected (4,)")
+    if scene.kind == "linkage":
+        for key in ("leg_length", "mass_offset", "leg_mass"):
+            if not 0.0 < float(scene.linkage[key]) < np.inf:
+                raise ValueError(f"linkage {key} must be positive and finite")
+    labels = [spec.label for spec in scene.contacts]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"contact labels must be distinct, got {labels}")
     planes = {plane.name for plane in scene.environment}
     for spec in scene.contacts:
         where = f"contact {spec.label!r}"
@@ -473,9 +494,18 @@ def _check_consistency(scene: Scene) -> None:
         if spec.kind != "disk-disk" and spec.plane not in planes:
             raise ValueError(f"{where}: no environment plane named {spec.plane!r}")
         if spec.kind == "vertex-plane":
-            count = len(scene.bodies[spec.body].shape.get("vertices", ()))
+            shape = scene.bodies[spec.body].shape
+            count = len(shape.get("vertices", ())) if isinstance(shape, dict) else 0
+            if not count:
+                raise ValueError(f"{where}: body {spec.body} has no vertices")
             if not (isinstance(spec.vertex, int) and 0 <= spec.vertex < count):
                 raise ValueError(f"{where}: vertex index {spec.vertex} out of range")
+        else:
+            for index in bodies:
+                if not _is_disk(scene.bodies[index]):
+                    raise ValueError(
+                        f"{where}: body {index} is not a disk with a finite positive radius"
+                    )
 
 
 def _scene_from_dict(data: dict) -> Scene:

@@ -16,6 +16,11 @@ post-impact set.  This module provides:
 - the finishing-step stiffness bound ``psi``, the sampling driver
   ``approximate`` (optionally multi-process), a coverage audit
   ``epsilon_net_check``, and the grid-based ``sample_count_bound``.
+
+``approximate`` runs contiguous blocks of ``BLOCK_SIZE`` trajectories in
+lockstep (``resolution.sim_block``), each block with its draws made in
+one call.  A trajectory's bits depend neither on the block it falls in
+nor on the job count.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contact import ImpactProblem, is_impacting
-from .resolution import _workspace, sim, sim_step
+from .resolution import _workspace, sim_block, sim_step, step_block
+from .resolution import sim  # noqa: F401  (stays importable from here)
 
 __all__ = [
     "MAXBIT",
@@ -48,6 +54,8 @@ __all__ = [
 
 MAXBIT = 52
 MAX_DIMENSION = 32
+# Trajectories stepped together in lockstep by ``approximate``.
+BLOCK_SIZE = 256
 _SENTINEL = 2**63 - 1
 
 # Primitive polynomials and initial direction integers for dimensions
@@ -190,9 +198,10 @@ class SobolSampler:
     def __init__(self, seed: int | None = None):
         self.seed = seed  # accepted for interface parity; the stream is seedless
 
-    def draws(self, traj_index: int, n: int, m: int):
-        block = sobol_block(m, 1 + traj_index * n, n)
-        return iter(block)
+    def draw_block(self, first: int, count: int, n: int, m: int) -> np.ndarray:
+        """Cap fractions of trajectories ``first .. first+count-1``, shape
+        (count, n, m): one ``sobol_block`` over their consecutive indices."""
+        return sobol_block(m, 1 + first * n, count * n).reshape(count, n, m)
 
 
 class UniformSampler:
@@ -204,12 +213,13 @@ class UniformSampler:
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
 
-    def draws(self, traj_index: int, n: int, m: int):
-        rng = np.random.default_rng([self.seed, traj_index])
-        remaining = n
-        while remaining > 0:
-            yield rng.random(m)
-            remaining -= 1
+    def draw_block(self, first: int, count: int, n: int, m: int) -> np.ndarray:
+        """Cap fractions of trajectories ``first .. first+count-1``, shape
+        (count, n, m): ``n`` draws of ``m`` from each trajectory's generator."""
+        out = np.empty((count, n, m))
+        for row, index in enumerate(range(first, first + count)):
+            out[row] = np.random.default_rng([self.seed, index]).random((n, m))
+        return out
 
 
 @dataclass(eq=False)
@@ -238,17 +248,22 @@ def _run_trajectories(
     n_max: int,
     sampler,
     finishing: np.ndarray,
-    indices: list[int],
-) -> list[tuple[int, np.ndarray | None]]:
-    out: list[tuple[int, np.ndarray | None]] = []
-    for idx in indices:
-        traj = sim(problem, v0, h, n_max, sampler, traj_index=idx)
-        v_fin, _ = sim_step(problem, traj.v_final, finishing)
-        if is_impacting(problem, v_fin):
-            out.append((idx, None))
-        else:
-            out.append((idx, v_fin))
-    return out
+    start: int,
+    stop: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trajectories ``start .. stop-1`` in lockstep blocks of
+    ``BLOCK_SIZE``, each ended by the finishing step; returns the indices
+    and final velocities of those that no longer impact."""
+    indices, samples = [], []
+    for first in range(start, stop, BLOCK_SIZE):
+        count = min(BLOCK_SIZE, stop - first)
+        fractions = sampler.draw_block(first, count, n_max, problem.n_contacts)
+        v = sim_block(problem, v0, h, fractions)
+        v_fin, _, _ = step_block(problem, v, np.broadcast_to(finishing, (count, finishing.size)))
+        kept = ~is_impacting(problem, v_fin)
+        indices.append(first + np.flatnonzero(kept))
+        samples.append(v_fin[kept])
+    return np.concatenate(indices), np.concatenate(samples)
 
 
 def approximate(
@@ -277,37 +292,24 @@ def approximate(
     v0 = np.asarray(v0, dtype=float)
     finishing = (epsilon / (3.0 * psi(problem))) * np.ones(problem.n_contacts)
 
-    indices = list(range(m_trajectories))
+    args = (problem, v0, h, n_max, sampler, finishing)
     if jobs <= 1 or m_trajectories == 1:
-        results = _run_trajectories(
-            problem, v0, h, n_max, sampler, finishing, indices
-        )
+        traj_indices, samples = _run_trajectories(*args, 0, m_trajectories)
     else:
         jobs = min(jobs, m_trajectories)
-        chunks = [indices[k::jobs] for k in range(jobs)]
-        results = []
+        bounds = [k * m_trajectories // jobs for k in range(jobs + 1)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(
-                    _run_trajectories,
-                    problem, v0, h, n_max, sampler, finishing, chunk,
-                )
-                for chunk in chunks
+                pool.submit(_run_trajectories, *args, start, stop)
+                for start, stop in zip(bounds, bounds[1:])
             ]
-            for future in futures:
-                results.extend(future.result())
-        results.sort(key=lambda item: item[0])
-
-    kept = [(idx, v) for idx, v in results if v is not None]
-    samples = (
-        np.array([v for _, v in kept])
-        if kept
-        else np.zeros((0, problem.n_v))
-    )
+            parts = [future.result() for future in futures]
+        traj_indices = np.concatenate([indices for indices, _ in parts])
+        samples = np.concatenate([kept for _, kept in parts])
     return PostImpactSet(
         samples=samples,
-        traj_indices=np.array([idx for idx, _ in kept], dtype=int),
-        rejected_count=m_trajectories - len(kept),
+        traj_indices=traj_indices,
+        rejected_count=m_trajectories - len(traj_indices),
         params={
             "h": h,
             "epsilon": epsilon,

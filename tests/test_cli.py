@@ -76,6 +76,16 @@ def _set(path, value):
     return edit
 
 
+def _drop(path):
+    """An edit of a scene dict that deletes the entry at ``path``."""
+    def edit(data):
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+    return edit
+
+
 @pytest.mark.parametrize(
     "scene, edit, message",
     [
@@ -90,9 +100,16 @@ def _set(path, value):
          "disk centres of contact 'E' coincide"),
         ("phone", _set(("environment", 0, "normal"), [0.0, 0.0]), "nonzero 2-D normal"),
         ("compass", _set(("pose",), [0.0, 0.2, 1.4]), "expected (4,)"),
+        ("phone", _set(("contacts", 0, "kind"), "disk-plane"),
+         "contact 'A': body 0 is not a disk"),
+        ("disk_stack", _set(("contacts", 2, "kind"), "vertex-plane"),
+         "contact 'C': body 0 has no vertices"),
+        ("phone", _drop(("contacts", 0, "mu")), "missing field 'mu'"),
+        ("phone", _set(("contacts", 1, "label"), "A"), "labels must be distinct"),
     ],
     ids=["not-json", "vertex-index", "body-index", "against-index", "contact-kind",
-         "body-mass", "mu", "coincident-centres", "zero-normal", "linkage-pose"],
+         "body-mass", "mu", "coincident-centres", "zero-normal", "linkage-pose",
+         "disk-kind-on-polygon", "vertex-kind-on-disk", "missing-field", "duplicate-label"],
 )
 def test_corrupt_scene_file_is_an_io_error(tmp_path, capsys, scene, edit, message):
     bad = tmp_path / "bad.json"

@@ -70,6 +70,32 @@ def test_validation_rejects_malformed_inputs():
         ImpactProblem(**{**good, "labels": ("A", "B")})
 
 
+def test_duplicate_contact_labels_are_rejected():
+    two = dict(
+        mass=np.eye(2),
+        jn=np.array([[0.0, 1.0], [1.0, 0.0]]),
+        jd=np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+        mu=np.array([0.5, 0.5]),
+    )
+    assert ImpactProblem(**two, labels=("A", "B")).labels == ("A", "B")
+    with pytest.raises(ValueError, match="distinct"):
+        ImpactProblem(**two, labels=("A", "A"))
+
+
+def test_problem_arrays_are_read_only_copies():
+    mass, jn = np.diag([2.0, 1.0]), np.array([[0.0, 1.0]])
+    jd, mu = np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.5])
+    problem = ImpactProblem(mass=mass, jn=jn, jd=jd, mu=mu)
+    for name in ("mass", "jn", "jd", "mu"):
+        with pytest.raises(ValueError):
+            getattr(problem, name)[0] = 7.0
+    for array in (mass, jn, jd, mu):
+        assert array.flags.writeable
+        array[0] = 9.0  # the caller's arrays stay the caller's
+    assert problem.mass[0, 0] == 2.0 and problem.jn[0, 1] == 1.0
+    assert problem.jd[0, 0] == 1.0 and problem.mu[0] == 0.5
+
+
 def test_default_labels_are_letters():
     problem = _simple_problem()
     assert problem.labels == ("A",)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from multimpact import (
+    SceneFormatError,
     anitescu_resolve,
     build_ball,
     build_example,
@@ -162,3 +163,38 @@ def test_load_scene_from_file(tmp_path):
     path.write_text(json.dumps(scene_to_dict(scene)))
     clone = load_scene(path)
     np.testing.assert_allclose(clone.v0, scene.v0)
+
+
+def _phone_dict() -> dict:
+    return scene_to_dict(load_scene("phone"))
+
+
+def test_scene_with_duplicate_labels_is_a_format_error():
+    data = _phone_dict()
+    data["contacts"][1]["label"] = "A"
+    with pytest.raises(SceneFormatError, match="labels must be distinct"):
+        scene_from_dict(data)
+
+
+def test_scene_missing_a_field_is_a_format_error_naming_it():
+    data = _phone_dict()
+    del data["contacts"][0]["mu"]
+    with pytest.raises(SceneFormatError, match="missing field 'mu'"):
+        scene_from_dict(data)
+    data = scene_to_dict(load_scene("compass"))
+    del data["linkage"]["leg_mass"]
+    with pytest.raises(SceneFormatError, match="missing field 'leg_mass'"):
+        scene_from_dict(data)
+
+
+def test_contact_kind_must_fit_the_body_shape():
+    data = _phone_dict()
+    data["contacts"][0]["kind"] = "disk-plane"
+    with pytest.raises(SceneFormatError, match="not a disk"):
+        scene_from_dict(data)
+    data = scene_to_dict(load_scene("disk_stack"))
+    floor = data["contacts"][2]
+    assert floor["kind"] == "disk-plane"
+    floor.update(kind="vertex-plane", vertex=0)
+    with pytest.raises(SceneFormatError, match="has no vertices"):
+        scene_from_dict(data)

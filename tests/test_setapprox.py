@@ -117,20 +117,24 @@ def test_sobol_dimension_limits():
 def test_sobol_sampler_uses_disjoint_index_blocks():
     sampler = SobolSampler()
     n, m = 7, 3
-    draws_2 = np.array(list(sampler.draws(2, n, m)))
-    np.testing.assert_array_equal(draws_2, sobol_block(m, 1 + 2 * n, n))
-    draws_0 = np.array(list(sampler.draws(0, n, m)))
-    np.testing.assert_array_equal(draws_0, sobol_block(m, 1, n))
+    block = sampler.draw_block(0, 3, n, m)
+    assert block.shape == (3, n, m)
+    np.testing.assert_array_equal(block[2], sobol_block(m, 1 + 2 * n, n))
+    np.testing.assert_array_equal(block[0], sobol_block(m, 1, n))
+    np.testing.assert_array_equal(sampler.draw_block(2, 1, n, m)[0], block[2])
 
 
 def test_uniform_sampler_is_scheduling_independent():
     sampler = UniformSampler(seed=11)
-    first = np.array(list(sampler.draws(4, 5, 2)))
-    again = np.array(list(sampler.draws(4, 5, 2)))
+    first = sampler.draw_block(4, 1, 5, 2)[0]
+    again = sampler.draw_block(3, 2, 5, 2)[1]  # the same trajectory in another block
     np.testing.assert_array_equal(first, again)
-    other = np.array(list(sampler.draws(5, 5, 2)))
+    other = sampler.draw_block(5, 1, 5, 2)[0]
     assert not np.array_equal(first, other)
     assert first.min() >= 0.0 and first.max() < 1.0
+    # One call gives the same bits as drawing step by step.
+    rng = np.random.default_rng([11, 4])
+    np.testing.assert_array_equal(first, [rng.random(2) for _ in range(5)])
 
 
 def test_psi_frozen_on_the_ball():
