@@ -349,7 +349,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--m", type=int, help="trajectory count (default 4096)")
         p.add_argument(
             "--jobs", type=int, default=os.cpu_count() or 1,
-            help="worker processes (default: all cores)",
+            help="processes that sample, this one included (default: all cores)",
         )
         p.add_argument(
             "--paper-scale", action="store_true", dest="paper_scale",

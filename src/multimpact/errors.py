@@ -21,10 +21,16 @@ class LcpSolveError(MultimpactError):
 
     def __init__(self, status: str, detail: str = ""):
         self.status = status
+        self.detail = detail
         message = f"LCP solve failed with status {status!r}"
         if detail:
             message += f": {detail}"
         super().__init__(message)
+
+    def __reduce__(self):
+        # Rebuild from the arguments, not from the formatted message, so
+        # the error crosses a process boundary unchanged.
+        return type(self), (self.status, self.detail), self.__dict__
 
 
 class ConeViolationError(MultimpactError):

@@ -212,29 +212,35 @@ def _lex_argmin_many(table: np.ndarray, cand: np.ndarray, d: np.ndarray) -> np.n
     (k, n) marks each row's candidate rows and ``d`` (k, n) their ratio
     denominators; returns one tableau row per stack row.
 
-    Rows still tied after column 0 walk the basis-inverse columns, but
-    only those where some tied row's candidates do not all tie with their
-    smallest value: such a column keeps every candidate of that row, now
-    and after any later narrowing, so skipping it picks the same row."""
+    Rows still tied after column 0 walk the basis-inverse columns with
+    one key row per candidate, grouped by stack row.  The walk visits
+    only columns where some group's keys do not all tie with their
+    smallest value: such a column keeps every candidate of that group,
+    now and after any later narrowing, so skipping it picks the same row."""
     n = cand.shape[1]
     d = np.where(cand, d, 1.0)
     vals = np.where(cand, table[:, :, 0] / d, np.inf)
     cand = vals <= _tie_limit(vals.min(axis=1, keepdims=True))
+    choice = cand.argmax(axis=1)
     tied = np.flatnonzero(cand.sum(axis=1) > 1)
     if tied.size:
-        sub = cand[tied]
-        keys = table[tied, :, 1 : n + 1] / d[tied, :, None]
-        limits = _tie_limit(keys)
-        low = np.where(sub[:, :, None], keys, np.inf).min(axis=1)
-        high = np.where(sub[:, :, None], keys, -np.inf).max(axis=1)
-        at = np.arange(tied.size)
+        group, row = np.nonzero(cand[tied])
+        stack_row = tied[group]
+        keys = table[stack_row, row, 1 : n + 1] / d[stack_row, row][:, None]
+        starts = np.flatnonzero(np.diff(group, prepend=-1))
+        low = np.minimum.reduceat(keys, starts)
+        high = np.maximum.reduceat(keys, starts)
+        alive = np.ones(group.size, dtype=bool)
         for col in np.flatnonzero((high > _tie_limit(low)).any(axis=0)):
-            vals = np.where(sub, keys[:, :, col], np.inf)
-            sub = vals <= limits[at, vals.argmin(axis=1), col][:, None]
-            if sub.sum() == tied.size:
+            vals = np.where(alive, keys[:, col], np.inf)
+            alive = vals <= _tie_limit(np.minimum.reduceat(vals, starts))[group]
+            if alive.sum() == tied.size:
                 break
-        cand[tied] = sub
-    return cand.argmax(axis=1)
+        # Each group's first survivor: its lowest tableau row.
+        survivors = np.flatnonzero(alive)
+        first = survivors[np.diff(group[survivors], prepend=-1) > 0]
+        choice[tied] = row[first]
+    return choice
 
 
 def lemke_many(m: np.ndarray, q: np.ndarray) -> LcpSolution:

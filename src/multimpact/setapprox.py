@@ -14,27 +14,29 @@ post-impact set.  This module provides:
 - draw samplers with per-trajectory determinism, so results do not depend
   on worker scheduling;
 - the finishing-step stiffness bound ``psi``, the sampling driver
-  ``approximate`` (optionally multi-process), a coverage audit
+  ``approximate`` (optionally over several processes), a coverage audit
   ``epsilon_net_check``, and the grid-based ``sample_count_bound``.
 
 ``approximate`` runs contiguous blocks of ``BLOCK_SIZE`` trajectories in
 lockstep (``resolution.sim_block``), each block with its draws made in
-one call.  A trajectory's bits depend neither on the block it falls in
-nor on the job count.
+one call.  With ``jobs > 1`` the calling process runs the first of
+``jobs`` contiguous ranges itself while ``jobs - 1`` child processes run
+the rest, and every child has ended before the call returns.  A
+trajectory's bits depend neither on the block it falls in nor on the job
+count.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .contact import ImpactProblem, is_impacting
-from .resolution import _workspace, sim_block, sim_step, step_block
-from .resolution import sim  # noqa: F401  (stays importable from here)
+from .resolution import _workspace, sim_block, step_block
+from .resolution import sim, sim_step  # noqa: F401  (stay importable from here)
 
 __all__ = [
     "MAXBIT",
@@ -266,6 +268,60 @@ def _run_trajectories(
     return np.concatenate(indices), np.concatenate(samples)
 
 
+def _run_share(conn, args: tuple, start: int, stop: int) -> None:
+    """Child process body: send ``(True, result)`` of one range, or
+    ``(False, exception)`` if it raised."""
+    try:
+        reply = (True, _run_trajectories(*args, start, stop))
+    except BaseException as exc:  # the parent re-raises it
+        reply = (False, exc)
+    conn.send(reply)
+    conn.close()
+
+
+def _fan_out(args: tuple, bounds: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Results of the ranges ``bounds[k] .. bounds[k+1]-1`` in order: the
+    first from this process, the others from one child process each.
+
+    If anything raises here (this process's own range, an error a child
+    sent back, or ``KeyboardInterrupt``), the children still running are
+    terminated.  Every child is joined before this returns or raises."""
+    # Imported here: it costs tens of ms at import time, and only
+    # ``jobs > 1`` needs it.
+    import multiprocessing
+
+    children = []
+    try:
+        for start, stop in zip(bounds[1:], bounds[2:]):
+            receive, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_run_share, args=(send, args, start, stop))
+            child.start()
+            send.close()
+            children.append((child, receive))
+        parts = [_run_trajectories(*args, bounds[0], bounds[1])]
+        for child, receive in children:
+            try:
+                ok, value = receive.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"trajectory worker exited with code {child.exitcode} "
+                    "before sending its results"
+                ) from None
+            if not ok:
+                raise value
+            parts.append(value)
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receive in children:
+            child.join()
+            receive.close()
+    return parts
+
+
 def approximate(
     problem: ImpactProblem,
     v0: np.ndarray,
@@ -282,8 +338,10 @@ def approximate(
     ``n_max`` steps, then takes one finishing step with per-contact cap
     ``epsilon / (3 psi)``; endpoints still impacting afterwards are
     discarded (counted in ``rejected_count``).  Requires
-    ``0 < epsilon < h``.  With ``jobs > 1`` trajectories are distributed
-    over worker processes; outputs are identical for any job count.
+    ``0 < epsilon < h``.  With ``jobs > 1`` the trajectories are split
+    into ``jobs`` contiguous ranges: this process runs the first and
+    ``jobs - 1`` child processes run the others, all ended before the
+    call returns.  Outputs are identical for any job count.
     """
     if not 0.0 < epsilon < h:
         raise ValueError("epsilon must satisfy 0 < epsilon < h")
@@ -297,13 +355,7 @@ def approximate(
         traj_indices, samples = _run_trajectories(*args, 0, m_trajectories)
     else:
         jobs = min(jobs, m_trajectories)
-        bounds = [k * m_trajectories // jobs for k in range(jobs + 1)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_trajectories, *args, start, stop)
-                for start, stop in zip(bounds, bounds[1:])
-            ]
-            parts = [future.result() for future in futures]
+        parts = _fan_out(args, [k * m_trajectories // jobs for k in range(jobs + 1)])
         traj_indices = np.concatenate([indices for indices, _ in parts])
         samples = np.concatenate([kept for _, kept in parts])
     return PostImpactSet(
@@ -419,17 +471,29 @@ def estimate_step_lipschitz(
     """Empirical (non-certified) Lipschitz constant of the one-step map in
     its velocity argument: the largest observed ratio
     ``|step(v1) - step(v2)| / |v1 - v2|`` over random velocity pairs that
-    share a drawn cap vector."""
+    share a drawn cap vector.
+
+    The pairs are drawn one by one, then stepped in lockstep
+    (``step_block``) in chunks of ``BLOCK_SIZE`` rows, the two velocities
+    of a pair side by side."""
     rng = np.random.default_rng(seed)
     m = problem.n_contacts
+    v = np.empty((n_pairs, 2, problem.n_v))
+    caps = np.empty((n_pairs, m))
+    for i in range(n_pairs):
+        v[i, 0] = scale * rng.normal(size=problem.n_v)
+        v[i, 1] = v[i, 0] + scale * 10.0 ** rng.uniform(-4, 0) * rng.normal(size=problem.n_v)
+        caps[i] = h * rng.random(m)
+    rows = v.reshape(2 * n_pairs, problem.n_v)
+    row_caps = np.repeat(caps, 2, axis=0)
+    out = np.empty_like(rows)
+    for first in range(0, len(rows), BLOCK_SIZE):
+        chunk = slice(first, first + BLOCK_SIZE)
+        out[chunk] = step_block(problem, rows[chunk], row_caps[chunk])[0]
+    out = out.reshape(v.shape)
     worst = 0.0
-    for _ in range(n_pairs):
-        v1 = scale * rng.normal(size=problem.n_v)
-        v2 = v1 + scale * 10.0 ** rng.uniform(-4, 0) * rng.normal(size=problem.n_v)
-        caps = h * rng.random(m)
-        out1, _ = sim_step(problem, v1, caps)
-        out2, _ = sim_step(problem, v2, caps)
-        gap = float(np.linalg.norm(v1 - v2))
+    for i in range(n_pairs):
+        gap = float(np.linalg.norm(v[i, 0] - v[i, 1]))
         if gap > 0.0:
-            worst = max(worst, float(np.linalg.norm(out1 - out2)) / gap)
+            worst = max(worst, float(np.linalg.norm(out[i, 0] - out[i, 1])) / gap)
     return worst

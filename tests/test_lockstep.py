@@ -1,8 +1,16 @@
 """Tests for lockstep stepping: results do not depend on the block size
-or the job count, ``sim`` and ``approximate`` agree bit for bit, and the
-stacked Lemke kernel matches the single-instance solver."""
+or the job count, ``sim`` and ``approximate`` agree bit for bit, the
+stacked Lemke kernel matches the single-instance solver, and the fan-out
+over processes reports errors as a serial run would and leaves no child
+process behind."""
 
 from __future__ import annotations
+
+import multiprocessing
+import os
+import pickle
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +35,10 @@ from multimpact import (
     sim_step,
     step_block,
 )
+from multimpact import errors
 from multimpact import lcp as lcp_module
 from multimpact import setapprox
+from multimpact.errors import LcpSolveError
 from multimpact.lcp import RESIDUAL_TOL
 from multimpact.resolution import _workspace
 from conftest import random_spd_matrix
@@ -59,6 +69,137 @@ def test_results_do_not_depend_on_block_size_or_jobs(name, monkeypatch):
         np.testing.assert_array_equal(post.traj_indices, first.traj_indices)
         np.testing.assert_array_equal(post.samples, first.samples)
         assert post.rejected_count == first.rejected_count
+
+
+HAS_PROC = Path("/proc/self/stat").exists()
+
+
+def _child_pids() -> set[int]:
+    """This process's children, read from /proc (none without it)."""
+    children = set()
+    for entry in Path("/proc").iterdir() if HAS_PROC else ():
+        if entry.name.isdigit():
+            try:
+                stat = (entry / "stat").read_text()
+            except OSError:
+                continue
+            if int(stat.rsplit(")", 1)[1].split()[1]) == os.getpid():
+                children.add(int(entry.name))
+    return children
+
+
+# Children see a monkeypatched ``sim_block`` only if they are forked.
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="needs forked children"
+)
+
+
+def _run_seven(name, jobs):
+    problem, v0, meta = build_example(name)
+    h = float(meta["h"])
+    sampler = CASES[name][0]
+    return approximate(problem, v0, h, h / 10.0, int(meta["n_steps"]), 7, sampler, jobs=jobs)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_uneven_splits_over_processes_match_one_process(name):
+    serial = _run_seven(name, 1)
+    for jobs in (2, 3):
+        post = _run_seven(name, jobs)
+        np.testing.assert_array_equal(post.traj_indices, serial.traj_indices)
+        np.testing.assert_array_equal(post.samples, serial.samples)
+        assert post.rejected_count == serial.rejected_count
+
+
+@pytest.mark.skipif(not HAS_PROC, reason="needs /proc")
+def test_no_child_process_outlives_approximate():
+    before = _child_pids()
+    _run_seven("compass", 3)
+    assert _child_pids() <= before
+
+
+def _fail_on(monkeypatch, problem, meta, sampler, bad):
+    """Make ``setapprox.sim_block`` raise ``LcpSolveError`` for any block
+    holding a trajectory index in ``bad``, naming the lowest such index;
+    draws identify the trajectories."""
+    n, m = int(meta["n_steps"]), problem.n_contacts
+    index = {sampler.draw_block(i, 1, n, m)[0].tobytes(): i for i in range(7)}
+    real = setapprox.sim_block
+
+    def sim_block(problem, v0, h, fractions):
+        held = bad & {index[f.tobytes()] for f in fractions}
+        if held:
+            raise LcpSolveError("ray_termination", f"trajectory {min(held)}")
+        return real(problem, v0, h, fractions)
+
+    monkeypatch.setattr(setapprox, "sim_block", sim_block)
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "bad",
+    [{3, 5}, {1}],
+    ids=["child-shares-raise", "own-share-raises"],
+)
+def test_a_failing_share_raises_as_a_serial_run_would(bad, monkeypatch):
+    problem, v0, meta = build_example("phone")
+    h, n = float(meta["h"]), int(meta["n_steps"])
+    sampler = UniformSampler(seed=2)
+    _fail_on(monkeypatch, problem, meta, sampler, bad)
+    with pytest.raises(LcpSolveError) as serial:
+        approximate(problem, v0, h, h / 10.0, n, 7, sampler, jobs=1)
+    before = _child_pids()
+    for jobs in (2, 3):
+        with pytest.raises(LcpSolveError) as fanned:
+            approximate(problem, v0, h, h / 10.0, n, 7, sampler, jobs=jobs)
+        assert type(fanned.value) is LcpSolveError
+        assert str(fanned.value) == str(serial.value)
+        assert fanned.value.status == serial.value.status
+    assert _child_pids() <= before
+
+
+@needs_fork
+def test_a_child_that_exits_without_results_is_reported(monkeypatch):
+    problem, v0, meta = build_example("phone")
+    h = float(meta["h"])
+    parent, real = os.getpid(), setapprox.sim_block
+
+    def sim_block(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(*args)
+
+    monkeypatch.setattr(setapprox, "sim_block", sim_block)
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        approximate(problem, v0, h, h / 10.0, int(meta["n_steps"]), 7, UniformSampler(), jobs=2)
+
+
+@needs_fork
+def test_children_are_terminated_when_the_own_share_raises(monkeypatch):
+    problem, v0, meta = build_example("phone")
+    h = float(meta["h"])
+    parent = os.getpid()
+
+    def sim_block(*args):
+        if os.getpid() != parent:
+            time.sleep(60.0)
+        raise LcpSolveError("max_pivots", "own share")
+
+    monkeypatch.setattr(setapprox, "sim_block", sim_block)
+    start = time.perf_counter()
+    with pytest.raises(LcpSolveError, match="own share"):
+        approximate(problem, v0, h, h / 10.0, int(meta["n_steps"]), 7, UniformSampler(), jobs=3)
+    assert time.perf_counter() - start < 30.0
+
+
+@pytest.mark.parametrize("name", errors.__all__)
+def test_errors_survive_pickling(name):
+    cls = getattr(errors, name)
+    exc = cls("solved", "capped impact step") if cls is LcpSolveError else cls("message")
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls
+    assert str(back) == str(exc)
+    assert getattr(back, "status", None) == getattr(exc, "status", None)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

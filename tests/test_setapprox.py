@@ -206,6 +206,16 @@ def test_lipschitz_probe_is_deterministic_and_positive():
     assert first > 0.0
 
 
+@pytest.mark.parametrize(
+    "name, expected", [("phone", 41.61587888036644), ("disk_stack", 28.411735872733548)]
+)
+def test_lipschitz_probe_frozen_values(name, expected):
+    # The values of the one-pair-at-a-time probe, which stepping the
+    # pairs in lockstep reproduces bit for bit.
+    problem, _, meta = build_example(name)
+    assert estimate_step_lipschitz(problem, float(meta["h"]), n_pairs=500, seed=0) == expected
+
+
 def test_post_impact_set_is_a_plain_record():
     ps = PostImpactSet(
         samples=np.zeros((2, 3)),
