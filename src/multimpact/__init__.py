@@ -41,7 +41,6 @@ from .errors import (
 from .lcp import (
     LcpInstance,
     LcpSolution,
-    copositivity_sample_check,
     lemke_many,
     lemke_solve,
     residuals,
@@ -53,6 +52,7 @@ from .resolution import (
     Trajectory,
     anitescu_resolve,
     assemble_impact_lcp,
+    baselines,
     compute_r,
     restrict_contacts,
     sequential_resolve,
@@ -78,7 +78,6 @@ from .scenes import (
 from .setapprox import (
     PostImpactSet,
     SobolSampler,
-    SobolStream,
     UniformSampler,
     approximate,
     classify_outcomes,
@@ -86,7 +85,6 @@ from .setapprox import (
     estimate_step_lipschitz,
     psi,
     sample_count_bound,
-    sobol_next,
 )
 from .cli import ConfigError, RunConfig, run
 
@@ -109,7 +107,6 @@ __all__ = [
     "lemke_solve",
     "lemke_many",
     "residuals",
-    "copositivity_sample_check",
     "DenseTrajectory",
     "brute_force_lcp",
     "routh_dense_reference",
@@ -123,6 +120,7 @@ __all__ = [
     "sim_block",
     "anitescu_resolve",
     "sequential_resolve",
+    "baselines",
     "restrict_contacts",
     "compute_r",
     "termination_constant",
@@ -138,10 +136,8 @@ __all__ = [
     "mass_matrix",
     "reflect_map",
     "PostImpactSet",
-    "SobolStream",
     "SobolSampler",
     "UniformSampler",
-    "sobol_next",
     "psi",
     "approximate",
     "epsilon_net_check",

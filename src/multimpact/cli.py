@@ -30,12 +30,7 @@ from . import io as mio
 from .contact import ImpactProblem
 from .errors import MultimpactError, SceneFormatError
 from .oracles import routh_dense_reference
-from .resolution import (
-    anitescu_resolve,
-    restrict_contacts,
-    sequential_resolve,
-    sim,
-)
+from .resolution import baselines, restrict_contacts, sim
 from .scenes import EXAMPLE_NAMES, build_example, build_problem, load_scene
 from .setapprox import (
     MAXBIT,
@@ -232,11 +227,7 @@ def _cmd_approximate(config: RunConfig) -> int:
 def _cmd_compare(config: RunConfig) -> int:
     problem, v0, meta = _load(config)
     _fill_defaults(config, meta)
-    rows: list[tuple[str, str, np.ndarray]] = []
-    rows.append(("anitescu", "", anitescu_resolve(problem, v0)))
-    for label in problem.labels:
-        traj = sequential_resolve(problem, v0, [label])
-        rows.append(("sequential", label, traj.v_final))
+    rows = baselines(problem, v0)
     post_set = _approximate_set(config, problem, v0)
     for idx, v in zip(post_set.traj_indices, post_set.samples):
         rows.append(("sampled", str(int(idx)), v))

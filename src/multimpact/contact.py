@@ -13,9 +13,8 @@ impact-activity test, and a feasibility audit for post-impact states.
 
 from __future__ import annotations
 
-import json
+import functools
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -27,10 +26,6 @@ __all__ = [
     "mass_norm",
     "is_impacting",
     "in_linear_cone",
-    "problem_to_dict",
-    "problem_from_dict",
-    "save_problem",
-    "load_problem",
 ]
 
 # Relative approach speed below which a contact does not count as impacting.
@@ -39,7 +34,7 @@ APPROACH_TOL = 1e-10
 CONE_TOL = 1e-8
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class ImpactProblem:
     """Mass matrix, contact Jacobians and friction data for one pose.
 
@@ -53,8 +48,9 @@ class ImpactProblem:
     mu : (m,) positive friction coefficients.
     labels : distinct human-readable contact names, one per contact.
 
-    The problem keeps read-only copies of its arrays, so per-problem
-    caches built from them (the step LCP blocks) cannot go stale.
+    The problem is frozen and keeps read-only copies of its arrays, so
+    per-problem caches built from them (the step LCP blocks) cannot go
+    stale.
     """
 
     mass: np.ndarray
@@ -64,10 +60,11 @@ class ImpactProblem:
     labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        self.mass = _frozen(self.mass)
-        self.jn = np.atleast_2d(_frozen(self.jn))
-        self.jd = np.atleast_2d(_frozen(self.jd))
-        self.mu = np.atleast_1d(_frozen(self.mu))
+        set_field = functools.partial(object.__setattr__, self)
+        set_field("mass", _frozen(self.mass))
+        set_field("jn", np.atleast_2d(_frozen(self.jn)))
+        set_field("jd", np.atleast_2d(_frozen(self.jd)))
+        set_field("mu", np.atleast_1d(_frozen(self.mu)))
 
         if not np.isfinite(self.mass).all():
             raise ValueError("mass matrix must be finite")
@@ -96,10 +93,11 @@ class ImpactProblem:
         if np.any(self.mu <= 0.0):
             raise ValueError("friction coefficients must be positive")
         if not self.labels:
-            self.labels = tuple(chr(ord("A") + i) if m <= 26 else f"c{i}" for i in range(m))
+            default = (chr(ord("A") + i) if m <= 26 else f"c{i}" for i in range(m))
+            set_field("labels", tuple(default))
         if len(self.labels) != m:
             raise ValueError("labels must have one entry per contact")
-        self.labels = tuple(self.labels)
+        set_field("labels", tuple(self.labels))
         if len(set(self.labels)) != m:
             raise ValueError(f"contact labels must be distinct, got {self.labels}")
 
@@ -198,31 +196,3 @@ def in_linear_cone(
         | (gamma * budget > CONE_TOL).any(axis=-1)
     )
     return bool(~bad) if v_plus.ndim == 1 else ~bad
-
-
-def problem_to_dict(problem: ImpactProblem) -> dict:
-    return {
-        "mass": problem.mass.tolist(),
-        "jn": problem.jn.tolist(),
-        "jd": problem.jd.tolist(),
-        "mu": problem.mu.tolist(),
-        "labels": list(problem.labels),
-    }
-
-
-def problem_from_dict(data: dict) -> ImpactProblem:
-    return ImpactProblem(
-        mass=np.array(data["mass"], dtype=float),
-        jn=np.array(data["jn"], dtype=float),
-        jd=np.array(data["jd"], dtype=float),
-        mu=np.array(data["mu"], dtype=float),
-        labels=tuple(data.get("labels", ())),
-    )
-
-
-def save_problem(problem: ImpactProblem, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(problem_to_dict(problem), indent=2))
-
-
-def load_problem(path: str | Path) -> ImpactProblem:
-    return problem_from_dict(json.loads(Path(path).read_text()))

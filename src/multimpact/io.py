@@ -5,6 +5,10 @@ comment line in CSV, a ``"format"`` key in JSON), and every number is
 written with ``repr``, the shortest representation that round-trips to the
 exact same double.  No timestamps or environment data are written, so
 identical inputs produce byte-identical files.
+
+Each output builds its number table once, as an array, and passes its
+rows on as Python floats (``tolist``).  ``csv.writer`` and ``json`` both
+format a float with ``repr``, so no Python call is made per value.
 """
 
 from __future__ import annotations
@@ -36,17 +40,13 @@ __all__ = [
 FORMAT_MARKER = "multimpact-format v1"
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _write(path: str | Path | None, text: str) -> str:
     if path is not None:
         Path(path).write_text(text)
     return text
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+def _csv_text(header: list[str], rows: list[list]) -> str:
     buf = _io.StringIO()
     buf.write(f"# {FORMAT_MARKER}\n")
     writer = csv.writer(buf, lineterminator="\n")
@@ -77,31 +77,30 @@ def _projection_columns(problem: ImpactProblem) -> list[str]:
     return cols
 
 
-def _projections(problem: ImpactProblem, v: np.ndarray) -> list[float]:
-    jn_v = problem.jn @ v
-    jt_v = problem.jd[0::2] @ v
-    return [*jn_v, *jt_v]
+def _velocity_table(problem: ImpactProblem, velocities) -> list[list[float]]:
+    """Rows ``[*v, *(jn @ v), *(jt @ v)]``, one per velocity.
+
+    The batched matrix-vector product gives every row the bits of
+    ``jn @ v`` on that row alone, which a gemm ``V @ jn.T`` does not."""
+    v = np.asarray(velocities, dtype=float).reshape(-1, problem.n_v)
+    column = v[:, :, None]
+    jn_v = np.matmul(problem.jn, column)[..., 0]
+    jt_v = np.matmul(problem.jd[0::2], column)[..., 0]
+    return np.hstack([v, jn_v, jt_v]).tolist()
+
+
+def _velocity_csv(
+    problem: ImpactProblem, lead_columns: list[str], leads, velocities, path
+) -> str:
+    """CSV of the velocity table, each row after its ``leads`` entries."""
+    header = lead_columns + _velocity_columns(problem.n_v) + _projection_columns(problem)
+    table = _velocity_table(problem, velocities)
+    rows = [[*lead, *row] for lead, row in zip(leads, table)]
+    return _write(path, _csv_text(header, rows))
 
 
 # ---------------------------------------------------------------------------
 # Trajectories
-
-
-def _trajectory_rows(traj: Trajectory, problem: ImpactProblem) -> list[list[str]]:
-    rows = []
-    for k, step in enumerate(traj.steps):
-        beta_interleaved = []
-        for i in range(problem.n_contacts):
-            beta_interleaved += [step.beta[2 * i], step.beta[2 * i + 1]]
-        numbers = [
-            *step.lambda_max,
-            *step.lambda_n,
-            *beta_interleaved,
-            *step.v_after,
-            step.energy_after,
-        ]
-        rows.append([str(k), *[_fmt(x) for x in numbers]])
-    return rows
 
 
 def trajectory_to_csv(
@@ -113,7 +112,15 @@ def trajectory_to_csv(
         + _velocity_columns(problem.n_v)
         + ["energy"]
     )
-    return _write(path, _csv_text(header, _trajectory_rows(traj, problem)))
+    table = np.array(
+        [
+            np.hstack([s.lambda_max, s.lambda_n, s.beta, s.v_after, s.energy_after])
+            for s in traj.steps
+        ],
+        dtype=float,
+    )
+    rows = [[k, *row] for k, row in enumerate(table.tolist())]
+    return _write(path, _csv_text(header, rows))
 
 
 def trajectory_to_json(
@@ -149,14 +156,8 @@ def trajectory_to_json(
 def set_to_csv(
     post_set: PostImpactSet, problem: ImpactProblem, path: str | Path | None = None
 ) -> str:
-    header = (
-        ["traj"] + _velocity_columns(problem.n_v) + _projection_columns(problem)
-    )
-    rows = []
-    for idx, v in zip(post_set.traj_indices, post_set.samples):
-        numbers = [*v, *_projections(problem, v)]
-        rows.append([str(int(idx)), *[_fmt(x) for x in numbers]])
-    return _write(path, _csv_text(header, rows))
+    leads = zip(post_set.traj_indices.tolist())
+    return _velocity_csv(problem, ["traj"], leads, post_set.samples, path)
 
 
 def set_to_json(
@@ -182,16 +183,8 @@ def compare_to_csv(
     problem: ImpactProblem,
     path: str | Path | None = None,
 ) -> str:
-    header = (
-        ["method", "order"]
-        + _velocity_columns(problem.n_v)
-        + _projection_columns(problem)
-    )
-    out = []
-    for method, order, v in rows:
-        numbers = [*v, *_projections(problem, v)]
-        out.append([method, order, *[_fmt(x) for x in numbers]])
-    return _write(path, _csv_text(header, out))
+    leads = [(method, order) for method, order, _ in rows]
+    return _velocity_csv(problem, ["method", "order"], leads, [v for *_, v in rows], path)
 
 
 def compare_to_json(
@@ -199,6 +192,8 @@ def compare_to_json(
     problem: ImpactProblem,
     path: str | Path | None = None,
 ) -> str:
+    n_v, m = problem.n_v, problem.n_contacts
+    table = _velocity_table(problem, [v for *_, v in rows])
     payload = {
         "kind": "comparison",
         "labels": list(problem.labels),
@@ -206,11 +201,11 @@ def compare_to_json(
             {
                 "method": method,
                 "order": order,
-                "v_plus": np.asarray(v).tolist(),
-                "jn_v": (problem.jn @ v).tolist(),
-                "jt_v": (problem.jd[0::2] @ v).tolist(),
+                "v_plus": row[:n_v],
+                "jn_v": row[n_v : n_v + m],
+                "jt_v": row[n_v + m :],
             }
-            for method, order, v in rows
+            for (method, order, _), row in zip(rows, table)
         ],
     }
     return _write(path, _json_text(payload))
@@ -224,12 +219,8 @@ def dense_to_csv(
     dense: DenseTrajectory, problem: ImpactProblem, path: str | Path | None = None
 ) -> str:
     header = ["impulse"] + _velocity_columns(problem.n_v) + ["mode"]
-    rows = []
-    for k in range(len(dense.s_grid)):
-        mode = dense.modes[k - 1] if k > 0 else ""
-        rows.append(
-            [_fmt(dense.s_grid[k]), *[_fmt(x) for x in dense.v_grid[k]], mode]
-        )
+    table = np.column_stack([dense.s_grid, dense.v_grid]).tolist()
+    rows = [[*row, mode] for row, mode in zip(table, ["", *dense.modes])]
     return _write(path, _csv_text(header, rows))
 
 

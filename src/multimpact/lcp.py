@@ -27,7 +27,6 @@ __all__ = [
     "ordered_sum",
     "ordered_matvec",
     "residuals",
-    "copositivity_sample_check",
 ]
 
 # Pivot elements at or below this count as zero (assembled matrices are O(1)).
@@ -337,18 +336,3 @@ def residuals(lcp: LcpInstance, z: np.ndarray) -> tuple:
     if z.ndim == 1:
         return float(comp_gap), float(neg_z), float(neg_w)
     return comp_gap, neg_z, neg_w
-
-
-def copositivity_sample_check(
-    m: np.ndarray, trials: int = 1000, rng_seed: int = 0
-) -> bool:
-    """Randomized copositivity audit: draws nonnegative vectors and checks
-    ``x^T M x >= -tol`` for each.  A False return is a certificate that M
-    is not copositive; True means no violation was found."""
-    m = np.asarray(m, dtype=float)
-    rng = np.random.default_rng(rng_seed)
-    scale = float(np.linalg.norm(m)) + 1.0
-    x = rng.random((trials, m.shape[0]))
-    vals = np.einsum("ij,jk,ik->i", x, m, x)
-    tol = 1e-12 * scale * (1.0 + (x * x).sum(axis=1))
-    return bool(np.all(vals >= -tol))

@@ -56,6 +56,7 @@ __all__ = [
     "sim",
     "anitescu_resolve",
     "sequential_resolve",
+    "baselines",
     "restrict_contacts",
     "compute_r",
     "termination_constant",
@@ -168,10 +169,12 @@ class _Workspace:
 
 
 def _workspace(problem: ImpactProblem) -> _Workspace:
+    """The problem's step LCP blocks, built on first use and cached on the
+    (frozen, so never stale) problem."""
     ws = getattr(problem, "_workspace", None)
     if ws is None:
         ws = _Workspace(problem)
-        problem._workspace = ws
+        object.__setattr__(problem, "_workspace", ws)
     return ws
 
 
@@ -485,6 +488,18 @@ def sequential_resolve(
         v0=v0,
         v_final=v,
     )
+
+
+def baselines(
+    problem: ImpactProblem, v: np.ndarray
+) -> list[tuple[str, str, np.ndarray]]:
+    """The deterministic outcomes at ``v`` as ``(method, order, v_plus)``
+    rows: the uncapped resolution, then a sequential sweep started at each
+    contact in label order."""
+    rows = [("anitescu", "", anitescu_resolve(problem, v))]
+    for label in problem.labels:
+        rows.append(("sequential", label, sequential_resolve(problem, v, [label]).v_final))
+    return rows
 
 
 def compute_r(problem: ImpactProblem) -> np.ndarray:

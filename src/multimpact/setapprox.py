@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,8 +40,6 @@ from .resolution import sim, sim_step  # noqa: F401  (stay importable from here)
 
 __all__ = [
     "MAXBIT",
-    "SobolStream",
-    "sobol_next",
     "sobol_block",
     "SobolSampler",
     "UniformSampler",
@@ -103,7 +101,7 @@ _DIRECTION_DATA: tuple[tuple[int, tuple[int, ...]], ...] = (
 def _direction_table(dimension: int) -> np.ndarray:
     """Direction integers, shape (dimension, MAXBIT), as uint64 with the
     leading bit of column k at position MAXBIT-1-k.  Memoised and
-    read-only, since every stream of this dimension shares it."""
+    read-only, since every draw of this dimension shares it."""
     if dimension < 1:
         raise ValueError("dimension must be at least 1")
     if dimension > MAX_DIMENSION:
@@ -126,25 +124,6 @@ def _direction_table(dimension: int) -> np.ndarray:
         table[dim] = [m_vals[k] << (MAXBIT - 1 - k) for k in range(MAXBIT)]
     table.flags.writeable = False
     return table
-
-
-@dataclass(eq=False)
-class SobolStream:
-    """A Sobol low-discrepancy stream over the unit cube.
-
-    ``next_index`` starts at 1 by default: index 0 is the all-zeros point,
-    which would waste a draw (a zero impulse cap makes no progress).
-    """
-
-    dimension: int
-    next_index: int = 1
-    direction_numbers: np.ndarray = field(default=None)
-
-    def __post_init__(self) -> None:
-        if self.next_index < 0:
-            raise ValueError("next_index must be nonnegative")
-        if self.direction_numbers is None:
-            self.direction_numbers = _direction_table(self.dimension)
 
 
 _BIT_SHIFTS = np.arange(MAXBIT, dtype=np.uint64)
@@ -179,15 +158,6 @@ def sobol_block(dimension: int, start: int, count: int) -> np.ndarray:
     if start + count >= 1 << MAXBIT:
         raise ValueError("Sobol index range exceeds the 52-bit sequence")
     return _values_at(_direction_table(dimension), start, count)
-
-
-def sobol_next(stream: SobolStream) -> np.ndarray:
-    """The next point of the stream (advances ``next_index``)."""
-    if stream.next_index >= 1 << MAXBIT:
-        raise ValueError("Sobol stream exhausted")
-    point = _values_at(stream.direction_numbers, stream.next_index, 1)[0]
-    stream.next_index += 1
-    return point
 
 
 class SobolSampler:

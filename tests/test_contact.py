@@ -7,6 +7,7 @@ import pickle
 import subprocess
 import sys
 import warnings
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,9 @@ import multimpact
 
 from multimpact import (
     ImpactProblem,
+    UniformSampler,
     anitescu_resolve,
+    approximate,
     build_ball,
     build_example,
     in_linear_cone,
@@ -24,12 +27,6 @@ from multimpact import (
     kinetic_energy,
     mass_norm,
     sim_step,
-)
-from multimpact.contact import (
-    load_problem,
-    problem_from_dict,
-    problem_to_dict,
-    save_problem,
 )
 
 
@@ -96,6 +93,23 @@ def test_problem_arrays_are_read_only_copies():
     assert problem.jd[0, 0] == 1.0 and problem.mu[0] == 0.5
 
 
+def test_problem_fields_cannot_be_rebound():
+    problem, v0, meta = build_example("phone")
+    h = float(meta["h"])
+    expected = approximate(problem, v0, h, h / 10.0, 10, 7, UniformSampler(), jobs=1)
+    for name in ("mu", "mass", "jn", "jd", "labels"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(problem, name, getattr(problem, name))
+    # The cached step blocks travel with a pickled problem, and the copy
+    # is as frozen as the original.
+    clone = pickle.loads(pickle.dumps(problem))
+    with pytest.raises(FrozenInstanceError):
+        clone.mu = 2.0 * clone.mu
+    post = approximate(clone, v0, h, h / 10.0, 10, 7, UniformSampler(), jobs=2)
+    np.testing.assert_array_equal(post.traj_indices, expected.traj_indices)
+    np.testing.assert_array_equal(post.samples.view(np.uint64), expected.samples.view(np.uint64))
+
+
 def test_default_labels_are_letters():
     problem = _simple_problem()
     assert problem.labels == ("A",)
@@ -153,21 +167,6 @@ def test_cone_audit_rejects_impulse_at_separating_contact():
     separating = np.array([0.0, 1.0])
     assert in_linear_cone(problem, separating, np.array([0.0]), np.zeros(2))
     assert not in_linear_cone(problem, separating, np.array([1.0]), np.zeros(2))
-
-
-def test_dict_and_file_round_trip(tmp_path):
-    problem, _, _ = build_example("box_wall")
-    clone = problem_from_dict(problem_to_dict(problem))
-    np.testing.assert_array_equal(clone.mass, problem.mass)
-    np.testing.assert_array_equal(clone.jn, problem.jn)
-    np.testing.assert_array_equal(clone.jd, problem.jd)
-    np.testing.assert_array_equal(clone.mu, problem.mu)
-    assert clone.labels == problem.labels
-    path = tmp_path / "problem.json"
-    save_problem(problem, path)
-    loaded = load_problem(path)
-    np.testing.assert_array_equal(loaded.mass, problem.mass)
-    assert loaded.labels == problem.labels
 
 
 def test_pickle_round_trip_preserves_solves(rng):

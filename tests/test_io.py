@@ -7,17 +7,25 @@ import io as stdio
 import json
 
 import numpy as np
+import pytest
 
 from multimpact import (
+    PostImpactSet,
+    SobolSampler,
     UniformSampler,
     anitescu_resolve,
     approximate,
+    baselines,
     build_ball,
     build_example,
+    build_problem,
+    load_scene,
     routh_dense_reference,
     sequential_resolve,
     sim,
 )
+from multimpact import cli
+from multimpact.scenes import scene_to_dict
 from multimpact.io import (
     FORMAT_MARKER,
     compare_to_csv,
@@ -106,3 +114,166 @@ def test_dense_exports_modes(tmp_path):
     payload = json.loads(dense_to_json(dense, ball))
     assert payload["modes"] == list(dense.modes)
     assert float(rows[-1][0]) == dense.s_grid[-1]
+
+
+# ---------------------------------------------------------------------------
+# Byte-level references, built row by row and value by value
+
+
+def _reference_csv(header: list[str], rows: list[list[str]]) -> str:
+    buf = stdio.StringIO()
+    buf.write(f"# {FORMAT_MARKER}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _reference_projections(problem, v) -> tuple[list[float], list[float]]:
+    # One matrix-vector product per velocity.  A dot of one Jacobian row,
+    # ``problem.jn[i] @ v``, can differ from it in the last bit (it does
+    # on compass), so it is not the reference.
+    jn_v, jt_v = problem.jn @ v, problem.jd[0::2] @ v
+    return [float(x) for x in jn_v], [float(x) for x in jt_v]
+
+
+def _reference_numbers(problem, v) -> list[str]:
+    jn_v, jt_v = _reference_projections(problem, v)
+    return [repr(float(x)) for x in [*v, *jn_v, *jt_v]]
+
+
+def _assert_same_text(actual: str, expected: str) -> None:
+    """Equal text, failing on the first differing line rather than on a
+    diff of the whole file."""
+    got, want = actual.splitlines(keepends=True), expected.splitlines(keepends=True)
+    for k, (line, reference) in enumerate(zip(got, want)):
+        assert line == reference, f"line {k} differs"
+    assert len(got) == len(want)
+
+
+def _reference_header(problem, lead: list[str]) -> list[str]:
+    return (
+        lead
+        + [f"v_{k}" for k in range(problem.n_v)]
+        + [f"jn_v_{lbl}" for lbl in problem.labels]
+        + [f"jt_v_{lbl}" for lbl in problem.labels]
+    )
+
+
+def _reference_json(payload: dict) -> str:
+    return json.dumps({"format": FORMAT_MARKER, **payload}, indent=2) + "\n"
+
+
+def _sampled(name, sampler, m=192):
+    problem, v0, meta = build_example(name)
+    h = float(meta["h"])
+    post = approximate(problem, v0, h, h / 10.0, int(meta["n_steps"]), m, sampler)
+    return problem, v0, post
+
+
+SCENES = ("ball", "phone", "compass", "box_wall", "disk_stack")
+
+
+@pytest.mark.parametrize("sampler", [SobolSampler, UniformSampler])
+@pytest.mark.parametrize("name", SCENES)
+def test_set_exports_match_the_row_by_row_reference(name, sampler):
+    problem, _, post = _sampled(name, sampler())
+    assert post.samples.shape[0] > 0
+    rows = [
+        [str(int(i)), *_reference_numbers(problem, v)]
+        for i, v in zip(post.traj_indices, post.samples)
+    ]
+    _assert_same_text(
+        set_to_csv(post, problem), _reference_csv(_reference_header(problem, ["traj"]), rows)
+    )
+    _assert_same_text(
+        set_to_json(post, problem),
+        _reference_json(
+            {
+            "kind": "post_impact_set",
+            "labels": list(problem.labels),
+            "params": post.params,
+            "rejected_count": post.rejected_count,
+            "traj_indices": [int(i) for i in post.traj_indices],
+            "samples": [[float(x) for x in v] for v in post.samples],
+            }
+        ),
+    )
+
+
+@pytest.mark.parametrize("sampler", [SobolSampler, UniformSampler])
+@pytest.mark.parametrize("name", SCENES)
+def test_compare_exports_match_the_row_by_row_reference(name, sampler):
+    problem, v0, post = _sampled(name, sampler(), m=64)
+    rows = baselines(problem, v0)
+    rows += [("sampled", str(int(i)), v) for i, v in zip(post.traj_indices, post.samples)]
+    expected = [[method, order, *_reference_numbers(problem, v)] for method, order, v in rows]
+    _assert_same_text(
+        compare_to_csv(rows, problem),
+        _reference_csv(_reference_header(problem, ["method", "order"]), expected),
+    )
+    records = []
+    for method, order, v in rows:
+        jn_v, jt_v = _reference_projections(problem, v)
+        records.append(
+            {"method": method, "order": order, "v_plus": [float(x) for x in v],
+             "jn_v": jn_v, "jt_v": jt_v}
+        )
+    _assert_same_text(
+        compare_to_json(rows, problem),
+        _reference_json(
+            {"kind": "comparison", "labels": list(problem.labels), "rows": records}
+        ),
+    )
+
+
+def test_empty_exports_write_marker_and_header_only():
+    problem, _, _ = build_example("compass")
+    empty = PostImpactSet(
+        samples=np.zeros((0, problem.n_v)),
+        traj_indices=np.zeros(0, dtype=np.int64),
+        rejected_count=5,
+        params={},
+    )
+    text = set_to_csv(empty, problem)
+    assert text == _reference_csv(_reference_header(problem, ["traj"]), [])
+    assert text.count("\n") == 2
+    assert compare_to_csv([], problem) == _reference_csv(
+        _reference_header(problem, ["method", "order"]), []
+    )
+    assert json.loads(compare_to_json([], problem))["rows"] == []
+    assert json.loads(set_to_json(empty, problem))["samples"] == []
+
+
+def test_labels_with_delimiters_and_quotes_parse_back():
+    data = scene_to_dict(load_scene("phone"))
+    label = 'corner, "left"'
+    data["contacts"][0]["label"] = label
+    problem, v0, meta = build_problem(load_scene(data))
+    assert problem.labels == (label, "B")
+    h = float(meta["h"])
+    post = approximate(problem, v0, h, h / 10.0, int(meta["n_steps"]), 16, UniformSampler())
+    _, header, rows = _parse_csv(set_to_csv(post, problem))
+    assert header == _reference_header(problem, ["traj"])
+    assert f"jn_v_{label}" in header and f"jt_v_{label}" in header
+    assert len(rows) == post.samples.shape[0]
+    _, header, rows = _parse_csv(compare_to_csv(baselines(problem, v0), problem))
+    assert header == _reference_header(problem, ["method", "order"])
+    assert [row[1] for row in rows] == ["", label, "B"]
+    traj = sim(problem, v0, h=h, n_max=5, sampler=UniformSampler(seed=1))
+    _, header, _ = _parse_csv(trajectory_to_csv(traj, problem))
+    assert f"beta_{label}_neg" in header
+
+
+def test_compare_csv_does_not_depend_on_the_job_count(tmp_path):
+    texts = []
+    for jobs in (1, 2):
+        out = tmp_path / f"compare_{jobs}.csv"
+        code = cli.main([
+            "compare", "--scene", "compass", "--m", "300", "--jobs", str(jobs),
+            "--output", str(out),
+        ])
+        assert code == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    assert texts[0].count("\nsampled,") > 0

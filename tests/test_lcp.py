@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from multimpact import (
     LcpInstance,
-    copositivity_sample_check,
     lemke_solve,
     residuals,
 )
@@ -80,11 +79,6 @@ def test_residuals_reports_violations():
     comp_gap, neg_z, neg_w = residuals(lcp, np.array([2.0, -0.5]))
     assert neg_z == 0.5
     assert comp_gap > 0.5
-
-
-def test_copositivity_sampler_flags_a_negative_matrix():
-    assert copositivity_sample_check(np.eye(3))
-    assert not copositivity_sample_check(-np.eye(3))
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 9))

@@ -14,6 +14,7 @@ from multimpact import (
     UniformSampler,
     anitescu_resolve,
     assemble_impact_lcp,
+    baselines,
     build_ball,
     build_example,
     compute_r,
@@ -156,6 +157,18 @@ def test_sequential_orders_mirror_on_the_phone():
         rates = problem.jn @ v_plus
         assert (rates > 1e-6).sum() == 1
         assert rates[lifted] > 1e-6
+
+
+@pytest.mark.parametrize("name", ("ball",) + ALL_SCENES)
+def test_baselines_match_the_hand_built_rows(name):
+    problem, v0, _ = build_example(name)
+    expected = [("anitescu", "", anitescu_resolve(problem, v0))]
+    for label in problem.labels:
+        expected.append(("sequential", label, sequential_resolve(problem, v0, [label]).v_final))
+    rows = baselines(problem, v0)
+    assert [row[:2] for row in rows] == [row[:2] for row in expected]
+    for (_, _, v), (_, _, want) in zip(rows, expected):
+        np.testing.assert_array_equal(v.view(np.uint64), want.view(np.uint64))
 
 
 def test_sequential_resolution_cap_triggers():

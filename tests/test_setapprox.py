@@ -8,7 +8,6 @@ import pytest
 from multimpact import (
     PostImpactSet,
     SobolSampler,
-    SobolStream,
     UniformSampler,
     approximate,
     build_ball,
@@ -17,7 +16,6 @@ from multimpact import (
     estimate_step_lipschitz,
     psi,
     sample_count_bound,
-    sobol_next,
 )
 from multimpact.setapprox import MAX_DIMENSION, MAXBIT, _direction_table, sobol_block
 
@@ -46,9 +44,8 @@ def test_sobol_matches_scipy_reference(dimension):
 def test_sobol_random_access_matches_streaming():
     block = sobol_block(3, 0, 64)
     np.testing.assert_array_equal(sobol_block(3, 17, 11), block[17:28])
-    stream = SobolStream(dimension=3)  # streams skip the all-zero point
-    streamed = np.array([sobol_next(stream) for _ in range(63)])
-    np.testing.assert_array_equal(streamed, block[1:])
+    # Samplers start at index 1, skipping the all-zero point.
+    np.testing.assert_array_equal(sobol_block(3, 1, 63), block[1:])
 
 
 def test_consecutive_sobol_points_flip_every_leading_bit():
@@ -102,7 +99,6 @@ def test_sobol_bits_match_the_per_bit_reference_near_the_index_cap(dimension, co
 def test_cached_direction_tables_are_read_only():
     table = _direction_table(4)
     assert _direction_table(4) is table
-    assert SobolStream(dimension=4).direction_numbers is table
     with pytest.raises(ValueError):
         table[0, 0] = 1
 
