@@ -1,16 +1,19 @@
 """Dense linear complementarity problems and a lexicographic Lemke solver.
 
 An LCP asks for ``z >= 0`` with ``w = M z + q >= 0`` and ``z . w = 0``.
-The solver implements complementary pivoting with the all-ones covering
-vector and a lexicographic ratio test, so degenerate ties never cycle.
-Problems here are small and dense (at most a few dozen rows), so the
-tableau is carried explicitly and updated with rank-one row operations.
+There is one solver: Lemke complementary pivoting with the all-ones
+covering vector and a lexicographic ratio test, so degenerate ties never
+cycle.  Problems here are small and dense (at most a few dozen rows), so
+each instance carries its full tableau ``[q | I | -M | -1]`` and updates
+it by an elementwise rank-one row operation per pivot.
 
-``lemke_solve`` solves one instance.  ``lemke_many`` solves a stack of
-instances that share ``M`` in lockstep, one pivot of every unfinished
-row per pass over a stacked full tableau.  It changes the tableau only
-by elementwise operations and sums with :func:`ordered_sum`, so a row's
-bits never depend on the other rows of the stack or on its height.
+``lemke_many`` runs it on a stack of instances that share ``M``, in
+lockstep, one pivot of every unfinished row per pass.  It changes the
+tableau only by elementwise operations and sums with
+:func:`ordered_sum`, so a row's bits never depend on the other rows of
+the stack or on its height.  ``lemke_solve`` runs the same arithmetic on
+one row without the stack, so a solve gives the same ``z``, pivot count
+and status whichever of the two runs it.
 """
 
 from __future__ import annotations
@@ -103,107 +106,48 @@ def ordered_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return ordered_sum(x[..., None, :] * a)
 
 
-def _lex_argmin(table: np.ndarray, cand: np.ndarray, d: np.ndarray) -> int:
-    """Among candidate rows pick the one minimizing ``table[r] / d[r]``
-    lexicographically (column by column, narrowing ties)."""
-    for col in range(table.shape[1]):
-        vals = table[cand, col] / d[cand]
-        best = vals.min()
-        cand = cand[vals <= best + LEX_TIE_TOL * (1.0 + abs(best))]
-        if cand.size == 1:
-            break
-    return int(cand[0])
+def _tableau(m: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The full tableau ``[q | I | -M | -1]`` of each row of a stack ``q``
+    (k, n) of the homogeneous system ``w - M z - 1 z0 = q``.  Column 0
+    holds the basic values, columns 1..n the basis inverse (the
+    lexicographic key) and column 1 + id the variable with that id: ids
+    0..n-1 are the w_i, n..2n-1 the z_i and 2n the covering variable."""
+    k, n = q.shape
+    table = np.empty((k, n, 2 * n + 2))
+    table[:, :, 0] = q
+    table[:, :, 1 : n + 1] = np.eye(n)
+    table[:, :, n + 1 : 2 * n + 1] = -m
+    table[:, :, 2 * n + 1] = -1.0
+    return table
 
 
-def lemke_solve(lcp: LcpInstance) -> LcpSolution:
-    """Solve an LCP by Lemke complementary pivoting.
-
-    Uses the all-ones covering vector; ties in the ratio test are broken
-    lexicographically against the running basis inverse, which rules out
-    cycling. For the copositive matrices produced by the impact assembly
-    (whose homogeneous solutions satisfy the required feasibility side
-    condition) termination with ``status="solved"`` is guaranteed up to
-    floating-point degeneracy; instances outside that class may end in
-    ``ray_termination``.
-    """
-    if lcp.q.ndim != 1:
-        raise ValueError("lemke_solve takes one instance; solve a stack with lemke_many")
-    n = lcp.n
-    q = lcp.q
-    if np.all(q >= 0.0):
-        return LcpSolution(z=np.zeros(n), w=q.copy(), pivot_count=0, status="solved")
-
-    z0_id = 2 * n  # ids: 0..n-1 -> w_i, n..2n-1 -> z_i, 2n -> covering var
-
-    # Column of each variable in the homogeneous system  w - M z - 1 z0 = q.
-    def column(var: int) -> np.ndarray:
-        if var < n:
-            col = np.zeros(n)
-            col[var] = 1.0
-            return col
-        if var < z0_id:
-            return -lcp.m[:, var - n]
-        return -np.ones(n)
-
-    basis = np.arange(n)  # start with all w_i basic
-    # Lexicographic tableau [q_bar | B^-1]; column 0 holds basic values.
-    table = np.concatenate([q[:, None], np.eye(n)], axis=1)
-
-    # First pivot: the covering variable enters and every ratio-test
-    # denominator is the same, so the blocking row is the lexicographic
-    # minimum of the raw tableau rows (most negative q wins, identity
-    # columns settle ties).  This choice keeps every other row
-    # lexicographically positive after the pivot.
-    row = _lex_argmin(table, np.arange(n), np.ones(n))
-    entering = z0_id
-    pivot_count = 0
-
-    while True:
-        d = table[:, 1:] @ column(entering)
-        if entering != z0_id:
-            eligible = np.flatnonzero(d > PIVOT_TOL)
-            if eligible.size == 0:
-                return _extract(lcp, basis, table, pivot_count, "ray_termination")
-            row = _lex_argmin(table, eligible, d)
-
-        piv = d[row]
-        pivot_row = table[row] / piv
-        table = table - np.outer(d, pivot_row)
-        table[row] = pivot_row
-        leaving = int(basis[row])
-        basis[row] = entering
-        pivot_count += 1
-
-        if leaving == z0_id:
-            return _extract(lcp, basis, table, pivot_count, "solved")
-        if pivot_count >= MAX_PIVOTS:
-            return _extract(lcp, basis, table, pivot_count, "max_pivots")
-        # Complementary rule: the partner of the leaving variable enters.
-        entering = leaving + n if leaving < n else leaving - n
-
-
-def _extract(
-    lcp: LcpInstance,
-    basis: np.ndarray,
-    table: np.ndarray,
-    pivot_count: int,
-    status: str,
-) -> LcpSolution:
-    n = lcp.n
-    z = np.zeros(n)
-    values = table[:, 0]
-    for row_idx, var in enumerate(basis):
-        if n <= var < 2 * n:
-            z[var - n] = values[row_idx]
-    # Recompute w from z so the reported pair is exactly consistent with
-    # the problem data rather than with the drifted tableau.
-    w = lcp.m @ z + lcp.q
-    return LcpSolution(z=z, w=w, pivot_count=pivot_count, status=status)
+def _basic_z(values: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``z`` of each row of a stack from its basic values and the ids of
+    its basic variables (both (k, n)): a basic z_i takes its row's value,
+    every other z_i is 0."""
+    k, n = values.shape
+    by_id = np.zeros((k, 2 * n + 1))
+    by_id[np.arange(k)[:, None], basis] = values
+    return by_id[:, n : 2 * n]
 
 
 def _tie_limit(x: np.ndarray) -> np.ndarray:
     """Largest value that ties ``x`` in the lexicographic ratio test."""
     return x + LEX_TIE_TOL * (1.0 + np.abs(x))
+
+
+def _lex_argmin(table: np.ndarray, cand: np.ndarray, d: np.ndarray) -> int:
+    """Among candidate rows pick the one minimizing ``table[r, :n + 1] /
+    d[r]`` lexicographically: column by column, keep the rows that tie
+    with the column's minimum; the lowest surviving row wins.  This is the
+    single-row form of :func:`_lex_argmin_many`, which picks the same row
+    while skipping the columns that cannot narrow a tie."""
+    for col in range(table.shape[0] + 1):
+        if cand.size == 1:
+            break
+        vals = table[cand, col] / d[cand]
+        cand = cand[vals <= _tie_limit(np.minimum.reduce(vals))]
+    return int(cand[0])
 
 
 def _lex_argmin_many(table: np.ndarray, cand: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -245,10 +189,9 @@ def _lex_argmin_many(table: np.ndarray, cand: np.ndarray, d: np.ndarray) -> np.n
 def lemke_many(m: np.ndarray, q: np.ndarray) -> LcpSolution:
     """Solve the stack of LCPs ``w = M z + q[i]`` that share ``M``.
 
-    Each row runs the pivots of :func:`lemke_solve` with the same
-    covering vector, lexicographic ratio test, tolerances and pivot
-    budget, on the full tableau ``[q | I | -M | -1]`` of its own.  All
-    unfinished rows pivot together; a row leaves the stack when it ends,
+    Each row pivots on a full tableau of its own (see ``_tableau``) with
+    the all-ones covering vector, the lexicographic ratio test,
+    ``PIVOT_TOL`` and ``MAX_PIVOTS``.  All unfinished rows pivot together; a row leaves the stack when it ends,
     with its own status and pivot count.  Returns an
     :class:`LcpSolution` with one row (or entry) per instance.
     """
@@ -258,16 +201,10 @@ def lemke_many(m: np.ndarray, q: np.ndarray) -> LcpSolution:
     z = np.zeros((k, n))
     pivot_count = np.zeros(k, dtype=int)
     status = np.full(k, "solved", dtype="<U15")
-    z0_id = 2 * n  # ids: 0..n-1 -> w_i, n..2n-1 -> z_i, 2n -> covering var
+    z0_id = 2 * n  # the covering variable's id (see ``_tableau``)
 
     rows = np.flatnonzero(~np.all(q >= 0.0, axis=1))
-    # Column 0 holds the basic values, columns 1..n the basis inverse
-    # (the lexicographic key), column 1 + id the variable with that id.
-    table = np.empty((rows.size, n, 2 * n + 2))
-    table[:, :, 0] = q[rows]
-    table[:, :, 1 : n + 1] = np.eye(n)
-    table[:, :, n + 1 : 2 * n + 1] = -m
-    table[:, :, 2 * n + 1] = -1.0
+    table = _tableau(m, q[rows])
     basis = np.tile(np.arange(n), (rows.size, 1))
     entering = np.full(rows.size, z0_id)
     at = np.arange(rows.size)
@@ -275,11 +212,7 @@ def lemke_many(m: np.ndarray, q: np.ndarray) -> LcpSolution:
 
     def finish(done: np.ndarray, why: str) -> None:
         nonlocal table, basis, entering, rows, at
-        values, held = table[done, :, 0], basis[done]
-        out = np.zeros(values.shape)
-        hit, slot = np.nonzero((held >= n) & (held < z0_id))
-        out[hit, held[hit, slot] - n] = values[hit, slot]
-        z[rows[done]] = out
+        z[rows[done]] = _basic_z(table[done, :, 0], basis[done])
         pivot_count[rows[done]] = count
         status[rows[done]] = why
         keep = ~done
@@ -321,6 +254,61 @@ def lemke_many(m: np.ndarray, q: np.ndarray) -> LcpSolution:
 
     w = ordered_matvec(m, z) + q
     return LcpSolution(z=z, w=w, pivot_count=pivot_count, status=status)
+
+
+def lemke_solve(lcp: LcpInstance) -> LcpSolution:
+    """Solve one LCP by Lemke complementary pivoting.
+
+    This is :func:`lemke_many` for a stack of one, run without the stack:
+    the same tableau, covering vector, lexicographic ratio test,
+    elementwise rank-one update, tolerances, pivot budget and status
+    order, so ``z``, ``pivot_count`` and ``status`` are bitwise those of
+    ``lemke_many(lcp.m, lcp.q[None])``.  For the copositive matrices
+    produced by the impact assembly (whose homogeneous solutions satisfy
+    the required feasibility side condition) termination with
+    ``status="solved"`` is guaranteed up to floating-point degeneracy;
+    instances outside that class may end in ``ray_termination``.
+    """
+    if lcp.q.ndim != 1:
+        raise ValueError("lemke_solve takes one instance; solve a stack with lemke_many")
+    n = lcp.n
+    q = lcp.q
+    if (q >= 0.0).all():
+        return LcpSolution(z=np.zeros(n), w=q.copy(), pivot_count=0, status="solved")
+
+    z0_id = 2 * n
+    table = _tableau(lcp.m, q[None])[0]
+    basis = list(range(n))
+    entering = z0_id
+    pivot_count = 0
+    while True:
+        d = table[:, entering + 1]
+        if pivot_count:
+            eligible = (d > PIVOT_TOL).nonzero()[0]
+            if eligible.size == 0:
+                status = "ray_termination"
+                break
+            row = _lex_argmin(table, eligible, d)
+        else:
+            # The covering variable's column is all -1 (see lemke_many).
+            row = _lex_argmin(table, np.arange(n), -d)
+
+        pivot_row = table[row] / d[row]
+        table -= d[:, None] * pivot_row
+        table[row] = pivot_row
+        leaving = basis[row]
+        basis[row] = entering
+        pivot_count += 1
+        if leaving == z0_id:
+            status = "solved"
+            break
+        if pivot_count >= MAX_PIVOTS:
+            status = "max_pivots"
+            break
+        entering = (leaving + n) % z0_id
+
+    z = _basic_z(table[None, :, 0], np.array([basis]))[0]
+    return LcpSolution(z=z, w=lcp.m @ z + q, pivot_count=pivot_count, status=status)
 
 
 def residuals(lcp: LcpInstance, z: np.ndarray) -> tuple:

@@ -1,8 +1,8 @@
 """Tests for lockstep stepping: results do not depend on the block size
 or the job count, ``sim`` and ``approximate`` agree bit for bit, the
-stacked Lemke kernel matches the single-instance solver, and the fan-out
-over processes reports errors as a serial run would and leaves no child
-process behind."""
+single-instance Lemke solver gives bitwise the row of a stack of one,
+and the fan-out over processes reports errors as a serial run would and
+leaves no child process behind."""
 
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from multimpact import (
 )
 from multimpact import errors
 from multimpact import lcp as lcp_module
-from multimpact import setapprox
+from multimpact import resolution, setapprox
 from multimpact.errors import LcpSolveError
 from multimpact.lcp import RESIDUAL_TOL
 from multimpact.resolution import _workspace
@@ -224,22 +224,67 @@ def _random_step_lcps(name, count, seed):
     return assemble_impact_lcp(problem, v, caps)[0]
 
 
-@pytest.mark.parametrize("name", ["phone", "compass", "box_wall", "disk_stack"])
+def _lcps_solved_one_at_a_time(kind, name):
+    """The LCPs that ``resolution`` hands to ``lemke_solve`` at a bundled
+    scene's ``v0``: the uncapped resolution's, each single contact's, or
+    ``compute_r``'s skew-symmetric one."""
+    problem, v0, _ = build_example(name)
+    seen = []
+
+    def record(lcp):
+        seen.append(lcp)
+        return lemke_solve(lcp)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(resolution, "lemke_solve", record)
+        if kind == "uncapped":
+            resolution._uncapped_resolve(problem, v0)
+        elif kind == "single-contact":
+            for i in range(problem.n_contacts):
+                resolution._uncapped_resolve(resolution.restrict_contacts(problem, [i]), v0)
+        else:
+            resolution.compute_r(problem)
+    assert seen
+    return seen
+
+
+def _assert_solved_alike(single, stack_of_one):
+    """``lemke_solve``'s result is bitwise the row of a stack of one."""
+    assert single.status == stack_of_one.status[0]
+    assert single.pivot_count == stack_of_one.pivot_count[0]
+    assert single.z.tobytes() == stack_of_one.z[0].tobytes()
+
+
+STEP_SCENES = ["phone", "compass", "box_wall", "disk_stack"]
+ONE_AT_A_TIME = [
+    f"{kind}-{name}"
+    for kind in ("uncapped", "single-contact", "compute_r")
+    for name in ("ball", *STEP_SCENES)
+]
+
+
+@pytest.mark.parametrize("name", STEP_SCENES + ONE_AT_A_TIME)
 def test_lemke_many_rows_match_a_stack_of_one_and_the_scalar_solver(name):
-    stack = _random_step_lcps(name, 60, seed=17)
-    many = lemke_many(stack.m, stack.q)
-    gap, neg_z, neg_w = residuals(stack, many.z)
-    assert max(neg_z.max(), neg_w.max()) <= RESIDUAL_TOL
-    scale = 1.0 + np.linalg.norm(many.z, axis=1) * np.linalg.norm(many.w, axis=1)
-    assert np.all(gap <= RESIDUAL_TOL * scale)
-    for i, q in enumerate(stack.q):
-        alone = lemke_many(stack.m, q[None])
-        np.testing.assert_array_equal(alone.z[0], many.z[i])
-        np.testing.assert_array_equal(alone.w[0], many.w[i])
-        assert alone.pivot_count[0] == many.pivot_count[i]
-        single = lemke_solve(LcpInstance(stack.m, q))
-        assert single.status == many.status[i] == "solved"
-        np.testing.assert_allclose(many.z[i], single.z, rtol=0.0, atol=RESIDUAL_TOL)
+    if name in STEP_SCENES:
+        stacks = [_random_step_lcps(name, 60, seed=17)]
+    else:
+        kind, scene = name.rsplit("-", 1)
+        stacks = [
+            LcpInstance(lcp.m, lcp.q[None]) for lcp in _lcps_solved_one_at_a_time(kind, scene)
+        ]
+    for stack in stacks:
+        many = lemke_many(stack.m, stack.q)
+        assert np.all(many.status == "solved")
+        gap, neg_z, neg_w = residuals(stack, many.z)
+        assert max(neg_z.max(), neg_w.max()) <= RESIDUAL_TOL
+        scale = 1.0 + np.linalg.norm(many.z, axis=1) * np.linalg.norm(many.w, axis=1)
+        assert np.all(gap <= RESIDUAL_TOL * scale)
+        for i, q in enumerate(stack.q):
+            alone = lemke_many(stack.m, q[None])
+            np.testing.assert_array_equal(alone.z[0], many.z[i])
+            np.testing.assert_array_equal(alone.w[0], many.w[i])
+            assert alone.pivot_count[0] == many.pivot_count[i]
+            _assert_solved_alike(lemke_solve(LcpInstance(stack.m, q)), alone)
 
 
 def test_lemke_many_reports_a_status_per_row(monkeypatch):
@@ -261,31 +306,49 @@ def test_lemke_solve_takes_one_instance():
         lemke_solve(stack)
 
 
-def _random_problem(rng: np.random.Generator, m: int) -> ImpactProblem:
-    n_v = int(rng.integers(max(3, m), m + 4))
+def _random_step(rng: np.random.Generator, m: int, k: int, n_v_stop: int | None = None):
+    """A random problem with ``m`` contacts and ``n_v`` drawn from
+    [3, n_v_stop), by default [3, m + 4), and ``k`` velocities and caps
+    for one capped step of it."""
+    n_v = int(rng.integers(3, m + 4 if n_v_stop is None else n_v_stop))
     jn = rng.standard_normal((m, n_v))
     jn /= np.linalg.norm(jn, axis=1, keepdims=True)
     jt = rng.standard_normal((m, n_v))
     jt /= np.linalg.norm(jt, axis=1, keepdims=True)
     jd = np.empty((2 * m, n_v))
     jd[0::2], jd[1::2] = jt, -jt
-    return ImpactProblem(
+    problem = ImpactProblem(
         mass=random_spd_matrix(rng, n_v),
         jn=jn,
         jd=jd,
         mu=rng.uniform(0.2, 2.0, m),
     )
+    # Velocities that drive the contacts together, with tangential content.
+    push = problem.mass_solve(problem.jn.T).T  # rows: M^-1 jn_i
+    v = -rng.uniform(0.0, 1.0, (k, m)) @ push + 0.3 * rng.standard_normal((k, n_v))
+    caps = rng.uniform(0.0, 1.0, (k, m)) * rng.integers(0, 2, (k, 1))
+    return problem, v, caps
+
+
+def test_an_over_constrained_step_lcp_solves_alike_on_both_paths():
+    # Five contacts on three velocity coordinates: the step LCP of row 4
+    # is solvable, with a long pivot path.
+    problem, v, caps = _random_step(np.random.default_rng(4363382), 5, 6, n_v_stop=7)
+    assert problem.n_v == 3
+    lcp, _ = assemble_impact_lcp(problem, v[4], caps[4])
+    single = lemke_solve(lcp)
+    assert single.status == "solved"
+    assert single.pivot_count == 24
+    _assert_solved_alike(single, lemke_many(lcp.m, lcp.q[None]))
+    gap, neg_z, neg_w = residuals(lcp, single.z)
+    assert max(neg_z, neg_w) <= RESIDUAL_TOL
+    assert gap <= RESIDUAL_TOL * (1.0 + np.linalg.norm(single.z) * np.linalg.norm(single.w))
 
 
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5), k=st.integers(1, 6))
 def test_lockstep_step_on_random_multi_contact_problems(seed, m, k):
-    rng = np.random.default_rng(seed)
-    problem = _random_problem(rng, m)
-    # Velocities that drive the contacts together, with tangential content.
-    push = problem.mass_solve(problem.jn.T).T  # rows: M^-1 jn_i
-    v = -rng.uniform(0.0, 1.0, (k, m)) @ push + 0.3 * rng.standard_normal((k, problem.n_v))
-    caps = rng.uniform(0.0, 1.0, (k, m)) * rng.integers(0, 2, (k, 1))
+    problem, v, caps = _random_step(np.random.default_rng(seed), m, k)
     v_after, lambda_n, beta = step_block(problem, v, caps)
 
     assert np.all(in_linear_cone(problem, v_after, lambda_n, beta))

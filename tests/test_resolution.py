@@ -17,11 +17,13 @@ from multimpact import (
     baselines,
     build_ball,
     build_example,
+    build_problem,
     compute_r,
     in_linear_cone,
     is_impacting,
     kinetic_energy,
     lemke_solve,
+    load_scene,
     mass_norm,
     reflect_map,
     restrict_contacts,
@@ -169,6 +171,42 @@ def test_baselines_match_the_hand_built_rows(name):
     assert [row[:2] for row in rows] == [row[:2] for row in expected]
     for (_, _, v), (_, _, want) in zip(rows, expected):
         np.testing.assert_array_equal(v.view(np.uint64), want.view(np.uint64))
+
+
+# Perturbed ``disk_stack`` poses and velocities: pose jittered by
+# 0.01 N(0, 1) per coordinate, velocity by 0.2 |v0| / 3 N(0, 1).
+PERTURBED_DISK_STACKS = {
+    "seed57-round4-case4": (
+        [-1.0042059778568249, 1.0082425014369965, 0.0014477897017728986, 0.9908121794980789,
+         0.9957454829443979, -0.008092687469778842, 0.004180931486001768, 2.7417811876692832,
+         0.003974303506194804],
+        [-0.17378465473714386, -0.08051864748146563, -0.04150989887624957, -0.0834819759285369,
+         0.04146171526580176, 0.0793383971843226, 0.05810739678019549, -1.0278255260506737,
+         0.049647908390341604],
+    ),
+    "seed77-round7-case9": (
+        [-0.9954976445681728, 1.0131932719638492, -0.0015008203327597281, 0.9847814636250003,
+         0.9962149532895169, 0.0008713185112832728, 0.009254998934433415, 2.7169376814433703,
+         -0.001910518215728869],
+        [-0.19852001453442886, 0.13141991154224858, -0.020710783682950075, -0.07560601231062353,
+         -0.010787357232876668, 0.0015643620560324176, 0.05303523915575, -1.0041688872994186,
+         0.07685920499549051],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PERTURBED_DISK_STACKS))
+def test_baselines_solve_perturbed_disk_stacks(case):
+    pose, v = (np.array(x) for x in PERTURBED_DISK_STACKS[case])
+    problem, _, _ = build_problem(load_scene("disk_stack"), pose)
+    rows = baselines(problem, v)
+    assert [row[:2] for row in rows] == [("anitescu", "")] + [
+        ("sequential", label) for label in problem.labels
+    ]
+    energy = kinetic_energy(problem, v)
+    for _, _, v_plus in rows:
+        assert not is_impacting(problem, v_plus)
+        assert kinetic_energy(problem, v_plus) <= energy * (1.0 + 1e-9)
 
 
 def test_sequential_resolution_cap_triggers():
