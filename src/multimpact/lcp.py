@@ -11,9 +11,12 @@ it by an elementwise rank-one row operation per pivot.
 lockstep, one pivot of every unfinished row per pass.  It changes the
 tableau only by elementwise operations and sums with
 :func:`ordered_sum`, so a row's bits never depend on the other rows of
-the stack or on its height.  ``lemke_solve`` runs the same arithmetic on
-one row without the stack, so a solve gives the same ``z``, pivot count
-and status whichever of the two runs it.
+the stack, on its height or on its order, which changes as rows end.
+The first pivot's row comes in closed form, the tie walk computes each
+key's tie limit once, and a row that ends is replaced by the last live
+row instead of the stack being copied.  ``lemke_solve`` runs the
+same arithmetic on one row without the stack, so a solve gives the same
+``z``, pivot count and status whichever of the two runs it.
 """
 
 from __future__ import annotations
@@ -138,15 +141,30 @@ def _tie_limit(x: np.ndarray) -> np.ndarray:
 
 def _lex_argmin(table: np.ndarray, cand: np.ndarray, d: np.ndarray) -> int:
     """Among candidate rows pick the one minimizing ``table[r, :n + 1] /
-    d[r]`` lexicographically: column by column, keep the rows that tie
-    with the column's minimum; the lowest surviving row wins.  This is the
-    single-row form of :func:`_lex_argmin_many`, which picks the same row
-    while skipping the columns that cannot narrow a tie."""
-    for col in range(table.shape[0] + 1):
-        if cand.size == 1:
-            break
-        vals = table[cand, col] / d[cand]
-        cand = cand[vals <= _tie_limit(np.minimum.reduce(vals))]
+    d[r]`` lexicographically.  Column 0 (the ratio test) keeps the rows
+    within the tie limit of the smallest ratio.  Each basis-inverse
+    column then keeps the surviving rows whose key is at most the
+    smallest tie limit of the survivors' keys; the lowest surviving row
+    wins.  This is the single-row form of :func:`_lex_argmin_many`, which
+    picks the same row while skipping the columns that cannot narrow a
+    tie.
+
+    The smallest tie limit is the tie limit of the smallest key except
+    within an ulp: ``_tie_limit`` is not monotone in floating point (its
+    ``1 + |x|`` rounds up just below ``x = -2**-53``).  Taking the
+    smallest limit lets the stacked walk compute each key's limit once,
+    and both walks take it, so they agree bit for bit."""
+    vals = table[cand, 0] / d[cand]
+    cand = cand[vals <= _tie_limit(np.minimum.reduce(vals))]
+    if cand.size > 1:
+        keys = table[cand, 1 : table.shape[0] + 1] / d[cand, None]
+        alive = list(range(cand.size))
+        for key, limit in zip(keys.T.tolist(), _tie_limit(keys).T.tolist()):
+            lim = min(limit[i] for i in alive)
+            alive = [i for i in alive if key[i] <= lim]
+            if len(alive) == 1:
+                break
+        cand = cand[alive]
     return int(cand[0])
 
 
@@ -156,10 +174,13 @@ def _lex_argmin_many(table: np.ndarray, cand: np.ndarray, d: np.ndarray) -> np.n
     denominators; returns one tableau row per stack row.
 
     Rows still tied after column 0 walk the basis-inverse columns with
-    one key row per candidate, grouped by stack row.  The walk visits
-    only columns where some group's keys do not all tie with their
-    smallest value: such a column keeps every candidate of that group,
-    now and after any later narrowing, so skipping it picks the same row."""
+    one key row per candidate, grouped by stack row, and each key's tie
+    limit computed once.  Per column a group keeps the survivors whose
+    key is at most the smallest limit among its survivors.  The walk
+    visits only columns where some group holds a key above the smallest
+    limit of all its candidates: any other column keeps every candidate
+    of every group, now and after any later narrowing, so skipping it
+    picks the same row."""
     n = cand.shape[1]
     d = np.where(cand, d, 1.0)
     vals = np.where(cand, table[:, :, 0] / d, np.inf)
@@ -170,19 +191,18 @@ def _lex_argmin_many(table: np.ndarray, cand: np.ndarray, d: np.ndarray) -> np.n
         group, row = np.nonzero(cand[tied])
         stack_row = tied[group]
         keys = table[stack_row, row, 1 : n + 1] / d[stack_row, row][:, None]
-        starts = np.flatnonzero(np.diff(group, prepend=-1))
-        low = np.minimum.reduceat(keys, starts)
+        limits = _tie_limit(keys)
+        starts = np.searchsorted(group, np.arange(tied.size))
         high = np.maximum.reduceat(keys, starts)
+        low = np.minimum.reduceat(limits, starts)
         alive = np.ones(group.size, dtype=bool)
-        for col in np.flatnonzero((high > _tie_limit(low)).any(axis=0)):
-            vals = np.where(alive, keys[:, col], np.inf)
-            alive = vals <= _tie_limit(np.minimum.reduceat(vals, starts))[group]
-            if alive.sum() == tied.size:
+        for col in np.flatnonzero((high > low).any(axis=0)):
+            lim = np.minimum.reduceat(np.where(alive, limits[:, col], np.inf), starts)
+            alive &= keys[:, col] <= lim[group]
+            if np.count_nonzero(alive) == tied.size:
                 break
-        # Each group's first survivor: its lowest tableau row.
-        survivors = np.flatnonzero(alive)
-        first = survivors[np.diff(group[survivors], prepend=-1) > 0]
-        choice[tied] = row[first]
+        # Each group's lowest surviving tableau row.
+        choice[tied] = np.minimum.reduceat(np.where(alive, row, n), starts)
     return choice
 
 
@@ -191,9 +211,10 @@ def lemke_many(m: np.ndarray, q: np.ndarray) -> LcpSolution:
 
     Each row pivots on a full tableau of its own (see ``_tableau``) with
     the all-ones covering vector, the lexicographic ratio test,
-    ``PIVOT_TOL`` and ``MAX_PIVOTS``.  All unfinished rows pivot together; a row leaves the stack when it ends,
-    with its own status and pivot count.  Returns an
-    :class:`LcpSolution` with one row (or entry) per instance.
+    ``PIVOT_TOL`` and ``MAX_PIVOTS``.  All unfinished rows pivot
+    together; a row leaves the stack when it ends, with its own status
+    and pivot count.  Returns an :class:`LcpSolution` with one row (or
+    entry) per instance.
     """
     m = np.asarray(m, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -211,13 +232,21 @@ def lemke_many(m: np.ndarray, q: np.ndarray) -> LcpSolution:
     count = 0
 
     def finish(done: np.ndarray, why: str) -> None:
+        """Record the rows marked ``done`` and drop them from the stack.
+        The last live rows move into their slots: the stack's order
+        changes, and only the moved rows are copied."""
         nonlocal table, basis, entering, rows, at
-        z[rows[done]] = _basic_z(table[done, :, 0], basis[done])
-        pivot_count[rows[done]] = count
-        status[rows[done]] = why
-        keep = ~done
-        table, basis, entering, rows = table[keep], basis[keep], entering[keep], rows[keep]
-        at = at[: rows.size]
+        ended = rows[done]
+        z[ended] = _basic_z(table[done, :, 0], basis[done])
+        pivot_count[ended] = count
+        status[ended] = why
+        live = rows.size - ended.size
+        holes = np.flatnonzero(done[:live])
+        movers = live + np.flatnonzero(~done[live:])
+        for a in (table, basis, entering, rows):
+            a[holes] = a[movers]
+        table, basis, entering, rows = table[:live], basis[:live], entering[:live], rows[:live]
+        at = at[:live]
 
     while rows.size:
         d = table[at, :, entering + 1]
@@ -228,15 +257,26 @@ def lemke_many(m: np.ndarray, q: np.ndarray) -> LcpSolution:
                 finish(ray, "ray_termination")
                 if not rows.size:
                     break
-                d, eligible = d[~ray], eligible[~ray]
+                # ``finish`` reordered the stack: read the columns again.
+                d = table[at, :, entering + 1]
+                eligible = d > PIVOT_TOL
             row = _lex_argmin_many(table, eligible, d)
         else:
-            # The covering variable enters first: its column is all -1, so
-            # every row is a candidate with denominator 1 and the blocking
-            # row is the raw lexicographic minimum.
-            row = _lex_argmin_many(table, d < 0.0, -d)
+            # The covering variable enters first.  Its column is all -1
+            # and the basis inverse is I, so every row is a candidate with
+            # denominator 1 and row r's key is the unit vector e_r: the
+            # walk would drop the tied rows in index order, so the last
+            # row tied at column 0 wins.
+            values = table[:, :, 0]
+            tied = values <= _tie_limit(values.min(axis=1, keepdims=True))
+            row = n - 1 - tied[:, ::-1].argmax(axis=1)
 
         pivot_row = table[at, row] / d[at, row][:, None]
+        # The broadcast product keeps the sign of a zero product.  A fused
+        # np.einsum("ki,kj->kij", ...) is about 1.5x faster here but forms
+        # each product as 0.0 plus the product, so -0.0 comes out +0.0,
+        # and that sign reaches z: M = [[0, -1], [2, 0]], q = [-1e-13, 0]
+        # then ends with z[0] = -0.0 instead of 0.0.
         table -= d[:, :, None] * pivot_row[:, None, :]
         table[at, row] = pivot_row
         leaving = basis[at, row]

@@ -199,15 +199,22 @@ def assemble_impact_lcp(
 
 
 def _certified_solve(lcp: LcpInstance, context: str) -> np.ndarray:
-    """Solve one instance with ``lemke_solve``, or a stack with
-    ``lemke_many``, and certify the residuals of every row; the first row
-    that fails raises :class:`LcpSolveError`."""
-    sol = lemke_many(lcp.m, lcp.q) if lcp.q.ndim == 2 else lemke_solve(lcp)
-    unsolved = np.atleast_1d(sol.status != "solved")
+    """Solve a stack with ``lemke_many``, or one instance or a stack of
+    one with ``lemke_solve`` (the same bits at less cost), and certify
+    the residuals of every row; the first row that fails raises
+    :class:`LcpSolveError`."""
+    if lcp.q.ndim == 1 or len(lcp.q) > 1:
+        sol = lemke_many(lcp.m, lcp.q) if lcp.q.ndim == 2 else lemke_solve(lcp)
+        z, w, status = sol.z, sol.w, sol.status
+    else:
+        sol = lemke_solve(LcpInstance(lcp.m, lcp.q[0]))
+        z, status = sol.z[None], sol.status
+        w = ordered_matvec(lcp.m, z) + lcp.q  # as lemke_many forms a row's w
+    unsolved = np.atleast_1d(status != "solved")
     if unsolved.any():
-        raise LcpSolveError(str(np.atleast_1d(sol.status)[unsolved.argmax()]), context)
-    comp_gap, neg_z, neg_w = residuals(lcp, sol.z)
-    scale = 1.0 + np.sqrt(ordered_sum(sol.z * sol.z) * ordered_sum(sol.w * sol.w))
+        raise LcpSolveError(str(np.atleast_1d(status)[unsolved.argmax()]), context)
+    comp_gap, neg_z, neg_w = residuals(lcp, z)
+    scale = 1.0 + np.sqrt(ordered_sum(z * z) * ordered_sum(w * w))
     bad = np.atleast_1d(
         (neg_z > RESIDUAL_TOL) | (neg_w > RESIDUAL_TOL) | (comp_gap > RESIDUAL_TOL * scale)
     )
@@ -219,7 +226,7 @@ def _certified_solve(lcp: LcpInstance, context: str) -> np.ndarray:
             f"{context}: residuals exceed tolerance "
             f"(gap={gap:.3e}, neg_z={nz:.3e}, neg_w={nw:.3e})",
         )
-    return sol.z
+    return z
 
 
 def step_block(

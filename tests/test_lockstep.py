@@ -263,28 +263,125 @@ ONE_AT_A_TIME = [
 ]
 
 
+def _assert_rows_alike(m, q):
+    """Each row of ``lemke_many(m, q)`` is bitwise its stack of one and
+    ``lemke_solve``'s solve.  Arrays compare by bytes, so a -0.0 where
+    the other has 0.0 fails.  Returns the stack's solution."""
+    many = lemke_many(m, q)
+    for i, row in enumerate(q):
+        alone = lemke_many(m, row[None])
+        assert alone.z[0].tobytes() == many.z[i].tobytes()
+        assert alone.w[0].tobytes() == many.w[i].tobytes()
+        assert alone.pivot_count[0] == many.pivot_count[i]
+        assert alone.status[0] == many.status[i]
+        _assert_solved_alike(lemke_solve(LcpInstance(m, row)), alone)
+    return many
+
+
+def _with_negative_zeros(stack):
+    """``stack`` with every zero of ``q`` in its even rows made -0.0."""
+    q = stack.q.copy()
+    even = q[::2]
+    even[even == 0.0] = -0.0
+    return LcpInstance(stack.m, q)
+
+
 @pytest.mark.parametrize("name", STEP_SCENES + ONE_AT_A_TIME)
 def test_lemke_many_rows_match_a_stack_of_one_and_the_scalar_solver(name):
     if name in STEP_SCENES:
-        stacks = [_random_step_lcps(name, 60, seed=17)]
+        stack = _random_step_lcps(name, 60, seed=17)
+        stacks = [stack, _with_negative_zeros(stack)]
     else:
         kind, scene = name.rsplit("-", 1)
         stacks = [
             LcpInstance(lcp.m, lcp.q[None]) for lcp in _lcps_solved_one_at_a_time(kind, scene)
         ]
     for stack in stacks:
-        many = lemke_many(stack.m, stack.q)
+        many = _assert_rows_alike(stack.m, stack.q)
         assert np.all(many.status == "solved")
         gap, neg_z, neg_w = residuals(stack, many.z)
         assert max(neg_z.max(), neg_w.max()) <= RESIDUAL_TOL
         scale = 1.0 + np.linalg.norm(many.z, axis=1) * np.linalg.norm(many.w, axis=1)
         assert np.all(gap <= RESIDUAL_TOL * scale)
-        for i, q in enumerate(stack.q):
-            alone = lemke_many(stack.m, q[None])
-            np.testing.assert_array_equal(alone.z[0], many.z[i])
-            np.testing.assert_array_equal(alone.w[0], many.w[i])
-            assert alone.pivot_count[0] == many.pivot_count[i]
-            _assert_solved_alike(lemke_solve(LcpInstance(stack.m, q)), alone)
+
+
+@pytest.mark.parametrize("max_pivots", [None, 4])
+def test_rows_that_end_early_leave_the_other_rows_alike(max_pivots, monkeypatch):
+    # Matrices that are not copositive: in most stacks some rows end on a
+    # ray, or on a patched pivot budget, while other rows pivot on.
+    # ``lemke_many`` moves rows within its stack as rows end.
+    if max_pivots is not None:
+        monkeypatch.setattr(lcp_module, "MAX_PIVOTS", max_pivots)
+    rng = np.random.default_rng(20240917)
+    ended_early = 0
+    seen = set()
+    for _ in range(150):
+        n = int(rng.integers(2, 7))
+        m = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0], size=(n, n))
+        q = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=(8, n))
+        many = _assert_rows_alike(m, q)
+        seen.update(many.status)
+        stopped = many.status != "solved"
+        ended_early += bool(stopped.any()) and bool(
+            (many.pivot_count[stopped].min() < many.pivot_count).any()
+        )
+    assert {"solved", "ray_termination"} <= seen
+    if max_pivots is not None:
+        assert "max_pivots" in seen
+    assert ended_early >= 50
+
+
+def _first_pivot_row(m, q):
+    """The row on which the covering variable enters, by the scalar walk."""
+    table = lcp_module._tableau(np.asarray(m, dtype=float), np.asarray(q, dtype=float)[None])[0]
+    return lcp_module._lex_argmin(table, np.arange(len(q)), -table[:, -1])
+
+
+def test_the_first_pivot_takes_the_last_row_tied_at_the_minimum_of_q():
+    problem, v0, meta = build_example("disk_stack")
+    caps = np.full(problem.n_contacts, float(meta["h"]))
+    disk = assemble_impact_lcp(problem, v0, caps)[0]
+    # The stack's symmetric contact pair ties exactly at the minimum.
+    assert np.flatnonzero(disk.q == disk.q.min()).tolist() == [5, 6]
+    cases = [
+        (disk.m, disk.q, 6),
+        (np.eye(3), np.array([-1.0, 0.5, -1.0]), 2),
+        (np.eye(4), np.array([-2.0, -2.0, -2.0, 1.0]), 2),
+        # Within the tie tolerance of the minimum.
+        (np.eye(3), np.array([-1.0, -1.0 + 1e-13, 0.5]), 1),
+        # A minimum that is nearly zero ties with the zero rows after it.
+        (np.eye(3), np.array([-1e-13, 0.0, -0.0]), 2),
+    ]
+    for m, q, last in cases:
+        assert _first_pivot_row(m, q) == last
+        _assert_rows_alike(m, np.stack([q, q[::-1], np.abs(q) * -1.0]))
+
+
+def test_both_tie_walks_agree_where_the_tie_limit_is_not_monotone():
+    # ``1 + |x|`` rounds up just below x = -2**-53, so the smaller key
+    # x1 has the larger tie limit.  A key y equal to that limit ties with
+    # the smallest key but not with every key; both walks drop it.
+    x2 = -(2.0**-53)
+    x1 = np.nextafter(x2, -np.inf)
+    limit1, limit2 = lcp_module._tie_limit(np.array([x1, x2]))
+    assert limit1 > limit2
+    table = np.zeros((3, 8))
+    table[:, 0] = 0.5
+    table[:, 1] = [limit1, x1, x2]
+    d = np.ones(3)
+    assert lcp_module._lex_argmin(table, np.arange(3), d) == 1
+    many = lcp_module._lex_argmin_many(table[None], np.ones((1, 3), dtype=bool), d[None])
+    assert many.tolist() == [1]
+
+
+def test_a_degenerate_solve_keeps_the_signs_of_its_zeros():
+    # The first pivot lands on the zero row of q, and a -0.0 then reaches
+    # the value column.  An update that forms d * pivot_row as 0 + d *
+    # pivot_row (as einsum does) ends with z = [-0.0, -1e-13].
+    m = np.array([[0.0, -1.0], [2.0, 0.0]])
+    q = np.array([[-1e-13, 0.0]])
+    many = _assert_rows_alike(m, q)
+    assert many.z[0].tobytes() == np.array([0.0, -1e-13]).tobytes()
 
 
 def test_lemke_many_reports_a_status_per_row(monkeypatch):
