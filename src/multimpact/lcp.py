@@ -12,11 +12,12 @@ lockstep, one pivot of every unfinished row per pass.  It changes the
 tableau only by elementwise operations and sums with
 :func:`ordered_sum`, so a row's bits never depend on the other rows of
 the stack, on its height or on its order, which changes as rows end.
-The first pivot's row comes in closed form, the tie walk computes each
-key's tie limit once, and a row that ends is replaced by the last live
-row instead of the stack being copied.  ``lemke_solve`` runs the
-same arithmetic on one row without the stack, so a solve gives the same
-``z``, pivot count and status whichever of the two runs it.
+Both take the first pivot's row in closed form; the stack's tie walk
+skips the columns that cannot narrow a tie, and a row that ends is
+replaced by the last live row instead of the stack being copied.
+``lemke_solve`` runs the same arithmetic on one row without the stack,
+so a solve gives the same ``z``, pivot count and status whichever of
+the two runs it.
 """
 
 from __future__ import annotations
@@ -141,30 +142,15 @@ def _tie_limit(x: np.ndarray) -> np.ndarray:
 
 def _lex_argmin(table: np.ndarray, cand: np.ndarray, d: np.ndarray) -> int:
     """Among candidate rows pick the one minimizing ``table[r, :n + 1] /
-    d[r]`` lexicographically.  Column 0 (the ratio test) keeps the rows
-    within the tie limit of the smallest ratio.  Each basis-inverse
-    column then keeps the surviving rows whose key is at most the
-    smallest tie limit of the survivors' keys; the lowest surviving row
-    wins.  This is the single-row form of :func:`_lex_argmin_many`, which
-    picks the same row while skipping the columns that cannot narrow a
-    tie.
-
-    The smallest tie limit is the tie limit of the smallest key except
-    within an ulp: ``_tie_limit`` is not monotone in floating point (its
-    ``1 + |x|`` rounds up just below ``x = -2**-53``).  Taking the
-    smallest limit lets the stacked walk compute each key's limit once,
-    and both walks take it, so they agree bit for bit."""
-    vals = table[cand, 0] / d[cand]
-    cand = cand[vals <= _tie_limit(np.minimum.reduce(vals))]
-    if cand.size > 1:
-        keys = table[cand, 1 : table.shape[0] + 1] / d[cand, None]
-        alive = list(range(cand.size))
-        for key, limit in zip(keys.T.tolist(), _tie_limit(keys).T.tolist()):
-            lim = min(limit[i] for i in alive)
-            alive = [i for i in alive if key[i] <= lim]
-            if len(alive) == 1:
-                break
-        cand = cand[alive]
+    d[r]`` lexicographically: column by column, keep the rows that tie
+    with the column's minimum; the lowest surviving row wins.  This is the
+    single-row form of :func:`_lex_argmin_many`, which picks the same row
+    while skipping the columns that cannot narrow a tie."""
+    for col in range(table.shape[0] + 1):
+        if cand.size == 1:
+            break
+        vals = table[cand, col] / d[cand]
+        cand = cand[vals <= _tie_limit(np.minimum.reduce(vals))]
     return int(cand[0])
 
 
@@ -174,13 +160,13 @@ def _lex_argmin_many(table: np.ndarray, cand: np.ndarray, d: np.ndarray) -> np.n
     denominators; returns one tableau row per stack row.
 
     Rows still tied after column 0 walk the basis-inverse columns with
-    one key row per candidate, grouped by stack row, and each key's tie
-    limit computed once.  Per column a group keeps the survivors whose
-    key is at most the smallest limit among its survivors.  The walk
-    visits only columns where some group holds a key above the smallest
-    limit of all its candidates: any other column keeps every candidate
-    of every group, now and after any later narrowing, so skipping it
-    picks the same row."""
+    one key row per candidate, grouped by stack row.  The walk visits
+    only columns where some group holds a key above the smallest tie
+    limit of its keys: any other column keeps every candidate of every
+    group, now and after any later narrowing, so skipping it picks the
+    same row.  (The smallest limit, not the limit of the smallest key:
+    ``_tie_limit`` is not monotone within an ulp, where ``1 + |x|``
+    rounds up just below ``x = -2**-53``.)"""
     n = cand.shape[1]
     d = np.where(cand, d, 1.0)
     vals = np.where(cand, table[:, :, 0] / d, np.inf)
@@ -191,19 +177,29 @@ def _lex_argmin_many(table: np.ndarray, cand: np.ndarray, d: np.ndarray) -> np.n
         group, row = np.nonzero(cand[tied])
         stack_row = tied[group]
         keys = table[stack_row, row, 1 : n + 1] / d[stack_row, row][:, None]
-        limits = _tie_limit(keys)
         starts = np.searchsorted(group, np.arange(tied.size))
         high = np.maximum.reduceat(keys, starts)
-        low = np.minimum.reduceat(limits, starts)
+        low = np.minimum.reduceat(_tie_limit(keys), starts)
         alive = np.ones(group.size, dtype=bool)
         for col in np.flatnonzero((high > low).any(axis=0)):
-            lim = np.minimum.reduceat(np.where(alive, limits[:, col], np.inf), starts)
-            alive &= keys[:, col] <= lim[group]
+            vals = np.where(alive, keys[:, col], np.inf)
+            alive = vals <= _tie_limit(np.minimum.reduceat(vals, starts))[group]
             if np.count_nonzero(alive) == tied.size:
                 break
         # Each group's lowest surviving tableau row.
         choice[tied] = np.minimum.reduceat(np.where(alive, row, n), starts)
     return choice
+
+
+def _first_pivot_row(values: np.ndarray) -> np.ndarray:
+    """The row on which the covering variable enters, for each tableau
+    whose basic values are ``values`` (over the last axis).  Its column
+    is all -1 and the basis inverse is I, so every row is a candidate
+    with denominator 1 and row r's key is the unit vector e_r: the tie
+    walk would drop the rows tied at the minimum in index order, so the
+    last of them wins."""
+    tied = values <= _tie_limit(values.min(axis=-1, keepdims=True))
+    return values.shape[-1] - 1 - tied[..., ::-1].argmax(axis=-1)
 
 
 def lemke_many(m: np.ndarray, q: np.ndarray) -> LcpSolution:
@@ -262,14 +258,7 @@ def lemke_many(m: np.ndarray, q: np.ndarray) -> LcpSolution:
                 eligible = d > PIVOT_TOL
             row = _lex_argmin_many(table, eligible, d)
         else:
-            # The covering variable enters first.  Its column is all -1
-            # and the basis inverse is I, so every row is a candidate with
-            # denominator 1 and row r's key is the unit vector e_r: the
-            # walk would drop the tied rows in index order, so the last
-            # row tied at column 0 wins.
-            values = table[:, :, 0]
-            tied = values <= _tie_limit(values.min(axis=1, keepdims=True))
-            row = n - 1 - tied[:, ::-1].argmax(axis=1)
+            row = _first_pivot_row(table[:, :, 0])
 
         pivot_row = table[at, row] / d[at, row][:, None]
         # The broadcast product keeps the sign of a zero product.  A fused
@@ -330,8 +319,7 @@ def lemke_solve(lcp: LcpInstance) -> LcpSolution:
                 break
             row = _lex_argmin(table, eligible, d)
         else:
-            # The covering variable's column is all -1 (see lemke_many).
-            row = _lex_argmin(table, np.arange(n), -d)
+            row = int(_first_pivot_row(table[:, 0]))
 
         pivot_row = table[row] / d[row]
         table -= d[:, None] * pivot_row

@@ -203,16 +203,16 @@ def _certified_solve(lcp: LcpInstance, context: str) -> np.ndarray:
     one with ``lemke_solve`` (the same bits at less cost), and certify
     the residuals of every row; the first row that fails raises
     :class:`LcpSolveError`."""
-    if lcp.q.ndim == 1 or len(lcp.q) > 1:
-        sol = lemke_many(lcp.m, lcp.q) if lcp.q.ndim == 2 else lemke_solve(lcp)
-        z, w, status = sol.z, sol.w, sol.status
+    if lcp.q.ndim == 2 and len(lcp.q) > 1:
+        sol = lemke_many(lcp.m, lcp.q)
+        z, w = sol.z, sol.w
     else:
-        sol = lemke_solve(LcpInstance(lcp.m, lcp.q[0]))
-        z, status = sol.z[None], sol.status
-        w = ordered_matvec(lcp.m, z) + lcp.q  # as lemke_many forms a row's w
-    unsolved = np.atleast_1d(status != "solved")
+        sol = lemke_solve(lcp if lcp.q.ndim == 1 else LcpInstance(lcp.m, lcp.q[0]))
+        z = sol.z.reshape(lcp.q.shape)
+        w = ordered_matvec(lcp.m, z) + lcp.q
+    unsolved = np.atleast_1d(sol.status != "solved")
     if unsolved.any():
-        raise LcpSolveError(str(np.atleast_1d(status)[unsolved.argmax()]), context)
+        raise LcpSolveError(str(np.atleast_1d(sol.status)[unsolved.argmax()]), context)
     comp_gap, neg_z, neg_w = residuals(lcp, z)
     scale = 1.0 + np.sqrt(ordered_sum(z * z) * ordered_sum(w * w))
     bad = np.atleast_1d(

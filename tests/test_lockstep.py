@@ -6,9 +6,11 @@ leaves no child process behind."""
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import os
 import pickle
+import random
 import time
 from pathlib import Path
 
@@ -331,8 +333,8 @@ def test_rows_that_end_early_leave_the_other_rows_alike(max_pivots, monkeypatch)
     assert ended_early >= 50
 
 
-def _first_pivot_row(m, q):
-    """The row on which the covering variable enters, by the scalar walk."""
+def _walked_first_pivot_row(m, q):
+    """The row on which the covering variable enters, by the tie walk."""
     table = lcp_module._tableau(np.asarray(m, dtype=float), np.asarray(q, dtype=float)[None])[0]
     return lcp_module._lex_argmin(table, np.arange(len(q)), -table[:, -1])
 
@@ -353,21 +355,27 @@ def test_the_first_pivot_takes_the_last_row_tied_at_the_minimum_of_q():
         (np.eye(3), np.array([-1e-13, 0.0, -0.0]), 2),
     ]
     for m, q, last in cases:
-        assert _first_pivot_row(m, q) == last
-        _assert_rows_alike(m, np.stack([q, q[::-1], np.abs(q) * -1.0]))
+        assert _walked_first_pivot_row(m, q) == last
+        stack = np.stack([q, q[::-1], np.abs(q) * -1.0])
+        walked = [_walked_first_pivot_row(m, row) for row in stack]
+        assert lcp_module._first_pivot_row(stack).tolist() == walked
+        _assert_rows_alike(m, stack)
 
 
-def test_both_tie_walks_agree_where_the_tie_limit_is_not_monotone():
+def test_the_stacked_tie_walk_skips_only_columns_that_keep_every_row():
     # ``1 + |x|`` rounds up just below x = -2**-53, so the smaller key
-    # x1 has the larger tie limit.  A key y equal to that limit ties with
-    # the smallest key but not with every key; both walks drop it.
+    # x1 has the larger tie limit.  Column 1 drops row 2; in column 2 the
+    # survivors' smallest key is then x2, whose limit drops row 0.  The
+    # limit of the smallest key over all rows (x1) would keep row 0, so
+    # a walk that skipped column 2 on it would pick row 0.
     x2 = -(2.0**-53)
     x1 = np.nextafter(x2, -np.inf)
     limit1, limit2 = lcp_module._tie_limit(np.array([x1, x2]))
     assert limit1 > limit2
     table = np.zeros((3, 8))
     table[:, 0] = 0.5
-    table[:, 1] = [limit1, x1, x2]
+    table[:, 1] = [0.0, 0.0, 1.0]
+    table[:, 2] = [limit1, x2, x1]
     d = np.ones(3)
     assert lcp_module._lex_argmin(table, np.arange(3), d) == 1
     many = lcp_module._lex_argmin_many(table[None], np.ones((1, 3), dtype=bool), d[None])
@@ -382,6 +390,47 @@ def test_a_degenerate_solve_keeps_the_signs_of_its_zeros():
     q = np.array([[-1e-13, 0.0]])
     many = _assert_rows_alike(m, q)
     assert many.z[0].tobytes() == np.array([0.0, -1e-13]).tobytes()
+
+
+def _dyadic_stack(kind):
+    """A 96-row stack of LCPs with small dyadic entries, drawn with
+    ``random.Random``, whose ``random()`` stream Python keeps fixed.
+    Every product that builds it is exact, so it has the same bits on
+    any BLAS or CPU.  "monotone" is a PSD plus skew 12x12 ``M`` whose
+    rows all solve; "indefinite" a 6x6 ``M`` on which most rows end on
+    a ray.  Both hold many ties, also at the first pivot, and -0.0 in
+    ``q``."""
+    rnd = random.Random(f"{kind}-7")
+
+    def draw(values, shape):
+        picks = [values[int(rnd.random() * len(values))] for _ in range(int(np.prod(shape)))]
+        return np.array(picks).reshape(shape)
+
+    if kind == "monotone":
+        a = draw([-2.0, -1.0, 0.0, 0.0, 1.0, 2.0], (12, 12))
+        b = draw([-1.0, 0.0, 0.0, 1.0], (12, 12))
+        return a @ a.T + b - b.T, draw([-1.0, -0.5, -0.0, 0.0, 0.0, 0.25, 1.0], (96, 12))
+    m = draw([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0], (6, 6))
+    return m, draw([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], (96, 6))
+
+
+# sha256 of lemke_many's z, w, pivot counts and statuses on each stack.
+PINNED_LEMKE = {
+    "monotone": "36012d995166092126a030a425f6e5fb8f135c0e55c8c327195b4f50c26724b9",
+    "indefinite": "985c7f46e9884550f40a9350b2b51634dd603d48033364cdb98efa2c000441d4",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_LEMKE))
+def test_lemke_many_bytes_are_pinned(kind):
+    # lemke_many uses elementwise arithmetic and index-ordered sums
+    # only, so these bytes hold on every platform: a change to the
+    # kernel that moves a bit of any output shows here.
+    sol = lemke_many(*_dyadic_stack(kind))
+    digest = hashlib.sha256()
+    for part in (sol.z, sol.w, sol.pivot_count, sol.status):
+        digest.update(part.astype(part.dtype.newbyteorder("<")).tobytes())
+    assert digest.hexdigest() == PINNED_LEMKE[kind]
 
 
 def test_lemke_many_reports_a_status_per_row(monkeypatch):
