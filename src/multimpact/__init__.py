@@ -21,6 +21,9 @@ Layout:
 - :mod:`multimpact.oracles` - independent reference computations;
 - :mod:`multimpact.io` - lossless CSV/JSON export;
 - :mod:`multimpact.cli` - the ``multimpact`` command.
+
+The last two load only when imported by name, so ``import multimpact``
+brings in neither ``argparse`` nor ``csv``.
 """
 
 from .contact import (
@@ -32,6 +35,7 @@ from .contact import (
 )
 from .errors import (
     ConeViolationError,
+    ConfigError,
     LcpSolveError,
     MultimpactError,
     NonDegeneracyViolation,
@@ -86,7 +90,6 @@ from .setapprox import (
     psi,
     sample_count_bound,
 )
-from .cli import ConfigError, RunConfig, run
 
 __version__ = "0.1.0"
 
@@ -143,8 +146,6 @@ __all__ = [
     "epsilon_net_check",
     "sample_count_bound",
     "estimate_step_lipschitz",
-    "RunConfig",
-    "run",
     "classify_outcomes",
     "ConfigError",
     "__version__",

@@ -12,91 +12,38 @@ Scenes are referenced by bundled name (``phone``, ``compass``,
 ``box_wall``, ``disk_stack``, ``ball``) or by a JSON file path.  Exit
 codes: 1 for configuration errors, 2 for solver failures, 3 for I/O
 failures.  Outputs contain no timestamps: the same invocation always
-produces byte-identical files.
+produces byte-identical files.  Each flag is declared once, with its
+default, choices and check, and the parsed namespace goes to the subcommand.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import io as mio
 from .contact import ImpactProblem
-from .errors import MultimpactError, SceneFormatError
+from .errors import ConfigError, MultimpactError, SceneFormatError
 from .oracles import routh_dense_reference
 from .resolution import baselines, restrict_contacts, sim
-from .scenes import EXAMPLE_NAMES, build_example, build_problem, load_scene
+from .scenes import EXAMPLE_NAMES, build_example, build_problem, load_scene, scene_to_dict
 from .setapprox import (
-    MAXBIT,
-    PostImpactSet,
-    SobolSampler,
-    UniformSampler,
-    approximate,
-    classify_outcomes,
+    MAXBIT, PostImpactSet, SobolSampler, UniformSampler, approximate, classify_outcomes,
 )
 
-__all__ = ["main", "run", "RunConfig", "ConfigError"]
+__all__ = ["main"]
 
 DESK_SCALE_TRAJECTORIES = 4096  # default sample count without --paper-scale
 
 
-class ConfigError(Exception):
-    """Invalid command-line configuration."""
-
-
-@dataclass
-class RunConfig:
-    """Validated parameters for one CLI invocation."""
-
-    command: str
-    scene: str
-    h: float | None = None
-    epsilon: float | None = None
-    n: int | None = None
-    m: int | None = None
-    seed: int = 0
-    sampler: str = "sobol"
-    jobs: int = 1
-    paper_scale: bool = False
-    output: str | None = None
-    fmt: str = "csv"
-    traj_index: int = 0
-    contact: str | None = None
-    ds: float = 1e-5
-
-    def validate(self) -> None:
-        if self.command not in ("simulate", "approximate", "compare", "oracle", "example"):
-            raise ConfigError(f"unknown command {self.command!r}")
-        if self.h is not None and self.h <= 0:
-            raise ConfigError("h must be positive")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
-        if self.h is not None and self.epsilon is not None and self.epsilon >= self.h:
-            raise ConfigError("epsilon must be smaller than h")
-        if self.n is not None and self.n < 1:
-            raise ConfigError("n must be at least 1")
-        if self.m is not None and self.m < 1:
-            raise ConfigError("m must be at least 1")
-        if self.sampler not in ("sobol", "uniform"):
-            raise ConfigError(f"unknown sampler {self.sampler!r}")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"unknown format {self.fmt!r}")
-        if self.ds <= 0:
-            raise ConfigError("ds must be positive")
-        if self.traj_index < 0:
-            raise ConfigError("traj-index must be nonnegative")
-
-
-def _load(config: RunConfig) -> tuple[ImpactProblem, np.ndarray, dict]:
-    name = config.scene
+def _load(args: argparse.Namespace) -> tuple[ImpactProblem, np.ndarray, dict]:
+    name = args.scene
     if name in EXAMPLE_NAMES or name == "ball":
         return build_example(name)
     path = Path(name)
@@ -109,72 +56,67 @@ def _load(config: RunConfig) -> tuple[ImpactProblem, np.ndarray, dict]:
     return build_problem(load_scene(path))
 
 
-def _make_sampler(config: RunConfig):
-    if config.sampler == "uniform":
-        return UniformSampler(config.seed)
-    return SobolSampler(config.seed)
+def _make_sampler(args: argparse.Namespace):
+    return (UniformSampler if args.sampler == "uniform" else SobolSampler)(args.seed)
 
 
-def _fill_defaults(config: RunConfig, meta: dict) -> None:
-    if config.h is None:
-        config.h = float(meta.get("h", 1.0))
-    if config.n is None:
-        config.n = int(meta.get("n_steps", 10))
-    if config.m is None:
-        if config.paper_scale:
-            config.m = int(meta.get("m_trajectories", DESK_SCALE_TRAJECTORIES))
-        else:
-            config.m = DESK_SCALE_TRAJECTORIES
-    if config.epsilon is None:
-        config.epsilon = config.h / 10.0
-    if config.epsilon >= config.h:
-        raise ConfigError("epsilon must be smaller than h")
-    if config.sampler == "sobol":
-        # Trajectory i draws Sobol indices [1 + i*n, 1 + (i+1)*n).
-        count = config.traj_index + 1 if config.command == "simulate" else config.m
-        if 1 + count * config.n >= 1 << MAXBIT:
-            raise ConfigError(
-                f"Sobol draws would reach index {count * config.n}, beyond "
-                f"the {MAXBIT}-bit sequence; lower --n, --m or --traj-index"
-            )
+def _fill_defaults(args: argparse.Namespace, meta: dict) -> None:
+    """Take the flags left unset from the scene, then check the values
+    that are only wrong together.  Each flag alone was checked when it
+    was parsed, and the scene's defaults when the scene was read."""
+    if args.h is None:
+        args.h = float(meta.get("h", 1.0))
+    if args.n is None:
+        args.n = int(meta.get("n_steps", 10))
+    if args.command == "simulate":
+        count = args.traj_index + 1
+    else:
+        if args.m is None:
+            args.m = DESK_SCALE_TRAJECTORIES
+            if args.paper_scale:
+                args.m = int(meta.get("m_trajectories", DESK_SCALE_TRAJECTORIES))
+        if args.epsilon is None:
+            args.epsilon = args.h / 10.0
+        if args.epsilon >= args.h:
+            raise ConfigError("epsilon must be smaller than h")
+        count = args.m
+    # Trajectory i draws Sobol indices [1 + i*n, 1 + (i+1)*n).
+    if args.sampler == "sobol" and 1 + count * args.n >= 1 << MAXBIT:
+        raise ConfigError(
+            f"Sobol draws would reach index {count * args.n}, beyond "
+            f"the {MAXBIT}-bit sequence; lower --n, --m or --traj-index"
+        )
 
 
-def _output_path(config: RunConfig, meta: dict) -> Path:
-    if config.output is not None:
-        return Path(config.output)
-    return Path(f"{meta['name']}_{config.command}.{config.fmt}")
-
-
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
+def _export(args: argparse.Namespace, meta: dict, kind: str, record, problem) -> Path:
+    """Write ``record`` with the ``io`` writer named ``<kind>_to_<format>``."""
+    if args.output is not None:
+        path = Path(args.output)
+    else:
+        path = Path(f"{meta['name']}_{args.command}.{args.fmt}")
+    getattr(mio, f"{kind}_to_{args.fmt}")(record, problem, path)
+    return path
 
 
 def _summary(payload: dict) -> None:
-    _emit(json.dumps(payload, indent=2))
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 
 
-def _cmd_simulate(config: RunConfig) -> int:
-    problem, v0, meta = _load(config)
-    _fill_defaults(config, meta)
+def _cmd_simulate(args: argparse.Namespace) -> None:
+    problem, v0, meta = _load(args)
+    _fill_defaults(args, meta)
     traj = sim(
-        problem, v0, config.h, config.n, _make_sampler(config),
-        traj_index=config.traj_index,
+        problem, v0, args.h, args.n, _make_sampler(args), traj_index=args.traj_index
     )
-    path = _output_path(config, meta)
-    if config.fmt == "csv":
-        mio.trajectory_to_csv(traj, problem, path)
-    else:
-        mio.trajectory_to_json(traj, problem, path)
+    path = _export(args, meta, "trajectory", traj, problem)
     _summary(
         {
             "scene": meta["name"],
-            "h": config.h,
+            "h": args.h,
             "steps": traj.n_steps,
             "terminated": traj.terminated,
             "energy_initial": traj.steps[0].energy_before if traj.steps else None,
@@ -182,33 +124,22 @@ def _cmd_simulate(config: RunConfig) -> int:
             "output": str(path),
         }
     )
-    return 0
 
 
 def _approximate_set(
-    config: RunConfig, problem: ImpactProblem, v0: np.ndarray
+    args: argparse.Namespace, problem: ImpactProblem, v0: np.ndarray
 ) -> PostImpactSet:
     return approximate(
-        problem,
-        v0,
-        h=config.h,
-        epsilon=config.epsilon,
-        n_max=config.n,
-        m_trajectories=config.m,
-        sampler=_make_sampler(config),
-        jobs=config.jobs,
+        problem, v0, h=args.h, epsilon=args.epsilon, n_max=args.n,
+        m_trajectories=args.m, sampler=_make_sampler(args), jobs=args.jobs,
     )
 
 
-def _cmd_approximate(config: RunConfig) -> int:
-    problem, v0, meta = _load(config)
-    _fill_defaults(config, meta)
-    post_set = _approximate_set(config, problem, v0)
-    path = _output_path(config, meta)
-    if config.fmt == "csv":
-        mio.set_to_csv(post_set, problem, path)
-    else:
-        mio.set_to_json(post_set, problem, path)
+def _cmd_approximate(args: argparse.Namespace) -> None:
+    problem, v0, meta = _load(args)
+    _fill_defaults(args, meta)
+    post_set = _approximate_set(args, problem, v0)
+    path = _export(args, meta, "set", post_set, problem)
     _summary(
         {
             "scene": meta["name"],
@@ -221,21 +152,16 @@ def _cmd_approximate(config: RunConfig) -> int:
             "output": str(path),
         }
     )
-    return 0
 
 
-def _cmd_compare(config: RunConfig) -> int:
-    problem, v0, meta = _load(config)
-    _fill_defaults(config, meta)
+def _cmd_compare(args: argparse.Namespace) -> None:
+    problem, v0, meta = _load(args)
+    _fill_defaults(args, meta)
     rows = baselines(problem, v0)
-    post_set = _approximate_set(config, problem, v0)
+    post_set = _approximate_set(args, problem, v0)
     for idx, v in zip(post_set.traj_indices, post_set.samples):
         rows.append(("sampled", str(int(idx)), v))
-    path = _output_path(config, meta)
-    if config.fmt == "csv":
-        mio.compare_to_csv(rows, problem, path)
-    else:
-        mio.compare_to_json(rows, problem, path)
+    path = _export(args, meta, "compare", rows, problem)
     _summary(
         {
             "scene": meta["name"],
@@ -245,33 +171,28 @@ def _cmd_compare(config: RunConfig) -> int:
             "output": str(path),
         }
     )
-    return 0
 
 
-def _cmd_oracle(config: RunConfig) -> int:
-    problem, v0, meta = _load(config)
-    if config.contact is not None:
-        if config.contact not in problem.labels:
+def _cmd_oracle(args: argparse.Namespace) -> None:
+    problem, v0, meta = _load(args)
+    if args.contact is not None:
+        if args.contact not in problem.labels:
             raise ConfigError(
-                f"scene has no contact labeled {config.contact!r}; "
+                f"scene has no contact labeled {args.contact!r}; "
                 f"labels: {', '.join(problem.labels)}"
             )
-        problem = restrict_contacts(problem, [problem.labels.index(config.contact)])
+        problem = restrict_contacts(problem, [problem.labels.index(args.contact)])
     if problem.n_contacts != 1:
         raise ConfigError(
             "the dense reference needs a single contact; pick one with --contact"
         )
-    dense = routh_dense_reference(problem, v0, config.ds)
-    path = _output_path(config, meta)
-    if config.fmt == "csv":
-        mio.dense_to_csv(dense, problem, path)
-    else:
-        mio.dense_to_json(dense, problem, path)
+    dense = routh_dense_reference(problem, v0, args.ds)
+    path = _export(args, meta, "dense", dense, problem)
     _summary(
         {
             "scene": meta["name"],
             "contact": problem.labels[0],
-            "ds": config.ds,
+            "ds": args.ds,
             "grid_points": int(len(dense.s_grid)),
             "total_impulse": float(dense.s_grid[-1]),
             "v_final": [float(x) for x in dense.v_final],
@@ -279,24 +200,20 @@ def _cmd_oracle(config: RunConfig) -> int:
             "output": str(path),
         }
     )
-    return 0
 
 
-def _cmd_example(config: RunConfig) -> int:
-    name = config.scene
+def _cmd_example(args: argparse.Namespace) -> None:
+    name = args.scene
     if name not in EXAMPLE_NAMES:
         raise ConfigError(
             f"unknown bundled scene {name!r}; available: {', '.join(EXAMPLE_NAMES)}"
         )
-    from .scenes import scene_to_dict
-
     text = json.dumps(scene_to_dict(load_scene(name)), indent=2) + "\n"
-    if config.output is not None:
-        Path(config.output).write_text(text)
-        _summary({"scene": name, "output": config.output})
+    if args.output is not None:
+        Path(args.output).write_text(text)
+        _summary({"scene": name, "output": args.output})
     else:
         sys.stdout.write(text)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -308,89 +225,103 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _positive_float(text: str) -> float:
+    """``type=`` for a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number above 0, got {text!r}")
+    return value
+
+
+def _int_at_least(low: int):
+    """``type=`` for an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer of at least {low}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="multimpact", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser, sampling: bool) -> None:
+    def command(name: str, run, help: str, export: bool = True) -> _Parser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--scene", required=True, help="bundled scene name or JSON path")
-        p.add_argument("--output", help="output file (default: <scene>_<command>.<ext>)")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-        if sampling:
-            p.add_argument("--h", type=float, help="per-step impulse budget")
-            p.add_argument("--n", type=int, help="step cap per trajectory")
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument(
-                "--sampler", choices=("sobol", "uniform"), default="sobol"
-            )
+        if export:
+            p.add_argument("--output", help="output file (default: <scene>_<command>.<ext>)")
+            p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+        return p
 
-    p = sub.add_parser("simulate", help="run one stochastic resolution trajectory")
-    common(p, sampling=True)
-    p.add_argument("--traj-index", type=int, default=0, dest="traj_index")
+    def sampling(p: _Parser) -> None:
+        p.add_argument("--h", type=_positive_float, help="per-step impulse budget")
+        p.add_argument("--n", type=_int_at_least(1), help="step cap per trajectory")
+        p.add_argument("--seed", type=_int_at_least(0), default=0)
+        p.add_argument("--sampler", choices=("sobol", "uniform"), default="sobol")
 
-    for name in ("approximate", "compare"):
-        p = sub.add_parser(
-            name,
-            help="sample the post-impact set"
-            if name == "approximate"
-            else "baselines vs sampled outcomes",
-        )
-        common(p, sampling=True)
-        p.add_argument("--epsilon", type=float, help="coverage radius (default h/10)")
-        p.add_argument("--m", type=int, help="trajectory count (default 4096)")
+    p = command("simulate", _cmd_simulate, "run one stochastic resolution trajectory")
+    sampling(p)
+    p.add_argument("--traj-index", type=_int_at_least(0), default=0, dest="traj_index")
+
+    for name, run, help in (
+        ("approximate", _cmd_approximate, "sample the post-impact set"),
+        ("compare", _cmd_compare, "baselines vs sampled outcomes"),
+    ):
+        p = command(name, run, help)
+        sampling(p)
         p.add_argument(
-            "--jobs", type=int, default=os.cpu_count() or 1,
-            help="processes that sample, this one included (default: all cores)",
+            "--epsilon", type=_positive_float, help="coverage radius (default h/10)"
+        )
+        p.add_argument(
+            "--m", type=_int_at_least(1),
+            help=f"trajectory count (default {DESK_SCALE_TRAJECTORIES})",
+        )
+        p.add_argument(
+            "--jobs", type=_int_at_least(1), default=_usable_cpus(),
+            help="processes that sample, this one included "
+            "(default: the CPUs this process may run on)",
         )
         p.add_argument(
             "--paper-scale", action="store_true", dest="paper_scale",
             help="use the scene's full-scale trajectory count",
         )
 
-    p = sub.add_parser("oracle", help="dense single-contact reference path")
-    common(p, sampling=False)
+    p = command("oracle", _cmd_oracle, "dense single-contact reference path")
     p.add_argument("--contact", help="contact label to isolate")
-    p.add_argument("--ds", type=float, default=1e-5, help="impulse increment")
+    p.add_argument("--ds", type=_positive_float, default=1e-5, help="impulse increment")
 
-    p = sub.add_parser("example", help="print a bundled scene description")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--output")
+    p = command("example", _cmd_example, "print a bundled scene description", export=False)
+    p.add_argument("--output", help="file to write (default: standard output)")
     return parser
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "approximate": _cmd_approximate,
-    "compare": _cmd_compare,
-    "oracle": _cmd_oracle,
-    "example": _cmd_example,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Execute a validated configuration; returns the process exit code."""
-    config.validate()
-    return _COMMANDS[config.command](config)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    """Run one ``multimpact`` invocation; returns the process exit code."""
     try:
-        namespace = parser.parse_args(argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = _build_parser().parse_args(argv)
+        args.run(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-
-    fields = {
-        key: value
-        for key, value in vars(namespace).items()
-        if key != "command" and value is not None
-    }
-    config = RunConfig(command=namespace.command, **fields)
-    try:
-        return run(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -400,6 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError, SceneFormatError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -75,6 +75,9 @@ class ImpactProblem:
             raise ValueError("mass matrix must be symmetric")
         try:
             np.linalg.cholesky(self.mass)
+            # ``mass_solve``'s LU can still meet a zero pivot where rounding
+            # let Cholesky through (a linkage with parallel legs).
+            np.linalg.inv(self.mass)
         except np.linalg.LinAlgError as exc:
             raise ValueError("mass matrix must be positive definite") from exc
 

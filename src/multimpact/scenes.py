@@ -21,6 +21,7 @@ is the normal rotated a quarter turn counterclockwise.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -311,14 +312,18 @@ def build_problem(
     jd = np.empty((2 * jn.shape[0], scene.n_v))
     jd[0::2] = jt
     jd[1::2] = -jt
-    problem = ImpactProblem(
-        mass=mass_matrix(scene, q),
-        jn=jn,
-        jd=jd,
-        mu=np.array([spec.mu for spec in scene.contacts]),
-        labels=tuple(spec.label for spec in scene.contacts),
-    )
-    meta = {"name": scene.name, "scene": scene, **scene.defaults}
+    try:
+        problem = ImpactProblem(
+            mass=mass_matrix(scene, q),
+            jn=jn,
+            jd=jd,
+            mu=np.array([spec.mu for spec in scene.contacts]),
+            labels=tuple(spec.label for spec in scene.contacts),
+        )
+    except (ValueError, OverflowError) as exc:  # e.g. a singular linkage mass
+        raise SceneFormatError(f"scene {scene.name!r}: {exc}") from exc
+    # The scene keeps its own name, whatever its defaults hold.
+    meta = {**scene.defaults, "name": scene.name, "scene": scene}
     return problem, scene.v0.copy(), meta
 
 
@@ -441,6 +446,8 @@ def scene_to_dict(scene: Scene) -> dict:
 def scene_from_dict(data: dict) -> Scene:
     """Build a scene from its JSON form; an incomplete or inconsistent
     description raises :class:`SceneFormatError`."""
+    if not isinstance(data, dict):
+        raise SceneFormatError(f"a scene is a JSON object, got {type(data).__name__}")
     try:
         scene = _scene_from_dict(data)
         _check_consistency(scene)
@@ -448,7 +455,7 @@ def scene_from_dict(data: dict) -> Scene:
         raise SceneFormatError(
             f"scene {data.get('name')!r}: missing field {exc.args[0]!r}"
         ) from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SceneFormatError(f"scene {data.get('name')!r}: {exc}") from exc
     return scene
 
@@ -463,17 +470,47 @@ def _is_disk(body: PlanarBody) -> bool:
     )
 
 
+def _require_finite(where: str, values, shape: tuple[int, ...]) -> None:
+    array = np.asarray(values, dtype=float)
+    if array.shape != shape:
+        raise ValueError(f"{where} has shape {array.shape}, expected {shape}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{where} must be finite, got {array.tolist()}")
+
+
+def _check_defaults(defaults: dict) -> None:
+    h = defaults.get("h", 1.0)
+    if not (isinstance(h, numbers.Real) and 0.0 < h < np.inf):
+        raise ValueError(f"default h must be a finite number above 0, got {h!r}")
+    for key in ("n_steps", "m_trajectories"):
+        count = defaults.get(key, 1)
+        if not (isinstance(count, numbers.Integral) and count >= 1):
+            raise ValueError(f"default {key} must be an integer of at least 1, got {count!r}")
+
+
 def _check_consistency(scene: Scene) -> None:
     """Raise ValueError at the first value or reference that cannot be built."""
-    if len(scene.v0) != scene.n_v:
-        raise ValueError(f"v0 has {len(scene.v0)} entries, expected {scene.n_v}")
-    if scene.kind == "linkage" and scene.pose.shape != (4,):
-        raise ValueError(f"pose has shape {scene.pose.shape}, expected (4,)")
+    _require_finite("v0", scene.v0, (scene.n_v,))
+    _check_defaults(scene.defaults)
     if scene.kind == "linkage":
+        _require_finite("pose", scene.pose, (4,))
         for key in ("leg_length", "mass_offset", "leg_mass"):
             if not 0.0 < float(scene.linkage[key]) < np.inf:
                 raise ValueError(f"linkage {key} must be positive and finite")
+        if not float(scene.linkage["mass_offset"]) < float(scene.linkage["leg_length"]):
+            raise ValueError("linkage mass_offset must be smaller than leg_length")
+    for index, body in enumerate(scene.bodies):
+        _require_finite(f"body {index} pose", body.pose, (3,))
+        shape = body.shape if isinstance(body.shape, dict) else {}
+        for k, vertex in enumerate(shape.get("vertices", ())):
+            _require_finite(f"body {index} vertex {k}", vertex, (2,))
+    for plane in scene.environment:
+        _require_finite(f"plane {plane.name!r} point", plane.point, (2,))
+    if not scene.contacts:
+        raise ValueError("a scene needs at least one contact")
     labels = [spec.label for spec in scene.contacts]
+    if not all(isinstance(label, str) for label in labels):
+        raise ValueError(f"contact labels must be strings, got {labels}")
     if len(set(labels)) != len(labels):
         raise ValueError(f"contact labels must be distinct, got {labels}")
     planes = {plane.name for plane in scene.environment}

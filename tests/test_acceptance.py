@@ -373,10 +373,10 @@ def test_criterion_11_bytewise_determinism(tmp_path, capsys):
 
     # Desk scale is the default; the full cloud size needs the flag.
     meta = {"name": "phone", "h": 0.3, "n_steps": 10, "m_trajectories": 16384}
-    desk = cli.RunConfig(command="approximate", scene="phone")
+    desk = cli._build_parser().parse_args(scene_args)
     cli._fill_defaults(desk, meta)
     assert desk.m == 4096
-    paper = cli.RunConfig(command="approximate", scene="phone", paper_scale=True)
+    paper = cli._build_parser().parse_args(scene_args + ["--paper-scale"])
     cli._fill_defaults(paper, meta)
     assert paper.m == 16384
 

@@ -5,19 +5,24 @@ from __future__ import annotations
 import csv
 import io as stdio
 import json
+import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from multimpact import (
     MultimpactError,
-    RunConfig,
     UniformSampler,
     approximate,
     build_ball,
     classify_outcomes,
 )
 from multimpact import cli
+from multimpact.scenes import EXAMPLE_NAMES, load_scene, scene_to_dict
 
 
 def _read_csv(path):
@@ -106,10 +111,28 @@ def _drop(path):
          "contact 'C': body 0 has no vertices"),
         ("phone", _drop(("contacts", 0, "mu")), "missing field 'mu'"),
         ("phone", _set(("contacts", 1, "label"), "A"), "labels must be distinct"),
+        ("phone", _set(("v0", 1), math.nan), "v0 must be finite"),
+        ("phone", _set(("v0", 1), -math.inf), "v0 must be finite"),
+        ("phone", _set(("bodies", 0, "pose", 0), math.nan), "body 0 pose must be finite"),
+        ("phone", _set(("bodies", 0, "shape", "vertices", 2), [0.0]),
+         "body 0 vertex 2 has shape (1,), expected (2,)"),
+        ("phone", _set(("environment", 0, "point", 1), math.nan), "point must be finite"),
+        ("phone", _set(("environment", 0, "point"), [0.0]), "has shape (1,), expected (2,)"),
+        ("compass", _set(("pose", 3), math.inf), "pose must be finite"),
+        ("compass", _set(("linkage", "mass_offset"), 1.0), "smaller than leg_length"),
+        ("phone", _set(("contacts",), []), "at least one contact"),
+        ("phone", _set(("defaults", "h"), "x"), "default h must be a finite number"),
+        ("phone", _set(("defaults", "h"), -1), "default h must be a finite number"),
+        ("phone", _set(("defaults", "n_steps"), 0), "default n_steps must be an integer"),
+        ("phone", _set(("defaults", "n_steps"), 2.5), "default n_steps must be an integer"),
     ],
     ids=["not-json", "vertex-index", "body-index", "against-index", "contact-kind",
          "body-mass", "mu", "coincident-centres", "zero-normal", "linkage-pose",
-         "disk-kind-on-polygon", "vertex-kind-on-disk", "missing-field", "duplicate-label"],
+         "disk-kind-on-polygon", "vertex-kind-on-disk", "missing-field", "duplicate-label",
+         "v0-nan", "v0-inf", "body-pose-nan", "short-vertex", "plane-point-nan",
+         "short-plane-point", "linkage-pose-inf", "linkage-mass-at-hip", "no-contacts",
+         "default-h-text", "default-h-negative", "default-n-steps-zero",
+         "default-n-steps-fraction"],
 )
 def test_corrupt_scene_file_is_an_io_error(tmp_path, capsys, scene, edit, message):
     bad = tmp_path / "bad.json"
@@ -156,11 +179,15 @@ def test_sobol_index_beyond_the_sequence_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_solver_failures_map_to_exit_code_two(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "run", lambda config: (_ for _ in ()).throw(
-        MultimpactError("boom")))
-    assert cli.main(["example", "--scene", "phone"]) == 2
-    assert "solver error:" in capsys.readouterr().err
+def test_solver_failures_map_to_exit_code_two(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise MultimpactError("boom")
+
+    monkeypatch.setattr(cli, "sim", fail)
+    assert cli.main(["simulate", "--scene", "phone",
+                     "--output", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:") and err.count("\n") == 1
 
 
 def test_help_exits_cleanly(capsys):
@@ -215,24 +242,112 @@ def test_oracle_needs_an_isolated_contact(tmp_path, capsys):
                      "--output", str(tmp_path / "ok.csv")]) == 0
 
 
-def test_run_config_validation():
-    with pytest.raises(cli.ConfigError):
-        RunConfig(command="simulate", scene="phone", h=-1.0).validate()
-    with pytest.raises(cli.ConfigError):
-        RunConfig(command="approximate", scene="phone", h=1.0, epsilon=1.0).validate()
-    with pytest.raises(cli.ConfigError):
-        RunConfig(command="warp", scene="phone").validate()
-    RunConfig(command="simulate", scene="phone").validate()
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--h", "-1"],
+        ["simulate", "--h", "nan"],
+        ["simulate", "--h", "x"],
+        ["simulate", "--n", "0"],
+        ["simulate", "--traj-index", "-1"],
+        ["simulate", "--seed", "-1", "--sampler", "uniform"],
+        ["approximate", "--h", "0.3", "--epsilon", "0.3"],
+        ["approximate", "--epsilon", "0.5"],  # at least the scene's h = 0.3
+        ["approximate", "--m", "0"],
+        ["approximate", "--jobs", "0"],
+        ["compare", "--epsilon", "inf"],
+        ["oracle", "--ds", "0"],
+        ["approximate", "--format", "xml"],
+        ["warp"],
+    ],
+    ids=["h-negative", "h-nan", "h-text", "n-zero", "traj-index-negative",
+         "seed-negative", "epsilon-at-h", "epsilon-above-scene-h", "m-zero",
+         "jobs-zero", "epsilon-inf", "ds-zero", "unknown-format", "unknown-command"],
+)
+def test_bad_flag_is_a_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    if argv != ["warp"]:
+        argv = argv[:1] + ["--scene", "phone", "--output", str(out)] + argv[1:]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_paper_scale_gates_the_full_trajectory_count():
     meta = {"name": "phone", "h": 0.3, "n_steps": 10, "m_trajectories": 16384}
-    desk = RunConfig(command="approximate", scene="phone")
+    parse = cli._build_parser().parse_args
+    desk = parse(["approximate", "--scene", "phone"])
     cli._fill_defaults(desk, meta)
     assert desk.m == 4096
-    paper = RunConfig(command="approximate", scene="phone", paper_scale=True)
+    paper = parse(["approximate", "--scene", "phone", "--paper-scale"])
     cli._fill_defaults(paper, meta)
     assert paper.m == 16384
+
+
+def test_jobs_default_counts_the_cpus_this_process_may_run_on(monkeypatch):
+    def jobs():
+        return cli._build_parser().parse_args(["approximate", "--scene", "phone"]).jobs
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert jobs() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3, 5}, raising=False)
+    assert jobs() == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert jobs() == 8
+
+
+_BUNDLED = {name: scene_to_dict(load_scene(name)) for name in EXAMPLE_NAMES}
+_BAD_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 0.5, 2**62, "x", None, True,
+               [], {}, [0.0], [math.nan, 0.0], [0.0] * 5]
+
+
+def _entries(node, path=()):
+    """Every path into a scene dict, the root included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _entries(child, path + (key,))
+
+
+@st.composite
+def _fuzzed_scenes(draw):
+    data = json.loads(json.dumps(_BUNDLED[draw(st.sampled_from(EXAMPLE_NAMES))]))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_entries(data))[1:]))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        key, old = path[-1], parent[path[-1]]
+        action = draw(st.sampled_from(["drop", "set", "shorten", "lengthen"]))
+        if action == "drop":
+            del parent[key]
+        elif action == "set" or not (isinstance(old, list) and old):
+            parent[key] = draw(st.sampled_from(_BAD_VALUES))
+        else:
+            parent[key] = old[:-1] if action == "shorten" else old + old[-1:]
+    return data
+
+
+@settings(max_examples=250, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_fuzzed_scenes())
+def test_fuzzed_scene_files_end_in_a_documented_exit_code(capsys, data):
+    # Dropped, mistyped, non-finite, emptied and resized fields.  Huge
+    # finite values (1e300) are not drawn: they overflow numpy arithmetic
+    # downstream, and a scene file has no magnitude bound to check them by.
+    with tempfile.TemporaryDirectory() as tmp:
+        scene = os.path.join(tmp, "scene.json")
+        with open(scene, "w") as handle:
+            json.dump(data, handle)
+        code = cli.main(["simulate", "--scene", scene,
+                         "--output", os.path.join(tmp, "out.csv")])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    assert code == 0 or err.count("\n") == 1
 
 
 def test_classify_outcomes_on_the_ball_is_all_stick():

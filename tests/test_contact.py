@@ -134,6 +134,16 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_loads_neither_the_cli_nor_argparse():
+    # The command line and the exporters load only when imported by name.
+    src = str(Path(multimpact.__file__).parents[1])
+    code = ("import sys, multimpact; print(sorted(m for m in sys.modules if m in "
+            "('multimpact.cli', 'multimpact.io', 'argparse', 'csv')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+
+
 def test_energy_and_norm_frozen_values():
     ball, v0, _ = build_ball()
     assert kinetic_energy(ball, v0) == pytest.approx(0.5, abs=1e-15)

@@ -17,7 +17,7 @@ from multimpact import (
     load_scene,
     reflect_map,
 )
-from multimpact.scenes import mass_matrix, scene_from_dict, scene_to_dict
+from multimpact.scenes import build_problem, mass_matrix, scene_from_dict, scene_to_dict
 
 ALL_SCENES = ("phone", "compass", "box_wall", "disk_stack")
 
@@ -198,3 +198,24 @@ def test_contact_kind_must_fit_the_body_shape():
     floor.update(kind="vertex-plane", vertex=0)
     with pytest.raises(SceneFormatError, match="has no vertices"):
         scene_from_dict(data)
+
+
+def test_a_scene_is_a_json_object():
+    with pytest.raises(SceneFormatError, match="a scene is a JSON object, got list"):
+        scene_from_dict([])
+
+
+def test_defaults_cannot_rename_the_scene():
+    data = _phone_dict()
+    data["defaults"]["name"] = "../elsewhere"
+    _, _, meta = build_problem(scene_from_dict(data))
+    assert meta["name"] == "phone"
+
+
+def test_parallel_linkage_legs_are_a_format_error():
+    # Parallel legs make the walker's mass matrix singular; Cholesky lets
+    # it through in rounding, the LU behind ``mass_solve`` does not.
+    data = scene_to_dict(load_scene("compass"))
+    data["pose"] = [0.0, 1.0, 0.2, 0.2]
+    with pytest.raises(SceneFormatError, match="mass matrix must be positive definite"):
+        build_problem(scene_from_dict(data))
