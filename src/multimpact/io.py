@@ -6,9 +6,13 @@ written with ``repr``, the shortest representation that round-trips to the
 exact same double.  No timestamps or environment data are written, so
 identical inputs produce byte-identical files.
 
-Each output builds its number table once, as an array, and passes its
-rows on as Python floats (``tolist``).  ``csv.writer`` and ``json`` both
-format a float with ``repr``, so no Python call is made per value.
+Each output builds its number table once, as an array.  A CSV writer
+formats each distinct double of its table once, with ``repr``, and hands
+the strings, after their row's leads, to ``csv.writer``: sampled sets
+repeat their outcomes, so most values are formatted once for many rows.
+The distinct values are found by their bits, so ``-0.0`` and ``0.0`` keep
+their own text.  The JSON writers pass rows on as Python floats
+(``tolist``), which ``json`` formats with ``repr`` as well.
 """
 
 from __future__ import annotations
@@ -46,6 +50,16 @@ def _write(path: str | Path | None, text: str) -> str:
     return text
 
 
+def _repr_table(table: np.ndarray) -> list[list[str]]:
+    """``repr`` of every entry of a 2-D float table, row by row, with each
+    distinct double formatted once.  Entries are matched by their bits, not
+    by value, so ``-0.0`` and ``0.0`` (equal as floats) keep their own text."""
+    table = np.ascontiguousarray(table, dtype=float)
+    bits, inverse = np.unique(table.view(np.uint64).ravel(), return_inverse=True)
+    texts = np.array([repr(x) for x in bits.view(float).tolist()], dtype=object)
+    return texts[inverse].reshape(table.shape).tolist()
+
+
 def _csv_text(header: list[str], rows: list[list]) -> str:
     buf = _io.StringIO()
     buf.write(f"# {FORMAT_MARKER}\n")
@@ -77,7 +91,7 @@ def _projection_columns(problem: ImpactProblem) -> list[str]:
     return cols
 
 
-def _velocity_table(problem: ImpactProblem, velocities) -> list[list[float]]:
+def _velocity_table(problem: ImpactProblem, velocities) -> np.ndarray:
     """Rows ``[*v, *(jn @ v), *(jt @ v)]``, one per velocity.
 
     The batched matrix-vector product gives every row the bits of
@@ -86,7 +100,7 @@ def _velocity_table(problem: ImpactProblem, velocities) -> list[list[float]]:
     column = v[:, :, None]
     jn_v = np.matmul(problem.jn, column)[..., 0]
     jt_v = np.matmul(problem.jd[0::2], column)[..., 0]
-    return np.hstack([v, jn_v, jt_v]).tolist()
+    return np.hstack([v, jn_v, jt_v])
 
 
 def _velocity_csv(
@@ -94,7 +108,7 @@ def _velocity_csv(
 ) -> str:
     """CSV of the velocity table, each row after its ``leads`` entries."""
     header = lead_columns + _velocity_columns(problem.n_v) + _projection_columns(problem)
-    table = _velocity_table(problem, velocities)
+    table = _repr_table(_velocity_table(problem, velocities))
     rows = [[*lead, *row] for lead, row in zip(leads, table)]
     return _write(path, _csv_text(header, rows))
 
@@ -119,7 +133,7 @@ def trajectory_to_csv(
         ],
         dtype=float,
     )
-    rows = [[k, *row] for k, row in enumerate(table.tolist())]
+    rows = [[k, *row] for k, row in enumerate(_repr_table(table))]
     return _write(path, _csv_text(header, rows))
 
 
@@ -193,7 +207,7 @@ def compare_to_json(
     path: str | Path | None = None,
 ) -> str:
     n_v, m = problem.n_v, problem.n_contacts
-    table = _velocity_table(problem, [v for *_, v in rows])
+    table = _velocity_table(problem, [v for *_, v in rows]).tolist()
     payload = {
         "kind": "comparison",
         "labels": list(problem.labels),
@@ -219,7 +233,7 @@ def dense_to_csv(
     dense: DenseTrajectory, problem: ImpactProblem, path: str | Path | None = None
 ) -> str:
     header = ["impulse"] + _velocity_columns(problem.n_v) + ["mode"]
-    table = np.column_stack([dense.s_grid, dense.v_grid]).tolist()
+    table = _repr_table(np.column_stack([dense.s_grid, dense.v_grid]))
     rows = [[*row, mode] for row, mode in zip(table, ["", *dense.modes])]
     return _write(path, _csv_text(header, rows))
 

@@ -345,7 +345,12 @@ def residuals(lcp: LcpInstance, z: np.ndarray) -> tuple:
     a stack (``z`` and ``lcp.q`` of shape (k, n)) each is an array with
     one entry per row."""
     z = np.asarray(z, dtype=float)
-    w = ordered_matvec(lcp.m, z) + lcp.q
+    return _residuals(z, ordered_matvec(lcp.m, z) + lcp.q)
+
+
+def _residuals(z: np.ndarray, w: np.ndarray) -> tuple:
+    """:func:`residuals` of a candidate ``z`` whose ``w = M z + q`` is
+    already formed, as a solver returns it."""
     comp_gap = np.abs(ordered_sum(z * w))
     neg_z = np.maximum(0.0, -z.min(axis=-1, initial=0.0))
     neg_w = np.maximum(0.0, -w.min(axis=-1, initial=0.0))

@@ -38,12 +38,13 @@ from .errors import (
 from .lcp import (
     RESIDUAL_TOL,
     LcpInstance,
+    _residuals,
     lemke_many,
     lemke_solve,
     ordered_matvec,
     ordered_sum,
-    residuals,
 )
+from .lcp import residuals  # noqa: F401  (stays importable from here)
 
 __all__ = [
     "ImpactLcpLayout",
@@ -166,6 +167,9 @@ class _Workspace:
         # Uncapped variant: drop the budget slack rows/columns.
         keep = np.arange(m, size)
         self.uncapped_matrix = full[np.ix_(keep, keep)]
+        # ``setapprox.psi``, set on its first call: an SVD that only
+        # sampling needs.
+        self.psi: float | None = None
 
 
 def _workspace(problem: ImpactProblem) -> _Workspace:
@@ -201,19 +205,23 @@ def assemble_impact_lcp(
 def _certified_solve(lcp: LcpInstance, context: str) -> np.ndarray:
     """Solve a stack with ``lemke_many``, or one instance or a stack of
     one with ``lemke_solve`` (the same bits at less cost), and certify
-    the residuals of every row; the first row that fails raises
-    :class:`LcpSolveError`."""
+    the residuals of every row from the solver's ``(z, w)``; the first
+    row that fails raises :class:`LcpSolveError`."""
     if lcp.q.ndim == 2 and len(lcp.q) > 1:
         sol = lemke_many(lcp.m, lcp.q)
         z, w = sol.z, sol.w
+    elif lcp.q.ndim == 1:
+        sol = lemke_solve(lcp)
+        z, w = sol.z, sol.w
     else:
-        sol = lemke_solve(lcp if lcp.q.ndim == 1 else LcpInstance(lcp.m, lcp.q[0]))
-        z = sol.z.reshape(lcp.q.shape)
+        sol = lemke_solve(LcpInstance(lcp.m, lcp.q[0]))
+        # A stack's w is summed by ``ordered_sum``, as ``lemke_many`` forms it.
+        z = sol.z[None]
         w = ordered_matvec(lcp.m, z) + lcp.q
     unsolved = np.atleast_1d(sol.status != "solved")
     if unsolved.any():
         raise LcpSolveError(str(np.atleast_1d(sol.status)[unsolved.argmax()]), context)
-    comp_gap, neg_z, neg_w = residuals(lcp, z)
+    comp_gap, neg_z, neg_w = _residuals(z, w)
     scale = 1.0 + np.sqrt(ordered_sum(z * z) * ordered_sum(w * w))
     bad = np.atleast_1d(
         (neg_z > RESIDUAL_TOL) | (neg_w > RESIDUAL_TOL) | (comp_gap > RESIDUAL_TOL * scale)
@@ -244,11 +252,20 @@ def step_block(
     """
     v = np.asarray(v, dtype=float)
     lambda_max = np.asarray(lambda_max, dtype=float)
+    return _step(problem, v, lambda_max, is_impacting(problem, v))
+
+
+def _step(
+    problem: ImpactProblem, v: np.ndarray, lambda_max: np.ndarray, impacting
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`step_block` on float arrays whose rows' impact test is
+    already known: ``impacting`` holds one flag per row, or ``True`` when
+    every row impacts."""
     m = problem.n_contacts
     v_after = v.copy()
     lambda_n = np.zeros((len(v), m))
     beta = np.zeros((len(v), 2 * m))
-    live = np.flatnonzero(is_impacting(problem, v) & np.any(lambda_max > 0.0, axis=1))
+    live = np.flatnonzero(impacting & np.any(lambda_max > 0.0, axis=1))
     if live.size:
         lcp, layout = assemble_impact_lcp(problem, v[live], lambda_max[live])
         z = _certified_solve(lcp, "capped impact step")
@@ -291,7 +308,8 @@ def sim_block(
         if not rows.size:
             break
         caps = h * fractions[rows, j]
-        v_after, lambda_n, beta = step_block(problem, v[rows], caps)
+        # Every row in ``rows`` impacts: the last step (or the start) tested it.
+        v_after, lambda_n, beta = _step(problem, v[rows], caps, True)
         if on_step is not None:
             on_step(caps, v[rows], v_after, lambda_n, beta)
         v[rows] = v_after

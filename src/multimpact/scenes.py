@@ -50,6 +50,13 @@ __all__ = [
 
 EXAMPLE_NAMES = ("phone", "compass", "box_wall", "disk_stack")
 _CONTACT_KINDS = ("vertex-plane", "disk-plane", "disk-disk")
+# Largest magnitude of a number in a scene file (a plane normal, which only
+# gives a direction, excepted).  The step LCP's tolerances are absolute, so
+# a scene must be in units where its numbers are moderate; the bound keeps
+# every product the stepping forms inside the double range, where a vertex
+# at 1e300 overflows the Delassus product and a velocity at 1e300 its
+# kinetic energy.
+MAX_MAGNITUDE = 1e8
 
 
 def _rot(theta: float) -> np.ndarray:
@@ -92,8 +99,9 @@ class HalfPlane:
     def __post_init__(self) -> None:
         self.point = np.asarray(self.point, dtype=float)
         normal = np.asarray(self.normal, dtype=float)
-        length = float(np.linalg.norm(normal))
-        if normal.shape != (2,) or not 0.0 < length < np.inf:
+        # ``hypot`` does not overflow where the sum of squares would.
+        length = float(np.hypot(*normal)) if normal.shape == (2,) else 0.0
+        if not 0.0 < length < np.inf:
             raise ValueError(f"plane {self.name!r} needs a finite nonzero 2-D normal")
         self.normal = normal / length
 
@@ -476,12 +484,23 @@ def _require_finite(where: str, values, shape: tuple[int, ...]) -> None:
         raise ValueError(f"{where} has shape {array.shape}, expected {shape}")
     if not np.isfinite(array).all():
         raise ValueError(f"{where} must be finite, got {array.tolist()}")
+    _require_bounded(where, array)
+
+
+def _require_bounded(where: str, values) -> None:
+    """Reject a finite number (or array) above ``MAX_MAGNITUDE`` in magnitude."""
+    array = np.asarray(values, dtype=float)
+    if np.any(np.abs(array) > MAX_MAGNITUDE):
+        raise ValueError(
+            f"{where} must not exceed {MAX_MAGNITUDE:g} in magnitude, got {array.tolist()}"
+        )
 
 
 def _check_defaults(defaults: dict) -> None:
     h = defaults.get("h", 1.0)
     if not (isinstance(h, numbers.Real) and 0.0 < h < np.inf):
         raise ValueError(f"default h must be a finite number above 0, got {h!r}")
+    _require_bounded("default h", h)
     for key in ("n_steps", "m_trajectories"):
         count = defaults.get(key, 1)
         if not (isinstance(count, numbers.Integral) and count >= 1):
@@ -497,13 +516,17 @@ def _check_consistency(scene: Scene) -> None:
         for key in ("leg_length", "mass_offset", "leg_mass"):
             if not 0.0 < float(scene.linkage[key]) < np.inf:
                 raise ValueError(f"linkage {key} must be positive and finite")
+            _require_bounded(f"linkage {key}", float(scene.linkage[key]))
         if not float(scene.linkage["mass_offset"]) < float(scene.linkage["leg_length"]):
             raise ValueError("linkage mass_offset must be smaller than leg_length")
     for index, body in enumerate(scene.bodies):
         _require_finite(f"body {index} pose", body.pose, (3,))
+        _require_bounded(f"body {index} mass and inertia", [body.mass, body.inertia])
         shape = body.shape if isinstance(body.shape, dict) else {}
         for k, vertex in enumerate(shape.get("vertices", ())):
             _require_finite(f"body {index} vertex {k}", vertex, (2,))
+        if _is_disk(body):
+            _require_bounded(f"body {index} radius", shape["radius"])
     for plane in scene.environment:
         _require_finite(f"plane {plane.name!r} point", plane.point, (2,))
     if not scene.contacts:
@@ -518,6 +541,7 @@ def _check_consistency(scene: Scene) -> None:
         where = f"contact {spec.label!r}"
         if not 0.0 < spec.mu < np.inf:
             raise ValueError(f"{where}: mu must be positive, got {spec.mu}")
+        _require_bounded(f"{where}: mu", spec.mu)
         if scene.kind == "linkage":
             if spec.leg not in (0, 1):
                 raise ValueError(f"{where}: leg must be 0 or 1, got {spec.leg}")

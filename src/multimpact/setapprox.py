@@ -207,10 +207,14 @@ class PostImpactSet:
 def psi(problem: ImpactProblem) -> float:
     """Stiffness bound for the finishing step: how much total impulse a
     unit of residual approach speed can require.  Computed as
-    ``sigma_max(M^-1 Jbar^T) * m * (1 + max mu) + 1``."""
+    ``sigma_max(M^-1 Jbar^T) * m * (1 + max mu) + 1`` on the first call
+    for a problem and kept with its step LCP blocks (the problem is
+    frozen, so the value cannot go stale)."""
     ws = _workspace(problem)
-    sigma = float(np.linalg.norm(ws.minv_jbar_t, 2))
-    return sigma * problem.n_contacts * (1.0 + float(problem.mu.max())) + 1.0
+    if ws.psi is None:
+        sigma = float(np.linalg.norm(ws.minv_jbar_t, 2))
+        ws.psi = sigma * problem.n_contacts * (1.0 + float(problem.mu.max())) + 1.0
+    return ws.psi
 
 
 def _run_trajectories(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import io as stdio
 import json
@@ -22,7 +23,7 @@ from multimpact import (
     classify_outcomes,
 )
 from multimpact import cli
-from multimpact.scenes import EXAMPLE_NAMES, load_scene, scene_to_dict
+from multimpact.scenes import EXAMPLE_NAMES, MAX_MAGNITUDE, load_scene, scene_to_dict
 
 
 def _read_csv(path):
@@ -125,6 +126,15 @@ def _drop(path):
         ("phone", _set(("defaults", "h"), -1), "default h must be a finite number"),
         ("phone", _set(("defaults", "n_steps"), 0), "default n_steps must be an integer"),
         ("phone", _set(("defaults", "n_steps"), 2.5), "default n_steps must be an integer"),
+        ("phone", _set(("bodies", 0, "shape", "vertices", 0, 1), 1e300),
+         "body 0 vertex 0 must not exceed 1e+08 in magnitude"),
+        ("phone", _set(("contacts", 0, "mu"), 1e300), "contact 'A': mu must not exceed"),
+        ("phone", _set(("v0", 0), -1e300), "v0 must not exceed 1e+08 in magnitude"),
+        ("phone", _set(("bodies", 0, "mass"), 1e300), "body 0 mass and inertia must not exceed"),
+        ("disk_stack", _set(("bodies", 2, "shape", "radius"), 1e300),
+         "body 2 radius must not exceed"),
+        ("compass", _set(("linkage", "leg_length"), 1e300), "leg_length must not exceed"),
+        ("phone", _set(("defaults", "h"), 1e300), "default h must not exceed"),
     ],
     ids=["not-json", "vertex-index", "body-index", "against-index", "contact-kind",
          "body-mass", "mu", "coincident-centres", "zero-normal", "linkage-pose",
@@ -132,7 +142,8 @@ def _drop(path):
          "v0-nan", "v0-inf", "body-pose-nan", "short-vertex", "plane-point-nan",
          "short-plane-point", "linkage-pose-inf", "linkage-mass-at-hip", "no-contacts",
          "default-h-text", "default-h-negative", "default-n-steps-zero",
-         "default-n-steps-fraction"],
+         "default-n-steps-fraction", "vertex-huge", "mu-huge", "v0-huge", "mass-huge",
+         "radius-huge", "leg-length-huge", "default-h-huge"],
 )
 def test_corrupt_scene_file_is_an_io_error(tmp_path, capsys, scene, edit, message):
     bad = tmp_path / "bad.json"
@@ -149,6 +160,25 @@ def test_corrupt_scene_file_is_an_io_error(tmp_path, capsys, scene, edit, messag
     err = capsys.readouterr().err
     assert err.startswith("i/o error:") and err.count("\n") == 1
     assert message in err
+
+
+def test_scene_numbers_at_the_magnitude_bound_are_read(tmp_path, capsys):
+    scene = tmp_path / "phone.json"
+    data = scene_to_dict(load_scene("phone"))
+    data["bodies"][0]["mass"] = MAX_MAGNITUDE
+    data["environment"][0]["point"][1] = -MAX_MAGNITUDE
+    scene.write_text(json.dumps(data))
+    assert cli.main(["simulate", "--scene", str(scene),
+                     "--output", str(tmp_path / "x.csv")]) == 0
+    # A plane normal gives only a direction: any finite nonzero size is read.
+    for normal, name in (([0.0, 1e300], "huge"), ([0.0, 1.0], "unit")):
+        data = scene_to_dict(load_scene("phone"))
+        data["environment"][0]["normal"] = normal
+        scene.write_text(json.dumps(data))
+        assert cli.main(["simulate", "--scene", str(scene),
+                         "--output", str(tmp_path / f"{name}.csv")]) == 0
+    assert (tmp_path / "huge.csv").read_bytes() == (tmp_path / "unit.csv").read_bytes()
+    assert capsys.readouterr().err == ""
 
 
 def test_short_v0_in_a_scene_file_is_an_io_error(tmp_path, capsys):
@@ -299,8 +329,9 @@ def test_jobs_default_counts_the_cpus_this_process_may_run_on(monkeypatch):
 
 
 _BUNDLED = {name: scene_to_dict(load_scene(name)) for name in EXAMPLE_NAMES}
-_BAD_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 0.5, 2**62, "x", None, True,
-               [], {}, [0.0], [math.nan, 0.0], [0.0] * 5]
+_BAD_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 0.5, 2**62, 1e300, -1e300,
+               MAX_MAGNITUDE, -MAX_MAGNITUDE, "x", None, True, [], {}, [0.0],
+               [math.nan, 0.0], [1e300, 0.0], [0.0] * 5]
 
 
 def _entries(node, path=()):
@@ -312,32 +343,54 @@ def _entries(node, path=()):
         yield from _entries(child, path + (key,))
 
 
+def _at(data, path):
+    """The entry at ``path`` in a scene dict."""
+    for key in path:
+        data = data[key]
+    return data
+
+
 @st.composite
 def _fuzzed_scenes(draw):
     data = json.loads(json.dumps(_BUNDLED[draw(st.sampled_from(EXAMPLE_NAMES))]))
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_entries(data))[1:]))
-        parent = data
-        for key in path[:-1]:
-            parent = parent[key]
+        parent = _at(data, path[:-1])
         key, old = path[-1], parent[path[-1]]
         action = draw(st.sampled_from(["drop", "set", "shorten", "lengthen"]))
         if action == "drop":
             del parent[key]
         elif action == "set" or not (isinstance(old, list) and old):
-            parent[key] = draw(st.sampled_from(_BAD_VALUES))
+            # A copy: a later edit inside it must not change ``_BAD_VALUES``.
+            parent[key] = copy.deepcopy(draw(st.sampled_from(_BAD_VALUES)))
         else:
             parent[key] = old[:-1] if action == "shorten" else old + old[-1:]
     return data
 
 
-@settings(max_examples=250, deadline=None, derandomize=True,
+_LARGE_VALUES = [1e300, -1e300, MAX_MAGNITUDE, -MAX_MAGNITUDE, 2**62]
+
+
+@st.composite
+def _scaled_scenes(draw):
+    """A bundled scene with one to three of its real numbers set huge or
+    to the magnitude bound, and nothing else changed: most edits that
+    ``_fuzzed_scenes`` makes stop the scene from being read before any
+    such number is used."""
+    data = json.loads(json.dumps(_BUNDLED[draw(st.sampled_from(EXAMPLE_NAMES))]))
+    paths = [path for path in _entries(data) if path and isinstance(_at(data, path), float)]
+    for path in draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3, unique=True)):
+        _at(data, path[:-1])[path[-1]] = draw(st.sampled_from(_LARGE_VALUES))
+    return data
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=_fuzzed_scenes())
+@given(data=st.one_of(_fuzzed_scenes(), _scaled_scenes()))
 def test_fuzzed_scene_files_end_in_a_documented_exit_code(capsys, data):
-    # Dropped, mistyped, non-finite, emptied and resized fields.  Huge
-    # finite values (1e300) are not drawn: they overflow numpy arithmetic
-    # downstream, and a scene file has no magnitude bound to check them by.
+    # Dropped, mistyped, non-finite, huge, emptied and resized fields, and
+    # values at the magnitude bound.  pytest turns a RuntimeWarning (an
+    # overflow downstream) into an error, so none may be met either.
     with tempfile.TemporaryDirectory() as tmp:
         scene = os.path.join(tmp, "scene.json")
         with open(scene, "w") as handle:

@@ -5,9 +5,12 @@ from __future__ import annotations
 import csv
 import io as stdio
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multimpact import (
     PostImpactSet,
@@ -25,6 +28,8 @@ from multimpact import (
     sim,
 )
 from multimpact import cli
+from multimpact import io as mio
+from multimpact.oracles import DenseTrajectory
 from multimpact.scenes import scene_to_dict
 from multimpact.io import (
     FORMAT_MARKER,
@@ -263,6 +268,44 @@ def test_labels_with_delimiters_and_quotes_parse_back():
     traj = sim(problem, v0, h=h, n_max=5, sampler=UniformSampler(seed=1))
     _, header, _ = _parse_csv(trajectory_to_csv(traj, problem))
     assert f"beta_{label}_neg" in header
+
+
+_DOUBLES = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 1e-310, math.inf, -math.inf, math.nan, -math.nan,
+         1e300, -1e300, 1e-300, 0.1, 1.0]
+    ),
+    st.floats(),
+)
+_TEXTS = st.text(alphabet=' ,"\'ab\t;', max_size=6)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_csv_bytes_equal_a_writer_fed_python_floats(data):
+    n_rows, n_cols = data.draw(st.integers(0, 12)), data.draw(st.integers(2, 5))
+    # A small pool of values, so that tables repeat them.
+    pool = data.draw(st.lists(_DOUBLES, min_size=1, max_size=6))
+    cells = data.draw(st.lists(st.sampled_from(pool), min_size=n_rows * n_cols,
+                               max_size=n_rows * n_cols))
+    table = np.array(cells, dtype=float).reshape(n_rows, n_cols)
+    labels = data.draw(st.lists(_TEXTS, min_size=n_rows, max_size=n_rows))
+    header = ["label", *data.draw(st.lists(_TEXTS, min_size=n_cols, max_size=n_cols))]
+    expected = _reference_csv(header, [[lbl, *row] for lbl, row in zip(labels, table.tolist())])
+    assert mio._csv_text(
+        header, [[lbl, *row] for lbl, row in zip(labels, mio._repr_table(table))]
+    ) == expected
+
+    # The same through a public writer, with the labels as trailing modes.
+    ball, _, _ = build_ball()
+    dense = DenseTrajectory(s_grid=table[:, 0], v_grid=table[:, 1:2], modes=labels[1:])
+    rows = [[*row, mode] for row, mode in zip(table[:, :2].tolist(), ["", *labels[1:]])]
+    assert dense_to_csv(dense, ball) == _reference_csv(["impulse", "v_0", "mode"], rows)
+
+
+def test_csv_keeps_the_sign_of_zero():
+    table = np.array([[0.0, -0.0], [-0.0, 0.0]])
+    assert mio._repr_table(table) == [["0.0", "-0.0"], ["-0.0", "0.0"]]
 
 
 def test_compare_csv_does_not_depend_on_the_job_count(tmp_path):

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from multimpact import (
     ImpactProblem,
     LcpInstance,
+    LcpSolution,
     SobolSampler,
     UniformSampler,
     approximate,
@@ -41,7 +42,7 @@ from multimpact import errors
 from multimpact import lcp as lcp_module
 from multimpact import resolution, setapprox
 from multimpact.errors import LcpSolveError
-from multimpact.lcp import RESIDUAL_TOL
+from multimpact.lcp import RESIDUAL_TOL, ordered_matvec
 from multimpact.resolution import _workspace
 from conftest import random_spd_matrix
 
@@ -444,6 +445,49 @@ def test_lemke_many_reports_a_status_per_row(monkeypatch):
     capped = lemke_many(np.eye(2), np.array([[-1.0, -2.0], [1.0, 1.0]]))
     assert list(capped.status) == ["max_pivots", "solved"]
     assert list(capped.pivot_count) == [1, 0]
+
+
+def _breaking_complementarity(solve):
+    """``solve``, but returning ``z + 1`` with that candidate's own ``w``,
+    so that ``z . w`` is far from zero."""
+
+    def broken(*args):
+        lcp = args[0] if len(args) == 1 else LcpInstance(*args)
+        sol = solve(*args)
+        z = sol.z + 1.0
+        return LcpSolution(z, ordered_matvec(lcp.m, z) + lcp.q, sol.pivot_count, sol.status)
+
+    return broken
+
+
+@pytest.mark.parametrize(
+    "q",
+    [[-1.0, -2.0], [[-1.0, -2.0]], [[-1.0, -2.0], [-3.0, 0.5]]],
+    ids=["single", "stack-of-one", "stack"],
+)
+def test_a_solution_breaking_complementarity_fails_certification(q, monkeypatch):
+    lcp = LcpInstance(np.eye(2), np.array(q))
+    np.testing.assert_array_equal(
+        resolution._certified_solve(lcp, "capped impact step"), np.maximum(-lcp.q, 0.0)
+    )
+    monkeypatch.setattr(resolution, "lemke_solve", _breaking_complementarity(lemke_solve))
+    monkeypatch.setattr(resolution, "lemke_many", _breaking_complementarity(lemke_many))
+    with pytest.raises(LcpSolveError) as failed:
+        resolution._certified_solve(lcp, "capped impact step")
+    assert failed.value.status == "solved"
+    assert failed.value.detail.startswith("capped impact step: residuals exceed tolerance (gap=")
+
+
+@pytest.mark.parametrize("name", ["compass", "disk_stack"])
+def test_certification_from_the_solvers_w_matches_the_public_residuals(name):
+    problem, v0, meta = build_example(name)
+    rng = np.random.default_rng(17)
+    v = v0 + 0.3 * rng.standard_normal((64, problem.n_v))
+    caps = float(meta["h"]) * rng.random((64, problem.n_contacts))
+    stack, _ = assemble_impact_lcp(problem, v, caps)
+    many = lemke_many(stack.m, stack.q)
+    for got, want in zip(lcp_module._residuals(many.z, many.w), residuals(stack, many.z)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_lemke_solve_takes_one_instance():

@@ -6,17 +6,21 @@ import numpy as np
 import pytest
 
 from multimpact import (
+    ImpactProblem,
     PostImpactSet,
     SobolSampler,
     UniformSampler,
     approximate,
+    baselines,
     build_ball,
     build_example,
     epsilon_net_check,
     estimate_step_lipschitz,
     psi,
+    restrict_contacts,
     sample_count_bound,
 )
+from multimpact.resolution import _workspace
 from multimpact.setapprox import MAX_DIMENSION, MAXBIT, _direction_table, sobol_block
 
 SENTINEL = 2**63 - 1
@@ -136,6 +140,37 @@ def test_uniform_sampler_is_scheduling_independent():
 def test_psi_frozen_on_the_ball():
     ball, _, _ = build_ball()
     assert psi(ball) == pytest.approx(3.0, abs=1e-12)
+
+
+def _psi_closed_form(problem) -> float:
+    sigma = np.linalg.svd(np.linalg.solve(problem.mass, problem.jbar.T), compute_uv=False)[0]
+    return sigma * problem.n_contacts * (1.0 + problem.mu.max()) + 1.0
+
+
+@pytest.mark.parametrize("name", ["ball", "phone", "compass", "box_wall", "disk_stack"])
+def test_psi_equals_its_closed_form(name):
+    problem, v0, _ = build_example(name)
+    # Problem set-up and the baselines leave it uncomputed.
+    baselines(problem, v0)
+    assert _workspace(problem).psi is None
+    first = psi(problem)
+    assert first == pytest.approx(_psi_closed_form(problem), rel=1e-12)
+    assert psi(problem) == first
+
+
+def test_psi_is_kept_per_problem():
+    phone, _, _ = build_example("phone")
+    variants = [
+        phone,
+        ImpactProblem(mass=2.0 * phone.mass, jn=phone.jn, jd=phone.jd, mu=phone.mu),
+        ImpactProblem(mass=phone.mass, jn=phone.jn, jd=phone.jd, mu=2.0 * phone.mu),
+        restrict_contacts(phone, [0]),
+    ]
+    values = [psi(problem) for problem in variants]
+    assert len(set(values)) == len(values)
+    for problem, value in zip(variants[::-1], values[::-1]):
+        assert psi(problem) == value
+        assert value == pytest.approx(_psi_closed_form(problem), rel=1e-12)
 
 
 def test_ball_set_collapses_to_rest():
