@@ -5,7 +5,7 @@ Subcommands
 simulate     run one stochastic resolution trajectory and export it
 approximate  sample the post-impact velocity set and export the samples
 compare      tabulate deterministic baselines next to sampled outcomes
-oracle       integrate the dense single-contact reference path
+oracle       sample the exact single-contact (Routh) reference path
 example      print or save a bundled scene description
 
 Scenes are referenced by bundled name (``phone``, ``compass``,
@@ -32,7 +32,9 @@ from .contact import ImpactProblem
 from .errors import ConfigError, MultimpactError, SceneFormatError
 from .oracles import routh_dense_reference
 from .resolution import baselines, restrict_contacts, sim
-from .scenes import EXAMPLE_NAMES, build_example, build_problem, load_scene, scene_to_dict
+from .scenes import (
+    EXAMPLE_NAMES, MAX_MAGNITUDE, build_example, build_problem, load_scene, scene_to_dict,
+)
 from .setapprox import (
     MAXBIT, PostImpactSet, SobolSampler, UniformSampler, approximate, classify_outcomes,
 )
@@ -186,7 +188,10 @@ def _cmd_oracle(args: argparse.Namespace) -> None:
         raise ConfigError(
             "the dense reference needs a single contact; pick one with --contact"
         )
-    dense = routh_dense_reference(problem, v0, args.ds)
+    try:
+        dense = routh_dense_reference(problem, v0, args.ds)
+    except ValueError as exc:  # the one contact is checked above: --ds is too fine
+        raise ConfigError(str(exc)) from None
     path = _export(args, meta, "dense", dense, problem)
     _summary(
         {
@@ -226,13 +231,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_float(text: str) -> float:
-    """``type=`` for a finite number above 0."""
+    """``type=`` for a number above 0 and at most ``MAX_MAGNITUDE``, the
+    bound on scene numbers."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite number above 0, got {text!r}")
+    if not 0.0 < value <= MAX_MAGNITUDE:
+        raise argparse.ArgumentTypeError(
+            f"expected a number above 0 and at most {MAX_MAGNITUDE:g}, got {text!r}"
+        )
     return value
 
 

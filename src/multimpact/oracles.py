@@ -6,10 +6,10 @@ numerics than the code they check:
 - :func:`brute_force_lcp` enumerates every complementary support set of a
   small LCP and returns all solutions, so pivoting results can be compared
   against an exhaustive ground truth;
-- :func:`routh_dense_reference` integrates a single frictional contact
-  through impulse space with a dense explicit scheme (sliding, sticking
-  and reversed-sliding phases), the classical construction the capped
-  stepping scheme discretizes.
+- :func:`routh_dense_reference` computes Routh's path of a single
+  frictional contact through impulse space in closed form (a slide, then
+  stick or the reversed slide) and samples it on a fine grid, the
+  classical construction the capped stepping scheme discretizes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import ImpactProblem, mass_norm
+from .contact import ImpactProblem
 from .lcp import LcpInstance
 from .resolution import compute_r
 
@@ -27,10 +27,11 @@ __all__ = [
     "brute_force_lcp",
     "DenseTrajectory",
     "routh_dense_reference",
-    "frictionless_terminal",
+    "MAX_GRID_ROWS",
 ]
 
 _BRUTE_FORCE_MAX = 14
+MAX_GRID_ROWS = 10**7  # largest dense grid; a finer one would not fit in memory
 
 
 def brute_force_lcp(lcp: LcpInstance, tol: float = 1e-8) -> list[np.ndarray]:
@@ -84,116 +85,83 @@ class DenseTrajectory:
         return self.v_grid[-1]
 
 
-def frictionless_terminal(problem: ImpactProblem, v0: np.ndarray) -> np.ndarray:
-    """Closed-form terminal velocity for a single frictionless contact:
-    remove the normal approach speed along the mass-weighted normal."""
-    jn = problem.jn[0]
-    minv_jn = problem.mass_solve(jn)
-    rate = float(jn @ v0)
-    if rate >= 0.0:
-        return np.asarray(v0, dtype=float).copy()
-    return v0 - (rate / float(jn @ minv_jn)) * minv_jn
-
-
 def routh_dense_reference(
     problem: ImpactProblem, v0: np.ndarray, ds: float
 ) -> DenseTrajectory:
-    """Integrate a single contact's impact through impulse space.
+    """Routh's path of a single contact's impact through impulse space.
 
-    Velocity evolves as ``dv/ds = M^-1 (jn + f(s) jt)`` where the friction
-    coefficient ``f`` is ``-mu sign(slip)`` while sliding, and while the
-    slip rate is zero the force that holds it zero, provided it lies in
-    the friction cone (otherwise sliding resumes in the consistent
-    direction).  Integration stops exactly where the approach rate crosses
-    zero (the final partial step is cut to the crossing).
+    Velocity evolves as ``dv/ds = M^-1 (jn + f jt)``.  While the contact
+    slides, ``f = -mu sign(slip)``.  At zero slip ``f`` is the ``eta`` that
+    holds the slip at zero when ``|eta| <= mu`` (stick); otherwise sliding
+    restarts the way its own slip rate goes, ``f = mu sign(eta)``.  Each
+    mode has a constant acceleration, so the path is at most two straight
+    segments: a slide that ends where the slip or the approach rate reaches
+    zero, then stick or the reversed slide until the approach rate reaches
+    zero.  Each segment is sampled from its start every ``ds`` and at its
+    exact end.
+
+    Raises ``ValueError`` when that grid would hold more than
+    ``MAX_GRID_ROWS`` rows, and :class:`NonDegeneracyViolation` for contact
+    geometry that can jam.
     """
     if problem.n_contacts != 1:
         raise ValueError("the dense reference handles exactly one contact")
     if ds <= 0.0:
         raise ValueError("impulse increment ds must be positive")
-    v = np.asarray(v0, dtype=float).copy()
+    compute_r(problem)  # raises NonDegeneracyViolation on jamming geometry
     jn = problem.jn[0]
     jt = problem.jd[0]
     mu = float(problem.mu[0])
     minv_jn = problem.mass_solve(jn)
     minv_jt = problem.mass_solve(jt)
-    a_tn = float(jt @ minv_jn)
     a_tt = float(jt @ minv_jt)
-
-    slip_tol = 1e-6 * float(np.linalg.norm(v0))
-    band = ds * slip_tol
-
-    if a_tt > 0.0:
-        eta = -a_tn / a_tt  # tangential force per unit normal holding slip
-        stick_feasible = abs(eta) <= mu
+    # Tangential force per unit normal impulse that holds the slip at zero;
+    # a degenerate tangent (frictionless) takes none.
+    eta = -float(jt @ minv_jn) / a_tt if a_tt > 0.0 else 0.0
+    if abs(eta) <= mu:
+        at_zero_slip = ("stick", eta)
     else:
-        eta = 0.0  # degenerate tangent (frictionless): normal-only force
-        stick_feasible = True
-    stick_accel = minv_jn + eta * minv_jt
+        at_zero_slip = ("slide+", -mu) if eta < 0.0 else ("slide-", mu)
 
-    def slide_accel(direction: float) -> np.ndarray:
-        return minv_jn - mu * direction * minv_jt
-
-    # Impulse budget from the progress certificate: total normal impulse
-    # cannot exceed |r| * (|v*| + |v0|); exceeding it means a bug.
-    r = compute_r(problem)
-    sigma = float(np.linalg.eigvalsh(problem.mass)[0])
-    budget = 4.0 * float(np.linalg.norm(r)) * mass_norm(problem, v0) / math.sqrt(sigma)
-    max_steps = int(math.ceil(budget / ds)) + 16
-
-    s_values = [0.0]
-    v_values = [v.copy()]
-    modes: list[str] = []
-    sticking = False
-    s = 0.0
-
-    for _ in range(max_steps):
-        rate_n = float(jn @ v)
-        if rate_n >= 0.0:
-            break
-        slip = float(jt @ v)
-        if sticking:
-            accel = stick_accel
-            mode = "stick"
-        elif abs(slip) <= band:
-            if stick_feasible:
-                sticking = True
-                accel = stick_accel
-                mode = "stick"
-            else:
-                # Pick the self-consistent sliding direction: slip leaves
-                # zero with the same sign as its own acceleration.
-                cand = 1.0 if float(jt @ slide_accel(1.0)) > 0.0 else -1.0
-                accel = slide_accel(cand)
-                mode = "slide+" if cand > 0 else "slide-"
+    pieces = []  # (mode, start velocity, acceleration, length)
+    v = v0 = np.array(v0, dtype=float)
+    slip = float(jt @ v)
+    while (rate := float(jn @ v)) < 0.0:
+        if slip == 0.0:
+            mode, f = at_zero_slip
         else:
-            direction = math.copysign(1.0, slip)
-            accel = slide_accel(direction)
-            mode = "slide+" if direction > 0 else "slide-"
-
-        step = ds
-        # Cut the step at the approach-rate zero crossing (termination).
-        dn = float(jn @ accel)
-        if dn > 0.0 and rate_n + step * dn >= 0.0:
-            step = -rate_n / dn
-        elif not sticking and abs(slip) > band:
-            # Cut at a slip reversal so the stick test happens at the
-            # crossing instead of overshooting.
-            dt_ = float(jt @ accel)
-            if dt_ != 0.0 and (slip + step * dt_) * slip < 0.0:
-                step = -slip / dt_
-        v = v + step * accel
-        s += step
-        s_values.append(s)
-        v_values.append(v.copy())
-        modes.append(mode)
-        if step < ds and float(jn @ v) >= -1e-15 * (1.0 + float(np.linalg.norm(v))):
+            mode, f = ("slide+", -mu) if slip > 0.0 else ("slide-", mu)
+        accel = minv_jn + f * minv_jt
+        climb = float(jn @ accel)
+        length = -rate / climb if climb > 0.0 else math.inf
+        slip_rate = float(jt @ accel)
+        # A slide against its own slip rate may stop slipping first; the
+        # next segment then starts from zero slip and cannot end on it.
+        slip_ends = slip * slip_rate < 0.0 and -slip / slip_rate < length
+        if slip_ends:
+            length = -slip / slip_rate
+        pieces.append((mode, v, accel, length))
+        if not slip_ends:
             break
-    else:
-        raise RuntimeError(
-            "dense reference exceeded its impulse budget; integration diverged"
-        )
+        v, slip = v + length * accel, 0.0
 
+    counts = np.ceil(np.array([p[3] for p in pieces]) / ds)
+    rows = 1.0 + counts.sum()
+    if rows > MAX_GRID_ROWS:
+        raise ValueError(
+            f"an impulse grid at ds = {ds!r} would hold {rows:.3g} rows, "
+            f"more than {MAX_GRID_ROWS}"
+        )
+    s = 0.0
+    s_parts = [np.zeros(1)]
+    v_parts = [v0[None, :]]
+    modes: list[str] = []
+    for (mode, v_start, accel, length), count in zip(pieces, counts.astype(int)):
+        offsets = np.append(ds * np.arange(1, count), length)
+        s_parts.append(s + offsets)
+        v_parts.append(v_start + offsets[:, None] * accel)
+        modes += [mode] * count
+        s += length
     return DenseTrajectory(
-        s_grid=np.array(s_values), v_grid=np.array(v_values), modes=modes
+        s_grid=np.concatenate(s_parts), v_grid=np.concatenate(v_parts), modes=modes
     )

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from multimpact import (
+    ConfigError,
     MultimpactError,
     UniformSampler,
     approximate,
@@ -289,10 +290,15 @@ def test_oracle_needs_an_isolated_contact(tmp_path, capsys):
         ["oracle", "--ds", "0"],
         ["approximate", "--format", "xml"],
         ["warp"],
+        ["oracle", "--contact", "A", "--ds", "1e-300"],
+        ["simulate", "--h", "1e300"],
+        ["compare", "--epsilon", "1e300"],
+        ["oracle", "--contact", "A", "--ds", "1e300"],
     ],
     ids=["h-negative", "h-nan", "h-text", "n-zero", "traj-index-negative",
          "seed-negative", "epsilon-at-h", "epsilon-above-scene-h", "m-zero",
-         "jobs-zero", "epsilon-inf", "ds-zero", "unknown-format", "unknown-command"],
+         "jobs-zero", "epsilon-inf", "ds-zero", "unknown-format", "unknown-command",
+         "ds-too-fine", "h-huge", "epsilon-huge", "ds-huge"],
 )
 def test_bad_flag_is_a_config_error(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"
@@ -302,6 +308,18 @@ def test_bad_flag_is_a_config_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--scene", "phone", "--h"],
+    ["compare", "--scene", "phone", "--epsilon"],
+    ["oracle", "--scene", "ball", "--ds"],
+])
+def test_positive_flags_share_the_bound_on_scene_numbers(argv):
+    parse = cli._build_parser().parse_args
+    assert getattr(parse(argv + [repr(MAX_MAGNITUDE)]), argv[-1][2:]) == MAX_MAGNITUDE
+    with pytest.raises(ConfigError, match=r"at most 1e\+08"):
+        parse(argv + [repr(float(np.nextafter(MAX_MAGNITUDE, math.inf)))])
 
 
 def test_paper_scale_gates_the_full_trajectory_count():
