@@ -36,12 +36,16 @@ from .scenes import (
     EXAMPLE_NAMES, MAX_MAGNITUDE, build_example, build_problem, load_scene, scene_to_dict,
 )
 from .setapprox import (
-    MAXBIT, PostImpactSet, SobolSampler, UniformSampler, approximate, classify_outcomes,
+    BLOCK_SIZE, MAXBIT, PostImpactSet, SobolSampler, UniformSampler, approximate,
+    classify_outcomes,
 )
 
 __all__ = ["main"]
 
 DESK_SCALE_TRAJECTORIES = 4096  # default sample count without --paper-scale
+# Most doubles one draw block may hold (256 MiB): a block holds every
+# draw of its trajectories at once, so a larger --n would not fit in memory.
+MAX_DRAW_VALUES = 1 << 25
 
 
 def _load(args: argparse.Namespace) -> tuple[ImpactProblem, np.ndarray, dict]:
@@ -62,16 +66,18 @@ def _make_sampler(args: argparse.Namespace):
     return (UniformSampler if args.sampler == "uniform" else SobolSampler)(args.seed)
 
 
-def _fill_defaults(args: argparse.Namespace, meta: dict) -> None:
+def _fill_defaults(args: argparse.Namespace, meta: dict, n_contacts: int) -> None:
     """Take the flags left unset from the scene, then check the values
-    that are only wrong together.  Each flag alone was checked when it
-    was parsed, and the scene's defaults when the scene was read."""
+    that are only wrong together, for a scene with ``n_contacts``
+    contacts.  Each flag alone was checked when it was parsed, and the
+    scene's defaults when the scene was read."""
     if args.h is None:
         args.h = float(meta.get("h", 1.0))
     if args.n is None:
         args.n = int(meta.get("n_steps", 10))
     if args.command == "simulate":
         count = args.traj_index + 1
+        block = 1
     else:
         if args.m is None:
             args.m = DESK_SCALE_TRAJECTORIES
@@ -82,6 +88,12 @@ def _fill_defaults(args: argparse.Namespace, meta: dict) -> None:
         if args.epsilon >= args.h:
             raise ConfigError("epsilon must be smaller than h")
         count = args.m
+        block = min(args.m, BLOCK_SIZE)
+    if block * args.n * n_contacts > MAX_DRAW_VALUES:
+        raise ConfigError(
+            f"one block of draws would hold {block} trajectories x {args.n} steps x "
+            f"{n_contacts} contacts, more than {MAX_DRAW_VALUES} values; lower --n"
+        )
     # Trajectory i draws Sobol indices [1 + i*n, 1 + (i+1)*n).
     if args.sampler == "sobol" and 1 + count * args.n >= 1 << MAXBIT:
         raise ConfigError(
@@ -110,7 +122,7 @@ def _summary(payload: dict) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
     problem, v0, meta = _load(args)
-    _fill_defaults(args, meta)
+    _fill_defaults(args, meta, problem.n_contacts)
     traj = sim(
         problem, v0, args.h, args.n, _make_sampler(args), traj_index=args.traj_index
     )
@@ -139,7 +151,7 @@ def _approximate_set(
 
 def _cmd_approximate(args: argparse.Namespace) -> None:
     problem, v0, meta = _load(args)
-    _fill_defaults(args, meta)
+    _fill_defaults(args, meta, problem.n_contacts)
     post_set = _approximate_set(args, problem, v0)
     path = _export(args, meta, "set", post_set, problem)
     _summary(
@@ -158,7 +170,7 @@ def _cmd_approximate(args: argparse.Namespace) -> None:
 
 def _cmd_compare(args: argparse.Namespace) -> None:
     problem, v0, meta = _load(args)
-    _fill_defaults(args, meta)
+    _fill_defaults(args, meta, problem.n_contacts)
     rows = baselines(problem, v0)
     post_set = _approximate_set(args, problem, v0)
     for idx, v in zip(post_set.traj_indices, post_set.samples):

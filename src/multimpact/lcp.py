@@ -15,9 +15,11 @@ the stack, on its height or on its order, which changes as rows end.
 Both take the first pivot's row in closed form; the stack's tie walk
 skips the columns that cannot narrow a tie, and a row that ends is
 replaced by the last live row instead of the stack being copied.
-``lemke_solve`` runs the same arithmetic on one row without the stack,
-so a solve gives the same ``z``, pivot count and status whichever of
-the two runs it.
+``lemke_solve`` runs the same arithmetic on one row without the stack:
+its tableau and rank-one update stay in numpy, while its pivot
+decisions are taken on Python floats by the same IEEE operations, so a
+solve gives the same ``z``, pivot count and status whichever of the two
+runs it.
 """
 
 from __future__ import annotations
@@ -102,6 +104,32 @@ def ordered_sum(x: np.ndarray) -> np.ndarray:
     return x[..., 0]
 
 
+def _vector_sum(values: list[float]) -> float:
+    """``np.sum`` of a 1-D float64 array, on Python floats, so that a
+    certification on floats keeps the bits of one on arrays.  numpy adds
+    fewer than 8 terms in order from 0.0, 8 to 128 terms in 8
+    interleaved partial sums combined pairwise, and more as the sum of
+    two halves whose first is a multiple of 8 long."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for x in values:
+            total += x
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _vector_sum(values[:half]) + _vector_sum(values[half:])
+    acc = values[:8]
+    full = n - n % 8
+    for start in range(8, full, 8):
+        for j in range(8):
+            acc[j] += values[start + j]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for x in values[full:]:
+        total += x
+    return 0.0 + total  # numpy adds the sum to an initial 0.0: -0.0 becomes 0.0
+
+
 def ordered_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``a @ x`` for a vector ``x``, or for each row of a stack ``x`` with
     the row's sums taken by :func:`ordered_sum`."""
@@ -135,23 +163,30 @@ def _basic_z(values: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return by_id[:, n : 2 * n]
 
 
-def _tie_limit(x: np.ndarray) -> np.ndarray:
-    """Largest value that ties ``x`` in the lexicographic ratio test."""
-    return x + LEX_TIE_TOL * (1.0 + np.abs(x))
+def _tie_limit(x: float | np.ndarray) -> float | np.ndarray:
+    """Largest value that ties ``x`` in the lexicographic ratio test, for
+    a float or elementwise for an array."""
+    return x + LEX_TIE_TOL * (1.0 + abs(x))
 
 
-def _lex_argmin(table: np.ndarray, cand: np.ndarray, d: np.ndarray) -> int:
+def _lex_argmin(table: np.ndarray, cand: list[int], d: list[float]) -> int:
     """Among candidate rows pick the one minimizing ``table[r, :n + 1] /
     d[r]`` lexicographically: column by column, keep the rows that tie
     with the column's minimum; the lowest surviving row wins.  This is the
     single-row form of :func:`_lex_argmin_many`, which picks the same row
-    while skipping the columns that cannot narrow a tie."""
+    while skipping the columns that cannot narrow a tie.
+
+    ``cand`` lists the candidate rows in increasing order and ``d`` holds
+    the entering column as Python floats.  Each column forms the ratios
+    of the rows still tied only, with the division, minimum, tie limit
+    and comparison that the stacked walk applies elementwise."""
     for col in range(table.shape[0] + 1):
-        if cand.size == 1:
+        if len(cand) == 1:
             break
-        vals = table[cand, col] / d[cand]
-        cand = cand[vals <= _tie_limit(np.minimum.reduce(vals))]
-    return int(cand[0])
+        vals = [table.item(r, col) / d[r] for r in cand]
+        limit = _tie_limit(min(vals))
+        cand = [r for r, x in zip(cand, vals) if x <= limit]
+    return cand[0]
 
 
 def _lex_argmin_many(table: np.ndarray, cand: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -305,23 +340,28 @@ def lemke_solve(lcp: LcpInstance) -> LcpSolution:
     if (q >= 0.0).all():
         return LcpSolution(z=np.zeros(n), w=q.copy(), pivot_count=0, status="solved")
 
+    # The tableau and its rank-one update stay in numpy; every decision
+    # (first pivot, eligibility, ratio test, tie walk) is taken on Python
+    # floats, by the same IEEE operations in the same order as the stack.
     z0_id = 2 * n
     table = _tableau(lcp.m, q[None])[0]
     basis = list(range(n))
     entering = z0_id
     pivot_count = 0
+    values = q.tolist()
+    limit = _tie_limit(min(values))
+    row = max(r for r, x in enumerate(values) if x <= limit)  # see _first_pivot_row
     while True:
         d = table[:, entering + 1]
         if pivot_count:
-            eligible = (d > PIVOT_TOL).nonzero()[0]
-            if eligible.size == 0:
+            dl = d.tolist()
+            eligible = [r for r, x in enumerate(dl) if x > PIVOT_TOL]
+            if not eligible:
                 status = "ray_termination"
                 break
-            row = _lex_argmin(table, eligible, d)
-        else:
-            row = int(_first_pivot_row(table[:, 0]))
+            row = _lex_argmin(table, eligible, dl)
 
-        pivot_row = table[row] / d[row]
+        pivot_row = table[row] / d.item(row)
         table -= d[:, None] * pivot_row
         table[row] = pivot_row
         leaving = basis[row]
@@ -335,7 +375,11 @@ def lemke_solve(lcp: LcpInstance) -> LcpSolution:
             break
         entering = (leaving + n) % z0_id
 
-    z = _basic_z(table[None, :, 0], np.array([basis]))[0]
+    # A basic z_i takes its row's value, every other z_i is 0 (``_basic_z``).
+    z = np.zeros(n)
+    for r, var in enumerate(basis):
+        if n <= var < z0_id:
+            z[var - n] = table.item(r, 0)
     return LcpSolution(z=z, w=lcp.m @ z + q, pivot_count=pivot_count, status=status)
 
 

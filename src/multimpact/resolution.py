@@ -39,6 +39,7 @@ from .lcp import (
     RESIDUAL_TOL,
     LcpInstance,
     _residuals,
+    _vector_sum,
     lemke_many,
     lemke_solve,
     ordered_matvec,
@@ -170,6 +171,9 @@ class _Workspace:
         # ``setapprox.psi``, set on its first call: an SVD that only
         # sampling needs.
         self.psi: float | None = None
+        # ``sequential_resolve``'s one-contact problems, built on its
+        # first call.
+        self.singles: tuple[ImpactProblem, ...] | None = None
 
 
 def _workspace(problem: ImpactProblem) -> _Workspace:
@@ -207,11 +211,10 @@ def _certified_solve(lcp: LcpInstance, context: str) -> np.ndarray:
     one with ``lemke_solve`` (the same bits at less cost), and certify
     the residuals of every row from the solver's ``(z, w)``; the first
     row that fails raises :class:`LcpSolveError`."""
-    if lcp.q.ndim == 2 and len(lcp.q) > 1:
+    if lcp.q.ndim == 1:
+        return _certified_solve_one(lcp, context)
+    if len(lcp.q) > 1:
         sol = lemke_many(lcp.m, lcp.q)
-        z, w = sol.z, sol.w
-    elif lcp.q.ndim == 1:
-        sol = lemke_solve(lcp)
         z, w = sol.z, sol.w
     else:
         sol = lemke_solve(LcpInstance(lcp.m, lcp.q[0]))
@@ -223,18 +226,37 @@ def _certified_solve(lcp: LcpInstance, context: str) -> np.ndarray:
         raise LcpSolveError(str(np.atleast_1d(sol.status)[unsolved.argmax()]), context)
     comp_gap, neg_z, neg_w = _residuals(z, w)
     scale = 1.0 + np.sqrt(ordered_sum(z * z) * ordered_sum(w * w))
-    bad = np.atleast_1d(
-        (neg_z > RESIDUAL_TOL) | (neg_w > RESIDUAL_TOL) | (comp_gap > RESIDUAL_TOL * scale)
-    )
+    bad = (neg_z > RESIDUAL_TOL) | (neg_w > RESIDUAL_TOL) | (comp_gap > RESIDUAL_TOL * scale)
     if bad.any():
         i = bad.argmax()
-        gap, nz, nw = (np.atleast_1d(x)[i] for x in (comp_gap, neg_z, neg_w))
-        raise LcpSolveError(
-            "solved",
-            f"{context}: residuals exceed tolerance "
-            f"(gap={gap:.3e}, neg_z={nz:.3e}, neg_w={nw:.3e})",
-        )
+        raise _residual_error(context, comp_gap[i], neg_z[i], neg_w[i])
     return z
+
+
+def _certified_solve_one(lcp: LcpInstance, context: str) -> np.ndarray:
+    """:func:`_certified_solve` of one instance, certified on Python
+    floats: the residuals of ``lcp._residuals`` and the same scale, each
+    sum taken as ``np.sum`` takes it (``_vector_sum``)."""
+    sol = lemke_solve(lcp)
+    if sol.status != "solved":
+        raise LcpSolveError(sol.status, context)
+    z, w = sol.z.tolist(), sol.w.tolist()
+    comp_gap = abs(_vector_sum([a * b for a, b in zip(z, w)]))
+    neg_z = max(0.0, -min(0.0, *z))
+    neg_w = max(0.0, -min(0.0, *w))
+    scale = 1.0 + math.sqrt(_vector_sum([a * a for a in z]) * _vector_sum([b * b for b in w]))
+    if neg_z > RESIDUAL_TOL or neg_w > RESIDUAL_TOL or comp_gap > RESIDUAL_TOL * scale:
+        raise _residual_error(context, comp_gap, neg_z, neg_w)
+    return sol.z
+
+
+def _residual_error(context: str, gap: float, neg_z: float, neg_w: float) -> LcpSolveError:
+    """The error of a solve whose residuals exceed tolerance."""
+    return LcpSolveError(
+        "solved",
+        f"{context}: residuals exceed tolerance "
+        f"(gap={gap:.3e}, neg_z={neg_z:.3e}, neg_w={neg_w:.3e})",
+    )
 
 
 def step_block(
@@ -462,8 +484,12 @@ def sequential_resolve(
         cycle.append(idx)
     cycle.extend(i for i in range(m) if i not in cycle)
 
-    singles = [restrict_contacts(problem, [i]) for i in range(m)]
+    ws = _workspace(problem)
+    if ws.singles is None:
+        ws.singles = tuple(restrict_contacts(problem, [i]) for i in range(m))
+    singles = ws.singles
     v0 = v.copy()
+    energy = kinetic_energy(problem, v)
     steps: list[StepRecord] = []
     resolutions = 0
     position = 0
@@ -481,7 +507,6 @@ def sequential_resolve(
             raise SequentialCapExceeded(
                 f"more than {cap} single-contact resolutions without settling"
             )
-        energy_before = kinetic_energy(problem, v)
         v_after, lam_single, beta_single = _uncapped_resolve(single, v)
         if not in_linear_cone(single, v_after, lam_single, beta_single):
             raise ConeViolationError(
@@ -493,6 +518,8 @@ def sequential_resolve(
         lambda_n[idx] = lam_single[0]
         beta = np.zeros(2 * m)
         beta[2 * idx : 2 * idx + 2] = beta_single
+        # The energy after this resolution is the energy before the next.
+        energy_before, energy = energy, kinetic_energy(problem, v_after)
         steps.append(
             StepRecord(
                 lambda_max=lambda_max,
@@ -501,7 +528,7 @@ def sequential_resolve(
                 v_before=v.copy(),
                 v_after=v_after.copy(),
                 energy_before=energy_before,
-                energy_after=kinetic_energy(problem, v_after),
+                energy_after=energy,
             )
         )
         v = v_after

@@ -105,3 +105,19 @@ def test_skew_symmetric_instances_never_cycle(seed: int):
         comp_gap, neg_z, neg_w = residuals(lcp, sol.z)
         assert comp_gap <= 1e-9 * (1.0 + float(np.linalg.norm(lcp.q)))
         assert max(neg_z, neg_w) <= 1e-9
+
+
+def test_vector_sum_takes_the_bits_of_numpys_sum():
+    # Single-instance certification sums Python floats by this helper
+    # and must keep the bits of the array certification's ``np.sum``:
+    # every length up to 300 (numpy regroups at 8 and above 128 terms),
+    # magnitudes that round, and zeros of either sign.
+    rng = np.random.default_rng(11)
+    for n in range(301):
+        for _ in range(4):
+            x = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
+            x[rng.random(n) < 0.3] = rng.choice([0.0, -0.0])
+            got = lcp_module._vector_sum(x.tolist())
+            assert np.float64(got).tobytes() == np.sum(x).tobytes(), n
+        zeros = -np.zeros(n)
+        assert np.float64(lcp_module._vector_sum(zeros.tolist())).tobytes() == np.sum(zeros).tobytes()

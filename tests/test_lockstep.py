@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from multimpact import (
     ImpactProblem,
@@ -337,7 +337,7 @@ def test_rows_that_end_early_leave_the_other_rows_alike(max_pivots, monkeypatch)
 def _walked_first_pivot_row(m, q):
     """The row on which the covering variable enters, by the tie walk."""
     table = lcp_module._tableau(np.asarray(m, dtype=float), np.asarray(q, dtype=float)[None])[0]
-    return lcp_module._lex_argmin(table, np.arange(len(q)), -table[:, -1])
+    return lcp_module._lex_argmin(table, list(range(len(q))), (-table[:, -1]).tolist())
 
 
 def test_the_first_pivot_takes_the_last_row_tied_at_the_minimum_of_q():
@@ -378,9 +378,72 @@ def test_the_stacked_tie_walk_skips_only_columns_that_keep_every_row():
     table[:, 1] = [0.0, 0.0, 1.0]
     table[:, 2] = [limit1, x2, x1]
     d = np.ones(3)
-    assert lcp_module._lex_argmin(table, np.arange(3), d) == 1
+    assert lcp_module._lex_argmin(table, [0, 1, 2], d.tolist()) == 1
     many = lcp_module._lex_argmin_many(table[None], np.ones((1, 3), dtype=bool), d[None])
     assert many.tolist() == [1]
+
+
+def _numpy_lex_argmin(table, cand, d):
+    """The single-row tie walk on numpy arrays, as ``lemke_solve`` ran it
+    before its decisions moved to Python floats: ``cand`` is an index
+    array and ``d`` the entering column."""
+    for col in range(table.shape[0] + 1):
+        if cand.size == 1:
+            break
+        vals = table[cand, col] / d[cand]
+        low = np.minimum.reduce(vals)
+        cand = cand[vals <= low + lcp_module.LEX_TIE_TOL * (1.0 + np.abs(low))]
+    return int(cand[0])
+
+
+_X2 = -(2.0**-53)
+_X1 = float(np.nextafter(_X2, -np.inf))
+# Families of keys that tie, one family per column: the pair below
+# -2**-53 whose smaller key has the larger tie limit, with both limits;
+# keys within LEX_TIE_TOL of 1 (and one just outside); zeros of either
+# sign and keys within the tolerance of 0; all of them mixed.
+_TIE_FAMILIES = [
+    [_X1, _X2, lcp_module._tie_limit(_X1), lcp_module._tie_limit(_X2)],
+    [1.0, 1.0 + 5e-12, 1.0 - 5e-12, 1.0 + 2e-11],
+    [0.0, -0.0, 1e-12, -1e-12],
+]
+_TIE_FAMILIES.append([x for family in _TIE_FAMILIES for x in family])
+_columns = (
+    st.sampled_from(_TIE_FAMILIES).flatmap(
+        lambda family: st.lists(st.sampled_from(family), min_size=6, max_size=6)
+    )
+    | st.permutations(_TIE_FAMILIES[0] + _TIE_FAMILIES[0][:2])
+    | st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6)
+)
+# One power of two for every row keeps ties exact; other ratios round.
+_ratios = st.sampled_from([1.0, 2.0, 0.5]).map(lambda x: [x] * 6) | st.lists(
+    st.sampled_from([1.0, 2.0, 3.0, 1e-3]) | st.floats(1e-10, 10.0), min_size=6, max_size=6
+)
+
+
+@settings(max_examples=300)
+@given(
+    n=st.integers(1, 6),
+    columns=st.lists(_columns, min_size=7, max_size=7),
+    copies=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=3),
+    d=_ratios,
+    picked=st.just([True] * 6) | st.lists(st.booleans(), min_size=6, max_size=6),
+)
+@example(  # the smallest key x1 has the larger limit, which keeps row 0
+    n=3,
+    columns=[[0.5] * 6, [lcp_module._tie_limit(_X1), _X2, _X1, 0.0, 0.0, 0.0]] + [[0.0] * 6] * 5,
+    copies=[], d=[1.0] * 6, picked=[True] * 6,
+)
+def test_the_scalar_tie_walk_picks_the_numpy_walks_row(n, columns, copies, d, picked):
+    table = np.zeros((n, 2 * n + 2))
+    table[:, : n + 1] = np.array(columns).T[:n, : n + 1]
+    for src, dst in copies:  # exact duplicate rows
+        if max(src, dst) < n:
+            table[dst] = table[src]
+    cand = [r for r in range(n) if picked[r]] or [n - 1]
+    d = d[:n]
+    want = _numpy_lex_argmin(table, np.array(cand), np.array(d))
+    assert lcp_module._lex_argmin(table, cand, d) == want
 
 
 def test_a_degenerate_solve_keeps_the_signs_of_its_zeros():
