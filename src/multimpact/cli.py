@@ -71,6 +71,10 @@ def _fill_defaults(args: argparse.Namespace, meta: dict, n_contacts: int) -> Non
     that are only wrong together, for a scene with ``n_contacts``
     contacts.  Each flag alone was checked when it was parsed, and the
     scene's defaults when the scene was read."""
+    # The Sobol sequence has no seed: a seed it ignored would look like a
+    # second, independent run with byte-identical output.
+    if args.sampler == "sobol" and args.seed:
+        raise ConfigError("--seed has no effect on the Sobol sampler; use --sampler uniform")
     if args.h is None:
         args.h = float(meta.get("h", 1.0))
     if args.n is None:

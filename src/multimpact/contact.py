@@ -9,16 +9,23 @@ so frictional impulses decompose into nonnegative coordinates.
 Velocities are plain 1-D numpy arrays over the generalized coordinates;
 the helpers here evaluate kinetic energy, the kinetic metric norm, the
 impact-activity test, and a feasibility audit for post-impact states.
+The test and the audit take one state or a stack of them (one per row).
+A stack is checked in a few numpy calls; one state, as the baselines
+check it after every resolution, on Python floats with the same IEEE
+operations, since numpy's per-call cost dwarfs the arithmetic on a few
+numbers.  Each condition holds only when its comparison does, so a NaN
+fails it.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lcp import ordered_matvec, ordered_sum
+from .lcp import _vector_sum, ordered_matvec, ordered_sum
 
 __all__ = [
     "ImpactProblem",
@@ -145,12 +152,29 @@ def is_impacting(problem: ImpactProblem, v: np.ndarray) -> bool | np.ndarray:
     """True when some contact is approaching: ``min_i jn_i . v`` is below
     ``-APPROACH_TOL * (1 + |v|)``.  The relative term keeps the test
     meaningful across velocity scales.  For a stack of velocities (one
-    per row) returns one flag per row."""
+    per row) returns one flag per row.
+
+    A state counts as settled only when the threshold is finite and every
+    rate is at or above it, so a state holding a NaN or an infinity (or
+    whose ``|v|`` overflows) reads as impacting.  One state is decided on
+    Python floats: the rates are ``jn @ v``'s and ``|v|`` sums the
+    squares in ``np.sum``'s order (``lcp._vector_sum``), so the verdict
+    is the one numpy's array operations give on that state.  (A stack
+    sums by ``ordered_sum`` instead, so a state exactly on the threshold
+    may read differently as a row of a stack.)"""
     v = np.asarray(v, dtype=float)
+    if v.ndim == 1:
+        rates = (problem.jn @ v).tolist()
+        limit = -APPROACH_TOL * (1.0 + math.sqrt(_vector_sum([x * x for x in v.tolist()])))
+        if not limit > -math.inf:
+            return True
+        for rate in rates:
+            if not rate >= limit:
+                return True
+        return False
     rates = ordered_matvec(problem.jn, v)
-    speed = np.sqrt(ordered_sum(v * v))
-    out = rates.min(axis=-1) < -APPROACH_TOL * (1.0 + speed)
-    return bool(out) if v.ndim == 1 else out
+    limit = -APPROACH_TOL * (1.0 + np.sqrt(ordered_sum(v * v)))
+    return ~((rates.min(axis=-1) >= limit) & (limit > -np.inf))
 
 
 def in_linear_cone(
@@ -158,7 +182,7 @@ def in_linear_cone(
     v_plus: np.ndarray,
     lambda_n: np.ndarray,
     beta: np.ndarray,
-) -> bool:
+) -> bool | np.ndarray:
     """Audit a post-impact velocity and impulse pair against the linearized
     friction-cone feasibility conditions.
 
@@ -173,8 +197,13 @@ def in_linear_cone(
     - slipping contacts exhaust the budget:
       ``gamma_i * (mu_i lambda_n_i - sum_k beta_{i,k}) <= tol``.
 
-    For stacks (one state per row of ``v_plus``, ``lambda_n`` and
-    ``beta``) returns one verdict per row.
+    Each condition passes only when its comparison holds, so a NaN
+    anywhere fails the audit.  For stacks (one state per row of
+    ``v_plus``, ``lambda_n`` and ``beta``) returns one verdict per row.
+    One state is audited on Python floats, contact by contact, from the
+    products ``jn @ v_plus`` and ``jd @ v_plus`` by the same IEEE
+    operations as on arrays, so its verdict is the one numpy's array
+    operations give on that state.
     """
     v_plus = np.asarray(v_plus, dtype=float)
     stack = v_plus.shape[:-1]
@@ -183,19 +212,48 @@ def in_linear_cone(
     beta = np.asarray(beta, dtype=float).reshape(*stack, -1)
     if lambda_n.shape[-1] != m or beta.shape[-1] != 2 * m:
         raise ValueError("impulse vectors do not match the contact count")
+    if v_plus.ndim == 1:
+        return _in_linear_cone_one(problem, v_plus, lambda_n.tolist(), beta.tolist())
 
     jn_v = ordered_matvec(problem.jn, v_plus)
     jd_v = ordered_matvec(problem.jd, v_plus).reshape(*stack, m, 2)
     beta2 = beta.reshape(*stack, m, 2)
     gamma = np.maximum(0.0, -jd_v.min(axis=-1))
     budget = problem.mu * lambda_n - (beta2[..., 0] + beta2[..., 1])
-
-    bad = (
-        (lambda_n < -CONE_TOL).any(axis=-1)
-        | (beta < -CONE_TOL).any(axis=-1)
-        | (lambda_n * jn_v > CONE_TOL).any(axis=-1)
-        | (beta2 * (jd_v + gamma[..., None]) > CONE_TOL).any(axis=(-2, -1))
-        | (budget < -CONE_TOL).any(axis=-1)
-        | (gamma * budget > CONE_TOL).any(axis=-1)
+    return (
+        (lambda_n >= -CONE_TOL).all(axis=-1)
+        & (beta >= -CONE_TOL).all(axis=-1)
+        & (lambda_n * jn_v <= CONE_TOL).all(axis=-1)
+        & (beta2 * (jd_v + gamma[..., None]) <= CONE_TOL).all(axis=(-2, -1))
+        & (budget >= -CONE_TOL).all(axis=-1)
+        & (gamma * budget <= CONE_TOL).all(axis=-1)
     )
-    return bool(~bad) if v_plus.ndim == 1 else ~bad
+
+
+def _in_linear_cone_one(
+    problem: ImpactProblem, v_plus: np.ndarray, lambda_n: list[float], beta: list[float]
+) -> bool:
+    """:func:`in_linear_cone` of one state on Python floats.  ``gamma``
+    may differ from numpy's only in the sign of a zero, which no
+    comparison sees, or where ``min`` and ``max`` drop a NaN tangent
+    rate, which then fails the fourth condition."""
+    tol = CONE_TOL
+    jn_v = (problem.jn @ v_plus).tolist()
+    jd_v = (problem.jd @ v_plus).tolist()
+    for i, mu in enumerate(problem.mu.tolist()):
+        lam, b0, b1 = lambda_n[i], beta[2 * i], beta[2 * i + 1]
+        d0, d1 = jd_v[2 * i], jd_v[2 * i + 1]
+        gamma = max(0.0, -min(d0, d1))
+        budget = mu * lam - (b0 + b1)
+        if not (
+            lam >= -tol
+            and b0 >= -tol
+            and b1 >= -tol
+            and lam * jn_v[i] <= tol
+            and b0 * (d0 + gamma) <= tol
+            and b1 * (d1 + gamma) <= tol
+            and budget >= -tol
+            and gamma * budget <= tol
+        ):
+            return False
+    return True

@@ -226,9 +226,10 @@ def _certified_solve(lcp: LcpInstance, context: str) -> np.ndarray:
         raise LcpSolveError(str(np.atleast_1d(sol.status)[unsolved.argmax()]), context)
     comp_gap, neg_z, neg_w = _residuals(z, w)
     scale = 1.0 + np.sqrt(ordered_sum(z * z) * ordered_sum(w * w))
-    bad = (neg_z > RESIDUAL_TOL) | (neg_w > RESIDUAL_TOL) | (comp_gap > RESIDUAL_TOL * scale)
-    if bad.any():
-        i = bad.argmax()
+    # Each residual passes only at or below its bound, so a NaN fails.
+    ok = (neg_z <= RESIDUAL_TOL) & (neg_w <= RESIDUAL_TOL) & (comp_gap <= RESIDUAL_TOL * scale)
+    if not ok.all():
+        i = ok.argmin()
         raise _residual_error(context, comp_gap[i], neg_z[i], neg_w[i])
     return z
 
@@ -236,7 +237,8 @@ def _certified_solve(lcp: LcpInstance, context: str) -> np.ndarray:
 def _certified_solve_one(lcp: LcpInstance, context: str) -> np.ndarray:
     """:func:`_certified_solve` of one instance, certified on Python
     floats: the residuals of ``lcp._residuals`` and the same scale, each
-    sum taken as ``np.sum`` takes it (``_vector_sum``)."""
+    sum taken as ``np.sum`` takes it (``_vector_sum``).  ``min`` may drop
+    a NaN, but the gap sums every ``z_i w_i``, so a NaN fails there."""
     sol = lemke_solve(lcp)
     if sol.status != "solved":
         raise LcpSolveError(sol.status, context)
@@ -245,7 +247,7 @@ def _certified_solve_one(lcp: LcpInstance, context: str) -> np.ndarray:
     neg_z = max(0.0, -min(0.0, *z))
     neg_w = max(0.0, -min(0.0, *w))
     scale = 1.0 + math.sqrt(_vector_sum([a * a for a in z]) * _vector_sum([b * b for b in w]))
-    if neg_z > RESIDUAL_TOL or neg_w > RESIDUAL_TOL or comp_gap > RESIDUAL_TOL * scale:
+    if not (neg_z <= RESIDUAL_TOL and neg_w <= RESIDUAL_TOL and comp_gap <= RESIDUAL_TOL * scale):
         raise _residual_error(context, comp_gap, neg_z, neg_w)
     return sol.z
 
@@ -381,11 +383,14 @@ def sim(
     ``sampler.draw_block(traj_index, 1, n_max, m)`` supplies the
     per-contact cap fractions in [0, 1); each step scales one draw by
     ``h`` and applies one capped step, stopping as soon as no contact
-    approaches or after ``n_max`` steps.
+    approaches or after ``n_max`` steps.  A ``v0`` with a NaN or an
+    infinite entry raises ``ValueError``.
     """
     if n_max < 0:
         raise ValueError("step cap must be nonnegative")
     v0 = np.asarray(v0, dtype=float)
+    if not np.isfinite(v0).all():
+        raise ValueError("start velocity must be finite")
     steps: list[StepRecord] = []
 
     def record(lambda_max, v_before, v_after, lambda_n, beta) -> None:
@@ -420,15 +425,14 @@ def _uncapped_resolve(
     lambda_n, beta)."""
     m = problem.n_contacts
     ws = _workspace(problem)
-    q = np.concatenate([problem.jn @ v, problem.jd @ v, np.zeros(m)])
-    if np.all(q[:m] >= 0.0):
+    jn_v = problem.jn @ v
+    if all(rate >= 0.0 for rate in jn_v.tolist()):
         return np.asarray(v, dtype=float).copy(), np.zeros(m), np.zeros(2 * m)
-    lcp = LcpInstance(ws.uncapped_matrix, q)
+    lcp = LcpInstance(ws.uncapped_matrix, np.concatenate([jn_v, problem.jd @ v, np.zeros(m)]))
     z = _certified_solve(lcp, "uncapped resolution")
-    lambda_n = z[:m]
-    beta = z[m : 3 * m]
-    v_after = v + ws.minv_jbar_t @ np.concatenate([lambda_n, beta])
-    return v_after, lambda_n, beta
+    # z is [lambda_n; beta; slip speeds]: its first 3m entries are the impulses.
+    v_after = v + ws.minv_jbar_t @ z[: 3 * m]
+    return v_after, z[:m], z[m : 3 * m]
 
 
 def anitescu_resolve(problem: ImpactProblem, v: np.ndarray) -> np.ndarray:

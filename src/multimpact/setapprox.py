@@ -312,16 +312,19 @@ def approximate(
     ``n_max`` steps, then takes one finishing step with per-contact cap
     ``epsilon / (3 psi)``; endpoints still impacting afterwards are
     discarded (counted in ``rejected_count``).  Requires
-    ``0 < epsilon < h``.  With ``jobs > 1`` the trajectories are split
-    into ``jobs`` contiguous ranges: this process runs the first and
-    ``jobs - 1`` child processes run the others, all ended before the
-    call returns.  Outputs are identical for any job count.
+    ``0 < epsilon < h`` and a finite ``v0``.  With ``jobs > 1`` the
+    trajectories are split into ``jobs`` contiguous ranges: this process
+    runs the first and ``jobs - 1`` child processes run the others, all
+    ended before the call returns.  Outputs are identical for any job
+    count.
     """
     if not 0.0 < epsilon < h:
         raise ValueError("epsilon must satisfy 0 < epsilon < h")
     if m_trajectories < 1:
         raise ValueError("at least one trajectory is required")
     v0 = np.asarray(v0, dtype=float)
+    if not np.isfinite(v0).all():
+        raise ValueError("start velocity must be finite")
     finishing = (epsilon / (3.0 * psi(problem))) * np.ones(problem.n_contacts)
 
     args = (problem, v0, h, n_max, sampler, finishing)

@@ -47,7 +47,7 @@ def test_example_rejects_unknown_scene(capsys):
 
 def test_simulate_is_bytewise_deterministic(tmp_path, capsys):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["simulate", "--scene", "disk_stack", "--seed", "7"]
+    args = ["simulate", "--scene", "disk_stack", "--sampler", "uniform", "--seed", "7"]
     assert cli.main(args + ["--output", str(out1)]) == 0
     assert cli.main(args + ["--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -282,6 +282,8 @@ def test_oracle_needs_an_isolated_contact(tmp_path, capsys):
         ["simulate", "--n", "0"],
         ["simulate", "--traj-index", "-1"],
         ["simulate", "--seed", "-1", "--sampler", "uniform"],
+        ["simulate", "--seed", "7"],  # the default sampler is Sobol
+        ["compare", "--seed", "1", "--sampler", "sobol"],
         ["approximate", "--h", "0.3", "--epsilon", "0.3"],
         ["approximate", "--epsilon", "0.5"],  # at least the scene's h = 0.3
         ["approximate", "--m", "0"],
@@ -300,7 +302,8 @@ def test_oracle_needs_an_isolated_contact(tmp_path, capsys):
         ["approximate", "--n", "100000", "--sampler", "uniform"],
     ],
     ids=["h-negative", "h-nan", "h-text", "n-zero", "traj-index-negative",
-         "seed-negative", "epsilon-at-h", "epsilon-above-scene-h", "m-zero",
+         "seed-negative", "seed-with-sobol", "seed-with-explicit-sobol",
+         "epsilon-at-h", "epsilon-above-scene-h", "m-zero",
          "jobs-zero", "epsilon-inf", "ds-zero", "unknown-format", "unknown-command",
          "ds-too-fine", "h-huge", "epsilon-huge", "ds-huge", "n-huge",
          "n-huge-for-a-block"],

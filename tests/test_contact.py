@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import multimpact
 
@@ -28,6 +30,9 @@ from multimpact import (
     mass_norm,
     sim_step,
 )
+from multimpact.contact import APPROACH_TOL, CONE_TOL
+from multimpact.lcp import ordered_matvec, ordered_sum
+from conftest import random_spd_matrix
 
 
 def _simple_problem() -> ImpactProblem:
@@ -185,3 +190,212 @@ def test_pickle_round_trip_preserves_solves(rng):
     rhs = rng.standard_normal(problem.n_v)
     np.testing.assert_allclose(clone.mass_solve(rhs), problem.mass_solve(rhs), atol=1e-12)
     np.testing.assert_array_equal(clone.jn, problem.jn)
+
+
+# The audits as they stood when one state still went through numpy: the
+# one-state verdicts on Python floats must be these, bit for bit, and a
+# stack's must stay these.  A stack sums by ``ordered_sum``, one state by
+# numpy, so the two paths can differ in the last bit of a rate or of |v|.
+
+
+def _impacting_on_arrays(problem, v):
+    rates = ordered_matvec(problem.jn, v)
+    speed = np.sqrt(ordered_sum(v * v))
+    return rates.min(axis=-1) < -APPROACH_TOL * (1.0 + speed)
+
+
+def _cone_conditions_on_arrays(problem, v_plus, lambda_n, beta):
+    """Whether each of the audit's six conditions holds, in docstring
+    order, for one state or per row of a stack."""
+    stack = v_plus.shape[:-1]
+    m = problem.n_contacts
+    jn_v = ordered_matvec(problem.jn, v_plus)
+    jd_v = ordered_matvec(problem.jd, v_plus).reshape(*stack, m, 2)
+    beta2 = beta.reshape(*stack, m, 2)
+    gamma = np.maximum(0.0, -jd_v.min(axis=-1))
+    budget = problem.mu * lambda_n - (beta2[..., 0] + beta2[..., 1])
+    return [
+        ~(lambda_n < -CONE_TOL).any(axis=-1),
+        ~(beta < -CONE_TOL).any(axis=-1),
+        ~(lambda_n * jn_v > CONE_TOL).any(axis=-1),
+        ~(beta2 * (jd_v + gamma[..., None]) > CONE_TOL).any(axis=(-2, -1)),
+        ~(budget < -CONE_TOL).any(axis=-1),
+        ~(gamma * budget > CONE_TOL).any(axis=-1),
+    ]
+
+
+def _in_cone_on_arrays(problem, v_plus, lambda_n, beta):
+    return np.logical_and.reduce(_cone_conditions_on_arrays(problem, v_plus, lambda_n, beta))
+
+
+def _near(x) -> list[float]:
+    """``x`` and its two float neighbours."""
+    x = float(x)
+    return [x, float(np.nextafter(x, -np.inf)), float(np.nextafter(x, np.inf))]
+
+
+@settings(max_examples=600)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), m=st.integers(1, 5))
+def test_one_state_verdicts_are_those_of_the_array_checks(data, seed, m):
+    rng = np.random.default_rng(seed)
+    n_v = int(rng.integers(2, 7))
+    jn = rng.standard_normal((m, n_v))
+    jt = rng.standard_normal((m, n_v))
+    # Rows along coordinate axes make contact 0's rates exact entries of
+    # v, so a state can sit exactly on the approach threshold.
+    if data.draw(st.booleans(), label="axis rows"):
+        jn[0], jt[0] = np.eye(n_v)[0], np.eye(n_v)[1]
+    jd = np.empty((2 * m, n_v))
+    jd[0::2], jd[1::2] = jt, -jt
+    problem = ImpactProblem(
+        mass=random_spd_matrix(rng, n_v), jn=jn, jd=jd, mu=rng.uniform(0.1, 2.0, m)
+    )
+
+    def pick(pool, label):
+        return data.draw(st.sampled_from(pool), label=label)
+
+    v = pick([1e-9, 1.0, 1e3], "scale") * rng.standard_normal(n_v)
+    # Powers of two make the products with CONE_TOL / rate exact.
+    v[1] = pick([v[1], 0.0, -0.0, 0.25, -0.25], "v[1]")
+    v[0] = 0.0
+    for _ in range(2):  # v[0]^2 is far below an ulp of |v|^2 unless |v| is tiny
+        v[0] = -APPROACH_TOL * (1.0 + np.sqrt(np.sum(v * v)))
+    v[0] = pick([*_near(v[0]), 0.0, -0.0, 0.5, float(rng.standard_normal())], "v[0]")
+
+    # Impulses at the edges of the sign conditions, of the products with
+    # the rates, and of the budget.
+    edges = [0.0, -0.0, *_near(-CONE_TOL)]
+    jn_v, jd_v = (problem.jn @ v).tolist(), (problem.jd @ v).tolist()
+    lambda_n, beta = [], []
+    for i in range(m):
+        lam_pool = edges + [1.0] + (_near(CONE_TOL / jn_v[i]) if jn_v[i] else [])
+        lam = pick(lam_pool, f"lambda_n[{i}]")
+        d = jd_v[2 * i : 2 * i + 2]
+        gamma = max(0.0, -min(d))
+        b = []
+        for k in range(2):
+            slack = d[k] + gamma
+            b.append(pick(edges + (_near(CONE_TOL / slack) if slack else []), f"beta[{i},{k}]"))
+        # The second weight at the budget's edges: mu lam - sum(beta) at
+        # -CONE_TOL, and gamma times it at CONE_TOL.
+        mu = float(problem.mu[i])
+        budget_pool = [b[1], *_near(mu * lam - b[0] + CONE_TOL)]
+        if gamma:
+            budget_pool += _near(mu * lam - b[0] - CONE_TOL / gamma)
+        b[1] = pick(budget_pool, f"beta[{i},1] at the budget")
+        lambda_n.append(lam)
+        beta += b
+    lambda_n, beta = np.array(lambda_n), np.array(beta)
+
+    cone = bool(_in_cone_on_arrays(problem, v, lambda_n, beta))
+    impacting = bool(_impacting_on_arrays(problem, v))
+    event(f"in cone: {cone}, impacting: {impacting}")
+    assert in_linear_cone(problem, v, lambda_n, beta) is cone
+    assert is_impacting(problem, v) is impacting
+    stack = (v[None], lambda_n[None], beta[None])
+    np.testing.assert_array_equal(
+        in_linear_cone(problem, *stack), _in_cone_on_arrays(problem, *stack)
+    )
+    np.testing.assert_array_equal(
+        is_impacting(problem, v[None]), _impacting_on_arrays(problem, v[None])
+    )
+
+
+# A sliding state of ``_simple_problem`` (tangent rates +1 and -1) that
+# passes the audit, and one tampered copy per condition that fails it.
+_SLIDING = ([1.0, 0.0], [1.0], [0.0, 0.5])
+_TAMPERED = {
+    "negative normal impulse": ([1.0, 0.0], [-1.5e-8], [0.0, 0.0]),
+    "negative friction weight": ([0.0, 0.0], [0.0], [-1.5e-8, 0.0]),
+    "impulse at a separating contact": ([0.0, 1.0], [1.0], [0.0, 0.0]),
+    "weight on a rising tangent direction": ([1.0, 0.0], [1.0], [0.5, 0.0]),
+    "weights beyond the budget": ([1.0, 0.0], [1.0], [0.0, 0.6]),
+    "slip inside the budget": ([1.0, 0.0], [1.0], [0.0, 0.4]),
+}
+
+
+@pytest.mark.parametrize("condition", range(6), ids=list(_TAMPERED))
+def test_each_cone_condition_rejects_its_tampered_state(condition):
+    problem = _simple_problem()
+    base = [np.array(x) for x in _SLIDING]
+    assert _in_cone_on_arrays(problem, *base)
+    assert in_linear_cone(problem, *base)
+    tampered = [np.array(x) for x in list(_TAMPERED.values())[condition]]
+    held = _cone_conditions_on_arrays(problem, *tampered)
+    assert [i for i, ok in enumerate(held) if not ok] == [condition]
+    assert not in_linear_cone(problem, *tampered)
+    assert in_linear_cone(problem, *(x[None] for x in tampered)).tolist() == [False]
+
+
+# States of ``_simple_problem`` with one condition exactly at its
+# tolerance, and the entry whose next float away from 0 breaks only that
+# condition: (v_plus, lambda_n, beta), (array, index).
+_AT_TOLERANCE = {
+    "normal impulse at -tol": (([1.0, 0.0], [-CONE_TOL], [0.0, 0.0]), (1, 0)),
+    "weight 0 at -tol": (([0.0, 0.0], [0.0], [-CONE_TOL, 0.0]), (2, 0)),
+    "weight 1 at -tol": (([0.0, 0.0], [0.0], [0.0, -CONE_TOL]), (2, 1)),
+    "impulse times separation at tol": (([0.0, 0.5], [2 * CONE_TOL], [0.0, 0.0]), (1, 0)),
+    "weight 0 times its slip at tol": (([0.25, 0.0], [4 * CONE_TOL], [2 * CONE_TOL, 0.0]), (2, 0)),
+    "weight 1 times its slip at tol": (([-0.25, 0.0], [4 * CONE_TOL], [0.0, 2 * CONE_TOL]), (2, 1)),
+    "budget at -tol": (([1.0, 0.0], [0.0], [0.0, CONE_TOL]), (2, 1)),
+    "slip times budget at tol": (([1.0, 0.0], [2 * CONE_TOL], [0.0, 0.0]), (1, 0)),
+}
+
+
+@pytest.mark.parametrize("case", list(_AT_TOLERANCE))
+def test_each_cone_condition_holds_at_its_tolerance_and_not_beyond(case):
+    problem = _simple_problem()
+    state, (which, index) = _AT_TOLERANCE[case]
+    state = [np.array(x) for x in state]
+    assert in_linear_cone(problem, *state)
+    assert in_linear_cone(problem, *(x[None] for x in state)).tolist() == [True]
+    entry = state[which][index]
+    state[which][index] = np.nextafter(entry, np.copysign(np.inf, entry))
+    held = _cone_conditions_on_arrays(problem, *state)
+    assert sum(not ok for ok in held) == 1
+    assert not in_linear_cone(problem, *state)
+    assert in_linear_cone(problem, *(x[None] for x in state)).tolist() == [False]
+
+
+def test_a_rate_exactly_at_the_approach_threshold_is_settled():
+    problem = _simple_problem()
+    rate = -APPROACH_TOL * (1.0 + APPROACH_TOL)  # |v| = -rate gives back rate
+    v = np.array([0.0, rate])
+    assert -APPROACH_TOL * (1.0 + math.sqrt(rate * rate)) == rate
+    assert not is_impacting(problem, v)
+    assert is_impacting(problem, v[None]).tolist() == [False]
+    v[1] = np.nextafter(rate, -np.inf)
+    assert is_impacting(problem, v)
+    assert is_impacting(problem, v[None]).tolist() == [True]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_state_reads_as_impacting(bad):
+    problem = _simple_problem()
+    for entry in range(2):
+        v = np.array([0.0, 1.0])  # separating
+        v[entry] = bad
+        stack = np.array([[0.0, 1.0], v, [0.0, -1.0]])
+        with np.errstate(invalid="ignore"):  # 0 * inf in the rates
+            assert is_impacting(problem, v) is True
+            assert is_impacting(problem, stack).tolist() == [False, True, True]
+    # A finite state whose |v| overflows has no meaningful threshold either.
+    assert is_impacting(problem, np.array([1e200, 1.0])) is True
+
+
+@pytest.mark.parametrize("where", ["v_plus", "lambda_n", "beta"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_state_fails_the_cone_audit(where, bad):
+    problem = _simple_problem()
+    state = dict(zip(("v_plus", "lambda_n", "beta"), (np.array(x) for x in _SLIDING)))
+    state[where][-1] = bad
+    if (where, bad) == ("lambda_n", np.inf):
+        state["beta"][:] = 0.0  # else only the budget holds an infinity, inf - inf
+    with np.errstate(invalid="ignore"):  # 0 * inf and inf - inf
+        assert not in_linear_cone(problem, **state)
+        stacked = in_linear_cone(problem, *(x[None] for x in state.values()))
+        assert stacked.tolist() == [False]
+        # Zero impulses at an infinite or NaN state: each product with the
+        # non-finite rate is NaN, which no condition accepts.
+        if where == "v_plus":
+            assert not in_linear_cone(problem, state["v_plus"], np.zeros(1), np.zeros(2))

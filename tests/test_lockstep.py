@@ -510,17 +510,21 @@ def test_lemke_many_reports_a_status_per_row(monkeypatch):
     assert list(capped.pivot_count) == [1, 0]
 
 
-def _breaking_complementarity(solve):
-    """``solve``, but returning ``z + 1`` with that candidate's own ``w``,
-    so that ``z . w`` is far from zero."""
+def _tampered(solve, change):
+    """``solve``, but returning ``change(z)`` with that candidate's own ``w``."""
 
     def broken(*args):
         lcp = args[0] if len(args) == 1 else LcpInstance(*args)
         sol = solve(*args)
-        z = sol.z + 1.0
+        z = change(sol.z)
         return LcpSolution(z, ordered_matvec(lcp.m, z) + lcp.q, sol.pivot_count, sol.status)
 
     return broken
+
+
+def _breaking_complementarity(solve):
+    """``solve``, but returning ``z + 1``, so that ``z . w`` is far from zero."""
+    return _tampered(solve, lambda z: z + 1.0)
 
 
 @pytest.mark.parametrize(
@@ -539,6 +543,32 @@ def test_a_solution_breaking_complementarity_fails_certification(q, monkeypatch)
         resolution._certified_solve(lcp, "capped impact step")
     assert failed.value.status == "solved"
     assert failed.value.detail.startswith("capped impact step: residuals exceed tolerance (gap=")
+
+
+def _returning_nan(solve):
+    """``solve``, but with a NaN in the first entry of every ``z``."""
+
+    def with_nan(z):
+        z = z.copy()
+        z[..., 0] = np.nan
+        return z
+
+    return _tampered(solve, with_nan)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [[-1.0, -2.0], [[-1.0, -2.0]], [[-1.0, -2.0], [-3.0, 0.5]]],
+    ids=["single", "stack-of-one", "stack"],
+)
+def test_a_solution_holding_nan_fails_certification(q, monkeypatch):
+    lcp = LcpInstance(np.eye(2), np.array(q))
+    monkeypatch.setattr(resolution, "lemke_solve", _returning_nan(lemke_solve))
+    monkeypatch.setattr(resolution, "lemke_many", _returning_nan(lemke_many))
+    with pytest.raises(LcpSolveError) as failed:
+        resolution._certified_solve(lcp, "capped impact step")
+    assert failed.value.status == "solved"
+    assert failed.value.detail.startswith("capped impact step: residuals exceed tolerance (gap=nan")
 
 
 @pytest.mark.parametrize("name", ["compass", "disk_stack"])

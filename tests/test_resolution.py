@@ -14,6 +14,7 @@ from multimpact import (
     SequentialCapExceeded,
     UniformSampler,
     anitescu_resolve,
+    approximate,
     assemble_impact_lcp,
     baselines,
     build_ball,
@@ -122,6 +123,18 @@ def test_sim_rejects_bad_budgets():
         sim(problem, v0, h=0.0, n_max=5, sampler=UniformSampler())
     with pytest.raises(ValueError):
         sim(problem, v0, h=1.0, n_max=-1, sampler=UniformSampler())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sim_and_approximate_reject_a_non_finite_start(bad):
+    problem, v0, meta = build_example("phone")
+    h = float(meta["h"])
+    v0 = v0.copy()
+    v0[0] = bad
+    with pytest.raises(ValueError, match="start velocity must be finite"):
+        sim(problem, v0, h=h, n_max=5, sampler=UniformSampler())
+    with pytest.raises(ValueError, match="start velocity must be finite"):
+        approximate(problem, v0, h, h / 10.0, 5, 4, UniformSampler(), jobs=1)
 
 
 def test_anitescu_pins_symmetric_scenes():
