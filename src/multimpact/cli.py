@@ -36,16 +36,12 @@ from .scenes import (
     EXAMPLE_NAMES, MAX_MAGNITUDE, build_example, build_problem, load_scene, scene_to_dict,
 )
 from .setapprox import (
-    BLOCK_SIZE, MAXBIT, PostImpactSet, SobolSampler, UniformSampler, approximate,
-    classify_outcomes,
+    MAXBIT, PostImpactSet, SobolSampler, UniformSampler, approximate, classify_outcomes,
 )
 
 __all__ = ["main"]
 
 DESK_SCALE_TRAJECTORIES = 4096  # default sample count without --paper-scale
-# Most doubles one draw block may hold (256 MiB): a block holds every
-# draw of its trajectories at once, so a larger --n would not fit in memory.
-MAX_DRAW_VALUES = 1 << 25
 
 
 def _load(args: argparse.Namespace) -> tuple[ImpactProblem, np.ndarray, dict]:
@@ -66,11 +62,10 @@ def _make_sampler(args: argparse.Namespace):
     return (UniformSampler if args.sampler == "uniform" else SobolSampler)(args.seed)
 
 
-def _fill_defaults(args: argparse.Namespace, meta: dict, n_contacts: int) -> None:
+def _fill_defaults(args: argparse.Namespace, meta: dict) -> None:
     """Take the flags left unset from the scene, then check the values
-    that are only wrong together, for a scene with ``n_contacts``
-    contacts.  Each flag alone was checked when it was parsed, and the
-    scene's defaults when the scene was read."""
+    that are only wrong together.  Each flag alone was checked when it
+    was parsed, and the scene's defaults when the scene was read."""
     # The Sobol sequence has no seed: a seed it ignored would look like a
     # second, independent run with byte-identical output.
     if args.sampler == "sobol" and args.seed:
@@ -81,7 +76,6 @@ def _fill_defaults(args: argparse.Namespace, meta: dict, n_contacts: int) -> Non
         args.n = int(meta.get("n_steps", 10))
     if args.command == "simulate":
         count = args.traj_index + 1
-        block = 1
     else:
         if args.m is None:
             args.m = DESK_SCALE_TRAJECTORIES
@@ -92,12 +86,6 @@ def _fill_defaults(args: argparse.Namespace, meta: dict, n_contacts: int) -> Non
         if args.epsilon >= args.h:
             raise ConfigError("epsilon must be smaller than h")
         count = args.m
-        block = min(args.m, BLOCK_SIZE)
-    if block * args.n * n_contacts > MAX_DRAW_VALUES:
-        raise ConfigError(
-            f"one block of draws would hold {block} trajectories x {args.n} steps x "
-            f"{n_contacts} contacts, more than {MAX_DRAW_VALUES} values; lower --n"
-        )
     # Trajectory i draws Sobol indices [1 + i*n, 1 + (i+1)*n).
     if args.sampler == "sobol" and 1 + count * args.n >= 1 << MAXBIT:
         raise ConfigError(
@@ -126,7 +114,7 @@ def _summary(payload: dict) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
     problem, v0, meta = _load(args)
-    _fill_defaults(args, meta, problem.n_contacts)
+    _fill_defaults(args, meta)
     traj = sim(
         problem, v0, args.h, args.n, _make_sampler(args), traj_index=args.traj_index
     )
@@ -155,7 +143,7 @@ def _approximate_set(
 
 def _cmd_approximate(args: argparse.Namespace) -> None:
     problem, v0, meta = _load(args)
-    _fill_defaults(args, meta, problem.n_contacts)
+    _fill_defaults(args, meta)
     post_set = _approximate_set(args, problem, v0)
     path = _export(args, meta, "set", post_set, problem)
     _summary(
@@ -174,7 +162,7 @@ def _cmd_approximate(args: argparse.Namespace) -> None:
 
 def _cmd_compare(args: argparse.Namespace) -> None:
     problem, v0, meta = _load(args)
-    _fill_defaults(args, meta, problem.n_contacts)
+    _fill_defaults(args, meta)
     rows = baselines(problem, v0)
     post_set = _approximate_set(args, problem, v0)
     for idx, v in zip(post_set.traj_indices, post_set.samples):

@@ -226,8 +226,10 @@ def _certified_solve(lcp: LcpInstance, context: str) -> np.ndarray:
         raise LcpSolveError(str(np.atleast_1d(sol.status)[unsolved.argmax()]), context)
     comp_gap, neg_z, neg_w = _residuals(z, w)
     scale = 1.0 + np.sqrt(ordered_sum(z * z) * ordered_sum(w * w))
-    # Each residual passes only at or below its bound, so a NaN fails.
-    ok = (neg_z <= RESIDUAL_TOL) & (neg_w <= RESIDUAL_TOL) & (comp_gap <= RESIDUAL_TOL * scale)
+    # Each residual passes only at or below its bound, so a NaN fails; an
+    # infinite scale would let any gap pass, so it fails too.
+    ok = np.isfinite(scale) & (neg_z <= RESIDUAL_TOL) & (neg_w <= RESIDUAL_TOL)
+    ok &= comp_gap <= RESIDUAL_TOL * scale
     if not ok.all():
         i = ok.argmin()
         raise _residual_error(context, comp_gap[i], neg_z[i], neg_w[i])
@@ -238,7 +240,8 @@ def _certified_solve_one(lcp: LcpInstance, context: str) -> np.ndarray:
     """:func:`_certified_solve` of one instance, certified on Python
     floats: the residuals of ``lcp._residuals`` and the same scale, each
     sum taken as ``np.sum`` takes it (``_vector_sum``).  ``min`` may drop
-    a NaN, but the gap sums every ``z_i w_i``, so a NaN fails there."""
+    a NaN, but the gap sums every ``z_i w_i``, so a NaN fails there; an
+    infinite scale fails as on a stack."""
     sol = lemke_solve(lcp)
     if sol.status != "solved":
         raise LcpSolveError(sol.status, context)
@@ -247,7 +250,8 @@ def _certified_solve_one(lcp: LcpInstance, context: str) -> np.ndarray:
     neg_z = max(0.0, -min(0.0, *z))
     neg_w = max(0.0, -min(0.0, *w))
     scale = 1.0 + math.sqrt(_vector_sum([a * a for a in z]) * _vector_sum([b * b for b in w]))
-    if not (neg_z <= RESIDUAL_TOL and neg_w <= RESIDUAL_TOL and comp_gap <= RESIDUAL_TOL * scale):
+    ok = math.isfinite(scale) and neg_z <= RESIDUAL_TOL and neg_w <= RESIDUAL_TOL
+    if not (ok and comp_gap <= RESIDUAL_TOL * scale):
         raise _residual_error(context, comp_gap, neg_z, neg_w)
     return sol.z
 
@@ -308,30 +312,35 @@ def sim_block(
     problem: ImpactProblem,
     v0: np.ndarray,
     h: float,
-    fractions: np.ndarray,
+    n_max: int,
+    sampler,
+    first: int,
+    count: int,
     on_step: Callable | None = None,
 ) -> np.ndarray:
-    """Run the stochastic impact integrator for a stack of trajectories
-    in lockstep.
+    """Run the stochastic impact integrator for trajectories ``first ..
+    first+count-1`` in lockstep.
 
-    ``fractions`` (k, n_max, m) holds each trajectory's per-step cap
-    fractions in [0, 1); ``v0`` is one start velocity or one per row.
-    Step ``j`` scales the fractions by ``h`` and applies
-    :func:`step_block` to every trajectory that still has an approaching
-    contact; a trajectory stops as soon as none approaches, or after
-    ``n_max`` steps.  ``on_step(lambda_max, v_before, v_after, lambda_n,
-    beta)``, if given, sees each step of the rows it stepped.
-    Returns the final velocities, one row per trajectory.
+    ``v0`` is one start velocity or one per trajectory.  Step ``j`` draws
+    the caps in [0, 1) of the trajectories that still have an approaching
+    contact from ``sampler.stream(first, count, n_max, m)``, scales them by
+    ``h`` and applies :func:`step_block` to them; a trajectory stops as
+    soon as no contact approaches, or after ``n_max`` steps.
+    ``on_step(lambda_max, v_before, v_after, lambda_n, beta)``, if given,
+    sees each step of the rows it stepped.  Returns the final velocities,
+    one row per trajectory.
     """
     if h <= 0.0:
         raise ValueError("per-step impulse budget h must be positive")
-    k, n_max, _ = fractions.shape
-    v = np.array(np.broadcast_to(np.asarray(v0, dtype=float), (k, problem.n_v)))
+    if n_max < 0:
+        raise ValueError("step cap must be nonnegative")
+    v = np.array(np.broadcast_to(np.asarray(v0, dtype=float), (count, problem.n_v)))
     rows = np.flatnonzero(is_impacting(problem, v))
+    draw = sampler.stream(first, count, n_max, problem.n_contacts)
     for j in range(n_max):
         if not rows.size:
             break
-        caps = h * fractions[rows, j]
+        caps = h * draw(rows, j)
         # Every row in ``rows`` impacts: the last step (or the start) tested it.
         v_after, lambda_n, beta = _step(problem, v[rows], caps, True)
         if on_step is not None:
@@ -378,16 +387,14 @@ def sim(
     traj_index: int = 0,
 ) -> Trajectory:
     """Run the stochastic impact integrator from ``v0``: :func:`sim_block`
-    on a stack of one, with a record of every step.
+    on trajectory ``traj_index`` alone, with a record of every step.
 
-    ``sampler.draw_block(traj_index, 1, n_max, m)`` supplies the
-    per-contact cap fractions in [0, 1); each step scales one draw by
-    ``h`` and applies one capped step, stopping as soon as no contact
-    approaches or after ``n_max`` steps.  A ``v0`` with a NaN or an
-    infinite entry raises ``ValueError``.
+    Each step draws the trajectory's next per-contact caps in [0, 1) from
+    ``sampler.stream(traj_index, 1, n_max, m)``, scales them by ``h`` and
+    applies one capped step, stopping as soon as no contact approaches or
+    after ``n_max`` steps.  A negative ``n_max``, or a ``v0`` with a NaN
+    or an infinite entry, raises ``ValueError``.
     """
-    if n_max < 0:
-        raise ValueError("step cap must be nonnegative")
     v0 = np.asarray(v0, dtype=float)
     if not np.isfinite(v0).all():
         raise ValueError("start velocity must be finite")
@@ -406,8 +413,7 @@ def sim(
             )
         )
 
-    fractions = sampler.draw_block(traj_index, 1, n_max, problem.n_contacts)
-    v = sim_block(problem, v0, h, fractions, on_step=record)
+    v = sim_block(problem, v0, h, n_max, sampler, traj_index, 1, on_step=record)
     return Trajectory(
         steps=steps,
         terminated=not is_impacting(problem, v)[0],
@@ -480,6 +486,8 @@ def sequential_resolve(
     label_index = {label: i for i, label in enumerate(problem.labels)}
     cycle: list[int] = []
     for entry in order:
+        if isinstance(entry, str) and entry not in label_index:
+            raise ValueError(f"no contact labeled {entry!r}; labels: {', '.join(problem.labels)}")
         idx = label_index[entry] if isinstance(entry, str) else int(entry)
         if idx < 0 or idx >= m:
             raise ValueError(f"contact index {idx} out of range")

@@ -7,23 +7,24 @@ post-impact set.  This module provides:
 
 - a deterministic Sobol sequence (52-bit, Gray-code order, up to 32
   dimensions) with direction numbers frozen in source.  Each dimension's
-  direction table is built on first use and shared read-only, and a
-  block of consecutive points is one cumulative XOR of direction columns
-  in a fixed number of numpy calls (Gray-code construction of Antonov &
-  Saleev 1979; Bratley & Fox, ACM TOMS Algorithm 659, 1988);
-- draw samplers with per-trajectory determinism, so results do not depend
-  on worker scheduling;
+  direction table is built on first use and shared read-only, and any
+  set of points is reached by random access in a fixed number of numpy
+  calls (Gray-code construction of Antonov & Saleev 1979; Bratley & Fox,
+  ACM TOMS Algorithm 659, 1988);
+- draw samplers that draw each step for the live trajectories only, with
+  per-trajectory determinism, so results do not depend on worker
+  scheduling;
 - the finishing-step stiffness bound ``psi``, the sampling driver
   ``approximate`` (optionally over several processes), a coverage audit
   ``epsilon_net_check``, and the grid-based ``sample_count_bound``.
 
 ``approximate`` runs contiguous blocks of ``BLOCK_SIZE`` trajectories in
-lockstep (``resolution.sim_block``), each block with its draws made in
-one call.  With ``jobs > 1`` the calling process runs the first of
-``jobs`` contiguous ranges itself while ``jobs - 1`` child processes run
-the rest, and every child has ended before the call returns.  A
-trajectory's bits depend neither on the block it falls in nor on the job
-count.
+lockstep (``resolution.sim_block``), each step drawing the caps of the
+block's trajectories that still impact.  With ``jobs > 1`` the calling
+process runs the first of ``jobs`` contiguous ranges itself while
+``jobs - 1`` child processes run the rest, and every child has ended
+before the call returns.  A trajectory's bits depend neither on the
+block it falls in nor on the job count.
 """
 
 from __future__ import annotations
@@ -126,54 +127,45 @@ def _direction_table(dimension: int) -> np.ndarray:
     return table
 
 
-_BIT_SHIFTS = np.arange(MAXBIT, dtype=np.uint64)
+def sobol_block(dimension: int, indices) -> np.ndarray:
+    """Points at ``indices`` of the sequence, shape (len(indices), dimension).
 
-
-def _values_at(table: np.ndarray, start: int, count: int) -> np.ndarray:
-    """Sobol points ``start .. start+count-1``, shape (count, dimension).
-
-    Random access by the Gray-code construction: the first point XORs the
-    direction columns of the set bits of ``gray(start)``; each later index
-    ``i`` flips only bit ``ctz(i)`` of the Gray code, so a cumulative XOR
-    over the columns ``ctz(i)`` gives the rest.  Temporaries are
-    O(count * dimension)."""
-    out = np.empty((count, table.shape[0]), dtype=np.uint64)
-    if count:
-        gray = np.uint64(start ^ (start >> 1))
-        out[0] = np.bitwise_xor.reduce(
-            table[:, ((gray >> _BIT_SHIFTS) & np.uint64(1)).astype(bool)], axis=1
-        )
-        indices = np.arange(start + 1, start + count, dtype=np.uint64)
-        lowest_bit = indices & (~indices + np.uint64(1))
-        # Powers of two below 2**53 are exact doubles, so frexp gives ctz + 1.
-        out[1:] = table.T[np.frexp(lowest_bit.astype(float))[1] - 1]
-        np.bitwise_xor.accumulate(out, axis=0, out=out)
-    return out / float(1 << MAXBIT)
-
-
-def sobol_block(dimension: int, start: int, count: int) -> np.ndarray:
-    """Points ``start .. start+count-1`` of the sequence, shape (count, dimension)."""
-    if start < 0 or count < 0:
-        raise ValueError("start and count must be nonnegative")
-    if start + count >= 1 << MAXBIT:
-        raise ValueError("Sobol index range exceeds the 52-bit sequence")
-    return _values_at(_direction_table(dimension), start, count)
+    Random access by the Gray-code construction: point ``i`` XORs the
+    direction columns of the set bits of ``gray(i) = i ^ (i >> 1)``.
+    Temporaries are O(len(indices) * dimension * bit length of the
+    largest index)."""
+    table = _direction_table(dimension)
+    indices = np.asarray(indices, dtype=np.int64)
+    top = int(indices.max()) if indices.size else 0
+    if indices.size and (indices.min() < 0 or top >= 1 << MAXBIT):
+        raise ValueError("Sobol indices must lie in the 52-bit sequence")
+    gray = indices.astype(np.uint64)
+    gray ^= gray >> np.uint64(1)
+    width = top.bit_length()
+    bits = (gray[:, None] >> np.arange(width, dtype=np.uint64)) & np.uint64(1)
+    points = np.bitwise_xor.reduce(table[:, :width] * bits[:, None, :], axis=2)
+    return points / float(1 << MAXBIT)
 
 
 class SobolSampler:
     """Low-discrepancy draw source.  Trajectory ``i`` with step cap ``n``
-    consumes the consecutive index block ``[1 + i*n, 1 + (i+1)*n)``, so the
-    draw a trajectory sees is independent of scheduling or job count."""
+    draws step ``j`` at index ``1 + i*n + j``, so the draw a trajectory
+    sees is independent of scheduling or job count."""
 
     kind = "sobol"
 
     def __init__(self, seed: int | None = None):
         self.seed = seed  # accepted for interface parity; the stream is seedless
 
-    def draw_block(self, first: int, count: int, n: int, m: int) -> np.ndarray:
-        """Cap fractions of trajectories ``first .. first+count-1``, shape
-        (count, n, m): one ``sobol_block`` over their consecutive indices."""
-        return sobol_block(m, 1 + first * n, count * n).reshape(count, n, m)
+    def stream(self, first: int, count: int, n: int, m: int):
+        """Cap draws in [0, 1) of trajectories ``first .. first+count-1``,
+        one step at a time: ``draw(rows, step)`` gives the ``step``-th draws
+        of trajectories ``first + rows``, shape (len(rows), m), by
+        ``sobol_block``."""
+        if 1 + (first + count) * n >= 1 << MAXBIT:
+            raise ValueError("Sobol index range exceeds the 52-bit sequence")
+        start = 1 + first * n
+        return lambda rows, step: sobol_block(m, start + rows * n + step)
 
 
 class UniformSampler:
@@ -185,13 +177,21 @@ class UniformSampler:
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
 
-    def draw_block(self, first: int, count: int, n: int, m: int) -> np.ndarray:
-        """Cap fractions of trajectories ``first .. first+count-1``, shape
-        (count, n, m): ``n`` draws of ``m`` from each trajectory's generator."""
-        out = np.empty((count, n, m))
-        for row, index in enumerate(range(first, first + count)):
-            out[row] = np.random.default_rng([self.seed, index]).random((n, m))
-        return out
+    def stream(self, first: int, count: int, n: int, m: int):
+        """Cap draws in [0, 1) of trajectories ``first .. first+count-1``,
+        one step at a time: ``draw(rows, step)`` gives the next ``random(m)``
+        of each trajectory ``first + rows``, shape (len(rows), m).  A
+        trajectory drawn at every step so far gets the bits of one
+        ``random((n, m))``, as the live rows of ``sim_block`` are."""
+        generators = [np.random.default_rng([self.seed, i]) for i in range(first, first + count)]
+
+        def draw(rows: np.ndarray, step: int) -> np.ndarray:
+            out = np.empty((len(rows), m))
+            for row, index in enumerate(rows.tolist()):
+                generators[index].random(out=out[row])
+            return out
+
+        return draw
 
 
 @dataclass(eq=False)
@@ -233,8 +233,7 @@ def _run_trajectories(
     indices, samples = [], []
     for first in range(start, stop, BLOCK_SIZE):
         count = min(BLOCK_SIZE, stop - first)
-        fractions = sampler.draw_block(first, count, n_max, problem.n_contacts)
-        v = sim_block(problem, v0, h, fractions)
+        v = sim_block(problem, v0, h, n_max, sampler, first, count)
         v_fin, _, _ = step_block(problem, v, np.broadcast_to(finishing, (count, finishing.size)))
         kept = ~is_impacting(problem, v_fin)
         indices.append(first + np.flatnonzero(kept))
@@ -322,6 +321,8 @@ def approximate(
         raise ValueError("epsilon must satisfy 0 < epsilon < h")
     if m_trajectories < 1:
         raise ValueError("at least one trajectory is required")
+    if n_max < 0:
+        raise ValueError("step cap must be nonnegative")
     v0 = np.asarray(v0, dtype=float)
     if not np.isfinite(v0).all():
         raise ValueError("start velocity must be finite")

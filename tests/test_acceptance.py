@@ -374,10 +374,10 @@ def test_criterion_11_bytewise_determinism(tmp_path, capsys):
     # Desk scale is the default; the full cloud size needs the flag.
     meta = {"name": "phone", "h": 0.3, "n_steps": 10, "m_trajectories": 16384}
     desk = cli._build_parser().parse_args(scene_args)
-    cli._fill_defaults(desk, meta, 2)
+    cli._fill_defaults(desk, meta)
     assert desk.m == 4096
     paper = cli._build_parser().parse_args(scene_args + ["--paper-scale"])
-    cli._fill_defaults(paper, meta, 2)
+    cli._fill_defaults(paper, meta)
     assert paper.m == 16384
 
     # The full-size cloud materializes only under --paper-scale (untimed).

@@ -121,19 +121,16 @@ def test_no_child_process_outlives_approximate():
     assert _child_pids() <= before
 
 
-def _fail_on(monkeypatch, problem, meta, sampler, bad):
+def _fail_on(monkeypatch, bad):
     """Make ``setapprox.sim_block`` raise ``LcpSolveError`` for any block
-    holding a trajectory index in ``bad``, naming the lowest such index;
-    draws identify the trajectories."""
-    n, m = int(meta["n_steps"]), problem.n_contacts
-    index = {sampler.draw_block(i, 1, n, m)[0].tobytes(): i for i in range(7)}
+    holding a trajectory index in ``bad``, naming the lowest such index."""
     real = setapprox.sim_block
 
-    def sim_block(problem, v0, h, fractions):
-        held = bad & {index[f.tobytes()] for f in fractions}
+    def sim_block(problem, v0, h, n_max, sampler, first, count):
+        held = bad & set(range(first, first + count))
         if held:
             raise LcpSolveError("ray_termination", f"trajectory {min(held)}")
-        return real(problem, v0, h, fractions)
+        return real(problem, v0, h, n_max, sampler, first, count)
 
     monkeypatch.setattr(setapprox, "sim_block", sim_block)
 
@@ -148,7 +145,7 @@ def test_a_failing_share_raises_as_a_serial_run_would(bad, monkeypatch):
     problem, v0, meta = build_example("phone")
     h, n = float(meta["h"]), int(meta["n_steps"])
     sampler = UniformSampler(seed=2)
-    _fail_on(monkeypatch, problem, meta, sampler, bad)
+    _fail_on(monkeypatch, bad)
     with pytest.raises(LcpSolveError) as serial:
         approximate(problem, v0, h, h / 10.0, n, 7, sampler, jobs=1)
     before = _child_pids()
@@ -569,6 +566,31 @@ def test_a_solution_holding_nan_fails_certification(q, monkeypatch):
         resolution._certified_solve(lcp, "capped impact step")
     assert failed.value.status == "solved"
     assert failed.value.detail.startswith("capped impact step: residuals exceed tolerance (gap=nan")
+
+
+def _returning_inf(solve):
+    """``solve``, but with an infinite first entry in every ``z``, so
+    that ``w`` and the residual scale are infinite too."""
+
+    def with_inf(z):
+        z = z.copy()
+        z[..., 0] = np.inf
+        return z
+
+    return _tampered(solve, with_inf)
+
+
+@pytest.mark.parametrize(
+    "q", [[-1.0], [[-1.0]], [[-1.0], [-2.0]]], ids=["single", "stack-of-one", "stack"]
+)
+def test_a_solution_holding_inf_fails_certification(q, monkeypatch):
+    lcp = LcpInstance(np.eye(1), np.array(q))
+    monkeypatch.setattr(resolution, "lemke_solve", _returning_inf(lemke_solve))
+    monkeypatch.setattr(resolution, "lemke_many", _returning_inf(lemke_many))
+    with pytest.raises(LcpSolveError) as failed:
+        resolution._certified_solve(lcp, "capped impact step")
+    assert failed.value.status == "solved"
+    assert failed.value.detail.startswith("capped impact step: residuals exceed tolerance (gap=inf")
 
 
 @pytest.mark.parametrize("name", ["compass", "disk_stack"])

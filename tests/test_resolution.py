@@ -162,6 +162,12 @@ def test_sequential_accepts_labels_and_indices():
     assert by_label.terminated
 
 
+def test_sequential_rejects_an_unknown_label():
+    problem, v0, _ = build_example("phone")
+    with pytest.raises(ValueError, match=r"no contact labeled 'nope'; labels: A, B"):
+        sequential_resolve(problem, v0, ["nope"])
+
+
 def test_sequential_orders_mirror_on_the_phone():
     problem, v0, _ = build_example("phone")
     r = reflect_map("phone")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from multimpact import (
     psi,
     restrict_contacts,
     sample_count_bound,
+    sim,
 )
 from multimpact.resolution import _workspace
 from multimpact.setapprox import MAX_DIMENSION, MAXBIT, _direction_table, sobol_block
@@ -27,7 +30,7 @@ SENTINEL = 2**63 - 1
 
 
 def test_first_sobol_points_are_the_classical_ones():
-    block = sobol_block(2, 0, 8)
+    block = sobol_block(2, range(8))
     np.testing.assert_array_equal(block[0], [0.0, 0.0])
     np.testing.assert_array_equal(block[1], [0.5, 0.5])
     np.testing.assert_array_equal(block[2], [0.75, 0.25])
@@ -42,14 +45,17 @@ def test_first_sobol_points_are_the_classical_ones():
 def test_sobol_matches_scipy_reference(dimension):
     qmc = pytest.importorskip("scipy.stats.qmc")
     reference = qmc.Sobol(d=dimension, scramble=False).random(256)
-    np.testing.assert_array_equal(sobol_block(dimension, 0, 256), reference)
+    np.testing.assert_array_equal(sobol_block(dimension, range(256)), reference)
 
 
 def test_sobol_random_access_matches_streaming():
-    block = sobol_block(3, 0, 64)
-    np.testing.assert_array_equal(sobol_block(3, 17, 11), block[17:28])
+    block = sobol_block(3, range(64))
+    np.testing.assert_array_equal(sobol_block(3, range(17, 28)), block[17:28])
     # Samplers start at index 1, skipping the all-zero point.
-    np.testing.assert_array_equal(sobol_block(3, 1, 63), block[1:])
+    np.testing.assert_array_equal(sobol_block(3, range(1, 64)), block[1:])
+    # Any order, with repeats.
+    picks = [40, 3, 3, 63, 0, 17]
+    np.testing.assert_array_equal(sobol_block(3, picks), block[picks])
 
 
 def test_consecutive_sobol_points_flip_every_leading_bit():
@@ -58,7 +64,7 @@ def test_consecutive_sobol_points_flip_every_leading_bit():
     # coordinate.  This is why blocked low-discrepancy draws cannot starve
     # a contact twice in a row (see the uniform sampler used for corner
     # coverage).
-    block = sobol_block(4, 0, 128)
+    block = sobol_block(4, range(128))
     deltas = np.abs(block[1::2] - block[0::2])
     np.testing.assert_array_equal(deltas, 0.5 * np.ones_like(deltas))
 
@@ -71,17 +77,18 @@ def test_sobol_bits_match_scipy_after_fast_forward(dimension, start):
     engine.fast_forward(start)
     reference = engine.random(64)
     np.testing.assert_array_equal(
-        sobol_block(dimension, start, 64).view(np.uint64), reference.view(np.uint64)
+        sobol_block(dimension, range(start, start + 64)).view(np.uint64),
+        reference.view(np.uint64),
     )
 
 
-def _slow_sobol_block(dimension, start, count):
+def _slow_sobol_block(dimension, indices):
     """Reference construction: XOR the direction column of every set bit
     of each index's Gray code, one pass per bit."""
     table = _direction_table(dimension)
-    indices = np.arange(start, start + count, dtype=np.uint64)
+    indices = np.asarray(indices, dtype=np.uint64)
     gray = indices ^ (indices >> np.uint64(1))
-    out = np.zeros((count, dimension), dtype=np.uint64)
+    out = np.zeros((len(indices), dimension), dtype=np.uint64)
     for bit in range(MAXBIT):
         mask = (gray >> np.uint64(bit)) & np.uint64(1) == 1
         if mask.any():
@@ -92,12 +99,38 @@ def _slow_sobol_block(dimension, start, count):
 @pytest.mark.parametrize("count", [0, 1, 257])
 @pytest.mark.parametrize("dimension", [1, 3, 32])
 def test_sobol_bits_match_the_per_bit_reference_near_the_index_cap(dimension, count):
-    start = 2**MAXBIT - 300
-    block = sobol_block(dimension, start, count)
+    indices = range(2**MAXBIT - 300, 2**MAXBIT - 300 + count)
+    block = sobol_block(dimension, indices)
     assert block.shape == (count, dimension)
     np.testing.assert_array_equal(
-        block.view(np.uint64), _slow_sobol_block(dimension, start, count).view(np.uint64)
+        block.view(np.uint64), _slow_sobol_block(dimension, indices).view(np.uint64)
     )
+
+
+@pytest.mark.parametrize("dimension", [1, 5, 32])
+def test_random_access_sobol_matches_the_per_bit_reference(dimension):
+    rng = np.random.default_rng(dimension)
+    for high in (2, 1000, 2**30, 2**MAXBIT):
+        indices = rng.integers(0, high, size=97)
+        np.testing.assert_array_equal(
+            sobol_block(dimension, indices).view(np.uint64),
+            _slow_sobol_block(dimension, indices).view(np.uint64),
+        )
+    np.testing.assert_array_equal(
+        sobol_block(dimension, [2**MAXBIT - 1]), _slow_sobol_block(dimension, [2**MAXBIT - 1])
+    )
+
+
+def test_sobol_indices_stay_in_the_sequence():
+    for bad in ([-1], [3, 2**MAXBIT]):
+        with pytest.raises(ValueError, match="52-bit sequence"):
+            sobol_block(2, bad)
+    # Trajectory 0 with step cap n draws indices 1 .. n.
+    draw = SobolSampler().stream(0, 1, 2**MAXBIT - 2, 3)
+    assert draw(np.array([0]), 2**MAXBIT - 3).shape == (1, 3)
+    for first, count, n in ((0, 1, 2**MAXBIT - 1), (2**40, 2**12, 2**30)):
+        with pytest.raises(ValueError, match="52-bit sequence"):
+            SobolSampler().stream(first, count, n, 3)
 
 
 def test_cached_direction_tables_are_read_only():
@@ -109,32 +142,101 @@ def test_cached_direction_tables_are_read_only():
 
 def test_sobol_dimension_limits():
     with pytest.raises(ValueError):
-        sobol_block(0, 0, 4)
+        sobol_block(0, range(4))
     with pytest.raises(ValueError):
-        sobol_block(MAX_DIMENSION + 1, 0, 4)
+        sobol_block(MAX_DIMENSION + 1, range(4))
+
+
+def _block_layout(sampler, first, count, n, m):
+    """Every draw of trajectories ``first .. first+count-1`` at once,
+    shape (count, n, m), laid out independently of ``stream``: Sobol
+    indices ``1 + i*n .. 1 + (i+1)*n - 1`` per trajectory ``i``, or one
+    ``random((n, m))`` per trajectory."""
+    if sampler.kind == "sobol":
+        indices = range(1 + first * n, 1 + (first + count) * n)
+        return _slow_sobol_block(m, indices).reshape(count, n, m)
+    return np.array(
+        [np.random.default_rng([sampler.seed, i]).random((n, m)) for i in range(first, first + count)]
+    )
+
+
+def _live_draws(sampler, first, count, n, m, seed):
+    """``(rows, step, draw)`` of one stream over a random run of live rows:
+    every step keeps a random subset of the rows live at the step before."""
+    rng = np.random.default_rng(seed)
+    draw = sampler.stream(first, count, n, m)
+    rows = np.arange(count)
+    out = []
+    for step in range(n):
+        rows = np.sort(rng.choice(rows, size=rng.integers(1, len(rows) + 1), replace=False))
+        out.append((rows, step, draw(rows, step)))
+    return out
+
+
+@pytest.mark.parametrize("sampler", [SobolSampler(), UniformSampler(seed=11)], ids=["sobol", "uniform"])
+@pytest.mark.parametrize("first, count", [(0, 1), (0, 9), (37, 20)])
+def test_stream_draws_the_block_layout_bit_for_bit(sampler, first, count):
+    n, m = 6, 3
+    layout = _block_layout(sampler, first, count, n, m)
+    for seed in range(5):
+        for rows, step, drawn in _live_draws(sampler, first, count, n, m, seed):
+            assert drawn.shape == (len(rows), m)
+            np.testing.assert_array_equal(drawn.view(np.uint64), layout[rows, step].view(np.uint64))
 
 
 def test_sobol_sampler_uses_disjoint_index_blocks():
-    sampler = SobolSampler()
     n, m = 7, 3
-    block = sampler.draw_block(0, 3, n, m)
-    assert block.shape == (3, n, m)
-    np.testing.assert_array_equal(block[2], sobol_block(m, 1 + 2 * n, n))
-    np.testing.assert_array_equal(block[0], sobol_block(m, 1, n))
-    np.testing.assert_array_equal(sampler.draw_block(2, 1, n, m)[0], block[2])
+    draw = SobolSampler().stream(0, 3, n, m)
+    rows = np.arange(3)
+    steps = np.stack([draw(rows, j) for j in range(n)], axis=1)
+    np.testing.assert_array_equal(steps[2], sobol_block(m, range(1 + 2 * n, 1 + 3 * n)))
+    np.testing.assert_array_equal(steps[0], sobol_block(m, range(1, 1 + n)))
+    # Random access: any step of any row, in any order.
+    again = SobolSampler().stream(2, 1, n, m)
+    np.testing.assert_array_equal(again(np.array([0]), 4)[0], steps[2, 4])
 
 
 def test_uniform_sampler_is_scheduling_independent():
     sampler = UniformSampler(seed=11)
-    first = sampler.draw_block(4, 1, 5, 2)[0]
-    again = sampler.draw_block(3, 2, 5, 2)[1]  # the same trajectory in another block
+
+    def steps(first, count, row):
+        draw = sampler.stream(first, count, 5, 2)
+        return np.array([draw(np.array([row]), j)[0] for j in range(5)])
+
+    first = steps(4, 1, 0)
+    again = steps(3, 2, 1)  # the same trajectory in another block
     np.testing.assert_array_equal(first, again)
-    other = sampler.draw_block(5, 1, 5, 2)[0]
+    other = steps(5, 1, 0)
     assert not np.array_equal(first, other)
     assert first.min() >= 0.0 and first.max() < 1.0
-    # One call gives the same bits as drawing step by step.
+    # Drawing step by step gives the bits of one call.
     rng = np.random.default_rng([11, 4])
-    np.testing.assert_array_equal(first, [rng.random(2) for _ in range(5)])
+    np.testing.assert_array_equal(first, rng.random((5, 2)))
+
+
+@pytest.mark.parametrize("sampler", [SobolSampler(), UniformSampler(seed=3)], ids=["sobol", "uniform"])
+def test_memory_does_not_grow_with_the_step_cap(sampler):
+    problem, v0, meta = build_example("compass")
+    h = float(meta["h"])
+    peaks = {}
+    for n_max in (10, 10**9, 10):
+        tracemalloc.start()
+        try:
+            approximate(problem, v0, h, h / 10.0, n_max, 256, sampler)
+            peaks[n_max] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[10**9] <= 1.1 * peaks[10]
+
+
+@pytest.mark.parametrize("sampler", [SobolSampler(), UniformSampler()], ids=["sobol", "uniform"])
+def test_a_negative_step_cap_is_rejected_on_entry(sampler):
+    problem, v0, meta = build_example("phone")
+    h = float(meta["h"])
+    with pytest.raises(ValueError, match="step cap must be nonnegative"):
+        approximate(problem, v0, h, h / 10.0, -1, 4, sampler)
+    with pytest.raises(ValueError, match="step cap must be nonnegative"):
+        sim(problem, v0, h, -1, sampler)
 
 
 def test_psi_frozen_on_the_ball():
