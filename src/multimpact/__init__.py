@@ -22,131 +22,30 @@ Layout:
 - :mod:`multimpact.io` - lossless CSV/JSON export;
 - :mod:`multimpact.cli` - the ``multimpact`` command.
 
-The last two load only when imported by name, so ``import multimpact``
-brings in neither ``argparse`` nor ``csv``.
+The package exports the public names (``__all__``) of the first six
+modules and of :mod:`multimpact.errors`.  The last two modules load only
+when imported by name, so ``import multimpact`` brings in neither
+``argparse`` nor ``csv``.
 """
 
-from .contact import (
-    ImpactProblem,
-    in_linear_cone,
-    is_impacting,
-    kinetic_energy,
-    mass_norm,
-)
-from .errors import (
-    ConeViolationError,
-    ConfigError,
-    LcpSolveError,
-    MultimpactError,
-    NonDegeneracyViolation,
-    SceneFormatError,
-    SequentialCapExceeded,
-)
-from .lcp import (
-    LcpInstance,
-    LcpSolution,
-    lemke_many,
-    lemke_solve,
-    residuals,
-)
-from .oracles import DenseTrajectory, brute_force_lcp, routh_dense_reference
-from .resolution import (
-    ImpactLcpLayout,
-    StepRecord,
-    Trajectory,
-    anitescu_resolve,
-    assemble_impact_lcp,
-    baselines,
-    compute_r,
-    restrict_contacts,
-    sequential_resolve,
-    sim,
-    sim_block,
-    sim_step,
-    step_block,
-    tail_bound,
-    termination_constant,
-)
-from .scenes import (
-    Scene,
-    build_ball,
-    build_example,
-    build_problem,
-    contact_jacobians,
-    gap,
-    list_examples,
-    load_scene,
-    mass_matrix,
-    reflect_map,
-)
-from .setapprox import (
-    PostImpactSet,
-    SobolSampler,
-    UniformSampler,
-    approximate,
-    classify_outcomes,
-    epsilon_net_check,
-    estimate_step_lipschitz,
-    psi,
-    sample_count_bound,
-)
+from . import contact, errors, lcp, oracles, resolution, scenes, setapprox
+from .contact import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .lcp import *  # noqa: F403
+from .oracles import *  # noqa: F403
+from .resolution import *  # noqa: F403
+from .scenes import *  # noqa: F403
+from .setapprox import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ImpactProblem",
-    "in_linear_cone",
-    "is_impacting",
-    "kinetic_energy",
-    "mass_norm",
-    "MultimpactError",
-    "LcpSolveError",
-    "ConeViolationError",
-    "NonDegeneracyViolation",
-    "SequentialCapExceeded",
-    "SceneFormatError",
-    "LcpInstance",
-    "LcpSolution",
-    "lemke_solve",
-    "lemke_many",
-    "residuals",
-    "DenseTrajectory",
-    "brute_force_lcp",
-    "routh_dense_reference",
-    "ImpactLcpLayout",
-    "StepRecord",
-    "Trajectory",
-    "assemble_impact_lcp",
-    "sim_step",
-    "sim",
-    "step_block",
-    "sim_block",
-    "anitescu_resolve",
-    "sequential_resolve",
-    "baselines",
-    "restrict_contacts",
-    "compute_r",
-    "termination_constant",
-    "tail_bound",
-    "Scene",
-    "build_ball",
-    "build_example",
-    "build_problem",
-    "contact_jacobians",
-    "gap",
-    "list_examples",
-    "load_scene",
-    "mass_matrix",
-    "reflect_map",
-    "PostImpactSet",
-    "SobolSampler",
-    "UniformSampler",
-    "psi",
-    "approximate",
-    "epsilon_net_check",
-    "sample_count_bound",
-    "estimate_step_lipschitz",
-    "classify_outcomes",
-    "ConfigError",
+    *contact.__all__,
+    *errors.__all__,
+    *lcp.__all__,
+    *oracles.__all__,
+    *resolution.__all__,
+    *scenes.__all__,
+    *setapprox.__all__,
     "__version__",
 ]

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lcp import _vector_sum, ordered_matvec, ordered_sum
+from .lcp import _serial_sum, ordered_matvec, ordered_sum
 
 __all__ = [
     "ImpactProblem",
@@ -158,14 +158,13 @@ def is_impacting(problem: ImpactProblem, v: np.ndarray) -> bool | np.ndarray:
     rate is at or above it, so a state holding a NaN or an infinity (or
     whose ``|v|`` overflows) reads as impacting.  One state is decided on
     Python floats: the rates are ``jn @ v``'s and ``|v|`` sums the
-    squares in ``np.sum``'s order (``lcp._vector_sum``), so the verdict
-    is the one numpy's array operations give on that state.  (A stack
-    sums by ``ordered_sum`` instead, so a state exactly on the threshold
-    may read differently as a row of a stack.)"""
+    squares left to right (``lcp._serial_sum``).  (A stack sums by
+    ``ordered_sum`` instead, so a state exactly on the threshold may read
+    differently as a row of a stack.)"""
     v = np.asarray(v, dtype=float)
     if v.ndim == 1:
         rates = (problem.jn @ v).tolist()
-        limit = -APPROACH_TOL * (1.0 + math.sqrt(_vector_sum([x * x for x in v.tolist()])))
+        limit = -APPROACH_TOL * (1.0 + math.sqrt(_serial_sum([x * x for x in v.tolist()])))
         if not limit > -math.inf:
             return True
         for rate in rates:

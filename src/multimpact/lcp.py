@@ -104,30 +104,14 @@ def ordered_sum(x: np.ndarray) -> np.ndarray:
     return x[..., 0]
 
 
-def _vector_sum(values: list[float]) -> float:
-    """``np.sum`` of a 1-D float64 array, on Python floats, so that a
-    certification on floats keeps the bits of one on arrays.  numpy adds
-    fewer than 8 terms in order from 0.0, 8 to 128 terms in 8
-    interleaved partial sums combined pairwise, and more as the sum of
-    two halves whose first is a multiple of 8 long."""
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for x in values:
-            total += x
-        return total
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _vector_sum(values[:half]) + _vector_sum(values[half:])
-    acc = values[:8]
-    full = n - n % 8
-    for start in range(8, full, 8):
-        for j in range(8):
-            acc[j] += values[start + j]
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for x in values[full:]:
+def _serial_sum(values) -> float:
+    """Sum of Python floats added left to right from 0.0, as numpy adds
+    fewer than 8 terms.  Builtin ``sum`` compensates its rounding from
+    Python 3.12 on, so its bits would depend on the Python version."""
+    total = 0.0
+    for x in values:
         total += x
-    return 0.0 + total  # numpy adds the sum to an initial 0.0: -0.0 becomes 0.0
+    return total
 
 
 def ordered_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:

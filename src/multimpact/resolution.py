@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -39,7 +40,7 @@ from .lcp import (
     RESIDUAL_TOL,
     LcpInstance,
     _residuals,
-    _vector_sum,
+    _serial_sum,
     lemke_many,
     lemke_solve,
     ordered_matvec,
@@ -239,17 +240,17 @@ def _certified_solve(lcp: LcpInstance, context: str) -> np.ndarray:
 def _certified_solve_one(lcp: LcpInstance, context: str) -> np.ndarray:
     """:func:`_certified_solve` of one instance, certified on Python
     floats: the residuals of ``lcp._residuals`` and the same scale, each
-    sum taken as ``np.sum`` takes it (``_vector_sum``).  ``min`` may drop
+    sum taken left to right (``_serial_sum``).  ``min`` may drop
     a NaN, but the gap sums every ``z_i w_i``, so a NaN fails there; an
     infinite scale fails as on a stack."""
     sol = lemke_solve(lcp)
     if sol.status != "solved":
         raise LcpSolveError(sol.status, context)
     z, w = sol.z.tolist(), sol.w.tolist()
-    comp_gap = abs(_vector_sum([a * b for a, b in zip(z, w)]))
+    comp_gap = abs(_serial_sum([a * b for a, b in zip(z, w)]))
     neg_z = max(0.0, -min(0.0, *z))
     neg_w = max(0.0, -min(0.0, *w))
-    scale = 1.0 + math.sqrt(_vector_sum([a * a for a in z]) * _vector_sum([b * b for b in w]))
+    scale = 1.0 + math.sqrt(_serial_sum([a * a for a in z]) * _serial_sum([b * b for b in w]))
     ok = math.isfinite(scale) and neg_z <= RESIDUAL_TOL and neg_w <= RESIDUAL_TOL
     if not (ok and comp_gap <= RESIDUAL_TOL * scale):
         raise _residual_error(context, comp_gap, neg_z, neg_w)
@@ -330,8 +331,8 @@ def sim_block(
     sees each step of the rows it stepped.  Returns the final velocities,
     one row per trajectory.
     """
-    if h <= 0.0:
-        raise ValueError("per-step impulse budget h must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"per-step impulse budget h must be positive and finite, got {h!r}")
     if n_max < 0:
         raise ValueError("step cap must be nonnegative")
     v = np.array(np.broadcast_to(np.asarray(v0, dtype=float), (count, problem.n_v)))
@@ -475,7 +476,8 @@ def sequential_resolve(
     """One-contact-at-a-time baseline.
 
     Contacts are visited round-robin in the cycle given by ``order``
-    (labels or indices) followed by the remaining contacts in index order;
+    (labels, or integer indices that are not bools; any other entry
+    raises ``ValueError``) followed by the remaining contacts in index order;
     each visit fully resolves that single contact if it is approaching.
     Terminates when a full sweep finds no approaching contact; more than
     ``cap`` single-contact resolutions raises
@@ -488,7 +490,12 @@ def sequential_resolve(
     for entry in order:
         if isinstance(entry, str) and entry not in label_index:
             raise ValueError(f"no contact labeled {entry!r}; labels: {', '.join(problem.labels)}")
-        idx = label_index[entry] if isinstance(entry, str) else int(entry)
+        if isinstance(entry, str):
+            idx = label_index[entry]
+        elif isinstance(entry, numbers.Integral) and not isinstance(entry, bool):
+            idx = int(entry)
+        else:
+            raise ValueError(f"resolution order entry {entry!r} is neither a label nor an index")
         if idx < 0 or idx >= m:
             raise ValueError(f"contact index {idx} out of range")
         if idx in cycle:
@@ -622,8 +629,8 @@ def termination_constant(
     energy-determined prefix ``c * ceil(|v0|_M)`` is at most the returned
     ``tail(k)``.
     """
-    if h <= 0.0:
-        raise ValueError("per-step impulse budget h must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"per-step impulse budget h must be positive and finite, got {h!r}")
     if r is None:
         r = compute_r(problem)
     m = problem.n_contacts

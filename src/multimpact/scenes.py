@@ -44,6 +44,7 @@ __all__ = [
     "reflect_map",
     "list_examples",
     "load_scene",
+    "mass_matrix",
     "scene_from_dict",
     "scene_to_dict",
 ]

@@ -254,18 +254,19 @@ def _run_share(conn, args: tuple, start: int, stop: int) -> None:
 
 def _fan_out(args: tuple, bounds: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Results of the ranges ``bounds[k] .. bounds[k+1]-1`` in order: the
-    first from this process, the others from one child process each.
+    first from this process, the others from one child process each, so
+    a single range starts no child.
 
     If anything raises here (this process's own range, an error a child
     sent back, or ``KeyboardInterrupt``), the children still running are
     terminated.  Every child is joined before this returns or raises."""
-    # Imported here: it costs tens of ms at import time, and only
-    # ``jobs > 1`` needs it.
-    import multiprocessing
-
     children = []
     try:
         for start, stop in zip(bounds[1:], bounds[2:]):
+            # Imported by the first child's start: it costs tens of ms,
+            # which a single range never pays.
+            import multiprocessing
+
             receive, send = multiprocessing.Pipe(duplex=False)
             child = multiprocessing.Process(target=_run_share, args=(send, args, start, stop))
             child.start()
@@ -328,14 +329,13 @@ def approximate(
         raise ValueError("start velocity must be finite")
     finishing = (epsilon / (3.0 * psi(problem))) * np.ones(problem.n_contacts)
 
-    args = (problem, v0, h, n_max, sampler, finishing)
-    if jobs <= 1 or m_trajectories == 1:
-        traj_indices, samples = _run_trajectories(*args, 0, m_trajectories)
-    else:
-        jobs = min(jobs, m_trajectories)
-        parts = _fan_out(args, [k * m_trajectories // jobs for k in range(jobs + 1)])
-        traj_indices = np.concatenate([indices for indices, _ in parts])
-        samples = np.concatenate([kept for _, kept in parts])
+    jobs = max(1, min(jobs, m_trajectories))
+    parts = _fan_out(
+        (problem, v0, h, n_max, sampler, finishing),
+        [k * m_trajectories // jobs for k in range(jobs + 1)],
+    )
+    traj_indices = np.concatenate([indices for indices, _ in parts])
+    samples = np.concatenate([kept for _, kept in parts])
     return PostImpactSet(
         samples=samples,
         traj_indices=traj_indices,
@@ -387,9 +387,14 @@ def epsilon_net_check(
 ) -> tuple[bool, float]:
     """Audit that ``candidate`` is an epsilon-net of ``reference``: every
     reference point must be within Euclidean ``epsilon`` of some candidate.
-    Returns ``(ok, worst_gap)``."""
+    Both are 2-D, one point per row, of equal width.  Returns
+    ``(ok, worst_gap)``."""
     candidate = np.asarray(candidate, dtype=float)
     reference = np.asarray(reference, dtype=float)
+    if candidate.ndim != 2 or reference.ndim != 2 or candidate.shape[1] != reference.shape[1]:
+        raise ValueError(
+            f"point sets must be 2-D and of equal width, got {candidate.shape}, {reference.shape}"
+        )
     if candidate.size == 0 or reference.size == 0:
         raise ValueError("both point sets must be nonempty")
     worst = 0.0
@@ -415,15 +420,19 @@ def sample_count_bound(
     sqrt(box_dim) / epsilon)`` per axis, hit probability ``omega`` =
     cells^-box_dim), then returns the least M with
     ``M >= ln(delta * omega) / ln(1 - omega)``.  Astronomically large
-    requirements saturate to ``2**63 - 1``.
+    requirements saturate to ``2**63 - 1``, as does a cell count that
+    overflows.
     """
-    if h <= 0 or lipschitz_l <= 0 or epsilon <= 0:
-        raise ValueError("h, lipschitz_l and epsilon must be positive")
+    if not all(0.0 < x < math.inf for x in (h, lipschitz_l, epsilon)):
+        raise ValueError("h, lipschitz_l and epsilon must be positive and finite")
     if box_dim < 1:
         raise ValueError("box_dim must be at least 1")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    cells = math.ceil(h * lipschitz_l * math.sqrt(box_dim) / epsilon)
+    ratio = h * lipschitz_l * math.sqrt(box_dim) / epsilon
+    if ratio == math.inf:
+        return _SENTINEL
+    cells = math.ceil(ratio)
     if cells <= 1:
         return 1
     log_omega = -box_dim * math.log(cells)

@@ -149,6 +149,45 @@ def test_import_loads_neither_the_cli_nor_argparse():
     assert out.stdout.strip() == "[]"
 
 
+def test_approximate_on_one_job_loads_no_multiprocessing():
+    # One range runs in this process, so no child starts and the module
+    # that starts them is never imported.
+    src = str(Path(multimpact.__file__).parents[1])
+    code = ("import sys, multimpact as mm; p, v0, meta = mm.build_example('phone'); "
+            "h = float(meta['h']); "
+            "post = mm.approximate(p, v0, h, h / 10, 10, 8, mm.SobolSampler(), jobs=1); "
+            "print(len(post.traj_indices) + post.rejected_count, "
+            "'multiprocessing' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["8", "False"]
+
+
+# The package's names before its list was built from the modules' lists.
+_EXPORTED_BEFORE = """
+    ImpactProblem in_linear_cone is_impacting kinetic_energy mass_norm
+    MultimpactError LcpSolveError ConeViolationError NonDegeneracyViolation
+    SequentialCapExceeded SceneFormatError ConfigError LcpInstance LcpSolution
+    lemke_solve lemke_many residuals DenseTrajectory brute_force_lcp
+    routh_dense_reference ImpactLcpLayout StepRecord Trajectory
+    assemble_impact_lcp sim_step sim step_block sim_block anitescu_resolve
+    sequential_resolve baselines restrict_contacts compute_r
+    termination_constant tail_bound Scene build_ball build_example
+    build_problem contact_jacobians gap list_examples load_scene mass_matrix
+    reflect_map PostImpactSet SobolSampler UniformSampler psi approximate
+    epsilon_net_check sample_count_bound estimate_step_lipschitz
+    classify_outcomes __version__
+""".split()
+
+
+def test_package_exports_every_module_name_once():
+    names = multimpact.__all__
+    assert len(names) == len(set(names))
+    assert set(_EXPORTED_BEFORE) <= set(names)
+    for name in names:
+        getattr(multimpact, name)  # raises if the name does not resolve
+
+
 def test_energy_and_norm_frozen_values():
     ball, v0, _ = build_ball()
     assert kinetic_energy(ball, v0) == pytest.approx(0.5, abs=1e-15)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,14 @@ def test_sim_rejects_bad_budgets():
         sim(problem, v0, h=1.0, n_max=-1, sampler=UniformSampler())
 
 
+@pytest.mark.parametrize("h", [math.nan, math.inf])
+def test_sim_rejects_a_non_finite_budget(h):
+    # A NaN budget would pass ``h <= 0`` and step with NaN caps.
+    problem, v0, _ = build_example("phone")
+    with pytest.raises(ValueError, match="h must be positive and finite"):
+        sim(problem, v0, h=h, n_max=10, sampler=UniformSampler())
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_sim_and_approximate_reject_a_non_finite_start(bad):
     problem, v0, meta = build_example("phone")
@@ -159,7 +168,16 @@ def test_sequential_accepts_labels_and_indices():
     by_label = sequential_resolve(problem, v0, order=["A"])
     by_index = sequential_resolve(problem, v0, order=[0])
     np.testing.assert_array_equal(by_label.v_final, by_index.v_final)
+    by_numpy_index = sequential_resolve(problem, v0, order=[np.int64(0)])
+    np.testing.assert_array_equal(by_label.v_final, by_numpy_index.v_final)
     assert by_label.terminated
+
+
+@pytest.mark.parametrize("entry", [0.7, 1.0, True, False, np.bool_(True), None, b"A"])
+def test_sequential_rejects_order_entries_that_are_not_labels_or_indices(entry):
+    problem, v0, _ = build_example("phone")
+    with pytest.raises(ValueError, match=f"entry {re.escape(repr(entry))} is neither"):
+        sequential_resolve(problem, v0, [entry])
 
 
 def test_sequential_rejects_an_unknown_label():
@@ -404,6 +422,14 @@ def test_termination_constant_validates_budget():
     ball, _, _ = build_ball()
     with pytest.raises(ValueError):
         termination_constant(ball, 0.0)
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf])
+def test_termination_constant_rejects_a_non_finite_budget(h):
+    # NaN reached ``math.ceil`` as a raw conversion error; inf gave c = 0.
+    ball, _, _ = build_ball()
+    with pytest.raises(ValueError, match="h must be positive and finite"):
+        termination_constant(ball, h)
 
 
 def test_opposing_contacts_jam():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -317,12 +318,43 @@ def test_epsilon_net_audit():
     assert not ok and worst == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "candidate, reference",
+    [
+        (np.zeros(3), np.zeros((2, 3))),
+        (np.zeros((2, 3)), np.zeros(3)),
+        (np.zeros((2, 3)), np.zeros((2, 2))),
+        (np.zeros((1, 2, 3)), np.zeros((2, 3))),
+    ],
+)
+def test_epsilon_net_audit_requires_2d_sets_of_equal_width(candidate, reference):
+    with pytest.raises(ValueError, match="2-D and of equal width"):
+        epsilon_net_check(candidate, reference, 1.0)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        (math.inf, 1.0, 1, 0.5, 0.1),
+        (1.0, math.inf, 1, 0.5, 0.1),
+        (1.0, 1.0, 1, math.nan, 0.1),
+        (math.nan, 1.0, 1, 0.5, 0.1),
+        (1.0, 1.0, 1, math.inf, 0.1),
+        (1.0, 1.0, 1, 0.5, math.nan),
+    ],
+)
+def test_sample_count_bound_rejects_non_finite_inputs(params):
+    with pytest.raises(ValueError, match="must"):
+        sample_count_bound(*params)
+
+
 def test_sample_count_bound_frozen_and_edges():
     assert sample_count_bound(1.0, 1.0, 1, 0.5, 0.1) == 5
     # A single cell always suffices: one trajectory hits it.
     assert sample_count_bound(1.0, 1.0, 1, 2.0, 0.1) == 1
     # Astronomical requirements saturate at the 63-bit sentinel.
     assert sample_count_bound(10.0, 100.0, 8, 1e-6, 0.01) == SENTINEL
+    assert sample_count_bound(1e300, 1e300, 1, 0.5, 0.1) == SENTINEL  # cells overflow
     with pytest.raises(ValueError):
         sample_count_bound(0.0, 1.0, 1, 0.5, 0.1)
     with pytest.raises(ValueError):
