@@ -14,6 +14,8 @@ codes: 1 for configuration errors, 2 for solver failures, 3 for I/O
 failures.  Outputs contain no timestamps: the same invocation always
 produces byte-identical files.  Each flag is declared once, with its
 default, choices and check, and the parsed namespace goes to the subcommand.
+Values that are only wrong together, or wrong for the scene, are left to
+the library, and a ``ValueError`` it raises is a configuration error.
 """
 
 from __future__ import annotations
@@ -32,12 +34,8 @@ from .contact import ImpactProblem
 from .errors import ConfigError, MultimpactError, SceneFormatError
 from .oracles import routh_dense_reference
 from .resolution import baselines, restrict_contacts, sim
-from .scenes import (
-    EXAMPLE_NAMES, MAX_MAGNITUDE, build_example, build_problem, load_scene, scene_to_dict,
-)
-from .setapprox import (
-    MAXBIT, PostImpactSet, SobolSampler, UniformSampler, approximate, classify_outcomes,
-)
+from .scenes import EXAMPLE_NAMES, MAX_MAGNITUDE, build_example, load_scene, scene_to_dict
+from .setapprox import PostImpactSet, SobolSampler, UniformSampler, approximate, classify_outcomes
 
 __all__ = ["main"]
 
@@ -45,17 +43,12 @@ DESK_SCALE_TRAJECTORIES = 4096  # default sample count without --paper-scale
 
 
 def _load(args: argparse.Namespace) -> tuple[ImpactProblem, np.ndarray, dict]:
-    name = args.scene
-    if name in EXAMPLE_NAMES or name == "ball":
-        return build_example(name)
-    path = Path(name)
-    if not path.exists():
-        if "/" in name or name.endswith(".json"):
-            raise FileNotFoundError(f"scene file not found: {name}")
+    try:
+        return build_example(args.scene)
+    except KeyError:
         raise ConfigError(
-            f"unknown scene {name!r}; bundled scenes: {', '.join(EXAMPLE_NAMES)}, ball"
-        )
-    return build_problem(load_scene(path))
+            f"unknown scene {args.scene!r}; bundled scenes: {', '.join(EXAMPLE_NAMES)}, ball"
+        ) from None
 
 
 def _make_sampler(args: argparse.Namespace):
@@ -63,9 +56,9 @@ def _make_sampler(args: argparse.Namespace):
 
 
 def _fill_defaults(args: argparse.Namespace, meta: dict) -> None:
-    """Take the flags left unset from the scene, then check the values
-    that are only wrong together.  Each flag alone was checked when it
-    was parsed, and the scene's defaults when the scene was read."""
+    """Take the flags left unset from the scene.  Each flag alone was
+    checked when it was parsed, and the scene's defaults when the scene
+    was read; the library checks the values that are only wrong together."""
     # The Sobol sequence has no seed: a seed it ignored would look like a
     # second, independent run with byte-identical output.
     if args.sampler == "sobol" and args.seed:
@@ -74,24 +67,13 @@ def _fill_defaults(args: argparse.Namespace, meta: dict) -> None:
         args.h = float(meta.get("h", 1.0))
     if args.n is None:
         args.n = int(meta.get("n_steps", 10))
-    if args.command == "simulate":
-        count = args.traj_index + 1
-    else:
+    if args.command != "simulate":
         if args.m is None:
             args.m = DESK_SCALE_TRAJECTORIES
             if args.paper_scale:
                 args.m = int(meta.get("m_trajectories", DESK_SCALE_TRAJECTORIES))
         if args.epsilon is None:
             args.epsilon = args.h / 10.0
-        if args.epsilon >= args.h:
-            raise ConfigError("epsilon must be smaller than h")
-        count = args.m
-    # Trajectory i draws Sobol indices [1 + i*n, 1 + (i+1)*n).
-    if args.sampler == "sobol" and 1 + count * args.n >= 1 << MAXBIT:
-        raise ConfigError(
-            f"Sobol draws would reach index {count * args.n}, beyond "
-            f"the {MAXBIT}-bit sequence; lower --n, --m or --traj-index"
-        )
 
 
 def _export(args: argparse.Namespace, meta: dict, kind: str, record, problem) -> Path:
@@ -163,8 +145,9 @@ def _cmd_approximate(args: argparse.Namespace) -> None:
 def _cmd_compare(args: argparse.Namespace) -> None:
     problem, v0, meta = _load(args)
     _fill_defaults(args, meta)
-    rows = baselines(problem, v0)
+    # Sampling first: an argument it rejects fails before the baselines run.
     post_set = _approximate_set(args, problem, v0)
+    rows = baselines(problem, v0)
     for idx, v in zip(post_set.traj_indices, post_set.samples):
         rows.append(("sampled", str(int(idx)), v))
     path = _export(args, meta, "compare", rows, problem)
@@ -182,20 +165,12 @@ def _cmd_compare(args: argparse.Namespace) -> None:
 def _cmd_oracle(args: argparse.Namespace) -> None:
     problem, v0, meta = _load(args)
     if args.contact is not None:
-        if args.contact not in problem.labels:
-            raise ConfigError(
-                f"scene has no contact labeled {args.contact!r}; "
-                f"labels: {', '.join(problem.labels)}"
-            )
-        problem = restrict_contacts(problem, [problem.labels.index(args.contact)])
+        problem = restrict_contacts(problem, [args.contact])
     if problem.n_contacts != 1:
         raise ConfigError(
             "the dense reference needs a single contact; pick one with --contact"
         )
-    try:
-        dense = routh_dense_reference(problem, v0, args.ds)
-    except ValueError as exc:  # the one contact is checked above: --ds is too fine
-        raise ConfigError(str(exc)) from None
+    dense = routh_dense_reference(problem, v0, args.ds)
     path = _export(args, meta, "dense", dense, problem)
     _summary(
         {
@@ -334,15 +309,16 @@ def main(argv: list[str] | None = None) -> int:
         args.run(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except MultimpactError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError, SceneFormatError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    # After the I/O clause: a scene file's format errors are ValueErrors too.
+    except (ConfigError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

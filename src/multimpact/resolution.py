@@ -25,7 +25,7 @@ import functools
 import math
 import numbers
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,16 +195,21 @@ def assemble_impact_lcp(
     (one per row) it builds the stack of step LCPs, which share ``M``."""
     v = np.asarray(v, dtype=float)
     lambda_max = np.asarray(lambda_max, dtype=float)
-    m = problem.n_contacts
-    if lambda_max.shape != v.shape[:-1] + (m,):
-        raise ValueError("lambda_max must have one cap per contact")
-    if not np.isfinite(lambda_max).all() or np.any(lambda_max < 0.0):
-        raise ValueError("impulse caps must be finite and nonnegative")
+    _check_caps(problem, v, lambda_max)
     ws = _workspace(problem)
     q = np.concatenate(
         [lambda_max, ordered_matvec(ws.jbar, v), np.zeros(lambda_max.shape)], axis=-1
     )
-    return LcpInstance(ws.full_matrix, q), ImpactLcpLayout(m)
+    return LcpInstance(ws.full_matrix, q), ImpactLcpLayout(problem.n_contacts)
+
+
+def _check_caps(problem: ImpactProblem, v: np.ndarray, lambda_max: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``lambda_max`` holds one finite,
+    nonnegative cap per contact for each velocity of ``v``."""
+    if lambda_max.shape != v.shape[:-1] + (problem.n_contacts,):
+        raise ValueError("lambda_max must have one cap per contact")
+    if not np.isfinite(lambda_max).all() or np.any(lambda_max < 0.0):
+        raise ValueError("impulse caps must be finite and nonnegative")
 
 
 def _certified_solve(lcp: LcpInstance, context: str) -> np.ndarray:
@@ -274,13 +279,15 @@ def step_block(
 
     Returns ``(v_after, lambda_n, beta)``, one row per input row.  A row
     with no approaching contact, or with every cap zero, keeps its
-    velocity and takes no impulse.  The other rows' step LCPs are solved
-    together; the first row whose LCP does not certify raises
+    velocity and takes no impulse.  Every row's caps are checked first,
+    as :func:`assemble_impact_lcp` checks them.  The other rows' step LCPs
+    are solved together; the first row whose LCP does not certify raises
     :class:`LcpSolveError`, and the first whose post-step state fails the
     friction-cone audit raises :class:`ConeViolationError`.
     """
     v = np.asarray(v, dtype=float)
     lambda_max = np.asarray(lambda_max, dtype=float)
+    _check_caps(problem, v, lambda_max)
     return _step(problem, v, lambda_max, is_impacting(problem, v))
 
 
@@ -333,6 +340,7 @@ def sim_block(
     """
     if not 0.0 < h < math.inf:
         raise ValueError(f"per-step impulse budget h must be positive and finite, got {h!r}")
+    _check_integers(n_max=n_max)
     if n_max < 0:
         raise ValueError("step cap must be nonnegative")
     v = np.array(np.broadcast_to(np.asarray(v0, dtype=float), (count, problem.n_v)))
@@ -351,6 +359,28 @@ def sim_block(
     return v
 
 
+def _check_integers(**values) -> None:
+    """Raise ``ValueError`` naming the first argument that is a bool or
+    not an integer."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _record(problem: ImpactProblem, lambda_max, v_before, v_after, lambda_n, beta) -> StepRecord:
+    """The record of row 0 of a stepped stack, with both energies; the
+    arguments are those ``sim_block`` hands ``on_step``."""
+    return StepRecord(
+        lambda_max=lambda_max[0],
+        lambda_n=lambda_n[0],
+        beta=beta[0],
+        v_before=v_before[0],
+        v_after=v_after[0],
+        energy_before=kinetic_energy(problem, v_before[0]),
+        energy_after=kinetic_energy(problem, v_after[0]),
+    )
+
+
 def sim_step(
     problem: ImpactProblem,
     v: np.ndarray,
@@ -364,19 +394,10 @@ def sim_step(
     :class:`LcpSolveError`; a post-step state failing the friction-cone
     audit raises :class:`ConeViolationError`.
     """
-    v = np.asarray(v, dtype=float)
-    lambda_max = np.asarray(lambda_max, dtype=float)
-    v_after, lambda_n, beta = step_block(problem, v[None], lambda_max[None])
-    record = StepRecord(
-        lambda_max=lambda_max.copy(),
-        lambda_n=lambda_n[0],
-        beta=beta[0],
-        v_before=v.copy(),
-        v_after=v_after[0].copy(),
-        energy_before=kinetic_energy(problem, v),
-        energy_after=kinetic_energy(problem, v_after[0]),
-    )
-    return v_after[0], record
+    v = np.array(v, dtype=float)[None]
+    lambda_max = np.array(lambda_max, dtype=float)[None]
+    v_after, lambda_n, beta = step_block(problem, v, lambda_max)
+    return v_after[0].copy(), _record(problem, lambda_max, v, v_after, lambda_n, beta)
 
 
 def sim(
@@ -400,21 +421,10 @@ def sim(
     if not np.isfinite(v0).all():
         raise ValueError("start velocity must be finite")
     steps: list[StepRecord] = []
-
-    def record(lambda_max, v_before, v_after, lambda_n, beta) -> None:
-        steps.append(
-            StepRecord(
-                lambda_max=lambda_max[0],
-                lambda_n=lambda_n[0],
-                beta=beta[0],
-                v_before=v_before[0],
-                v_after=v_after[0],
-                energy_before=kinetic_energy(problem, v_before[0]),
-                energy_after=kinetic_energy(problem, v_after[0]),
-            )
-        )
-
-    v = sim_block(problem, v0, h, n_max, sampler, traj_index, 1, on_step=record)
+    v = sim_block(
+        problem, v0, h, n_max, sampler, traj_index, 1,
+        on_step=lambda *step: steps.append(_record(problem, *step)),
+    )
     return Trajectory(
         steps=steps,
         terminated=not is_impacting(problem, v)[0],
@@ -428,35 +438,48 @@ def sim(
 def _uncapped_resolve(
     problem: ImpactProblem, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-shot resolution with no impulse caps; returns (v_after,
-    lambda_n, beta)."""
+    """One-shot resolution with no impulse caps, audited against the
+    friction cone; returns (v_after, lambda_n, beta)."""
     m = problem.n_contacts
     ws = _workspace(problem)
     jn_v = problem.jn @ v
     if all(rate >= 0.0 for rate in jn_v.tolist()):
-        return np.asarray(v, dtype=float).copy(), np.zeros(m), np.zeros(2 * m)
-    lcp = LcpInstance(ws.uncapped_matrix, np.concatenate([jn_v, problem.jd @ v, np.zeros(m)]))
-    z = _certified_solve(lcp, "uncapped resolution")
-    # z is [lambda_n; beta; slip speeds]: its first 3m entries are the impulses.
-    v_after = v + ws.minv_jbar_t @ z[: 3 * m]
+        v_after, z = np.asarray(v, dtype=float).copy(), np.zeros(3 * m)
+    else:
+        lcp = LcpInstance(ws.uncapped_matrix, np.concatenate([jn_v, problem.jd @ v, np.zeros(m)]))
+        z = _certified_solve(lcp, "uncapped resolution")
+        # z is [lambda_n; beta; slip speeds]: its first 3m entries are the impulses.
+        v_after = v + ws.minv_jbar_t @ z[: 3 * m]
+    if not in_linear_cone(problem, v_after, z[:m], z[m : 3 * m]):
+        raise ConeViolationError("uncapped resolution failed the friction-cone feasibility audit")
     return v_after, z[:m], z[m : 3 * m]
 
 
 def anitescu_resolve(problem: ImpactProblem, v: np.ndarray) -> np.ndarray:
     """Deterministic one-shot baseline: resolve all contacts simultaneously
     with unbounded normal impulses (the classical time-stepping impact law)."""
-    v = np.asarray(v, dtype=float)
-    v_after, lambda_n, beta = _uncapped_resolve(problem, v)
-    if not in_linear_cone(problem, v_after, lambda_n, beta):
-        raise ConeViolationError(
-            "uncapped resolution failed the friction-cone feasibility audit"
-        )
-    return v_after
+    return _uncapped_resolve(problem, np.asarray(v, dtype=float))[0]
 
 
-def restrict_contacts(problem: ImpactProblem, indices: list[int]) -> ImpactProblem:
-    """A copy of the problem keeping only the selected contacts."""
-    indices = list(indices)
+def _contact_index(problem: ImpactProblem, entry: int | str) -> int:
+    """The index of the contact that ``entry`` names: a label, or an
+    integer index in range that is not a bool.  Anything else raises
+    ``ValueError``."""
+    if isinstance(entry, str):
+        if entry not in problem.labels:
+            raise ValueError(f"no contact labeled {entry!r}; labels: {', '.join(problem.labels)}")
+        return problem.labels.index(entry)
+    if isinstance(entry, bool) or not isinstance(entry, numbers.Integral):
+        raise ValueError(f"contact entry {entry!r} is neither a label nor an index")
+    if not 0 <= entry < problem.n_contacts:
+        raise ValueError(f"contact index {entry} out of range")
+    return int(entry)
+
+
+def restrict_contacts(problem: ImpactProblem, contacts: list[int | str]) -> ImpactProblem:
+    """A copy of the problem keeping only the selected contacts, each
+    named by a label or an index (any other entry raises ``ValueError``)."""
+    indices = [_contact_index(problem, entry) for entry in contacts]
     doubled = [row for i in indices for row in (2 * i, 2 * i + 1)]
     return ImpactProblem(
         mass=problem.mass,
@@ -485,19 +508,9 @@ def sequential_resolve(
     """
     v = np.asarray(v, dtype=float).copy()
     m = problem.n_contacts
-    label_index = {label: i for i, label in enumerate(problem.labels)}
     cycle: list[int] = []
     for entry in order:
-        if isinstance(entry, str) and entry not in label_index:
-            raise ValueError(f"no contact labeled {entry!r}; labels: {', '.join(problem.labels)}")
-        if isinstance(entry, str):
-            idx = label_index[entry]
-        elif isinstance(entry, numbers.Integral) and not isinstance(entry, bool):
-            idx = int(entry)
-        else:
-            raise ValueError(f"resolution order entry {entry!r} is neither a label nor an index")
-        if idx < 0 or idx >= m:
-            raise ValueError(f"contact index {idx} out of range")
+        idx = _contact_index(problem, entry)
         if idx in cycle:
             raise ValueError("resolution order must not repeat contacts")
         cycle.append(idx)
@@ -527,10 +540,6 @@ def sequential_resolve(
                 f"more than {cap} single-contact resolutions without settling"
             )
         v_after, lam_single, beta_single = _uncapped_resolve(single, v)
-        if not in_linear_cone(single, v_after, lam_single, beta_single):
-            raise ConeViolationError(
-                "single-contact resolution failed the friction-cone audit"
-            )
         lambda_max = np.zeros(m)
         lambda_max[idx] = np.inf
         lambda_n = np.zeros(m)

@@ -358,11 +358,17 @@ def load_scene(source: str | Path | dict) -> Scene:
     return scene_from_dict(json.loads(Path(source).read_text()))
 
 
-def build_example(name: str) -> tuple[ImpactProblem, np.ndarray, dict]:
-    """Assemble one of the bundled scenarios by name."""
+def build_example(source: str | Path) -> tuple[ImpactProblem, np.ndarray, dict]:
+    """Assemble a bundled scenario by name (``ball`` included) or a scene
+    file by path.  A name that is neither bundled nor an existing file
+    raises ``KeyError``, or ``FileNotFoundError`` if it looks like a path
+    (it holds a ``/`` or ends in ``.json``)."""
+    name = str(source)
     if name == "ball":
         return build_ball()
-    if name not in EXAMPLE_NAMES:
+    if name not in EXAMPLE_NAMES and not Path(name).exists():
+        if "/" in name or name.endswith(".json"):
+            raise FileNotFoundError(f"scene file not found: {name}")
         raise KeyError(
             f"unknown example {name!r}; available: {', '.join(EXAMPLE_NAMES)} and 'ball'"
         )

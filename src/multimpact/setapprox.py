@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contact import ImpactProblem, is_impacting
-from .resolution import _workspace, sim_block, step_block
+from .resolution import _check_integers, _workspace, sim_block, step_block
 from .resolution import sim, sim_step  # noqa: F401  (stay importable from here)
 
 __all__ = [
@@ -161,9 +161,11 @@ class SobolSampler:
         """Cap draws in [0, 1) of trajectories ``first .. first+count-1``,
         one step at a time: ``draw(rows, step)`` gives the ``step``-th draws
         of trajectories ``first + rows``, shape (len(rows), m), by
-        ``sobol_block``."""
+        ``sobol_block``.  An index range beyond the sequence, or more than
+        ``MAX_DIMENSION`` contacts, raises ``ValueError`` here."""
         if 1 + (first + count) * n >= 1 << MAXBIT:
             raise ValueError("Sobol index range exceeds the 52-bit sequence")
+        _direction_table(m)  # checks m, and builds the table before any child starts
         start = 1 + first * n
         return lambda rows, step: sobol_block(m, start + rows * n + step)
 
@@ -312,7 +314,9 @@ def approximate(
     ``n_max`` steps, then takes one finishing step with per-contact cap
     ``epsilon / (3 psi)``; endpoints still impacting afterwards are
     discarded (counted in ``rejected_count``).  Requires
-    ``0 < epsilon < h`` and a finite ``v0``.  With ``jobs > 1`` the
+    ``0 < epsilon < h``, a finite ``v0`` and integer counts, and opens the
+    last trajectory's draw stream, so that a range or dimension the
+    sampler rejects fails before any trajectory runs.  With ``jobs > 1`` the
     trajectories are split into ``jobs`` contiguous ranges: this process
     runs the first and ``jobs - 1`` child processes run the others, all
     ended before the call returns.  Outputs are identical for any job
@@ -320,6 +324,7 @@ def approximate(
     """
     if not 0.0 < epsilon < h:
         raise ValueError("epsilon must satisfy 0 < epsilon < h")
+    _check_integers(n_max=n_max, m_trajectories=m_trajectories, jobs=jobs)
     if m_trajectories < 1:
         raise ValueError("at least one trajectory is required")
     if n_max < 0:
@@ -327,6 +332,7 @@ def approximate(
     v0 = np.asarray(v0, dtype=float)
     if not np.isfinite(v0).all():
         raise ValueError("start velocity must be finite")
+    sampler.stream(m_trajectories - 1, 1, n_max, problem.n_contacts)
     finishing = (epsilon / (3.0 * psi(problem))) * np.ones(problem.n_contacts)
 
     jobs = max(1, min(jobs, m_trajectories))

@@ -452,3 +452,39 @@ def test_classify_outcomes_on_the_ball_is_all_stick():
     assert histogram["ball"]["stick"] == 4
     with pytest.raises(ValueError):
         classify_outcomes(np.zeros((0, 1)), ball)
+
+
+def test_library_rejections_map_to_exit_code_one(tmp_path, monkeypatch, capsys):
+    def reject(*args, **kwargs):
+        raise ValueError("no good")
+
+    monkeypatch.setattr(cli, "approximate", reject)
+    out = tmp_path / "x.csv"
+    for command in ("approximate", "compare"):
+        assert cli.main([command, "--scene", "phone", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "error: no good\n"
+    assert not out.exists()
+
+
+def test_an_unknown_contact_label_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert cli.main(["oracle", "--scene", "phone", "--contact", "Z", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "error: no contact labeled 'Z'; labels: A, B\n"
+    assert not out.exists()
+
+
+def test_more_contacts_than_sobol_dimensions_is_a_config_error(tmp_path, capsys):
+    data = scene_to_dict(load_scene("phone"))
+    data["contacts"] = [
+        {**data["contacts"][i % 2], "label": f"C{i}"} for i in range(33)
+    ]
+    scene = tmp_path / "many.json"
+    scene.write_text(json.dumps(data))
+    out = tmp_path / "x.csv"
+    for command in ("approximate", "compare"):
+        assert cli.main([command, "--scene", str(scene), "--m", "4", "--jobs", "2",
+                         "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "at most 32 dimensions, got 33" in err
+    assert not out.exists()

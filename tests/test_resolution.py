@@ -10,6 +10,7 @@ import pytest
 
 from multimpact import resolution
 from multimpact import (
+    ConeViolationError,
     ImpactProblem,
     NonDegeneracyViolation,
     SequentialCapExceeded,
@@ -463,3 +464,57 @@ def test_pinched_disk_jams_with_friction():
     )
     with pytest.raises(NonDegeneracyViolation):
         compute_r(jam)
+
+
+def test_restrict_contacts_takes_labels_and_in_range_indices():
+    problem, _, _ = build_example("disk_stack")
+    by_label = restrict_contacts(problem, [problem.labels[4], problem.labels[2]])
+    by_index = restrict_contacts(problem, [np.int64(4), 2])
+    assert by_label.labels == by_index.labels == (problem.labels[4], problem.labels[2])
+    np.testing.assert_array_equal(by_label.jd, by_index.jd)
+    np.testing.assert_array_equal(by_label.mu, by_index.mu)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [(-1, "contact index -1 out of range"), (2, "contact index 2 out of range"),
+     (True, "entry True is neither"), (0.7, "entry 0.7 is neither"),
+     ("Z", r"no contact labeled 'Z'; labels: A, B")],
+    ids=["negative", "m", "bool", "fraction", "unknown-label"],
+)
+def test_restrict_contacts_rejects_what_names_no_contact(entry, message):
+    problem, _, _ = build_example("phone")
+    with pytest.raises(ValueError, match=message):
+        restrict_contacts(problem, [entry])
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0])
+def test_step_block_checks_every_rows_caps_first(bad):
+    # A row whose caps are all NaN or all negative has no positive cap,
+    # so it would otherwise keep its velocity unchecked.
+    problem, v0, _ = build_example("phone")
+    caps = np.array([[0.1, 0.1], [bad, bad]])
+    with pytest.raises(ValueError, match="impulse caps must be finite and nonnegative"):
+        resolution.step_block(problem, np.stack([v0, v0]), caps)
+    with pytest.raises(ValueError, match="impulse caps must be finite and nonnegative"):
+        sim_step(problem, v0, caps[1])
+
+
+@pytest.mark.parametrize("bad", [2.5, True, np.float64(3.0)])
+def test_sim_rejects_a_step_cap_that_is_not_an_integer(bad):
+    problem, v0, _ = build_example("phone")
+    with pytest.raises(ValueError, match=f"n_max must be an integer, got {re.escape(repr(bad))}"):
+        sim(problem, v0, h=0.3, n_max=bad, sampler=UniformSampler())
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        resolution.sim_block(problem, v0, 0.3, bad, UniformSampler(), 0, 2)
+    assert sim(problem, v0, h=0.3, n_max=np.int64(3), sampler=UniformSampler()).n_steps <= 3
+
+
+def test_the_uncapped_cone_audit_is_one_check_with_one_message(monkeypatch):
+    problem, v0, _ = build_example("phone")
+    monkeypatch.setattr(resolution, "in_linear_cone", lambda *args: False)
+    message = "uncapped resolution failed the friction-cone feasibility audit"
+    with pytest.raises(ConeViolationError, match=message):
+        anitescu_resolve(problem, v0)
+    with pytest.raises(ConeViolationError, match=message):
+        sequential_resolve(problem, v0, ["A"])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -219,3 +221,18 @@ def test_parallel_linkage_legs_are_a_format_error():
     data["pose"] = [0.0, 1.0, 0.2, 0.2]
     with pytest.raises(SceneFormatError, match="mass matrix must be positive definite"):
         build_problem(scene_from_dict(data))
+
+
+def test_build_example_reads_a_scene_file(tmp_path):
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(scene_to_dict(load_scene("box_wall"))))
+    for source in (path, str(path)):
+        problem, v0, meta = build_example(source)
+        want, want_v0, want_meta = build_problem(load_scene(path))
+        for attr in ("mass", "jn", "jd", "mu"):
+            np.testing.assert_array_equal(getattr(problem, attr), getattr(want, attr))
+        assert problem.labels == want.labels
+        np.testing.assert_array_equal(v0, want_v0)
+        assert meta.keys() == want_meta.keys() and meta["name"] == "box_wall"
+    with pytest.raises(FileNotFoundError, match="scene file not found"):
+        build_example(str(tmp_path / "missing.json"))

@@ -390,3 +390,41 @@ def test_post_impact_set_is_a_plain_record():
     )
     assert ps.samples.shape == (2, 3)
     assert ps.rejected_count == 0
+
+
+@pytest.mark.parametrize("h", [math.nan, -1.0])
+def test_step_lipschitz_rejects_caps_from_a_bad_budget(h):
+    phone, _, _ = build_example("phone")
+    with pytest.raises(ValueError, match="impulse caps must be finite and nonnegative"):
+        estimate_step_lipschitz(phone, h=h, n_pairs=4)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("jobs", 2.5), ("jobs", True), ("m_trajectories", 4.0), ("n_max", 2.5), ("n_max", False)],
+)
+def test_approximate_rejects_counts_that_are_not_integers(name, value):
+    problem, v0, _ = build_example("phone")
+    kwargs = {"n_max": 5, "m_trajectories": 4, "jobs": 1, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        approximate(problem, v0, 0.3, 0.03, sampler=UniformSampler(), **kwargs)
+
+
+def test_the_sobol_stream_checks_its_dimension_when_it_opens():
+    with pytest.raises(ValueError, match=f"at most {MAX_DIMENSION} dimensions, got 33"):
+        SobolSampler().stream(0, 2, 3, MAX_DIMENSION + 1)
+    draw = UniformSampler().stream(0, 2, 3, MAX_DIMENSION + 1)
+    assert draw(np.arange(2), 0).shape == (2, MAX_DIMENSION + 1)
+
+
+def test_a_sobol_range_beyond_the_sequence_fails_before_any_trajectory(monkeypatch):
+    import multimpact.setapprox as setapprox
+
+    def never(*args, **kwargs):
+        raise AssertionError("a trajectory ran")
+
+    monkeypatch.setattr(setapprox, "sim_block", never)
+    problem, v0, _ = build_example("phone")
+    # 1 + m*n must stay below 2**52; m = 2**49, n = 8 gives exactly 2**52 + 1.
+    with pytest.raises(ValueError, match="exceeds the 52-bit sequence"):
+        approximate(problem, v0, 0.3, 0.03, 8, 2**49, SobolSampler(), jobs=1)
