@@ -34,7 +34,7 @@ from .contact import ImpactProblem
 from .errors import ConfigError, MultimpactError, SceneFormatError
 from .oracles import routh_dense_reference
 from .resolution import baselines, restrict_contacts, sim
-from .scenes import EXAMPLE_NAMES, MAX_MAGNITUDE, build_example, load_scene, scene_to_dict
+from .scenes import EXAMPLE_NAMES, MAX_MAGNITUDE, _bundled_text, build_example
 from .setapprox import PostImpactSet, SobolSampler, UniformSampler, approximate, classify_outcomes
 
 __all__ = ["main"]
@@ -64,14 +64,14 @@ def _fill_defaults(args: argparse.Namespace, meta: dict) -> None:
     if args.sampler == "sobol" and args.seed:
         raise ConfigError("--seed has no effect on the Sobol sampler; use --sampler uniform")
     if args.h is None:
-        args.h = float(meta.get("h", 1.0))
+        args.h = meta["h"]
     if args.n is None:
-        args.n = int(meta.get("n_steps", 10))
+        args.n = meta["n_steps"]
     if args.command != "simulate":
         if args.m is None:
             args.m = DESK_SCALE_TRAJECTORIES
             if args.paper_scale:
-                args.m = int(meta.get("m_trajectories", DESK_SCALE_TRAJECTORIES))
+                args.m = meta["m_trajectories"]
         if args.epsilon is None:
             args.epsilon = args.h / 10.0
 
@@ -192,7 +192,7 @@ def _cmd_example(args: argparse.Namespace) -> None:
         raise ConfigError(
             f"unknown bundled scene {name!r}; available: {', '.join(EXAMPLE_NAMES)}"
         )
-    text = json.dumps(scene_to_dict(load_scene(name)), indent=2) + "\n"
+    text = _bundled_text(name) + "\n"
     if args.output is not None:
         Path(args.output).write_text(text)
         _summary({"scene": name, "output": args.output})

@@ -46,7 +46,6 @@ __all__ = [
     "load_scene",
     "mass_matrix",
     "scene_from_dict",
-    "scene_to_dict",
 ]
 
 EXAMPLE_NAMES = ("phone", "compass", "box_wall", "disk_stack")
@@ -58,6 +57,9 @@ _CONTACT_KINDS = ("vertex-plane", "disk-plane", "disk-disk")
 # at 1e300 overflows the Delassus product and a velocity at 1e300 its
 # kinetic energy.
 MAX_MAGNITUDE = 1e8
+# Run parameters of a scene whose file leaves them out: per-step impulse
+# budget, step cap, trajectory count at paper scale.
+RUN_DEFAULTS = {"h": 1.0, "n_steps": 10, "m_trajectories": 4096}
 
 
 def _rot(theta: float) -> np.ndarray:
@@ -312,8 +314,9 @@ def build_problem(
     """Assemble the impact problem at pose ``q`` (default: the scene pose).
 
     Returns ``(problem, v0, meta)`` where meta carries the scene name and
-    default run parameters (per-step impulse budget ``h``, step cap
-    ``n_steps``, trajectory count ``m_trajectories``).
+    always holds the run parameters ``h`` (per-step impulse budget),
+    ``n_steps`` (step cap) and ``m_trajectories`` (trajectory count): the
+    scene's own, else ``RUN_DEFAULTS``.
     """
     if q is None:
         q = scene.initial_pose()
@@ -332,7 +335,7 @@ def build_problem(
     except (ValueError, OverflowError) as exc:  # e.g. a singular linkage mass
         raise SceneFormatError(f"scene {scene.name!r}: {exc}") from exc
     # The scene keeps its own name, whatever its defaults hold.
-    meta = {**scene.defaults, "name": scene.name, "scene": scene}
+    meta = {**RUN_DEFAULTS, **scene.defaults, "name": scene.name}
     return problem, scene.v0.copy(), meta
 
 
@@ -360,9 +363,11 @@ def load_scene(source: str | Path | dict) -> Scene:
 
 def build_example(source: str | Path) -> tuple[ImpactProblem, np.ndarray, dict]:
     """Assemble a bundled scenario by name (``ball`` included) or a scene
-    file by path.  A name that is neither bundled nor an existing file
-    raises ``KeyError``, or ``FileNotFoundError`` if it looks like a path
-    (it holds a ``/`` or ends in ``.json``)."""
+    file by path; returns ``(problem, v0, meta)`` as :func:`build_problem`
+    does, so meta always holds ``h``, ``n_steps`` and ``m_trajectories``.
+    A name that is neither bundled nor an existing file raises
+    ``KeyError``, or ``FileNotFoundError`` if it looks like a path (it
+    holds a ``/`` or ends in ``.json``)."""
     name = str(source)
     if name == "ball":
         return build_ball()
@@ -386,7 +391,7 @@ def build_ball() -> tuple[ImpactProblem, np.ndarray, dict]:
         mu=np.array([1.0]),
         labels=("ball",),
     )
-    meta = {"name": "ball", "h": 1.0, "n_steps": 10, "m_trajectories": 4096}
+    meta = {**RUN_DEFAULTS, "name": "ball"}
     return problem, np.array([-1.0]), meta
 
 
@@ -412,50 +417,7 @@ def reflect_map(name: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Serialization
-
-
-def scene_to_dict(scene: Scene) -> dict:
-    data: dict = {
-        "format": "multimpact-scene v1",
-        "name": scene.name,
-        "kind": scene.kind,
-        "v0": scene.v0.tolist(),
-        "defaults": dict(scene.defaults),
-    }
-    if scene.kind == "linkage":
-        data["linkage"] = dict(scene.linkage)
-        data["pose"] = scene.pose.tolist()
-        data["contacts"] = [
-            {"label": c.label, "mu": c.mu, "leg": c.leg} for c in scene.contacts
-        ]
-        return data
-    data["bodies"] = [
-        {
-            "name": b.name,
-            "mass": b.mass,
-            "inertia": b.inertia,
-            "shape": b.shape,
-            "pose": b.pose.tolist(),
-        }
-        for b in scene.bodies
-    ]
-    data["environment"] = [
-        {"name": p.name, "point": p.point.tolist(), "normal": p.normal.tolist()}
-        for p in scene.environment
-    ]
-    contacts = []
-    for c in scene.contacts:
-        entry: dict = {"label": c.label, "mu": c.mu, "kind": c.kind, "body": c.body}
-        if c.plane is not None:
-            entry["plane"] = c.plane
-        if c.vertex is not None:
-            entry["vertex"] = c.vertex
-        if c.against is not None:
-            entry["against"] = c.against
-        contacts.append(entry)
-    data["contacts"] = contacts
-    return data
+# Reading scene files
 
 
 def scene_from_dict(data: dict) -> Scene:
@@ -503,21 +465,26 @@ def _require_bounded(where: str, values) -> None:
         )
 
 
-def _check_defaults(defaults: dict) -> None:
-    h = defaults.get("h", 1.0)
-    if not (isinstance(h, numbers.Real) and 0.0 < h < np.inf):
+def _run_defaults(defaults: dict) -> dict:
+    """A scene file's defaults over ``RUN_DEFAULTS``, checked: ``h`` a
+    float above 0, the counts ints of at least 1, and none of them a bool."""
+    filled = {**RUN_DEFAULTS, **defaults}
+    h = filled["h"]
+    if isinstance(h, bool) or not (isinstance(h, numbers.Real) and 0.0 < h < np.inf):
         raise ValueError(f"default h must be a finite number above 0, got {h!r}")
     _require_bounded("default h", h)
+    filled["h"] = float(h)
     for key in ("n_steps", "m_trajectories"):
-        count = defaults.get(key, 1)
-        if not (isinstance(count, numbers.Integral) and count >= 1):
+        count = filled[key]
+        if isinstance(count, bool) or not (isinstance(count, numbers.Integral) and count >= 1):
             raise ValueError(f"default {key} must be an integer of at least 1, got {count!r}")
+        filled[key] = int(count)
+    return filled
 
 
 def _check_consistency(scene: Scene) -> None:
     """Raise ValueError at the first value or reference that cannot be built."""
     _require_finite("v0", scene.v0, (scene.n_v,))
-    _check_defaults(scene.defaults)
     if scene.kind == "linkage":
         _require_finite("pose", scene.pose, (4,))
         for key in ("leg_length", "mass_offset", "leg_mass"):
@@ -578,6 +545,7 @@ def _check_consistency(scene: Scene) -> None:
 
 def _scene_from_dict(data: dict) -> Scene:
     kind = data.get("kind", "rigid")
+    defaults = _run_defaults(data.get("defaults", {}))
     if kind == "linkage":
         contacts = [
             ContactSpec(label=c["label"], mu=float(c["mu"]), kind="foot-plane",
@@ -589,7 +557,7 @@ def _scene_from_dict(data: dict) -> Scene:
             kind="linkage",
             contacts=contacts,
             v0=np.array(data["v0"], dtype=float),
-            defaults=dict(data.get("defaults", {})),
+            defaults=defaults,
             linkage=dict(data["linkage"]),
             pose=np.array(data["pose"], dtype=float),
         )
@@ -626,5 +594,5 @@ def _scene_from_dict(data: dict) -> Scene:
         environment=environment,
         contacts=contacts,
         v0=np.array(data["v0"], dtype=float),
-        defaults=dict(data.get("defaults", {})),
+        defaults=defaults,
     )

@@ -58,6 +58,9 @@ MAX_DIMENSION = 32
 # Trajectories stepped together in lockstep by ``approximate``.
 BLOCK_SIZE = 256
 _SENTINEL = 2**63 - 1
+# Separation or slip rate above which ``classify_outcomes`` counts a
+# contact as lifting or sliding.
+OUTCOME_TOL = 1e-6
 
 # Primitive polynomials and initial direction integers for dimensions
 # 2..32 (dimension 1 uses the plain van der Corput sequence).  Each entry
@@ -360,14 +363,13 @@ def approximate(
 def classify_outcomes(
     post_set: PostImpactSet | np.ndarray,
     problem: ImpactProblem,
-    tol: float = 1e-6,
 ) -> dict[str, dict[str, int]]:
     """Per-contact outcome-class counts over sampled velocities.
 
     ``post_set`` may be a :class:`PostImpactSet` or a bare array of
     post-impact velocities, one row per sample.  A contact lifts when its
-    separation rate exceeds ``tol``; otherwise it slides when its slip
-    rate magnitude exceeds ``tol``; otherwise it sticks.
+    separation rate exceeds ``OUTCOME_TOL``; otherwise it slides when its
+    slip rate magnitude exceeds ``OUTCOME_TOL``; otherwise it sticks.
     """
     samples = post_set.samples if isinstance(post_set, PostImpactSet) else post_set
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -377,8 +379,8 @@ def classify_outcomes(
     jn_v = samples @ problem.jn.T
     jt_v = samples @ problem.jd[0::2].T
     for i, label in enumerate(problem.labels):
-        lift = jn_v[:, i] > tol
-        slide = ~lift & (np.abs(jt_v[:, i]) > tol)
+        lift = jn_v[:, i] > OUTCOME_TOL
+        slide = ~lift & (np.abs(jt_v[:, i]) > OUTCOME_TOL)
         stick = ~lift & ~slide
         out[label] = {
             "lift": int(lift.sum()),

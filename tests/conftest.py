@@ -6,6 +6,7 @@ the gate can be audited at a glance from the pytest output.
 
 from __future__ import annotations
 
+import json
 import re
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import settings
 
 from multimpact import ImpactProblem, LcpInstance
+from multimpact.scenes import _bundled_text
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -55,6 +57,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(
             f"CRITERION {number:2d}: {label} - {CRITERIA[number]}"
         )
+
+
+def bundled_scene(name: str) -> dict:
+    """A fresh dict of the bundled scene file ``name``, to edit."""
+    return json.loads(_bundled_text(name))
 
 
 def random_spd_matrix(rng: np.random.Generator, n: int, *, shift: float = 0.5) -> np.ndarray:

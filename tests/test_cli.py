@@ -9,6 +9,7 @@ import json
 import math
 import os
 import tempfile
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from multimpact import (
     classify_outcomes,
 )
 from multimpact import cli
-from multimpact.scenes import EXAMPLE_NAMES, MAX_MAGNITUDE, load_scene, scene_to_dict
+from multimpact.scenes import EXAMPLE_NAMES, MAX_MAGNITUDE
+
+from conftest import bundled_scene
 
 
 def _read_csv(path):
@@ -33,11 +36,16 @@ def _read_csv(path):
     return rows[0], rows[1:]
 
 
-def test_example_prints_scene_json(capsys):
-    assert cli.main(["example", "--scene", "phone"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["name"] == "phone"
-    assert [c["label"] for c in payload["contacts"]] == ["A", "B"]
+def test_example_prints_scene_json(capsys, tmp_path):
+    for name in EXAMPLE_NAMES:
+        assert cli.main(["example", "--scene", name]) == 0
+        printed = capsys.readouterr().out
+        bundled = (resources.files("multimpact") / "data" / f"{name}.json").read_bytes()
+        assert printed.encode() == bundled + b"\n"
+        path = tmp_path / f"{name}.json"
+        assert cli.main(["example", "--scene", name, "--output", str(path)]) == 0
+        assert path.read_bytes() == printed.encode()
+        assert json.loads(capsys.readouterr().out) == {"scene": name, "output": str(path)}
 
 
 def test_example_rejects_unknown_scene(capsys):
@@ -136,6 +144,10 @@ def _drop(path):
          "body 2 radius must not exceed"),
         ("compass", _set(("linkage", "leg_length"), 1e300), "leg_length must not exceed"),
         ("phone", _set(("defaults", "h"), 1e300), "default h must not exceed"),
+        ("phone", _set(("defaults", "h"), True), "default h must be a finite number"),
+        ("phone", _set(("defaults", "n_steps"), True), "default n_steps must be an integer"),
+        ("phone", _set(("defaults", "m_trajectories"), True),
+         "default m_trajectories must be an integer"),
     ],
     ids=["not-json", "vertex-index", "body-index", "against-index", "contact-kind",
          "body-mass", "mu", "coincident-centres", "zero-normal", "linkage-pose",
@@ -144,7 +156,8 @@ def _drop(path):
          "short-plane-point", "linkage-pose-inf", "linkage-mass-at-hip", "no-contacts",
          "default-h-text", "default-h-negative", "default-n-steps-zero",
          "default-n-steps-fraction", "vertex-huge", "mu-huge", "v0-huge", "mass-huge",
-         "radius-huge", "leg-length-huge", "default-h-huge"],
+         "radius-huge", "leg-length-huge", "default-h-huge", "default-h-bool",
+         "default-n-steps-bool", "default-m-trajectories-bool"],
 )
 def test_corrupt_scene_file_is_an_io_error(tmp_path, capsys, scene, edit, message):
     bad = tmp_path / "bad.json"
@@ -165,7 +178,7 @@ def test_corrupt_scene_file_is_an_io_error(tmp_path, capsys, scene, edit, messag
 
 def test_scene_numbers_at_the_magnitude_bound_are_read(tmp_path, capsys):
     scene = tmp_path / "phone.json"
-    data = scene_to_dict(load_scene("phone"))
+    data = bundled_scene("phone")
     data["bodies"][0]["mass"] = MAX_MAGNITUDE
     data["environment"][0]["point"][1] = -MAX_MAGNITUDE
     scene.write_text(json.dumps(data))
@@ -173,7 +186,7 @@ def test_scene_numbers_at_the_magnitude_bound_are_read(tmp_path, capsys):
                      "--output", str(tmp_path / "x.csv")]) == 0
     # A plane normal gives only a direction: any finite nonzero size is read.
     for normal, name in (([0.0, 1e300], "huge"), ([0.0, 1.0], "unit")):
-        data = scene_to_dict(load_scene("phone"))
+        data = bundled_scene("phone")
         data["environment"][0]["normal"] = normal
         scene.write_text(json.dumps(data))
         assert cli.main(["simulate", "--scene", str(scene),
@@ -366,7 +379,7 @@ def test_jobs_default_counts_the_cpus_this_process_may_run_on(monkeypatch):
     assert jobs() == 8
 
 
-_BUNDLED = {name: scene_to_dict(load_scene(name)) for name in EXAMPLE_NAMES}
+_BUNDLED = {name: bundled_scene(name) for name in EXAMPLE_NAMES}
 _BAD_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 0.5, 2**62, 1e300, -1e300,
                MAX_MAGNITUDE, -MAX_MAGNITUDE, "x", None, True, [], {}, [0.0],
                [math.nan, 0.0], [1e300, 0.0], [0.0] * 5]
@@ -474,7 +487,7 @@ def test_an_unknown_contact_label_is_a_config_error(tmp_path, capsys):
 
 
 def test_more_contacts_than_sobol_dimensions_is_a_config_error(tmp_path, capsys):
-    data = scene_to_dict(load_scene("phone"))
+    data = bundled_scene("phone")
     data["contacts"] = [
         {**data["contacts"][i % 2], "label": f"C{i}"} for i in range(33)
     ]

@@ -30,7 +30,6 @@ from multimpact import (
 from multimpact import cli
 from multimpact import io as mio
 from multimpact.oracles import DenseTrajectory
-from multimpact.scenes import scene_to_dict
 from multimpact.io import (
     FORMAT_MARKER,
     compare_to_csv,
@@ -42,6 +41,8 @@ from multimpact.io import (
     trajectory_to_csv,
     trajectory_to_json,
 )
+
+from conftest import bundled_scene
 
 
 def _parse_csv(text: str) -> tuple[str, list[str], list[list[str]]]:
@@ -251,7 +252,7 @@ def test_empty_exports_write_marker_and_header_only():
 
 
 def test_labels_with_delimiters_and_quotes_parse_back():
-    data = scene_to_dict(load_scene("phone"))
+    data = bundled_scene("phone")
     label = 'corner, "left"'
     data["contacts"][0]["label"] = label
     problem, v0, meta = build_problem(load_scene(data))

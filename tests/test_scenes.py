@@ -1,4 +1,4 @@
-"""Geometry tests: bundled scenes, Jacobians, symmetry maps, round-trips."""
+"""Geometry tests: bundled scenes, Jacobians, symmetry maps, scene files."""
 
 from __future__ import annotations
 
@@ -19,7 +19,9 @@ from multimpact import (
     load_scene,
     reflect_map,
 )
-from multimpact.scenes import build_problem, mass_matrix, scene_from_dict, scene_to_dict
+from multimpact.scenes import RUN_DEFAULTS, build_problem, mass_matrix, scene_from_dict
+
+from conftest import bundled_scene
 
 ALL_SCENES = ("phone", "compass", "box_wall", "disk_stack")
 
@@ -145,56 +147,38 @@ def test_linkage_mass_matches_point_mass_reconstruction():
     assert eigenvalues.min() > 0.0
 
 
-def test_scene_dict_round_trip():
-    for name in ALL_SCENES:
-        scene = load_scene(name)
-        clone = scene_from_dict(scene_to_dict(scene))
-        np.testing.assert_allclose(clone.initial_pose(), scene.initial_pose())
-        np.testing.assert_allclose(clone.v0, scene.v0)
-        assert [c.label for c in clone.contacts] == [c.label for c in scene.contacts]
-        np.testing.assert_allclose(
-            gap(clone, clone.initial_pose()), gap(scene, scene.initial_pose()), atol=1e-15
-        )
-
-
 def test_load_scene_from_file(tmp_path):
-    import json
-
     scene = load_scene("phone")
     path = tmp_path / "custom.json"
-    path.write_text(json.dumps(scene_to_dict(scene)))
+    path.write_text(json.dumps(bundled_scene("phone")))
     clone = load_scene(path)
     np.testing.assert_allclose(clone.v0, scene.v0)
 
 
-def _phone_dict() -> dict:
-    return scene_to_dict(load_scene("phone"))
-
-
 def test_scene_with_duplicate_labels_is_a_format_error():
-    data = _phone_dict()
+    data = bundled_scene("phone")
     data["contacts"][1]["label"] = "A"
     with pytest.raises(SceneFormatError, match="labels must be distinct"):
         scene_from_dict(data)
 
 
 def test_scene_missing_a_field_is_a_format_error_naming_it():
-    data = _phone_dict()
+    data = bundled_scene("phone")
     del data["contacts"][0]["mu"]
     with pytest.raises(SceneFormatError, match="missing field 'mu'"):
         scene_from_dict(data)
-    data = scene_to_dict(load_scene("compass"))
+    data = bundled_scene("compass")
     del data["linkage"]["leg_mass"]
     with pytest.raises(SceneFormatError, match="missing field 'leg_mass'"):
         scene_from_dict(data)
 
 
 def test_contact_kind_must_fit_the_body_shape():
-    data = _phone_dict()
+    data = bundled_scene("phone")
     data["contacts"][0]["kind"] = "disk-plane"
     with pytest.raises(SceneFormatError, match="not a disk"):
         scene_from_dict(data)
-    data = scene_to_dict(load_scene("disk_stack"))
+    data = bundled_scene("disk_stack")
     floor = data["contacts"][2]
     assert floor["kind"] == "disk-plane"
     floor.update(kind="vertex-plane", vertex=0)
@@ -208,16 +192,30 @@ def test_a_scene_is_a_json_object():
 
 
 def test_defaults_cannot_rename_the_scene():
-    data = _phone_dict()
+    data = bundled_scene("phone")
     data["defaults"]["name"] = "../elsewhere"
     _, _, meta = build_problem(scene_from_dict(data))
     assert meta["name"] == "phone"
 
 
+def test_a_scene_file_without_defaults_runs_with_the_run_defaults(tmp_path):
+    data = bundled_scene("phone")
+    del data["defaults"]
+    path = tmp_path / "phone.json"
+    path.write_text(json.dumps(data))
+    _, _, meta = build_example(path)
+    assert meta == {**RUN_DEFAULTS, "name": "phone"} == {**build_ball()[2], "name": "phone"}
+    # A partial set is filled key by key, and an integer h is read as a float.
+    data["defaults"] = {"h": 2, "m_trajectories": 8}
+    _, _, meta = build_problem(scene_from_dict(data))
+    assert meta == {"h": 2.0, "n_steps": 10, "m_trajectories": 8, "name": "phone"}
+    assert type(meta["h"]) is float
+
+
 def test_parallel_linkage_legs_are_a_format_error():
     # Parallel legs make the walker's mass matrix singular; Cholesky lets
     # it through in rounding, the LU behind ``mass_solve`` does not.
-    data = scene_to_dict(load_scene("compass"))
+    data = bundled_scene("compass")
     data["pose"] = [0.0, 1.0, 0.2, 0.2]
     with pytest.raises(SceneFormatError, match="mass matrix must be positive definite"):
         build_problem(scene_from_dict(data))
@@ -225,7 +223,7 @@ def test_parallel_linkage_legs_are_a_format_error():
 
 def test_build_example_reads_a_scene_file(tmp_path):
     path = tmp_path / "box.json"
-    path.write_text(json.dumps(scene_to_dict(load_scene("box_wall"))))
+    path.write_text(json.dumps(bundled_scene("box_wall")))
     for source in (path, str(path)):
         problem, v0, meta = build_example(source)
         want, want_v0, want_meta = build_problem(load_scene(path))
