@@ -31,15 +31,19 @@ __all__ = [
 ]
 
 _BRUTE_FORCE_MAX = 14
+# Feasibility slack of ``brute_force_lcp``: on ``z``, on ``w``, on the support
+# system (relative to ``1 + max |q|``), and between two solutions kept apart.
+BRUTE_FORCE_TOL = 1e-8
 MAX_GRID_ROWS = 10**7  # largest dense grid; a finer one would not fit in memory
 
 
-def brute_force_lcp(lcp: LcpInstance, tol: float = 1e-8) -> list[np.ndarray]:
+def brute_force_lcp(lcp: LcpInstance) -> list[np.ndarray]:
     """All solutions of a small LCP by support enumeration.
 
     For every subset S of indices, solves ``M[S,S] z_S = -q[S]`` and keeps
-    the candidate when it is feasible (``z >= -tol`` and ``w >= -tol``).
-    Solutions closer than ``tol`` to an already-found one are dropped.
+    the candidate when it is feasible (``z`` and ``w`` at least
+    ``-BRUTE_FORCE_TOL``).  Solutions within ``BRUTE_FORCE_TOL`` of an
+    already-found one are dropped.
     Limited to n <= 14 (2^n subsets).
     """
     n = lcp.n
@@ -54,15 +58,15 @@ def brute_force_lcp(lcp: LcpInstance, tol: float = 1e-8) -> list[np.ndarray]:
             sub = lcp.m[np.ix_(support, support)]
             rhs = -lcp.q[support]
             z_s, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
-            if np.abs(sub @ z_s - rhs).max() > tol * scale:
+            if np.abs(sub @ z_s - rhs).max() > BRUTE_FORCE_TOL * scale:
                 continue  # support system inconsistent
             z[support] = z_s
-        if z.min(initial=0.0) < -tol:
+        if z.min(initial=0.0) < -BRUTE_FORCE_TOL:
             continue
         w = lcp.m @ z + lcp.q
-        if w.min(initial=0.0) < -tol:
+        if w.min(initial=0.0) < -BRUTE_FORCE_TOL:
             continue
-        if any(np.abs(z - known).max() <= tol for known in solutions):
+        if any(np.abs(z - known).max() <= BRUTE_FORCE_TOL for known in solutions):
             continue
         solutions.append(z)
     return solutions
@@ -106,7 +110,7 @@ def routh_dense_reference(
     """
     if problem.n_contacts != 1:
         raise ValueError("the dense reference handles exactly one contact")
-    if ds <= 0.0:
+    if not ds > 0.0:
         raise ValueError("impulse increment ds must be positive")
     compute_r(problem)  # raises NonDegeneracyViolation on jamming geometry
     jn = problem.jn[0]

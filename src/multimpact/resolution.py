@@ -68,6 +68,8 @@ __all__ = [
 
 # Slack allowed when verifying the certificate's progress ``(M^-1 F) . r >= 1``.
 CERT_SLACK = 1e-7
+# Single-contact resolutions a ``sequential_resolve`` sweep may take.
+SEQUENTIAL_CAP = 100
 
 
 @dataclass(frozen=True)
@@ -141,14 +143,8 @@ class _Workspace:
         jbar = problem.jbar  # (3m, n_v)
         self.jbar = jbar
         self.minv_jbar_t = problem.mass_solve(jbar.T)  # (n_v, 3m)
-        delassus = jbar @ self.minv_jbar_t  # (3m, 3m)
-        self.a_nn = delassus[:m, :m]
-        self.a_nd = delassus[:m, m:]
-        self.a_dn = delassus[m:, :m]
-        self.a_dd = delassus[m:, m:]
-        self.e_mat = np.zeros((2 * m, m))
-        for i in range(m):
-            self.e_mat[2 * i : 2 * i + 2, i] = 1.0
+        # Rows 2i and 2i+1, contact i's two tangent directions, sum into contact i.
+        e_mat = np.repeat(np.eye(m), 2, axis=0)  # (2m, m)
 
         size = 5 * m
         full = np.zeros((size, size))
@@ -156,15 +152,14 @@ class _Workspace:
         full[0:m, m : 2 * m] = -np.eye(m)
         # normal rows: separation rate after the step
         full[m : 2 * m, 0:m] = np.eye(m)
-        full[m : 2 * m, m : 2 * m] = self.a_nn
-        full[m : 2 * m, 2 * m : 4 * m] = self.a_nd
+        # normal and doubled tangential rows over the impulses: the Delassus
+        # matrix Jbar M^-1 Jbar^T
+        full[m : 4 * m, m : 4 * m] = jbar @ self.minv_jbar_t
         # doubled tangential rows: slip rate plus slip-speed slack
-        full[2 * m : 4 * m, m : 2 * m] = self.a_dn
-        full[2 * m : 4 * m, 2 * m : 4 * m] = self.a_dd
-        full[2 * m : 4 * m, 4 * m : 5 * m] = self.e_mat
+        full[2 * m : 4 * m, 4 * m : 5 * m] = e_mat
         # cone rows: friction budget mu * lambda_n - sum(beta)
         full[4 * m : 5 * m, m : 2 * m] = np.diag(problem.mu)
-        full[4 * m : 5 * m, 2 * m : 4 * m] = -self.e_mat.T
+        full[4 * m : 5 * m, 2 * m : 4 * m] = -e_mat.T
         self.full_matrix = full
         # Uncapped variant: drop the budget slack rows/columns.
         keep = np.arange(m, size)
@@ -336,13 +331,16 @@ def sim_block(
     soon as no contact approaches, or after ``n_max`` steps.
     ``on_step(lambda_max, v_before, v_after, lambda_n, beta)``, if given,
     sees each step of the rows it stepped.  Returns the final velocities,
-    one row per trajectory.
+    one row per trajectory.  ``n_max``, ``first`` and ``count`` must be
+    nonnegative integers (not bools); anything else raises ``ValueError``.
     """
     if not 0.0 < h < math.inf:
         raise ValueError(f"per-step impulse budget h must be positive and finite, got {h!r}")
-    _check_integers(n_max=n_max)
+    _check_integers(n_max=n_max, first=first, count=count)
     if n_max < 0:
         raise ValueError("step cap must be nonnegative")
+    if first < 0 or count < 0:
+        raise ValueError(f"first and count must be nonnegative, got {first} and {count}")
     v = np.array(np.broadcast_to(np.asarray(v0, dtype=float), (count, problem.n_v)))
     rows = np.flatnonzero(is_impacting(problem, v))
     draw = sampler.stream(first, count, n_max, problem.n_contacts)
@@ -414,8 +412,9 @@ def sim(
     Each step draws the trajectory's next per-contact caps in [0, 1) from
     ``sampler.stream(traj_index, 1, n_max, m)``, scales them by ``h`` and
     applies one capped step, stopping as soon as no contact approaches or
-    after ``n_max`` steps.  A negative ``n_max``, or a ``v0`` with a NaN
-    or an infinite entry, raises ``ValueError``.
+    after ``n_max`` steps.  A ``n_max`` or ``traj_index`` that is not a
+    nonnegative integer (a bool is not), or a ``v0`` with a NaN or an
+    infinite entry, raises ``ValueError``.
     """
     v0 = np.asarray(v0, dtype=float)
     if not np.isfinite(v0).all():
@@ -494,7 +493,6 @@ def sequential_resolve(
     problem: ImpactProblem,
     v: np.ndarray,
     order: list[int | str],
-    cap: int = 100,
 ) -> Trajectory:
     """One-contact-at-a-time baseline.
 
@@ -503,7 +501,7 @@ def sequential_resolve(
     raises ``ValueError``) followed by the remaining contacts in index order;
     each visit fully resolves that single contact if it is approaching.
     Terminates when a full sweep finds no approaching contact; more than
-    ``cap`` single-contact resolutions raises
+    ``SEQUENTIAL_CAP`` single-contact resolutions raises
     :class:`SequentialCapExceeded`.
     """
     v = np.asarray(v, dtype=float).copy()
@@ -535,9 +533,9 @@ def sequential_resolve(
             continue
         idle_sweeps = 0
         resolutions += 1
-        if resolutions > cap:
+        if resolutions > SEQUENTIAL_CAP:
             raise SequentialCapExceeded(
-                f"more than {cap} single-contact resolutions without settling"
+                f"more than {SEQUENTIAL_CAP} single-contact resolutions without settling"
             )
         v_after, lam_single, beta_single = _uncapped_resolve(single, v)
         lambda_max = np.zeros(m)

@@ -21,6 +21,7 @@ is the normal rotated a quarter turn counterclockwise.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from importlib import resources
@@ -79,15 +80,8 @@ class PlanarBody:
     name: str
     mass: float
     inertia: float
-    shape: dict  # {"type": "disk", "radius": r} | {"type": "polygon", "vertices": [[x,y],..]}
+    shape: dict  # {"type": "disk", "radius": r} | {"type": "polygon", "vertices": [(x, y), ..]}
     pose: np.ndarray  # (3,) initial (x, y, theta)
-
-    def __post_init__(self) -> None:
-        self.pose = np.asarray(self.pose, dtype=float)
-        if self.pose.shape != (3,):
-            raise ValueError("body pose must be (x, y, theta)")
-        if not (0.0 < self.mass < np.inf and 0.0 < self.inertia < np.inf):
-            raise ValueError("body mass and inertia must be positive and finite")
 
 
 @dataclass
@@ -100,10 +94,9 @@ class HalfPlane:
     normal: np.ndarray
 
     def __post_init__(self) -> None:
-        self.point = np.asarray(self.point, dtype=float)
         normal = np.asarray(self.normal, dtype=float)
         # ``hypot`` does not overflow where the sum of squares would.
-        length = float(np.hypot(*normal)) if normal.shape == (2,) else 0.0
+        length = float(np.hypot(*normal))
         if not 0.0 < length < np.inf:
             raise ValueError(f"plane {self.name!r} needs a finite nonzero 2-D normal")
         self.normal = normal / length
@@ -140,11 +133,6 @@ class Scene:
     defaults: dict = field(default_factory=dict)
     linkage: dict | None = None
     pose: np.ndarray | None = None  # linkage initial coordinates
-
-    def __post_init__(self) -> None:
-        self.v0 = np.asarray(self.v0, dtype=float)
-        if self.pose is not None:
-            self.pose = np.asarray(self.pose, dtype=float)
 
     @property
     def n_v(self) -> int:
@@ -299,13 +287,7 @@ def mass_matrix(scene: Scene, q: np.ndarray | None = None) -> np.ndarray:
         if q is None:
             q = scene.initial_pose()
         return _linkage_mass(scene, np.asarray(q, dtype=float))
-    blocks = []
-    for body in scene.bodies:
-        blocks.append(np.diag([body.mass, body.mass, body.inertia]))
-    out = np.zeros((scene.n_v, scene.n_v))
-    for i, blk in enumerate(blocks):
-        out[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] = blk
-    return out
+    return np.diag([value for b in scene.bodies for value in (b.mass, b.mass, b.inertia)])
 
 
 def build_problem(
@@ -421,178 +403,160 @@ def reflect_map(name: str) -> np.ndarray:
 
 
 def scene_from_dict(data: dict) -> Scene:
-    """Build a scene from its JSON form; an incomplete or inconsistent
-    description raises :class:`SceneFormatError`."""
+    """Build a scene from its JSON form in one pass: ``_number``,
+    ``_vector`` and ``_integer`` read every value as JSON gives it (a bool
+    is not a number), and each reference is checked as the part that holds
+    it is built.  An incomplete or inconsistent description raises
+    :class:`SceneFormatError`."""
     if not isinstance(data, dict):
         raise SceneFormatError(f"a scene is a JSON object, got {type(data).__name__}")
     try:
-        scene = _scene_from_dict(data)
-        _check_consistency(scene)
+        return _read_scene(data)
     except KeyError as exc:
         raise SceneFormatError(
             f"scene {data.get('name')!r}: missing field {exc.args[0]!r}"
         ) from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise SceneFormatError(f"scene {data.get('name')!r}: {exc}") from exc
-    return scene
 
 
-def _is_disk(body: PlanarBody) -> bool:
-    shape = body.shape if isinstance(body.shape, dict) else {}
-    radius = shape.get("radius")
-    return (
-        shape.get("type") == "disk"
-        and isinstance(radius, (int, float))
-        and 0.0 < radius < np.inf
-    )
+def _number(where: str, value, *, positive: bool = False, bound: float = MAX_MAGNITUDE) -> float:
+    """``value`` as a float: a JSON number, not a bool, finite, at most
+    ``bound`` in magnitude and, if ``positive``, above 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
+        positive and not value > 0.0
+    ):
+        above = " above 0" if positive else ""
+        raise ValueError(f"{where} must be a finite number{above}, got {value!r}")
+    # Compared as it is, so a JSON integer too large for a float is not converted.
+    if not -math.inf < value < math.inf:
+        raise ValueError(f"{where} must be finite, got {value!r}")
+    if abs(value) > bound:
+        raise ValueError(f"{where} must not exceed {bound:g} in magnitude, got {value!r}")
+    return float(value)
 
 
-def _require_finite(where: str, values, shape: tuple[int, ...]) -> None:
-    array = np.asarray(values, dtype=float)
-    if array.shape != shape:
-        raise ValueError(f"{where} has shape {array.shape}, expected {shape}")
-    if not np.isfinite(array).all():
-        raise ValueError(f"{where} must be finite, got {array.tolist()}")
-    _require_bounded(where, array)
+def _vector(where: str, value, length: int, *, bound: float = MAX_MAGNITUDE) -> np.ndarray:
+    """``value`` as a float array: a JSON list of ``length`` numbers, each
+    read by :func:`_number`."""
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be a list of {length} numbers, got {value!r}")
+    if len(value) != length:
+        raise ValueError(f"{where} has shape ({len(value)},), expected ({length},)")
+    return np.array([_number(where, entry, bound=bound) for entry in value])
 
 
-def _require_bounded(where: str, values) -> None:
-    """Reject a finite number (or array) above ``MAX_MAGNITUDE`` in magnitude."""
-    array = np.asarray(values, dtype=float)
-    if np.any(np.abs(array) > MAX_MAGNITUDE):
-        raise ValueError(
-            f"{where} must not exceed {MAX_MAGNITUDE:g} in magnitude, got {array.tolist()}"
-        )
+def _integer(where: str, value, start: int, stop: float = math.inf) -> int:
+    """``value`` as an int: a JSON integer, not a bool, in ``[start, stop)``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < start:
+        raise ValueError(f"{where} must be an integer of at least {start}, got {value!r}")
+    if value >= stop:
+        raise ValueError(f"{where} {value} out of range")
+    return int(value)
 
 
 def _run_defaults(defaults: dict) -> dict:
-    """A scene file's defaults over ``RUN_DEFAULTS``, checked: ``h`` a
-    float above 0, the counts ints of at least 1, and none of them a bool."""
+    """A scene file's defaults over ``RUN_DEFAULTS``: ``h`` a number above
+    0, the counts integers of at least 1."""
     filled = {**RUN_DEFAULTS, **defaults}
-    h = filled["h"]
-    if isinstance(h, bool) or not (isinstance(h, numbers.Real) and 0.0 < h < np.inf):
-        raise ValueError(f"default h must be a finite number above 0, got {h!r}")
-    _require_bounded("default h", h)
-    filled["h"] = float(h)
+    filled["h"] = _number("default h", filled["h"], positive=True)
     for key in ("n_steps", "m_trajectories"):
-        count = filled[key]
-        if isinstance(count, bool) or not (isinstance(count, numbers.Integral) and count >= 1):
-            raise ValueError(f"default {key} must be an integer of at least 1, got {count!r}")
-        filled[key] = int(count)
+        filled[key] = _integer(f"default {key}", filled[key], 1)
     return filled
 
 
-def _check_consistency(scene: Scene) -> None:
-    """Raise ValueError at the first value or reference that cannot be built."""
-    _require_finite("v0", scene.v0, (scene.n_v,))
-    if scene.kind == "linkage":
-        _require_finite("pose", scene.pose, (4,))
-        for key in ("leg_length", "mass_offset", "leg_mass"):
-            if not 0.0 < float(scene.linkage[key]) < np.inf:
-                raise ValueError(f"linkage {key} must be positive and finite")
-            _require_bounded(f"linkage {key}", float(scene.linkage[key]))
-        if not float(scene.linkage["mass_offset"]) < float(scene.linkage["leg_length"]):
+def _read_body(index: int, entry: dict) -> PlanarBody:
+    """Entry ``index`` of a rigid scene's ``bodies``."""
+    where = f"body {index}"
+    mass = _number(f"{where} mass and inertia", entry["mass"])
+    inertia = _number(f"{where} mass and inertia", entry["inertia"])
+    if not (mass > 0.0 and inertia > 0.0):
+        raise ValueError(f"{where} mass and inertia must be positive, got {mass} and {inertia}")
+    shape = entry["shape"]
+    if shape["type"] == "disk":
+        radius = _number(f"{where} radius", shape["radius"], positive=True)
+        shape = {"type": "disk", "radius": radius}
+    elif shape["type"] == "polygon":
+        vertices = [
+            _vector(f"{where} vertex {k}", vertex, 2) for k, vertex in enumerate(shape["vertices"])
+        ]
+        shape = {"type": "polygon", "vertices": vertices}
+    else:
+        raise ValueError(f"{where} shape type must be 'disk' or 'polygon', got {shape['type']!r}")
+    pose = _vector(f"{where} pose", entry["pose"], 3)
+    return PlanarBody(name=entry["name"], mass=mass, inertia=inertia, shape=shape, pose=pose)
+
+
+def _read_contact(entry: dict, kind: str, bodies: list, planes: list) -> ContactSpec:
+    """One entry of a scene's ``contacts``, its references checked against
+    the bodies and planes already read."""
+    label = entry["label"]
+    if not isinstance(label, str):
+        raise ValueError(f"contact labels must be strings, got {label!r}")
+    where = f"contact {label!r}"
+    mu = _number(f"{where}: mu", entry["mu"])
+    if not mu > 0.0:
+        raise ValueError(f"{where}: mu must be positive, got {mu}")
+    if kind == "linkage":
+        leg = _integer(f"{where}: leg", entry["leg"], 0, 2)
+        return ContactSpec(label=label, mu=mu, kind="foot-plane", body=0, leg=leg)
+    kind = entry["kind"]
+    if kind not in _CONTACT_KINDS:
+        raise ValueError(f"{where}: unknown contact kind {kind!r}")
+    body = _integer(f"{where}: body index", entry["body"], 0, len(bodies))
+    plane = vertex = against = None
+    if kind == "disk-disk":
+        against = _integer(f"{where}: body index", entry["against"], 0, len(bodies))
+    else:
+        plane = entry["plane"]
+        if not any(plane == p.name for p in planes):
+            raise ValueError(f"{where}: no environment plane named {plane!r}")
+    if kind == "vertex-plane":
+        vertices = bodies[body].shape.get("vertices")
+        if not vertices:
+            raise ValueError(f"{where}: body {body} has no vertices")
+        vertex = _integer(f"{where}: vertex index", entry["vertex"], 0, len(vertices))
+    else:
+        for index in (body,) if against is None else (body, against):
+            if bodies[index].shape["type"] != "disk":
+                raise ValueError(f"{where}: body {index} is not a disk")
+    return ContactSpec(
+        label=label, mu=mu, kind=kind, body=body, plane=plane, vertex=vertex, against=against
+    )
+
+
+def _read_scene(data: dict) -> Scene:
+    name, kind = data["name"], data.get("kind", "rigid")
+    if not (isinstance(name, str) and name):
+        raise ValueError(f"scene name must be a nonempty string, got {name!r}")
+    if kind not in ("rigid", "linkage"):
+        raise ValueError(f"scene kind must be 'rigid' or 'linkage', got {kind!r}")
+    scene = Scene(name=name, kind=kind, defaults=_run_defaults(data.get("defaults", {})))
+    if kind == "linkage":
+        scene.linkage = {
+            key: _number(f"linkage {key}", data["linkage"][key], positive=True)
+            for key in ("leg_length", "mass_offset", "leg_mass")
+        }
+        if not scene.linkage["mass_offset"] < scene.linkage["leg_length"]:
             raise ValueError("linkage mass_offset must be smaller than leg_length")
-    for index, body in enumerate(scene.bodies):
-        _require_finite(f"body {index} pose", body.pose, (3,))
-        _require_bounded(f"body {index} mass and inertia", [body.mass, body.inertia])
-        shape = body.shape if isinstance(body.shape, dict) else {}
-        for k, vertex in enumerate(shape.get("vertices", ())):
-            _require_finite(f"body {index} vertex {k}", vertex, (2,))
-        if _is_disk(body):
-            _require_bounded(f"body {index} radius", shape["radius"])
-    for plane in scene.environment:
-        _require_finite(f"plane {plane.name!r} point", plane.point, (2,))
+        scene.pose = _vector("pose", data["pose"], 4)
+    else:
+        scene.bodies = [_read_body(index, entry) for index, entry in enumerate(data["bodies"])]
+        for entry in data.get("environment", []):
+            where = f"plane {entry['name']!r}"
+            if any(plane.name == entry["name"] for plane in scene.environment):
+                raise ValueError(f"{where} is named twice")
+            point = _vector(f"{where} point", entry["point"], 2)
+            # A normal gives only a direction: any finite size is read.
+            normal = _vector(f"{where} normal", entry["normal"], 2, bound=math.inf)
+            scene.environment.append(HalfPlane(name=entry["name"], point=point, normal=normal))
+    scene.contacts = [
+        _read_contact(entry, kind, scene.bodies, scene.environment) for entry in data["contacts"]
+    ]
     if not scene.contacts:
         raise ValueError("a scene needs at least one contact")
     labels = [spec.label for spec in scene.contacts]
-    if not all(isinstance(label, str) for label in labels):
-        raise ValueError(f"contact labels must be strings, got {labels}")
     if len(set(labels)) != len(labels):
         raise ValueError(f"contact labels must be distinct, got {labels}")
-    planes = {plane.name for plane in scene.environment}
-    for spec in scene.contacts:
-        where = f"contact {spec.label!r}"
-        if not 0.0 < spec.mu < np.inf:
-            raise ValueError(f"{where}: mu must be positive, got {spec.mu}")
-        _require_bounded(f"{where}: mu", spec.mu)
-        if scene.kind == "linkage":
-            if spec.leg not in (0, 1):
-                raise ValueError(f"{where}: leg must be 0 or 1, got {spec.leg}")
-            continue
-        if spec.kind not in _CONTACT_KINDS:
-            raise ValueError(f"{where}: unknown contact kind {spec.kind!r}")
-        bodies = [spec.body, spec.against] if spec.kind == "disk-disk" else [spec.body]
-        for index in bodies:
-            if not (isinstance(index, int) and 0 <= index < len(scene.bodies)):
-                raise ValueError(f"{where}: body index {index} out of range")
-        if spec.kind != "disk-disk" and spec.plane not in planes:
-            raise ValueError(f"{where}: no environment plane named {spec.plane!r}")
-        if spec.kind == "vertex-plane":
-            shape = scene.bodies[spec.body].shape
-            count = len(shape.get("vertices", ())) if isinstance(shape, dict) else 0
-            if not count:
-                raise ValueError(f"{where}: body {spec.body} has no vertices")
-            if not (isinstance(spec.vertex, int) and 0 <= spec.vertex < count):
-                raise ValueError(f"{where}: vertex index {spec.vertex} out of range")
-        else:
-            for index in bodies:
-                if not _is_disk(scene.bodies[index]):
-                    raise ValueError(
-                        f"{where}: body {index} is not a disk with a finite positive radius"
-                    )
-
-
-def _scene_from_dict(data: dict) -> Scene:
-    kind = data.get("kind", "rigid")
-    defaults = _run_defaults(data.get("defaults", {}))
-    if kind == "linkage":
-        contacts = [
-            ContactSpec(label=c["label"], mu=float(c["mu"]), kind="foot-plane",
-                        body=0, leg=int(c["leg"]))
-            for c in data["contacts"]
-        ]
-        return Scene(
-            name=data["name"],
-            kind="linkage",
-            contacts=contacts,
-            v0=np.array(data["v0"], dtype=float),
-            defaults=defaults,
-            linkage=dict(data["linkage"]),
-            pose=np.array(data["pose"], dtype=float),
-        )
-    bodies = [
-        PlanarBody(
-            name=b["name"],
-            mass=float(b["mass"]),
-            inertia=float(b["inertia"]),
-            shape=b["shape"],
-            pose=np.array(b["pose"], dtype=float),
-        )
-        for b in data["bodies"]
-    ]
-    environment = [
-        HalfPlane(name=p["name"], point=np.array(p["point"]), normal=np.array(p["normal"]))
-        for p in data.get("environment", [])
-    ]
-    contacts = [
-        ContactSpec(
-            label=c["label"],
-            mu=float(c["mu"]),
-            kind=c["kind"],
-            body=int(c["body"]),
-            plane=c.get("plane"),
-            vertex=c.get("vertex"),
-            against=c.get("against"),
-        )
-        for c in data["contacts"]
-    ]
-    return Scene(
-        name=data["name"],
-        kind="rigid",
-        bodies=bodies,
-        environment=environment,
-        contacts=contacts,
-        v0=np.array(data["v0"], dtype=float),
-        defaults=defaults,
-    )
+    scene.v0 = _vector("v0", data["v0"], scene.n_v)
+    return scene

@@ -148,6 +148,26 @@ def _drop(path):
         ("phone", _set(("defaults", "n_steps"), True), "default n_steps must be an integer"),
         ("phone", _set(("defaults", "m_trajectories"), True),
          "default m_trajectories must be an integer"),
+        ("phone", _set(("contacts", 1, "body"), 0.7),
+         "contact 'B': body index must be an integer"),
+        ("compass", _set(("contacts", 0, "leg"), 0.9),
+         "contact 'trailing': leg must be an integer"),
+        ("phone", _set(("contacts", 0, "vertex"), True), "vertex index must be an integer"),
+        ("disk_stack", _set(("contacts", 0, "body"), True), "body index must be an integer"),
+        ("disk_stack", _set(("contacts", 0, "against"), True), "body index must be an integer"),
+        ("phone", _set(("contacts", 0, "mu"), True), "contact 'A': mu must be a finite number"),
+        ("phone", _set(("bodies", 0, "mass"), True), "mass and inertia must be a finite number"),
+        ("phone", _set(("bodies", 0, "inertia"), True),
+         "mass and inertia must be a finite number"),
+        ("phone", _set(("bodies", 0, "pose", 2), True), "body 0 pose must be a finite number"),
+        ("phone", _set(("v0", 0), True), "v0 must be a finite number"),
+        ("disk_stack", _set(("bodies", 2, "shape", "radius"), True),
+         "body 2 radius must be a finite number above 0"),
+        ("phone", _set(("name",), None), "name must be a nonempty string"),
+        ("phone", _set(("name",), ""), "name must be a nonempty string"),
+        ("phone", _set(("name",), ["a"]), "name must be a nonempty string"),
+        ("phone", _set(("name",), 7), "name must be a nonempty string"),
+        ("box_wall", _set(("environment", 1, "name"), "floor"), "plane 'floor' is named twice"),
     ],
     ids=["not-json", "vertex-index", "body-index", "against-index", "contact-kind",
          "body-mass", "mu", "coincident-centres", "zero-normal", "linkage-pose",
@@ -157,7 +177,10 @@ def _drop(path):
          "default-h-text", "default-h-negative", "default-n-steps-zero",
          "default-n-steps-fraction", "vertex-huge", "mu-huge", "v0-huge", "mass-huge",
          "radius-huge", "leg-length-huge", "default-h-huge", "default-h-bool",
-         "default-n-steps-bool", "default-m-trajectories-bool"],
+         "default-n-steps-bool", "default-m-trajectories-bool", "body-fraction",
+         "leg-fraction", "vertex-bool", "body-bool", "against-bool", "mu-bool", "mass-bool",
+         "inertia-bool", "pose-bool", "v0-bool", "radius-bool", "name-null", "name-empty",
+         "name-list", "name-number", "plane-name-twice"],
 )
 def test_corrupt_scene_file_is_an_io_error(tmp_path, capsys, scene, edit, message):
     bad = tmp_path / "bad.json"

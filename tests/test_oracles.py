@@ -80,8 +80,9 @@ def test_dense_reference_on_the_ball_reaches_rest():
 
 def test_dense_reference_validates_inputs():
     ball, v0, _ = build_ball()
-    with pytest.raises(ValueError):
-        routh_dense_reference(ball, v0, ds=0.0)
+    for ds in (0.0, math.nan):
+        with pytest.raises(ValueError, match="ds must be positive"):
+            routh_dense_reference(ball, v0, ds=ds)
     two, _ = _two_contact_problem()
     with pytest.raises(ValueError):
         routh_dense_reference(two, np.zeros(two.n_v), ds=1e-3)

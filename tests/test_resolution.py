@@ -14,6 +14,7 @@ from multimpact import (
     ImpactProblem,
     NonDegeneracyViolation,
     SequentialCapExceeded,
+    SobolSampler,
     UniformSampler,
     anitescu_resolve,
     approximate,
@@ -380,10 +381,11 @@ def test_baselines_build_the_one_contact_problems_once(monkeypatch):
     assert not {id(s) for s in ours} & {id(s) for s in theirs}
 
 
-def test_sequential_resolution_cap_triggers():
+def test_sequential_resolution_cap_triggers(monkeypatch):
     problem, v0, _ = build_example("phone")
-    with pytest.raises(SequentialCapExceeded):
-        sequential_resolve(problem, v0, order=["A"], cap=1)
+    monkeypatch.setattr(resolution, "SEQUENTIAL_CAP", 1)
+    with pytest.raises(SequentialCapExceeded, match="more than 1 single-contact"):
+        sequential_resolve(problem, v0, order=["A"])
 
 
 def test_restrict_contacts_slices_consistently():
@@ -508,6 +510,21 @@ def test_sim_rejects_a_step_cap_that_is_not_an_integer(bad):
     with pytest.raises(ValueError, match="n_max must be an integer"):
         resolution.sim_block(problem, v0, 0.3, bad, UniformSampler(), 0, 2)
     assert sim(problem, v0, h=0.3, n_max=np.int64(3), sampler=UniformSampler()).n_steps <= 3
+
+
+@pytest.mark.parametrize("bad", [0.5, True, -1])
+def test_sim_rejects_a_trajectory_range_that_is_not_nonnegative_integers(bad):
+    # A fractional Sobol index would read the draws of a truncated one.
+    problem, v0, _ = build_example("phone")
+    with pytest.raises(ValueError, match="first"):
+        sim(problem, v0, 0.3, 10, SobolSampler(), traj_index=bad)
+    for first, count, name in ((bad, 2, "first"), (0, bad, "count")):
+        with pytest.raises(ValueError, match=name):
+            resolution.sim_block(problem, v0, 0.3, 10, SobolSampler(), first, count)
+    by_numpy = sim(problem, v0, 0.3, 10, SobolSampler(), traj_index=np.int64(2))
+    np.testing.assert_array_equal(
+        by_numpy.v_final, sim(problem, v0, 0.3, 10, SobolSampler(), traj_index=2).v_final
+    )
 
 
 def test_the_uncapped_cone_audit_is_one_check_with_one_message(monkeypatch):
