@@ -31,24 +31,15 @@ import numpy as np
 
 from . import io as mio
 from .contact import ImpactProblem
-from .errors import ConfigError, MultimpactError, SceneFormatError
+from .errors import MultimpactError, SceneFormatError
 from .oracles import routh_dense_reference
 from .resolution import baselines, restrict_contacts, sim
-from .scenes import EXAMPLE_NAMES, MAX_MAGNITUDE, _bundled_text, build_example
+from .scenes import MAX_MAGNITUDE, _bundled_text, build_example
 from .setapprox import PostImpactSet, SobolSampler, UniformSampler, approximate, classify_outcomes
 
 __all__ = ["main"]
 
 DESK_SCALE_TRAJECTORIES = 4096  # default sample count without --paper-scale
-
-
-def _load(args: argparse.Namespace) -> tuple[ImpactProblem, np.ndarray, dict]:
-    try:
-        return build_example(args.scene)
-    except KeyError:
-        raise ConfigError(
-            f"unknown scene {args.scene!r}; bundled scenes: {', '.join(EXAMPLE_NAMES)}, ball"
-        ) from None
 
 
 def _make_sampler(args: argparse.Namespace):
@@ -62,7 +53,7 @@ def _fill_defaults(args: argparse.Namespace, meta: dict) -> None:
     # The Sobol sequence has no seed: a seed it ignored would look like a
     # second, independent run with byte-identical output.
     if args.sampler == "sobol" and args.seed:
-        raise ConfigError("--seed has no effect on the Sobol sampler; use --sampler uniform")
+        raise ValueError("--seed has no effect on the Sobol sampler; use --sampler uniform")
     if args.h is None:
         args.h = meta["h"]
     if args.n is None:
@@ -95,7 +86,7 @@ def _summary(payload: dict) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
-    problem, v0, meta = _load(args)
+    problem, v0, meta = build_example(args.scene)
     _fill_defaults(args, meta)
     traj = sim(
         problem, v0, args.h, args.n, _make_sampler(args), traj_index=args.traj_index
@@ -124,7 +115,7 @@ def _approximate_set(
 
 
 def _cmd_approximate(args: argparse.Namespace) -> None:
-    problem, v0, meta = _load(args)
+    problem, v0, meta = build_example(args.scene)
     _fill_defaults(args, meta)
     post_set = _approximate_set(args, problem, v0)
     path = _export(args, meta, "set", post_set, problem)
@@ -143,7 +134,7 @@ def _cmd_approximate(args: argparse.Namespace) -> None:
 
 
 def _cmd_compare(args: argparse.Namespace) -> None:
-    problem, v0, meta = _load(args)
+    problem, v0, meta = build_example(args.scene)
     _fill_defaults(args, meta)
     # Sampling first: an argument it rejects fails before the baselines run.
     post_set = _approximate_set(args, problem, v0)
@@ -163,11 +154,11 @@ def _cmd_compare(args: argparse.Namespace) -> None:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> None:
-    problem, v0, meta = _load(args)
+    problem, v0, meta = build_example(args.scene)
     if args.contact is not None:
         problem = restrict_contacts(problem, [args.contact])
     if problem.n_contacts != 1:
-        raise ConfigError(
+        raise ValueError(
             "the dense reference needs a single contact; pick one with --contact"
         )
     dense = routh_dense_reference(problem, v0, args.ds)
@@ -187,15 +178,10 @@ def _cmd_oracle(args: argparse.Namespace) -> None:
 
 
 def _cmd_example(args: argparse.Namespace) -> None:
-    name = args.scene
-    if name not in EXAMPLE_NAMES:
-        raise ConfigError(
-            f"unknown bundled scene {name!r}; available: {', '.join(EXAMPLE_NAMES)}"
-        )
-    text = _bundled_text(name) + "\n"
+    text = _bundled_text(args.scene) + "\n"
     if args.output is not None:
         Path(args.output).write_text(text)
-        _summary({"scene": name, "output": args.output})
+        _summary({"scene": args.scene, "output": args.output})
     else:
         sys.stdout.write(text)
 
@@ -206,7 +192,7 @@ def _cmd_example(args: argparse.Namespace) -> None:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse hook
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def _positive_float(text: str) -> float:
@@ -316,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     # After the I/O clause: a scene file's format errors are ValueErrors too.
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -78,7 +78,9 @@ class ImpactProblem:
         n_v = self.mass.shape[0]
         if self.mass.shape != (n_v, n_v):
             raise ValueError("mass matrix must be square")
-        if not np.allclose(self.mass, self.mass.T, atol=1e-12 * (1 + abs(self.mass).max())):
+        if not np.allclose(
+            self.mass, self.mass.T, rtol=0.0, atol=1e-12 * (1 + abs(self.mass).max())
+        ):
             raise ValueError("mass matrix must be symmetric")
         try:
             np.linalg.cholesky(self.mass)
@@ -96,7 +98,7 @@ class ImpactProblem:
         if self.jd.shape != (2 * m, n_v):
             raise ValueError("jd must have shape (2m, n_v)")
         pair_gap = self.jd[0::2] + self.jd[1::2]
-        if not np.allclose(pair_gap, 0.0, atol=1e-12 * (1 + abs(self.jd).max())):
+        if not np.allclose(pair_gap, 0.0, rtol=0.0, atol=1e-12 * (1 + abs(self.jd).max())):
             raise ValueError("jd rows must come in opposite-direction pairs")
         if self.mu.shape != (m,):
             raise ValueError("mu must have one entry per contact")

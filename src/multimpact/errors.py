@@ -9,7 +9,6 @@ __all__ = [
     "NonDegeneracyViolation",
     "SequentialCapExceeded",
     "SceneFormatError",
-    "ConfigError",
 ]
 
 
@@ -53,8 +52,3 @@ class SceneFormatError(ValueError):
     example a ``v0`` whose length differs from the scene's velocity
     dimension).  Not a solver failure, so it does not derive from
     :class:`MultimpactError`."""
-
-
-class ConfigError(Exception):
-    """Invalid command-line configuration: a bad flag, an unknown scene
-    name, or flags that contradict each other or the scene's defaults."""

@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 EXAMPLE_NAMES = ("phone", "compass", "box_wall", "disk_stack")
+SCENE_FORMAT = "multimpact-scene v1"  # a scene file's ``format`` marker
 _CONTACT_KINDS = ("vertex-plane", "disk-plane", "disk-disk")
 # Largest magnitude of a number in a scene file (a plane normal, which only
 # gives a direction, excepted).  The step LCP's tolerances are absolute, so
@@ -326,6 +327,10 @@ def build_problem(
 
 
 def _bundled_text(name: str) -> str:
+    if name not in EXAMPLE_NAMES:
+        raise ValueError(
+            f"unknown bundled scene {name!r}; available: {', '.join(EXAMPLE_NAMES)}"
+        )
     return (resources.files("multimpact") / "data" / f"{name}.json").read_text()
 
 
@@ -348,7 +353,7 @@ def build_example(source: str | Path) -> tuple[ImpactProblem, np.ndarray, dict]:
     file by path; returns ``(problem, v0, meta)`` as :func:`build_problem`
     does, so meta always holds ``h``, ``n_steps`` and ``m_trajectories``.
     A name that is neither bundled nor an existing file raises
-    ``KeyError``, or ``FileNotFoundError`` if it looks like a path (it
+    ``ValueError``, or ``FileNotFoundError`` if it looks like a path (it
     holds a ``/`` or ends in ``.json``)."""
     name = str(source)
     if name == "ball":
@@ -356,8 +361,8 @@ def build_example(source: str | Path) -> tuple[ImpactProblem, np.ndarray, dict]:
     if name not in EXAMPLE_NAMES and not Path(name).exists():
         if "/" in name or name.endswith(".json"):
             raise FileNotFoundError(f"scene file not found: {name}")
-        raise KeyError(
-            f"unknown example {name!r}; available: {', '.join(EXAMPLE_NAMES)} and 'ball'"
+        raise ValueError(
+            f"unknown scene {name!r}; bundled scenes: {', '.join(EXAMPLE_NAMES)}, ball"
         )
     return build_problem(load_scene(name))
 
@@ -526,6 +531,10 @@ def _read_contact(entry: dict, kind: str, bodies: list, planes: list) -> Contact
 
 
 def _read_scene(data: dict) -> Scene:
+    # A file without a marker is read as the one format there is.
+    marker = data.get("format", SCENE_FORMAT)
+    if marker != SCENE_FORMAT:
+        raise ValueError(f"scene format must be {SCENE_FORMAT!r}, got {marker!r}")
     name, kind = data["name"], data.get("kind", "rigid")
     if not (isinstance(name, str) and name):
         raise ValueError(f"scene name must be a nonempty string, got {name!r}")

@@ -330,6 +330,8 @@ def approximate(
     _check_integers(n_max=n_max, m_trajectories=m_trajectories, jobs=jobs)
     if m_trajectories < 1:
         raise ValueError("at least one trajectory is required")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if n_max < 0:
         raise ValueError("step cap must be nonnegative")
     v0 = np.asarray(v0, dtype=float)
@@ -338,7 +340,7 @@ def approximate(
     sampler.stream(m_trajectories - 1, 1, n_max, problem.n_contacts)
     finishing = (epsilon / (3.0 * psi(problem))) * np.ones(problem.n_contacts)
 
-    jobs = max(1, min(jobs, m_trajectories))
+    jobs = min(jobs, m_trajectories)
     parts = _fan_out(
         (problem, v0, h, n_max, sampler, finishing),
         [k * m_trajectories // jobs for k in range(jobs + 1)],
@@ -433,6 +435,7 @@ def sample_count_bound(
     """
     if not all(0.0 < x < math.inf for x in (h, lipschitz_l, epsilon)):
         raise ValueError("h, lipschitz_l and epsilon must be positive and finite")
+    _check_integers(box_dim=box_dim)
     if box_dim < 1:
         raise ValueError("box_dim must be at least 1")
     if not 0.0 < delta < 1.0:
@@ -447,11 +450,9 @@ def sample_count_bound(
     omega = math.exp(log_omega)
     if omega == 0.0:
         return _SENTINEL
-    log_miss = math.log1p(-omega)
-    if log_miss == 0.0:
-        return _SENTINEL
-    required = (math.log(delta) + log_omega) / log_miss
-    if not math.isfinite(required) or required >= _SENTINEL:
+    # Here omega lies in (0, 1/2], so ``log1p(-omega)`` is negative.
+    required = (math.log(delta) + log_omega) / math.log1p(-omega)
+    if required >= _SENTINEL:
         return _SENTINEL
     return max(1, math.ceil(required))
 
@@ -471,6 +472,9 @@ def estimate_step_lipschitz(
     The pairs are drawn one by one, then stepped in lockstep
     (``step_block``) in chunks of ``BLOCK_SIZE`` rows, the two velocities
     of a pair side by side."""
+    _check_integers(n_pairs=n_pairs)
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
     rng = np.random.default_rng(seed)
     m = problem.n_contacts
     v = np.empty((n_pairs, 2, problem.n_v))

@@ -17,7 +17,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from multimpact import (
-    ConfigError,
     MultimpactError,
     UniformSampler,
     approximate,
@@ -79,6 +78,38 @@ def test_missing_scene_file_is_an_io_error(tmp_path, capsys):
     assert cli.main(["simulate", "--scene", str(tmp_path / "missing.json"),
                      "--output", str(tmp_path / "x.csv")]) == 3
     assert "i/o error:" in capsys.readouterr().err
+
+
+def test_a_count_flag_that_is_not_a_number_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert cli.main(["approximate", "--scene", "phone", "--n", "abc", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: argument --n: expected an integer of at least 1, got 'abc'\n"
+    )
+    assert not out.exists()
+
+
+def test_the_default_output_is_named_after_scene_and_command(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["simulate", "--scene", "phone"]) == 0
+    assert json.loads(capsys.readouterr().out)["output"] == "phone_simulate.csv"
+    assert cli.main(["oracle", "--scene", "ball", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["output"] == "ball_oracle.json"
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "ball_oracle.json", "phone_simulate.csv"
+    ]
+
+
+def test_a_set_that_keeps_no_sample_reports_no_outcome_classes(tmp_path, capsys):
+    # A budget of 1e-6 cannot stop the phone in one step and one finishing
+    # step, so every trajectory is rejected.
+    out = tmp_path / "x.json"
+    assert cli.main(["approximate", "--scene", "phone", "--h", "1e-6", "--n", "1", "--m", "4",
+                     "--jobs", "1", "--format", "json", "--output", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["kept"] == 0 and summary["rejected_count"] == 4
+    assert summary["outcome_classes"] == {}
+    assert out.exists()
 
 
 def _set(path, value):
@@ -168,6 +199,11 @@ def _drop(path):
         ("phone", _set(("name",), ["a"]), "name must be a nonempty string"),
         ("phone", _set(("name",), 7), "name must be a nonempty string"),
         ("box_wall", _set(("environment", 1, "name"), "floor"), "plane 'floor' is named twice"),
+        ("phone", _set(("format",), "multimpact-scene v2"),
+         "scene format must be 'multimpact-scene v1', got 'multimpact-scene v2'"),
+        ("phone", _set(("format",), 1), "scene format must be 'multimpact-scene v1', got 1"),
+        ("phone", _set(("bodies", 0, "shape", "type"), "ellipse"),
+         "body 0 shape type must be 'disk' or 'polygon', got 'ellipse'"),
     ],
     ids=["not-json", "vertex-index", "body-index", "against-index", "contact-kind",
          "body-mass", "mu", "coincident-centres", "zero-normal", "linkage-pose",
@@ -180,7 +216,8 @@ def _drop(path):
          "default-n-steps-bool", "default-m-trajectories-bool", "body-fraction",
          "leg-fraction", "vertex-bool", "body-bool", "against-bool", "mu-bool", "mass-bool",
          "inertia-bool", "pose-bool", "v0-bool", "radius-bool", "name-null", "name-empty",
-         "name-list", "name-number", "plane-name-twice"],
+         "name-list", "name-number", "plane-name-twice", "format-other", "format-number",
+         "shape-type"],
 )
 def test_corrupt_scene_file_is_an_io_error(tmp_path, capsys, scene, edit, message):
     bad = tmp_path / "bad.json"
@@ -357,7 +394,7 @@ def test_bad_flag_is_a_config_error(tmp_path, capsys, argv):
 def test_positive_flags_share_the_bound_on_scene_numbers(argv):
     parse = cli._build_parser().parse_args
     assert getattr(parse(argv + [repr(MAX_MAGNITUDE)]), argv[-1][2:]) == MAX_MAGNITUDE
-    with pytest.raises(ConfigError, match=r"at most 1e\+08"):
+    with pytest.raises(ValueError, match=r"at most 1e\+08"):
         parse(argv + [repr(float(np.nextafter(MAX_MAGNITUDE, math.inf)))])
 
 

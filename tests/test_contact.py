@@ -72,6 +72,38 @@ def test_validation_rejects_malformed_inputs():
         ImpactProblem(**{**good, "labels": ("A", "B")})
 
 
+# The fields of a valid one-contact problem; a problem copies its arrays.
+_ONE_CONTACT = dict(
+    mass=np.eye(2),
+    jn=np.array([[0.0, 1.0]]),
+    jd=np.array([[1.0, 0.0], [-1.0, 0.0]]),
+    mu=np.array([0.5]),
+)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"mass": np.array([[1.0, 0.2], [0.2 + 1e-6, 1.0]])}, "mass matrix must be symmetric"),
+        ({"mass": np.ones((2, 3))}, "mass matrix must be square"),
+        ({"jn": np.array([[0.0, 1.0, 0.0]])}, r"jn must have shape \(m, n_v\)"),
+        ({"mu": np.array([0.5, 0.5])}, "mu must have one entry per contact"),
+    ],
+    ids=["mass-asymmetric", "mass-not-square", "jn-width", "mu-length"],
+)
+def test_problem_rejects_each_malformed_field(edit, message):
+    with pytest.raises(ValueError, match=message):
+        ImpactProblem(**{**_ONE_CONTACT, **edit})
+
+
+def test_mass_symmetry_is_checked_at_its_stated_tolerance_alone():
+    # 1e-12 * (1 + max |M|) = 2e-12 here; numpy's relative tolerance
+    # would let 1e-6 through as well.
+    ImpactProblem(**{**_ONE_CONTACT, "mass": np.array([[1.0, 0.2], [0.2 + 1e-12, 1.0]])})
+    with pytest.raises(ValueError, match="symmetric"):
+        ImpactProblem(**{**_ONE_CONTACT, "mass": np.array([[1.0, 0.2], [0.2 + 1e-11, 1.0]])})
+
+
 def test_duplicate_contact_labels_are_rejected():
     two = dict(
         mass=np.eye(2),
@@ -167,7 +199,7 @@ def test_approximate_on_one_job_loads_no_multiprocessing():
 _EXPORTED_BEFORE = """
     ImpactProblem in_linear_cone is_impacting kinetic_energy mass_norm
     MultimpactError LcpSolveError ConeViolationError NonDegeneracyViolation
-    SequentialCapExceeded SceneFormatError ConfigError LcpInstance LcpSolution
+    SequentialCapExceeded SceneFormatError LcpInstance LcpSolution
     lemke_solve lemke_many residuals DenseTrajectory brute_force_lcp
     routh_dense_reference ImpactLcpLayout StepRecord Trajectory
     assemble_impact_lcp sim_step sim step_block sim_block anitescu_resolve
@@ -221,6 +253,16 @@ def test_cone_audit_rejects_impulse_at_separating_contact():
     separating = np.array([0.0, 1.0])
     assert in_linear_cone(problem, separating, np.array([0.0]), np.zeros(2))
     assert not in_linear_cone(problem, separating, np.array([1.0]), np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    "lambda_n, beta", [(np.zeros(2), np.zeros(2)), (np.zeros(1), np.zeros(3))],
+    ids=["normal-length", "friction-length"],
+)
+def test_cone_audit_rejects_impulses_of_the_wrong_length(lambda_n, beta):
+    problem = _simple_problem()
+    with pytest.raises(ValueError, match="impulse vectors do not match the contact count"):
+        in_linear_cone(problem, np.zeros(2), lambda_n, beta)
 
 
 def test_pickle_round_trip_preserves_solves(rng):

@@ -188,6 +188,13 @@ def test_sequential_rejects_an_unknown_label():
         sequential_resolve(problem, v0, ["nope"])
 
 
+@pytest.mark.parametrize("order", [["A", "A"], ["A", 0], [1, "B"]])
+def test_sequential_rejects_an_order_that_repeats_a_contact(order):
+    problem, v0, _ = build_example("phone")
+    with pytest.raises(ValueError, match="must not repeat contacts"):
+        sequential_resolve(problem, v0, order)
+
+
 def test_sequential_orders_mirror_on_the_phone():
     problem, v0, _ = build_example("phone")
     r = reflect_map("phone")

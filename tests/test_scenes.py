@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,14 @@ from multimpact import (
     load_scene,
     reflect_map,
 )
-from multimpact.scenes import RUN_DEFAULTS, build_problem, mass_matrix, scene_from_dict
+from multimpact.scenes import (
+    RUN_DEFAULTS,
+    SCENE_FORMAT,
+    _bundled_text,
+    build_problem,
+    mass_matrix,
+    scene_from_dict,
+)
 
 from conftest import bundled_scene
 
@@ -33,7 +41,7 @@ def test_bundled_catalog():
         assert meta["name"] == name
         assert {"h", "n_steps", "m_trajectories"} <= meta.keys()
         assert is_impacting(problem, v0)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         build_example("nonexistent")
 
 
@@ -234,3 +242,26 @@ def test_build_example_reads_a_scene_file(tmp_path):
         assert meta.keys() == want_meta.keys() and meta["name"] == "box_wall"
     with pytest.raises(FileNotFoundError, match="scene file not found"):
         build_example(str(tmp_path / "missing.json"))
+
+
+def test_unknown_scene_names_are_value_errors():
+    with pytest.raises(ValueError, match=re.escape(
+        "unknown scene 'nosuch'; bundled scenes: phone, compass, box_wall, disk_stack, ball"
+    )):
+        build_example("nosuch")
+    # ``ball`` is built in code: there is no bundled file to print.
+    with pytest.raises(ValueError, match=re.escape(
+        "unknown bundled scene 'ball'; available: phone, compass, box_wall, disk_stack"
+    )):
+        _bundled_text("ball")
+
+
+def test_a_scene_without_a_format_marker_reads_as_the_current_format():
+    data = bundled_scene("phone")
+    assert data.pop("format") == SCENE_FORMAT
+    problem, v0, meta = build_problem(scene_from_dict(data))
+    want, want_v0, want_meta = build_example("phone")
+    for attr in ("mass", "jn", "jd", "mu"):
+        np.testing.assert_array_equal(getattr(problem, attr), getattr(want, attr))
+    np.testing.assert_array_equal(v0, want_v0)
+    assert meta == want_meta

@@ -428,3 +428,52 @@ def test_a_sobol_range_beyond_the_sequence_fails_before_any_trajectory(monkeypat
     # 1 + m*n must stay below 2**52; m = 2**49, n = 8 gives exactly 2**52 + 1.
     with pytest.raises(ValueError, match="exceeds the 52-bit sequence"):
         approximate(problem, v0, 0.3, 0.03, 8, 2**49, SobolSampler(), jobs=1)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"jobs": 0}, "jobs must be at least 1, got 0"),
+        ({"jobs": -4}, "jobs must be at least 1, got -4"),
+        ({"m_trajectories": 0}, "at least one trajectory is required"),
+    ],
+    ids=["jobs-zero", "jobs-negative", "no-trajectories"],
+)
+def test_approximate_rejects_counts_below_their_floor(kwargs, message):
+    problem, v0, _ = build_example("phone")
+    kwargs = {"n_max": 5, "m_trajectories": 4, "jobs": 1, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        approximate(problem, v0, 0.3, 0.03, sampler=UniformSampler(), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "n_pairs, message",
+    [(0, "n_pairs must be at least 1, got 0"), (True, "n_pairs must be an integer"),
+     (2.0, "n_pairs must be an integer")],
+    ids=["zero", "bool", "float"],
+)
+def test_step_lipschitz_needs_at_least_one_pair(n_pairs, message):
+    ball, _, _ = build_ball()
+    with pytest.raises(ValueError, match=message):
+        estimate_step_lipschitz(ball, h=1.0, n_pairs=n_pairs)
+
+
+@pytest.mark.parametrize("box_dim", [True, 2.5])
+def test_sample_count_bound_needs_an_integer_box_dimension(box_dim):
+    with pytest.raises(ValueError, match="box_dim must be an integer"):
+        sample_count_bound(1.0, 1.0, box_dim, 0.5, 0.1)
+
+
+def test_sample_count_bound_saturates_where_the_hit_probability_underflows():
+    # 31,623 cells per axis in 1,000 dimensions: omega = cells**-1000 is 0.0.
+    assert sample_count_bound(1.0, 1.0, 1000, 1e-3, 0.1) == SENTINEL
+
+
+@pytest.mark.parametrize(
+    "candidate, reference",
+    [(np.zeros((0, 2)), np.zeros((3, 2))), (np.zeros((3, 2)), np.zeros((0, 2)))],
+    ids=["no-candidates", "no-references"],
+)
+def test_epsilon_net_audit_requires_points(candidate, reference):
+    with pytest.raises(ValueError, match="both point sets must be nonempty"):
+        epsilon_net_check(candidate, reference, 1.0)
