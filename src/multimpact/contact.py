@@ -1,10 +1,10 @@
 """Frictional contact problem data for planar multibody impacts.
 
 An :class:`ImpactProblem` bundles the generalized mass matrix, the normal
-and tangential contact Jacobians, and per-contact friction coefficients.
-Tangential directions are carried in doubled form: for contact ``i`` the
-rows ``2i`` and ``2i+1`` of ``jd`` are the two opposite tangent directions,
-so frictional impulses decompose into nonnegative coordinates.
+and tangential contact Jacobians (one row per contact each), and
+per-contact friction coefficients.  It derives the doubled Jacobian
+``jd`` of the linearized friction cone, rows ``jt_i`` and ``-jt_i`` for
+contact ``i``, so frictional impulses decompose into nonnegative parts.
 
 Velocities are plain 1-D numpy arrays over the generalized coordinates;
 the helpers here evaluate kinetic energy, the kinetic metric norm, the
@@ -39,6 +39,8 @@ __all__ = [
 APPROACH_TOL = 1e-10
 # Absolute slack allowed in each condition of the friction-cone audit.
 CONE_TOL = 1e-8
+# Largest ``|M - M^T|`` entry of a mass matrix, in units of ``1 + max |M|``.
+MASS_SYMMETRY_TOL = 1e-12
 
 
 @dataclass(eq=False, frozen=True)
@@ -50,10 +52,11 @@ class ImpactProblem:
     mass : (n_v, n_v) symmetric positive definite generalized mass matrix.
     jn : (m, n_v) normal contact Jacobian; row i maps generalized velocity
         to the separation rate of contact i (positive = separating).
-    jd : (2m, n_v) doubled tangential Jacobian; rows 2i and 2i+1 are exact
-        opposites and span the tangent line of contact i.
+    jt : (m, n_v) tangential contact Jacobian; row i maps generalized
+        velocity to the slip rate of contact i.
     mu : (m,) positive friction coefficients.
     labels : distinct human-readable contact names, one per contact.
+    jd : (2m, n_v) derived, not passed: rows 2i and 2i+1 are jt_i and -jt_i.
 
     The problem is frozen and keeps read-only copies of its arrays, so
     per-problem caches built from them (the step LCP blocks) cannot go
@@ -62,15 +65,16 @@ class ImpactProblem:
 
     mass: np.ndarray
     jn: np.ndarray
-    jd: np.ndarray
+    jt: np.ndarray
     mu: np.ndarray
     labels: tuple[str, ...] = field(default=())
+    jd: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         set_field = functools.partial(object.__setattr__, self)
         set_field("mass", _frozen(self.mass))
         set_field("jn", np.atleast_2d(_frozen(self.jn)))
-        set_field("jd", np.atleast_2d(_frozen(self.jd)))
+        set_field("jt", np.atleast_2d(_frozen(self.jt)))
         set_field("mu", np.atleast_1d(_frozen(self.mu)))
 
         if not np.isfinite(self.mass).all():
@@ -78,9 +82,8 @@ class ImpactProblem:
         n_v = self.mass.shape[0]
         if self.mass.shape != (n_v, n_v):
             raise ValueError("mass matrix must be square")
-        if not np.allclose(
-            self.mass, self.mass.T, rtol=0.0, atol=1e-12 * (1 + abs(self.mass).max())
-        ):
+        atol = MASS_SYMMETRY_TOL * (1 + abs(self.mass).max())
+        if not np.allclose(self.mass, self.mass.T, rtol=0.0, atol=atol):
             raise ValueError("mass matrix must be symmetric")
         try:
             np.linalg.cholesky(self.mass)
@@ -95,21 +98,17 @@ class ImpactProblem:
             raise ValueError("jn must have shape (m, n_v)")
         if np.any(np.linalg.norm(self.jn, axis=1) == 0.0):
             raise ValueError("every normal Jacobian row must be nonzero")
-        if self.jd.shape != (2 * m, n_v):
-            raise ValueError("jd must have shape (2m, n_v)")
-        pair_gap = self.jd[0::2] + self.jd[1::2]
-        if not np.allclose(pair_gap, 0.0, rtol=0.0, atol=1e-12 * (1 + abs(self.jd).max())):
-            raise ValueError("jd rows must come in opposite-direction pairs")
+        if self.jt.shape != (m, n_v):
+            raise ValueError("jt must have shape (m, n_v)")
+        set_field("jd", _frozen(np.stack([self.jt, -self.jt], axis=1).reshape(2 * m, n_v)))
         if self.mu.shape != (m,):
             raise ValueError("mu must have one entry per contact")
         if np.any(self.mu <= 0.0):
             raise ValueError("friction coefficients must be positive")
-        if not self.labels:
-            default = (chr(ord("A") + i) if m <= 26 else f"c{i}" for i in range(m))
-            set_field("labels", tuple(default))
+        default = (chr(ord("A") + i) if m <= 26 else f"c{i}" for i in range(m))
+        set_field("labels", tuple(self.labels or default))
         if len(self.labels) != m:
             raise ValueError("labels must have one entry per contact")
-        set_field("labels", tuple(self.labels))
         if len(set(self.labels)) != m:
             raise ValueError(f"contact labels must be distinct, got {self.labels}")
 

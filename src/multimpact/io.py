@@ -99,7 +99,7 @@ def _velocity_table(problem: ImpactProblem, velocities) -> np.ndarray:
     v = np.asarray(velocities, dtype=float).reshape(-1, problem.n_v)
     column = v[:, :, None]
     jn_v = np.matmul(problem.jn, column)[..., 0]
-    jt_v = np.matmul(problem.jd[0::2], column)[..., 0]
+    jt_v = np.matmul(problem.jt, column)[..., 0]
     return np.hstack([v, jn_v, jt_v])
 
 

@@ -113,9 +113,7 @@ def routh_dense_reference(
     if not ds > 0.0:
         raise ValueError("impulse increment ds must be positive")
     compute_r(problem)  # raises NonDegeneracyViolation on jamming geometry
-    jn = problem.jn[0]
-    jt = problem.jd[0]
-    mu = float(problem.mu[0])
+    jn, jt, mu = problem.jn[0], problem.jt[0], float(problem.mu[0])
     minv_jn = problem.mass_solve(jn)
     minv_jt = problem.mass_solve(jt)
     a_tt = float(jt @ minv_jt)

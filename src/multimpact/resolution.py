@@ -334,8 +334,7 @@ def sim_block(
     one row per trajectory.  ``n_max``, ``first`` and ``count`` must be
     nonnegative integers (not bools); anything else raises ``ValueError``.
     """
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"per-step impulse budget h must be positive and finite, got {h!r}")
+    _check_budget(h)
     _check_integers(n_max=n_max, first=first, count=count)
     if n_max < 0:
         raise ValueError("step cap must be nonnegative")
@@ -355,6 +354,12 @@ def sim_block(
         v[rows] = v_after
         rows = rows[is_impacting(problem, v_after)]
     return v
+
+
+def _check_budget(h: float) -> None:
+    """Raise ``ValueError`` unless the per-step budget ``h`` is positive and finite."""
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"per-step impulse budget h must be positive and finite, got {h!r}")
 
 
 def _check_integers(**values) -> None:
@@ -479,11 +484,10 @@ def restrict_contacts(problem: ImpactProblem, contacts: list[int | str]) -> Impa
     """A copy of the problem keeping only the selected contacts, each
     named by a label or an index (any other entry raises ``ValueError``)."""
     indices = [_contact_index(problem, entry) for entry in contacts]
-    doubled = [row for i in indices for row in (2 * i, 2 * i + 1)]
     return ImpactProblem(
         mass=problem.mass,
         jn=problem.jn[indices],
-        jd=problem.jd[doubled],
+        jt=problem.jt[indices],
         mu=problem.mu[indices],
         labels=tuple(problem.labels[i] for i in indices),
     )
@@ -593,10 +597,7 @@ def compute_r(problem: ImpactProblem) -> np.ndarray:
     """
     m = problem.n_contacts
     n_v = problem.n_v
-    rays = np.empty((2 * m, n_v))
-    for i in range(m):
-        rays[2 * i] = problem.jn[i] + problem.mu[i] * problem.jd[2 * i]
-        rays[2 * i + 1] = problem.jn[i] + problem.mu[i] * problem.jd[2 * i + 1]
+    rays = np.repeat(problem.jn, 2, axis=0) + np.repeat(problem.mu, 2)[:, None] * problem.jd
     gmat = problem.mass_solve(rays.T).T  # (2m, n_v): rows are M^-1 F
 
     size = 2 * n_v + 2 * m
@@ -636,8 +637,7 @@ def termination_constant(
     energy-determined prefix ``c * ceil(|v0|_M)`` is at most the returned
     ``tail(k)``.
     """
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"per-step impulse budget h must be positive and finite, got {h!r}")
+    _check_budget(h)
     if r is None:
         r = compute_r(problem)
     m = problem.n_contacts

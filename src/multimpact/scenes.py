@@ -151,10 +151,6 @@ class Scene:
 # Geometry for "rigid" scenes
 
 
-def _world_vertex(body: PlanarBody, q_body: np.ndarray, index: int) -> np.ndarray:
-    local = np.asarray(body.shape["vertices"][index], dtype=float)
-    return q_body[:2] + _rot(q_body[2]) @ local
-
 def _plane(scene: Scene, name: str) -> HalfPlane:
     for plane in scene.environment:
         if plane.name == name:
@@ -171,7 +167,7 @@ def _contact_geometry(
     body = scene.bodies[spec.body]
     if spec.kind == "vertex-plane":
         plane = _plane(scene, spec.plane)
-        point = _world_vertex(body, qb, spec.vertex)
+        point = qb[:2] + _rot(qb[2]) @ body.shape["vertices"][spec.vertex]
         value = float(plane.normal @ (point - plane.point))
         return value, point, plane.normal.copy()
     if spec.kind == "disk-plane":
@@ -202,16 +198,6 @@ def _contact_geometry(
 # Geometry for the "linkage" walker
 
 
-def _linkage_feet(scene: Scene, q: np.ndarray) -> np.ndarray:
-    length = float(scene.linkage["leg_length"])
-    hip = q[:2]
-    feet = np.empty((2, 2))
-    for leg in range(2):
-        phi = q[2 + leg]
-        feet[leg] = hip + length * np.array([np.sin(phi), -np.cos(phi)])
-    return feet
-
-
 def _linkage_mass(scene: Scene, q: np.ndarray) -> np.ndarray:
     """Closed-form mass matrix: two point masses, one per leg, at offset
     ``a = leg_length - mass_offset`` below the hip along each leg."""
@@ -233,13 +219,46 @@ def _linkage_mass(scene: Scene, q: np.ndarray) -> np.ndarray:
 # Public geometry API
 
 
+def _contacts_at(scene: Scene, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(gaps, jn, jt)`` of every declared contact at pose ``q``, each
+    contact evaluated once."""
+    q = np.asarray(q, dtype=float)
+    m = len(scene.contacts)
+    gaps = np.empty(m)
+    jn = np.zeros((m, scene.n_v))
+    jt = np.zeros((m, scene.n_v))
+
+    if scene.kind == "linkage":
+        length = float(scene.linkage["leg_length"])
+        for i, spec in enumerate(scene.contacts):
+            col = 2 + spec.leg
+            phi = q[col]
+            # foot = hip + length (sin phi, -cos phi); gap = foot_y
+            gaps[i] = q[1] - length * np.cos(phi)
+            jn[i, 1] = 1.0
+            jn[i, col] = length * np.sin(phi)
+            # tangent = perp((0,1)) = (-1, 0); slip = -foot_x rate
+            jt[i, 0] = -1.0
+            jt[i, col] = -length * np.cos(phi)
+        return gaps, jn, jt
+
+    for i, spec in enumerate(scene.contacts):
+        gaps[i], point, normal = _contact_geometry(scene, spec, q)
+        sides = [(spec.body, normal)]
+        if spec.kind == "disk-disk":
+            sides.append((spec.against, -normal))
+        for body, direction in sides:
+            arm = _perp(point - q[3 * body : 3 * body + 2])
+            tangent = _perp(direction)
+            cols = slice(3 * body, 3 * body + 3)
+            jn[i, cols] = [direction[0], direction[1], direction @ arm]
+            jt[i, cols] = [tangent[0], tangent[1], tangent @ arm]
+    return gaps, jn, jt
+
+
 def gap(scene: Scene, q: np.ndarray) -> np.ndarray:
     """Signed separation distance of every declared contact at pose ``q``."""
-    q = np.asarray(q, dtype=float)
-    if scene.kind == "linkage":
-        feet = _linkage_feet(scene, q)
-        return np.array([feet[spec.leg][1] for spec in scene.contacts])
-    return np.array([_contact_geometry(scene, spec, q)[0] for spec in scene.contacts])
+    return _contacts_at(scene, q)[0]
 
 
 def contact_jacobians(scene: Scene, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,37 +268,7 @@ def contact_jacobians(scene: Scene, q: np.ndarray) -> tuple[np.ndarray, np.ndarr
     gradient of contact i's gap, and row i of ``jt`` maps velocity to slip
     rate along the counterclockwise-rotated normal.
     """
-    q = np.asarray(q, dtype=float)
-    m = len(scene.contacts)
-    jn = np.zeros((m, scene.n_v))
-    jt = np.zeros((m, scene.n_v))
-
-    if scene.kind == "linkage":
-        length = float(scene.linkage["leg_length"])
-        for i, spec in enumerate(scene.contacts):
-            phi = q[2 + spec.leg]
-            col = 2 + spec.leg
-            # foot = hip + length (sin phi, -cos phi); gap = foot_y
-            jn[i, 1] = 1.0
-            jn[i, col] = length * np.sin(phi)
-            # tangent = perp((0,1)) = (-1, 0); slip = -foot_x rate
-            jt[i, 0] = -1.0
-            jt[i, col] = -length * np.cos(phi)
-        return jn, jt
-
-    for i, spec in enumerate(scene.contacts):
-        _, point, normal = _contact_geometry(scene, spec, q)
-        tangent = _perp(normal)
-        qb = q[3 * spec.body : 3 * spec.body + 3]
-        sb = slice(3 * spec.body, 3 * spec.body + 3)
-        jn[i, sb] = [normal[0], normal[1], normal @ _perp(point - qb[:2])]
-        jt[i, sb] = [tangent[0], tangent[1], tangent @ _perp(point - qb[:2])]
-        if spec.kind == "disk-disk":
-            qa = q[3 * spec.against : 3 * spec.against + 3]
-            sa = slice(3 * spec.against, 3 * spec.against + 3)
-            jn[i, sa] = [-normal[0], -normal[1], -normal @ _perp(point - qa[:2])]
-            jt[i, sa] = [-tangent[0], -tangent[1], -tangent @ _perp(point - qa[:2])]
-    return jn, jt
+    return _contacts_at(scene, q)[1:]
 
 
 def mass_matrix(scene: Scene, q: np.ndarray | None = None) -> np.ndarray:
@@ -304,14 +293,11 @@ def build_problem(
     if q is None:
         q = scene.initial_pose()
     jn, jt = contact_jacobians(scene, q)
-    jd = np.empty((2 * jn.shape[0], scene.n_v))
-    jd[0::2] = jt
-    jd[1::2] = -jt
     try:
         problem = ImpactProblem(
             mass=mass_matrix(scene, q),
             jn=jn,
-            jd=jd,
+            jt=jt,
             mu=np.array([spec.mu for spec in scene.contacts]),
             labels=tuple(spec.label for spec in scene.contacts),
         )
@@ -338,14 +324,29 @@ def list_examples() -> tuple[str, ...]:
     return EXAMPLE_NAMES
 
 
+def _scene_file(source: str | Path) -> Path | None:
+    """The file scene ``source`` names: ``None`` for a bundled name
+    (``ball`` included), else an existing path.  Any other name raises
+    ``ValueError`` naming the bundled scenes, or ``FileNotFoundError`` if
+    it looks like a path (it holds a ``/`` or ends in ``.json``)."""
+    name = str(source)
+    if name in EXAMPLE_NAMES or name == "ball":
+        return None
+    if Path(name).exists():
+        return Path(name)
+    if "/" in name or name.endswith(".json"):
+        raise FileNotFoundError(f"scene file not found: {name}")
+    raise ValueError(f"unknown scene {name!r}; bundled scenes: {', '.join(EXAMPLE_NAMES)}, ball")
+
+
 def load_scene(source: str | Path | dict) -> Scene:
-    """Load a scene from a dict, a JSON file path, or a bundled name."""
+    """Load a scene from a dict, a JSON file path, or a bundled name; an
+    unknown name raises as :func:`build_example` says."""
     if isinstance(source, dict):
         return scene_from_dict(source)
-    text = str(source)
-    if text in EXAMPLE_NAMES:
-        return scene_from_dict(json.loads(_bundled_text(text)))
-    return scene_from_dict(json.loads(Path(source).read_text()))
+    path = _scene_file(source)
+    text = _bundled_text(str(source)) if path is None else path.read_text()
+    return scene_from_dict(json.loads(text))
 
 
 def build_example(source: str | Path) -> tuple[ImpactProblem, np.ndarray, dict]:
@@ -355,16 +356,9 @@ def build_example(source: str | Path) -> tuple[ImpactProblem, np.ndarray, dict]:
     A name that is neither bundled nor an existing file raises
     ``ValueError``, or ``FileNotFoundError`` if it looks like a path (it
     holds a ``/`` or ends in ``.json``)."""
-    name = str(source)
-    if name == "ball":
+    if str(source) == "ball":
         return build_ball()
-    if name not in EXAMPLE_NAMES and not Path(name).exists():
-        if "/" in name or name.endswith(".json"):
-            raise FileNotFoundError(f"scene file not found: {name}")
-        raise ValueError(
-            f"unknown scene {name!r}; bundled scenes: {', '.join(EXAMPLE_NAMES)}, ball"
-        )
-    return build_problem(load_scene(name))
+    return build_problem(load_scene(source))
 
 
 def build_ball() -> tuple[ImpactProblem, np.ndarray, dict]:
@@ -374,7 +368,7 @@ def build_ball() -> tuple[ImpactProblem, np.ndarray, dict]:
     problem = ImpactProblem(
         mass=np.array([[1.0]]),
         jn=np.array([[1.0]]),
-        jd=np.array([[0.0], [0.0]]),
+        jt=np.array([[0.0]]),
         mu=np.array([1.0]),
         labels=("ball",),
     )
@@ -387,7 +381,7 @@ def reflect_map(name: str) -> np.ndarray:
 
     For the flat-falling phone the map negates horizontal and angular
     velocity; for the disk stack it additionally swaps the two bottom
-    disks.  Asymmetric scenes raise ValueError.
+    disks.  Any other scene raises ValueError; unknown names as in :func:`load_scene`.
     """
     flip = np.diag([-1.0, 1.0, -1.0])
     if name == "phone":
@@ -398,9 +392,8 @@ def reflect_map(name: str) -> np.ndarray:
         out[3:6, 0:3] = flip  # right <- mirrored left
         out[6:9, 6:9] = flip
         return out
-    if name in EXAMPLE_NAMES:
-        raise ValueError(f"scene {name!r} is not mirror-symmetric")
-    raise KeyError(f"unknown example {name!r}")
+    _scene_file(name)
+    raise ValueError(f"scene {name!r} is not mirror-symmetric")
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +529,9 @@ def _read_scene(data: dict) -> Scene:
     if marker != SCENE_FORMAT:
         raise ValueError(f"scene format must be {SCENE_FORMAT!r}, got {marker!r}")
     name, kind = data["name"], data.get("kind", "rigid")
-    if not (isinstance(name, str) and name):
-        raise ValueError(f"scene name must be a nonempty string, got {name!r}")
+    # The CLI writes to ``<name>_<command>.<ext>`` by default.
+    if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ValueError(f"scene name must be a nonempty string and file-name stem, got {name!r}")
     if kind not in ("rigid", "linkage"):
         raise ValueError(f"scene kind must be 'rigid' or 'linkage', got {kind!r}")
     scene = Scene(name=name, kind=kind, defaults=_run_defaults(data.get("defaults", {})))

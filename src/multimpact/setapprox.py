@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contact import ImpactProblem, is_impacting
-from .resolution import _check_integers, _workspace, sim_block, step_block
+from .resolution import _check_budget, _check_integers, _workspace, sim_block, step_block
 from .resolution import sim, sim_step  # noqa: F401  (stay importable from here)
 
 __all__ = [
@@ -175,11 +175,15 @@ class SobolSampler:
 
 class UniformSampler:
     """Pseudorandom draw source; trajectory ``i`` uses an independent
-    generator keyed by ``(seed, i)``, again scheduling-independent."""
+    generator keyed by ``(seed, i)``, again scheduling-independent.  A
+    seed that is not a nonnegative integer (or is a bool) raises ``ValueError``."""
 
     kind = "uniform"
 
     def __init__(self, seed: int = 0):
+        _check_integers(seed=seed)
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
         self.seed = int(seed)
 
     def stream(self, first: int, count: int, n: int, m: int):
@@ -316,7 +320,7 @@ def approximate(
     Each trajectory runs the capped stochastic integrator for at most
     ``n_max`` steps, then takes one finishing step with per-contact cap
     ``epsilon / (3 psi)``; endpoints still impacting afterwards are
-    discarded (counted in ``rejected_count``).  Requires
+    discarded (counted in ``rejected_count``).  Requires a finite
     ``0 < epsilon < h``, a finite ``v0`` and integer counts, and opens the
     last trajectory's draw stream, so that a range or dimension the
     sampler rejects fails before any trajectory runs.  With ``jobs > 1`` the
@@ -325,6 +329,7 @@ def approximate(
     ended before the call returns.  Outputs are identical for any job
     count.
     """
+    _check_budget(h)
     if not 0.0 < epsilon < h:
         raise ValueError("epsilon must satisfy 0 < epsilon < h")
     _check_integers(n_max=n_max, m_trajectories=m_trajectories, jobs=jobs)
@@ -378,8 +383,7 @@ def classify_outcomes(
     if samples.size == 0:
         raise ValueError("classify_outcomes requires a nonempty sample set")
     out: dict[str, dict[str, int]] = {}
-    jn_v = samples @ problem.jn.T
-    jt_v = samples @ problem.jd[0::2].T
+    jn_v, jt_v = samples @ problem.jn.T, samples @ problem.jt.T
     for i, label in enumerate(problem.labels):
         lift = jn_v[:, i] > OUTCOME_TOL
         slide = ~lift & (np.abs(jt_v[:, i]) > OUTCOME_TOL)
@@ -430,8 +434,8 @@ def sample_count_bound(
     sqrt(box_dim) / epsilon)`` per axis, hit probability ``omega`` =
     cells^-box_dim), then returns the least M with
     ``M >= ln(delta * omega) / ln(1 - omega)``.  Astronomically large
-    requirements saturate to ``2**63 - 1``, as does a cell count that
-    overflows.
+    requirements saturate to ``2**63 - 1``, as does a cell count or a
+    ``box_dim`` that overflows a float, unless one cell suffices.
     """
     if not all(0.0 < x < math.inf for x in (h, lipschitz_l, epsilon)):
         raise ValueError("h, lipschitz_l and epsilon must be positive and finite")
@@ -440,7 +444,11 @@ def sample_count_bound(
         raise ValueError("box_dim must be at least 1")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    ratio = h * lipschitz_l * math.sqrt(box_dim) / epsilon
+    try:
+        ratio = h * lipschitz_l * math.sqrt(box_dim) / epsilon
+    except OverflowError:  # ``box_dim`` past the float range: omega is 0 unless one cell fits
+        log_ratio = math.log(h) + math.log(lipschitz_l) + math.log(box_dim) / 2
+        return 1 if log_ratio <= math.log(epsilon) else _SENTINEL
     if ratio == math.inf:
         return _SENTINEL
     cells = math.ceil(ratio)

@@ -82,9 +82,8 @@ def random_single_contact(rng: np.random.Generator) -> tuple[ImpactProblem, np.n
         jt = rng.standard_normal((1, n_v))
         if np.linalg.norm(jn) > 0.3 and np.linalg.norm(jt) > 0.3:
             break
-    jd = np.vstack([jt, -jt])
     mu = np.array([float(rng.uniform(0.3, 2.0))])
-    problem = ImpactProblem(mass=mass, jn=jn, jd=jd, mu=mu)
+    problem = ImpactProblem(mass=mass, jn=jn, jt=jt, mu=mu)
     # Drive the contact together, with tangential content mixed in.
     v = -rng.uniform(0.5, 2.0) * problem.mass_solve(jn[0])
     v += rng.uniform(-1.0, 1.0) * problem.mass_solve(jt[0])

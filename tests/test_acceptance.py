@@ -275,7 +275,7 @@ def test_criterion_08_single_contact_convergence():
     problem = ImpactProblem(
         mass=np.diag([1.0, 1.0, 0.1]),
         jn=np.array([[0.0, 1.0, 1.0]]),
-        jd=np.array([[-1.0, 0.0, -0.5], [1.0, 0.0, 0.5]]),
+        jt=np.array([[-1.0, 0.0, -0.5]]),
         mu=np.array([1.0]),
     )
     v0 = np.array([-0.1, -1.0, 0.0])
@@ -313,7 +313,7 @@ def test_criterion_09_certificate_and_jamming(stress_runs):
     jamming = ImpactProblem(
         mass=np.array([[1.0]]),
         jn=np.array([[1.0], [-1.0]]),
-        jd=np.zeros((4, 1)),
+        jt=np.zeros((2, 1)),
         mu=np.array([1.0, 1.0]),
     )
     with pytest.raises(NonDegeneracyViolation):

@@ -100,6 +100,20 @@ def test_the_default_output_is_named_after_scene_and_command(tmp_path, monkeypat
     ]
 
 
+def test_a_scene_name_cannot_place_the_default_output(tmp_path, monkeypatch, capsys):
+    # The default output is ``<name>_<command>.<ext>``: a name with a path
+    # in it would write outside the working directory.
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    data = bundled_scene("phone")
+    data["name"] = "../escaped"
+    (work / "f.json").write_text(json.dumps(data))
+    assert cli.main(["approximate", "--scene", "f.json", "--m", "8"]) == 3
+    assert capsys.readouterr().err.startswith("i/o error:")
+    assert sorted(path.name for path in tmp_path.rglob("*")) == ["f.json", "work"]
+
+
 def test_a_set_that_keeps_no_sample_reports_no_outcome_classes(tmp_path, capsys):
     # A budget of 1e-6 cannot stop the phone in one step and one finishing
     # step, so every trajectory is rejected.
@@ -198,6 +212,11 @@ def _drop(path):
         ("phone", _set(("name",), ""), "name must be a nonempty string"),
         ("phone", _set(("name",), ["a"]), "name must be a nonempty string"),
         ("phone", _set(("name",), 7), "name must be a nonempty string"),
+        ("phone", _set(("name",), "../escaped"), "must be a nonempty string and file-name stem"),
+        ("phone", _set(("name",), "a\\b"), "must be a nonempty string and file-name stem"),
+        ("phone", _set(("name",), "a\0b"), "must be a nonempty string and file-name stem"),
+        ("phone", _set(("name",), "."), "must be a nonempty string and file-name stem"),
+        ("phone", _set(("name",), ".."), "must be a nonempty string and file-name stem"),
         ("box_wall", _set(("environment", 1, "name"), "floor"), "plane 'floor' is named twice"),
         ("phone", _set(("format",), "multimpact-scene v2"),
          "scene format must be 'multimpact-scene v1', got 'multimpact-scene v2'"),
@@ -216,7 +235,8 @@ def _drop(path):
          "default-n-steps-bool", "default-m-trajectories-bool", "body-fraction",
          "leg-fraction", "vertex-bool", "body-bool", "against-bool", "mu-bool", "mass-bool",
          "inertia-bool", "pose-bool", "v0-bool", "radius-bool", "name-null", "name-empty",
-         "name-list", "name-number", "plane-name-twice", "format-other", "format-number",
+         "name-list", "name-number", "name-parent-path", "name-backslash", "name-nul",
+         "name-dot", "name-dot-dot", "plane-name-twice", "format-other", "format-number",
          "shape-type"],
 )
 def test_corrupt_scene_file_is_an_io_error(tmp_path, capsys, scene, edit, message):

@@ -39,7 +39,7 @@ def _simple_problem() -> ImpactProblem:
     return ImpactProblem(
         mass=np.diag([2.0, 1.0]),
         jn=np.array([[0.0, 1.0]]),
-        jd=np.array([[1.0, 0.0], [-1.0, 0.0]]),
+        jt=np.array([[1.0, 0.0]]),
         mu=np.array([0.5]),
     )
 
@@ -48,7 +48,7 @@ def test_validation_rejects_malformed_inputs():
     good = dict(
         mass=np.eye(2),
         jn=np.array([[0.0, 1.0]]),
-        jd=np.array([[1.0, 0.0], [-1.0, 0.0]]),
+        jt=np.array([[1.0, 0.0]]),
         mu=np.array([0.5]),
     )
     with pytest.raises(ValueError):
@@ -58,14 +58,11 @@ def test_validation_rejects_malformed_inputs():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match="finite"):
-            ImpactProblem(**{**good, "mass": [[np.inf]], "jn": [[1.0]],
-                             "jd": [[1.0], [-1.0]]})
+            ImpactProblem(**{**good, "mass": [[np.inf]], "jn": [[1.0]], "jt": [[1.0]]})
     with pytest.raises(ValueError):
         ImpactProblem(**{**good, "jn": np.array([[0.0, 0.0]])})
-    with pytest.raises(ValueError):
-        ImpactProblem(**{**good, "jd": np.array([[1.0, 0.0], [1.0, 0.0]])})
-    with pytest.raises(ValueError):
-        ImpactProblem(**{**good, "jd": np.array([[1.0, 0.0]])})
+    with pytest.raises(ValueError, match=r"jt must have shape \(m, n_v\)"):
+        ImpactProblem(**{**good, "jt": np.array([[1.0, 0.0], [0.0, 1.0]])})
     with pytest.raises(ValueError):
         ImpactProblem(**{**good, "mu": np.array([0.0])})
     with pytest.raises(ValueError):
@@ -76,7 +73,7 @@ def test_validation_rejects_malformed_inputs():
 _ONE_CONTACT = dict(
     mass=np.eye(2),
     jn=np.array([[0.0, 1.0]]),
-    jd=np.array([[1.0, 0.0], [-1.0, 0.0]]),
+    jt=np.array([[1.0, 0.0]]),
     mu=np.array([0.5]),
 )
 
@@ -108,7 +105,7 @@ def test_duplicate_contact_labels_are_rejected():
     two = dict(
         mass=np.eye(2),
         jn=np.array([[0.0, 1.0], [1.0, 0.0]]),
-        jd=np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+        jt=np.array([[1.0, 0.0], [0.0, 1.0]]),
         mu=np.array([0.5, 0.5]),
     )
     assert ImpactProblem(**two, labels=("A", "B")).labels == ("A", "B")
@@ -118,23 +115,40 @@ def test_duplicate_contact_labels_are_rejected():
 
 def test_problem_arrays_are_read_only_copies():
     mass, jn = np.diag([2.0, 1.0]), np.array([[0.0, 1.0]])
-    jd, mu = np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.5])
-    problem = ImpactProblem(mass=mass, jn=jn, jd=jd, mu=mu)
-    for name in ("mass", "jn", "jd", "mu"):
+    jt, mu = np.array([[1.0, 0.0]]), np.array([0.5])
+    problem = ImpactProblem(mass=mass, jn=jn, jt=jt, mu=mu)
+    for name in ("mass", "jn", "jt", "jd", "mu"):
         with pytest.raises(ValueError):
             getattr(problem, name)[0] = 7.0
-    for array in (mass, jn, jd, mu):
+    for array in (mass, jn, jt, mu):
         assert array.flags.writeable
         array[0] = 9.0  # the caller's arrays stay the caller's
     assert problem.mass[0, 0] == 2.0 and problem.jn[0, 1] == 1.0
-    assert problem.jd[0, 0] == 1.0 and problem.mu[0] == 0.5
+    assert problem.jt[0, 0] == 1.0 and problem.jd[1, 0] == -1.0 and problem.mu[0] == 0.5
+
+
+def test_doubled_tangent_rows_are_derived_from_jt(rng):
+    jt = rng.standard_normal((3, 4))
+    jt[1, 2] = 0.0
+    problem = ImpactProblem(
+        mass=random_spd_matrix(rng, 4), jn=rng.standard_normal((3, 4)), jt=jt, mu=np.ones(3)
+    )
+    want = np.empty((6, 4))
+    for i in range(3):
+        want[2 * i], want[2 * i + 1] = jt[i], -jt[i]
+    assert problem.jd.tobytes() == want.tobytes()
+    assert not problem.jd.flags.writeable
+    with pytest.raises(ValueError):
+        problem.jd[0, 0] = 1.0
+    with pytest.raises(TypeError):  # derived, never passed
+        ImpactProblem(**{"mass": np.eye(1), "jn": [[1.0]], "jd": [[1.0], [-1.0]], "mu": [1.0]})
 
 
 def test_problem_fields_cannot_be_rebound():
     problem, v0, meta = build_example("phone")
     h = float(meta["h"])
     expected = approximate(problem, v0, h, h / 10.0, 10, 7, UniformSampler(), jobs=1)
-    for name in ("mu", "mass", "jn", "jd", "labels"):
+    for name in ("mu", "mass", "jn", "jt", "jd", "labels"):
         with pytest.raises(FrozenInstanceError):
             setattr(problem, name, getattr(problem, name))
     # The cached step blocks travel with a pickled problem, and the copy
@@ -326,10 +340,8 @@ def test_one_state_verdicts_are_those_of_the_array_checks(data, seed, m):
     # v, so a state can sit exactly on the approach threshold.
     if data.draw(st.booleans(), label="axis rows"):
         jn[0], jt[0] = np.eye(n_v)[0], np.eye(n_v)[1]
-    jd = np.empty((2 * m, n_v))
-    jd[0::2], jd[1::2] = jt, -jt
     problem = ImpactProblem(
-        mass=random_spd_matrix(rng, n_v), jn=jn, jd=jd, mu=rng.uniform(0.1, 2.0, m)
+        mass=random_spd_matrix(rng, n_v), jn=jn, jt=jt, mu=rng.uniform(0.1, 2.0, m)
     )
 
     def pick(pool, label):

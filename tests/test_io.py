@@ -139,7 +139,7 @@ def _reference_projections(problem, v) -> tuple[list[float], list[float]]:
     # One matrix-vector product per velocity.  A dot of one Jacobian row,
     # ``problem.jn[i] @ v``, can differ from it in the last bit (it does
     # on compass), so it is not the reference.
-    jn_v, jt_v = problem.jn @ v, problem.jd[0::2] @ v
+    jn_v, jt_v = problem.jn @ v, problem.jt @ v
     return [float(x) for x in jn_v], [float(x) for x in jt_v]
 
 

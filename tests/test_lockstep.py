@@ -620,12 +620,10 @@ def _random_step(rng: np.random.Generator, m: int, k: int, n_v_stop: int | None 
     jn /= np.linalg.norm(jn, axis=1, keepdims=True)
     jt = rng.standard_normal((m, n_v))
     jt /= np.linalg.norm(jt, axis=1, keepdims=True)
-    jd = np.empty((2 * m, n_v))
-    jd[0::2], jd[1::2] = jt, -jt
     problem = ImpactProblem(
         mass=random_spd_matrix(rng, n_v),
         jn=jn,
-        jd=jd,
+        jt=jt,
         mu=rng.uniform(0.2, 2.0, m),
     )
     # Velocities that drive the contacts together, with tangential content.

@@ -95,7 +95,7 @@ def test_dense_reference_rejects_jamming_geometry():
     # Friction that outweighs the normal along the same direction: the two
     # extreme impulse rays cancel, so no impulse-progress certificate exists.
     jam = ImpactProblem(
-        mass=np.eye(1), jn=np.array([[1.0]]), jd=np.array([[1.0], [-1.0]]),
+        mass=np.eye(1), jn=np.array([[1.0]]), jt=np.array([[1.0]]),
         mu=np.array([2.0]),
     )
     with pytest.raises(NonDegeneracyViolation):
@@ -106,7 +106,7 @@ def _two_contact_problem():
     problem = ImpactProblem(
         mass=np.eye(2),
         jn=np.array([[0.0, 1.0], [0.0, 1.0]]),
-        jd=np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]),
+        jt=np.array([[1.0, 0.0], [1.0, 0.0]]),
         mu=np.array([1.0, 1.0]),
     )
     return problem, np.array([0.0, -1.0])
@@ -117,7 +117,7 @@ def _slip_reversal_problem():
     problem = ImpactProblem(
         mass=np.diag([1.0, 1.0, 0.1]),
         jn=np.array([[0.0, 1.0, 1.0]]),
-        jd=np.array([[-1.0, 0.0, -0.5], [1.0, 0.0, 0.5]]),
+        jt=np.array([[-1.0, 0.0, -0.5]]),
         mu=np.array([1.0]),
     )
     return problem, np.array([-0.1, -1.0, 0.0])
@@ -141,7 +141,7 @@ def test_capped_stepping_is_exact_without_slip_reversal(rng):
     checked = 0
     while checked < 6:
         problem, v = random_single_contact(rng)
-        jn, jt = problem.jn[0], problem.jd[0]
+        jn, jt = problem.jn[0], problem.jt[0]
         minv_jn = problem.mass_solve(jn)
         minv_jt = problem.mass_solve(jt)
         a_tt = float(jt @ minv_jt)
@@ -150,7 +150,7 @@ def test_capped_stepping_is_exact_without_slip_reversal(rng):
         eta = -float(jt @ minv_jn) / a_tt
         # Enlarge the cone until holding stick is always admissible.
         problem = ImpactProblem(
-            mass=problem.mass, jn=problem.jn, jd=problem.jd,
+            mass=problem.mass, jn=problem.jn, jt=problem.jt,
             mu=np.array([abs(eta) + 0.5]),
         )
         dense = routh_dense_reference(problem, v, ds=1e-5)
@@ -166,7 +166,7 @@ def _stepped_reference(problem: ImpactProblem, v0: np.ndarray, ds: float) -> Den
     zero of the slip or approach rate; zero slip is a band of
     ``ds * 1e-6 * |v0|``.  An independent check of the closed form."""
     v = np.asarray(v0, dtype=float).copy()
-    jn, jt, mu = problem.jn[0], problem.jd[0], float(problem.mu[0])
+    jn, jt, mu = problem.jn[0], problem.jt[0], float(problem.mu[0])
     minv_jn, minv_jt = problem.mass_solve(jn), problem.mass_solve(jt)
     a_tn, a_tt = float(jt @ minv_jn), float(jt @ minv_jt)
     band = ds * 1e-6 * float(np.linalg.norm(v0))
@@ -229,7 +229,7 @@ def test_closed_form_path_matches_the_stepped_integrator(rng):
     stick = {True: 0, False: 0}
     while min(stick.values()) < 8:
         problem, v = random_single_contact(rng)
-        jn, jt = problem.jn[0], problem.jd[0]
+        jn, jt = problem.jn[0], problem.jt[0]
         eta = -float(jt @ problem.mass_solve(jn)) / float(jt @ problem.mass_solve(jt))
         feasible = abs(eta) <= float(problem.mu[0])
         if stick[feasible] < 8:

@@ -448,7 +448,7 @@ def test_opposing_contacts_jam():
     jam = ImpactProblem(
         mass=np.array([[1.0]]),
         jn=np.array([[1.0], [-1.0]]),
-        jd=np.zeros((4, 1)),
+        jt=np.zeros((2, 1)),
         mu=np.array([1.0, 1.0]),
     )
     with pytest.raises(NonDegeneracyViolation):
@@ -461,14 +461,7 @@ def test_pinched_disk_jams_with_friction():
     jam = ImpactProblem(
         mass=np.diag([1.0, 1.0, 0.5]),
         jn=np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
-        jd=np.array(
-            [
-                [0.0, 1.0, -1.0],
-                [0.0, -1.0, 1.0],
-                [0.0, -1.0, -1.0],
-                [0.0, 1.0, 1.0],
-            ]
-        ),
+        jt=np.array([[0.0, 1.0, -1.0], [0.0, -1.0, -1.0]]),
         mu=np.array([1.0, 1.0]),
     )
     with pytest.raises(NonDegeneracyViolation):
@@ -480,7 +473,7 @@ def test_restrict_contacts_takes_labels_and_in_range_indices():
     by_label = restrict_contacts(problem, [problem.labels[4], problem.labels[2]])
     by_index = restrict_contacts(problem, [np.int64(4), 2])
     assert by_label.labels == by_index.labels == (problem.labels[4], problem.labels[2])
-    np.testing.assert_array_equal(by_label.jd, by_index.jd)
+    np.testing.assert_array_equal(by_label.jt, by_index.jt)
     np.testing.assert_array_equal(by_label.mu, by_index.mu)
 
 

@@ -235,7 +235,7 @@ def test_build_example_reads_a_scene_file(tmp_path):
     for source in (path, str(path)):
         problem, v0, meta = build_example(source)
         want, want_v0, want_meta = build_problem(load_scene(path))
-        for attr in ("mass", "jn", "jd", "mu"):
+        for attr in ("mass", "jn", "jt", "jd", "mu"):
             np.testing.assert_array_equal(getattr(problem, attr), getattr(want, attr))
         assert problem.labels == want.labels
         np.testing.assert_array_equal(v0, want_v0)
@@ -256,12 +256,23 @@ def test_unknown_scene_names_are_value_errors():
         _bundled_text("ball")
 
 
+@pytest.mark.parametrize("entry", [reflect_map, load_scene, build_example],
+                         ids=["reflect_map", "load_scene", "build_example"])
+def test_every_entry_point_rejects_an_unknown_scene_name_alike(entry, tmp_path):
+    with pytest.raises(ValueError, match=re.escape(
+        "unknown scene 'nosuch'; bundled scenes: phone, compass, box_wall, disk_stack, ball"
+    )):
+        entry("nosuch")
+    with pytest.raises(FileNotFoundError, match="scene file not found"):
+        entry(str(tmp_path / "missing.json"))
+
+
 def test_a_scene_without_a_format_marker_reads_as_the_current_format():
     data = bundled_scene("phone")
     assert data.pop("format") == SCENE_FORMAT
     problem, v0, meta = build_problem(scene_from_dict(data))
     want, want_v0, want_meta = build_example("phone")
-    for attr in ("mass", "jn", "jd", "mu"):
+    for attr in ("mass", "jn", "jt", "jd", "mu"):
         np.testing.assert_array_equal(getattr(problem, attr), getattr(want, attr))
     np.testing.assert_array_equal(v0, want_v0)
     assert meta == want_meta

@@ -265,8 +265,8 @@ def test_psi_is_kept_per_problem():
     phone, _, _ = build_example("phone")
     variants = [
         phone,
-        ImpactProblem(mass=2.0 * phone.mass, jn=phone.jn, jd=phone.jd, mu=phone.mu),
-        ImpactProblem(mass=phone.mass, jn=phone.jn, jd=phone.jd, mu=2.0 * phone.mu),
+        ImpactProblem(mass=2.0 * phone.mass, jn=phone.jn, jt=phone.jt, mu=phone.mu),
+        ImpactProblem(mass=phone.mass, jn=phone.jn, jt=phone.jt, mu=2.0 * phone.mu),
         restrict_contacts(phone, [0]),
     ]
     values = [psi(problem) for problem in variants]
@@ -477,3 +477,49 @@ def test_sample_count_bound_saturates_where_the_hit_probability_underflows():
 def test_epsilon_net_audit_requires_points(candidate, reference):
     with pytest.raises(ValueError, match="both point sets must be nonempty"):
         epsilon_net_check(candidate, reference, 1.0)
+
+
+@pytest.mark.parametrize(
+    "params, expected",
+    [((1.0, 1.0, 10**400, 0.5, 0.1), SENTINEL), ((1e-300, 1.0, 10**400, 1.0, 0.1), 1)],
+    ids=["many-cells", "one-cell"],
+)
+def test_sample_count_bound_takes_a_box_dimension_beyond_the_float_range(params, expected):
+    # ``math.sqrt(10**400)`` overflows; in logs the grid either has one
+    # cell or a hit probability that underflows.
+    assert sample_count_bound(*params) == expected
+
+
+@pytest.mark.parametrize(
+    "h, message",
+    [(math.nan, "h must be positive and finite, got nan"),
+     (math.inf, "h must be positive and finite, got inf")],
+    ids=["nan", "inf"],
+)
+def test_approximate_checks_the_budget_before_epsilon_and_any_work(monkeypatch, h, message):
+    import multimpact.setapprox as setapprox
+
+    def never(*args, **kwargs):
+        raise AssertionError("the sampling started")
+
+    monkeypatch.setattr(setapprox, "_fan_out", never)
+    problem, v0, _ = build_example("phone")
+    with pytest.raises(ValueError, match=message):
+        approximate(problem, v0, h, 0.03, 5, 4, UniformSampler(), jobs=2)
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [(1.5, "seed must be an integer, got 1.5"), (True, "seed must be an integer, got True"),
+     (None, "seed must be an integer, got None"), (-1, "seed must be nonnegative, got -1")],
+    ids=["float", "bool", "none", "negative"],
+)
+def test_uniform_sampler_takes_a_nonnegative_integer_seed(seed, message):
+    with pytest.raises(ValueError, match=message):
+        UniformSampler(seed)
+
+
+def test_uniform_sampler_keeps_an_integer_seed():
+    seed = UniformSampler(np.int64(7)).seed
+    assert seed == 7 and type(seed) is int
+
