@@ -7,24 +7,34 @@ cycle.  Problems here are small and dense (at most a few dozen rows), so
 each instance carries its full tableau ``[q | I | -M | -1]`` and updates
 it by an elementwise rank-one row operation per pivot.
 
-``lemke_many`` runs it on a stack of instances that share ``M``, in
-lockstep, one pivot of every unfinished row per pass.  It changes the
-tableau only by elementwise operations and sums with
-:func:`ordered_sum`, so a row's bits never depend on the other rows of
-the stack, on its height or on its order, which changes as rows end.
-Both take the first pivot's row in closed form; the stack's tie walk
-skips the columns that cannot narrow a tie, and a row that ends is
-replaced by the last live row instead of the stack being copied.
-``lemke_solve`` runs the same arithmetic on one row without the stack:
-its tableau and rank-one update stay in numpy, while its pivot
-decisions are taken on Python floats by the same IEEE operations, so a
-solve gives the same ``z``, pivot count and status whichever of the two
-runs it.
+``lemke_many`` runs it on a stack of instances that share ``M``.  Its
+stack path is a compiled kernel, ``_lemke.c``, which solves one row
+after another; the system ``cc`` builds it on first import into this
+package's ``__pycache__`` (see ``_load_kernel``).  Its reference is the
+numpy body, ``_lemke_many_numpy``, which pivots every unfinished row in
+lockstep, one pivot per pass, and which runs when no kernel could be
+built.  The numpy body changes the tableau only by elementwise
+operations, so a row's bits never depend on the other rows of the
+stack, on its height or on its order, which changes as rows end; the
+kernel takes the same IEEE operations in the same order, so both give
+the same ``z``, pivot counts and statuses, and ``w`` is summed by
+:func:`ordered_sum` on either path.  Both take the first pivot's row in
+closed form; the numpy tie walk skips the columns that cannot narrow a
+tie, and a row that ends is replaced by the last live row instead of
+the stack being copied.  ``lemke_solve`` runs the same arithmetic on
+one row without the stack: its tableau and rank-one update stay in
+numpy, while its pivot decisions are taken on Python floats by the
+same IEEE operations, so a solve gives the same ``z``, pivot count and
+status whichever of the two runs it.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import zlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -46,6 +56,94 @@ LEX_TIE_TOL = 1e-11
 MAX_PIVOTS = 5000
 # Certification bound on the residuals of a solved LCP (see ``residuals``).
 RESIDUAL_TOL = 1e-9
+
+# How the compiled kernel is built: no fused multiply-add and no fast
+# math, so that it rounds as numpy does.
+_CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# A compiler that runs longer than this is stopped, and numpy solves.
+_BUILD_TIMEOUT_S = 120.0
+_STATUSES = np.array(["solved", "ray_termination", "max_pivots"], dtype="<U15")
+
+
+def _kernel_name(source: bytes, command: tuple) -> str:
+    """The cached library's file name, keyed by the source and the
+    compile command: a change to either names a new file."""
+    key = zlib.crc32(" ".join(command).encode(), zlib.crc32(source))
+    return f"_lemke.{key:08x}.so"
+
+
+def _build(source: Path, target: Path, command: tuple) -> None:
+    """Compile ``source`` to a temporary name beside ``target``, append
+    the library's crc32 (see ``_open``) and move it into place, so that
+    no reader sees a part-written library.  The compiler runs in a
+    session of its own, which a timeout kills whole: no compiler process
+    outlives the call.  Raises ``OSError`` if the build fails."""
+    import signal
+    import subprocess  # only a build needs these
+
+    part = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    try:
+        with subprocess.Popen(
+            [*command, "-o", str(part), str(source)],
+            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        ) as proc:
+            try:
+                code = proc.wait(timeout=_BUILD_TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+                raise OSError(f"{command[0]} ran longer than {_BUILD_TIMEOUT_S} s") from None
+        if code != 0:
+            raise OSError(f"{command[0]} exited with code {code}")
+        with part.open("ab") as lib:
+            lib.write(zlib.crc32(part.read_bytes()).to_bytes(4, "little"))
+        os.replace(part, target)
+    finally:
+        part.unlink(missing_ok=True)
+
+
+def _open(path: Path) -> ctypes.CDLL:
+    """Load the library at ``path`` and declare its entry point.  A
+    library that does not end in the crc32 of the bytes before it raises
+    ``OSError`` unloaded: loading a truncated library can kill the
+    process with SIGBUS instead of raising.  (The loader ignores the
+    bytes past the library's last section.)"""
+    data = path.read_bytes()
+    if len(data) < 4 or zlib.crc32(data[:-4]) != int.from_bytes(data[-4:], "little"):
+        raise OSError(f"{path} is not a whole library")
+    lib = ctypes.CDLL(str(path))
+    p = ctypes.c_void_p
+    lib.lemke_stack.argtypes = [
+        ctypes.c_int, ctypes.c_int, p, p, p, p, p, ctypes.c_double, ctypes.c_double,
+        ctypes.c_int64,
+    ]
+    lib.lemke_stack.restype = ctypes.c_int
+    return lib
+
+
+def _load_kernel(source: Path, cache: Path, command: tuple = _CC) -> ctypes.CDLL | None:
+    """The compiled kernel from ``cache``, built there first if no
+    library of this source and command is there or the one there does
+    not load (a corrupt or truncated file); ``None`` if it cannot be
+    built or loaded: no compiler, a cache that cannot be written.  The
+    numpy body then solves every stack."""
+    try:
+        target = cache / _kernel_name(source.read_bytes(), command)
+        if target.exists():
+            try:
+                return _open(target)
+            except (OSError, AttributeError):
+                pass  # not a library with the entry point: build it again
+        cache.mkdir(exist_ok=True)
+        _build(source, target, command)
+        return _open(target)
+    except (OSError, AttributeError):
+        return None
+
+
+# The loaded kernel library (its repr names the file), or ``None``.
+KERNEL = _load_kernel(Path(__file__).with_name("_lemke.c"), Path(__file__).with_name("__pycache__"))
 
 
 @dataclass(eq=False)
@@ -226,13 +324,48 @@ def lemke_many(m: np.ndarray, q: np.ndarray) -> LcpSolution:
 
     Each row pivots on a full tableau of its own (see ``_tableau``) with
     the all-ones covering vector, the lexicographic ratio test,
-    ``PIVOT_TOL`` and ``MAX_PIVOTS``.  All unfinished rows pivot
-    together; a row leaves the stack when it ends, with its own status
-    and pivot count.  Returns an :class:`LcpSolution` with one row (or
-    entry) per instance.
+    ``PIVOT_TOL`` and ``MAX_PIVOTS``, and ends with its own status and
+    pivot count.  The compiled kernel (``KERNEL``) solves the stack when
+    it is loaded, else :func:`_lemke_many_numpy`, its reference, with the
+    same bits.  Returns an :class:`LcpSolution` with one row (or entry)
+    per instance.
     """
     m = np.asarray(m, dtype=float)
     q = np.asarray(q, dtype=float)
+    k, n = q.shape
+    if m.shape != (n, n):
+        raise ValueError(f"M has shape {m.shape}, expected ({n}, {n}) for q of shape {q.shape}")
+    solved = None if KERNEL is None else _kernel_many(m, q)
+    z, pivot_count, status = _lemke_many_numpy(m, q) if solved is None else solved
+    w = ordered_matvec(m, z) + q
+    return LcpSolution(z=z, w=w, pivot_count=pivot_count, status=status)
+
+
+def _kernel_many(m: np.ndarray, q: np.ndarray) -> tuple | None:
+    """``z``, pivot counts and statuses of the stack from the compiled
+    kernel, which runs the operations of :func:`_lemke_many_numpy` one
+    row at a time; ``None`` if a row's ``q`` or a ratio it forms is not
+    finite, where the numpy body decides."""
+    k, n = q.shape
+    m = np.ascontiguousarray(m)
+    q = np.ascontiguousarray(q)
+    z = np.zeros((k, n))
+    pivot_count = np.zeros(k, dtype=np.int64)
+    codes = np.zeros(k, dtype=np.int8)
+    declined = KERNEL.lemke_stack(
+        k, n, m.ctypes.data, q.ctypes.data, z.ctypes.data, pivot_count.ctypes.data,
+        codes.ctypes.data, PIVOT_TOL, LEX_TIE_TOL, MAX_PIVOTS,
+    )
+    if declined:
+        return None
+    return z, pivot_count.astype(int, copy=False), _STATUSES[codes]
+
+
+def _lemke_many_numpy(m: np.ndarray, q: np.ndarray) -> tuple:
+    """``z``, pivot counts and statuses of :func:`lemke_many`, in numpy:
+    all unfinished rows pivot together, and a row leaves the stack when
+    it ends.  The compiled kernel's reference, and the path taken
+    without it."""
     k, n = q.shape
     z = np.zeros((k, n))
     pivot_count = np.zeros(k, dtype=int)
@@ -299,9 +432,7 @@ def lemke_many(m: np.ndarray, q: np.ndarray) -> LcpSolution:
             finish(solved, "solved")
         if count >= MAX_PIVOTS and rows.size:
             finish(np.ones(rows.size, dtype=bool), "max_pivots")
-
-    w = ordered_matvec(m, z) + q
-    return LcpSolution(z=z, w=w, pivot_count=pivot_count, status=status)
+    return z, pivot_count, status
 
 
 def lemke_solve(lcp: LcpInstance) -> LcpSolution:

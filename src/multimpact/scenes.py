@@ -312,11 +312,21 @@ def build_problem(
 # Bundled examples
 
 
+def _unknown_scene(name: str) -> ValueError:
+    """The one error for a scene name that is neither bundled nor a file."""
+    return ValueError(f"unknown scene {name!r}; bundled scenes: {', '.join(EXAMPLE_NAMES)}, ball")
+
+
 def _bundled_text(name: str) -> str:
-    if name not in EXAMPLE_NAMES:
+    """The text of the bundled scene file ``name``.  An unknown name
+    raises :func:`_unknown_scene`'s error; ``ball``, built in code, has
+    no file."""
+    if name == "ball":
         raise ValueError(
             f"unknown bundled scene {name!r}; available: {', '.join(EXAMPLE_NAMES)}"
         )
+    if name not in EXAMPLE_NAMES:
+        raise _unknown_scene(name)
     return (resources.files("multimpact") / "data" / f"{name}.json").read_text()
 
 
@@ -336,7 +346,7 @@ def _scene_file(source: str | Path) -> Path | None:
         return Path(name)
     if "/" in name or name.endswith(".json"):
         raise FileNotFoundError(f"scene file not found: {name}")
-    raise ValueError(f"unknown scene {name!r}; bundled scenes: {', '.join(EXAMPLE_NAMES)}, ball")
+    raise _unknown_scene(name)
 
 
 def load_scene(source: str | Path | dict) -> Scene:

@@ -64,6 +64,12 @@ def bundled_scene(name: str) -> dict:
     return json.loads(_bundled_text(name))
 
 
+def solved_parts(sol) -> list:
+    """An ``LcpSolution``'s arrays as (dtype, bytes) pairs, to compare
+    two solutions bitwise."""
+    return [(part.dtype, part.tobytes()) for part in (sol.z, sol.w, sol.pivot_count, sol.status)]
+
+
 def random_spd_matrix(rng: np.random.Generator, n: int, *, shift: float = 0.5) -> np.ndarray:
     root = rng.standard_normal((n, n))
     return root @ root.T + shift * n * np.eye(n)

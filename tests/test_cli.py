@@ -52,6 +52,19 @@ def test_example_rejects_unknown_scene(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_example_names_an_unknown_scene_as_every_command_does(tmp_path, capsys):
+    assert cli.main(["example", "--scene", "nosuch"]) == 1
+    example = capsys.readouterr().err
+    out = tmp_path / "x.csv"
+    assert cli.main(["approximate", "--scene", "nosuch", "--m", "8", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == example == (
+        "error: unknown scene 'nosuch'; bundled scenes: "
+        "phone, compass, box_wall, disk_stack, ball\n"
+    )
+    # ``ball`` is built in code: there is no bundled file to print.
+    assert cli.main(["example", "--scene", "ball"]) == 1
+
+
 def test_simulate_is_bytewise_deterministic(tmp_path, capsys):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["simulate", "--scene", "disk_stack", "--sampler", "uniform", "--seed", "7"]

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from multimpact import (
     LcpInstance,
+    lemke_many,
     lemke_solve,
     residuals,
 )
 from multimpact import lcp as lcp_module
-from conftest import random_pd_lcp
+from conftest import random_pd_lcp, solved_parts
 
 
 def test_instance_validation_rejects_bad_shapes():
@@ -122,3 +126,95 @@ def test_serial_sum_adds_left_to_right_as_numpy_does_below_eight_terms():
         assert np.float64(lcp_module._serial_sum(zeros.tolist())).tobytes() == np.sum(zeros).tobytes()
     # Cancellation that compensated summation would recover.
     assert lcp_module._serial_sum([1e16, 1.0, -1e16]) == 0.0
+
+
+KERNEL_SOURCE = Path(lcp_module.__file__).with_name("_lemke.c")
+needs_kernel = pytest.mark.skipif(lcp_module.KERNEL is None, reason="the compiled kernel did not load")
+
+
+def _solves_as_numpy(kernel, monkeypatch) -> bool:
+    """Whether ``lemke_many`` gives the numpy bits with ``kernel`` loaded."""
+    rng = np.random.default_rng(5)
+    m = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0], size=(6, 6))
+    q = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=(40, 6))
+    solved = []
+    for handle in (kernel, None):
+        monkeypatch.setattr(lcp_module, "KERNEL", handle)
+        solved.append(solved_parts(lemke_many(m, q)))
+    return solved[0] == solved[1]
+
+
+def test_the_cached_kernel_is_named_by_its_source_and_compile_command():
+    source = KERNEL_SOURCE.read_bytes()
+    name = lcp_module._kernel_name(source, lcp_module._CC)
+    assert name == lcp_module._kernel_name(bytes(source), tuple(lcp_module._CC))
+    assert name != lcp_module._kernel_name(source + b"\n", lcp_module._CC)
+    assert name != lcp_module._kernel_name(source, (*lcp_module._CC, "-g"))
+    assert name != lcp_module._kernel_name(source, ("gcc", *lcp_module._CC[1:]))
+    if lcp_module.KERNEL is not None:
+        assert Path(lcp_module.KERNEL._name).name == name
+
+
+@needs_kernel
+@pytest.mark.parametrize("damage", ["garbage", "truncated", "empty"])
+@pytest.mark.parametrize("compiler", ["cc", "missing"])
+def test_a_damaged_cached_kernel_is_built_again_or_left_to_numpy(
+    damage, compiler, tmp_path, monkeypatch
+):
+    built = Path(lcp_module.KERNEL._name).read_bytes()
+    target = tmp_path / lcp_module._kernel_name(KERNEL_SOURCE.read_bytes(), lcp_module._CC)
+    target.write_bytes({"garbage": b"not a library", "truncated": built[: len(built) // 2],
+                        "empty": b""}[damage])
+    if compiler == "missing":
+        monkeypatch.setenv("PATH", str(tmp_path / "no-such-dir"))
+    kernel = lcp_module._load_kernel(KERNEL_SOURCE, tmp_path)
+    if compiler == "missing":
+        assert kernel is None
+    else:
+        assert kernel is not None and target.stat().st_size > len(built) // 2
+        assert _solves_as_numpy(kernel, monkeypatch)
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("fault", ["missing-compiler", "failing-compiler", "cache-not-a-dir", "no-source"])
+def test_a_kernel_that_cannot_be_built_leaves_numpy_to_solve(fault, tmp_path, monkeypatch):
+    source, cache, command = KERNEL_SOURCE, tmp_path / "cache", lcp_module._CC
+    if fault == "missing-compiler":
+        command = (str(tmp_path / "no-such-cc"), *command[1:])
+    elif fault == "failing-compiler":
+        command = ("false", *command[1:])
+    elif fault == "cache-not-a-dir":
+        (tmp_path / "file").write_text("")
+        cache = tmp_path / "file" / "cache"
+    else:
+        source = tmp_path / "missing.c"
+    assert lcp_module._load_kernel(source, cache, command) is None
+    assert not list(tmp_path.rglob("*.tmp"))
+    # The fallback gives the kernel's bits (see tests/test_lockstep.py).
+    if lcp_module.KERNEL is not None:
+        assert _solves_as_numpy(lcp_module.KERNEL, monkeypatch)
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_no_compiler_process_outlives_a_build_that_times_out(tmp_path, monkeypatch):
+    # A stand-in compiler that starts a child of its own and never ends:
+    # the timeout kills both, and the build falls back to numpy.
+    monkeypatch.setattr(lcp_module, "_BUILD_TIMEOUT_S", 1.0)
+    script = 'echo $$ > "$1.pids"; sleep 30 & echo $! >> "$1.pids"; wait'
+    command = ("sh", "-c", script)
+    assert lcp_module._load_kernel(KERNEL_SOURCE, tmp_path, command) is None
+    pids = [int(line) for pids in tmp_path.glob("*.pids") for line in pids.read_text().split()]
+    assert len(pids) == 2
+    deadline = time.monotonic() + 5.0
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not any(map(_running, pids))

@@ -42,9 +42,10 @@ from multimpact import errors
 from multimpact import lcp as lcp_module
 from multimpact import resolution, setapprox
 from multimpact.errors import LcpSolveError
+from multimpact.io import set_to_csv
 from multimpact.lcp import RESIDUAL_TOL, ordered_matvec
 from multimpact.resolution import _workspace
-from conftest import random_spd_matrix
+from conftest import random_spd_matrix, solved_parts
 
 CASES = {
     "compass": (SobolSampler(), 40),
@@ -278,6 +279,16 @@ def _assert_rows_alike(m, q):
     return many
 
 
+def _lemke_paths(monkeypatch):
+    """Run the caller's loop body once on each path of ``lemke_many``:
+    the compiled kernel, then the numpy fallback, forced by setting
+    ``lcp.KERNEL`` to ``None``.  Yields the path's name.  Without a
+    compiler both runs take the fallback (CI asserts the kernel loads)."""
+    for name, kernel in (("kernel", lcp_module.KERNEL), ("numpy", None)):
+        monkeypatch.setattr(lcp_module, "KERNEL", kernel)
+        yield name
+
+
 def _with_negative_zeros(stack):
     """``stack`` with every zero of ``q`` in its even rows made -0.0."""
     q = stack.q.copy()
@@ -309,26 +320,27 @@ def test_lemke_many_rows_match_a_stack_of_one_and_the_scalar_solver(name):
 def test_rows_that_end_early_leave_the_other_rows_alike(max_pivots, monkeypatch):
     # Matrices that are not copositive: in most stacks some rows end on a
     # ray, or on a patched pivot budget, while other rows pivot on.
-    # ``lemke_many`` moves rows within its stack as rows end.
+    # The numpy path moves rows within its stack as rows end.
     if max_pivots is not None:
         monkeypatch.setattr(lcp_module, "MAX_PIVOTS", max_pivots)
-    rng = np.random.default_rng(20240917)
-    ended_early = 0
-    seen = set()
-    for _ in range(150):
-        n = int(rng.integers(2, 7))
-        m = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0], size=(n, n))
-        q = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=(8, n))
-        many = _assert_rows_alike(m, q)
-        seen.update(many.status)
-        stopped = many.status != "solved"
-        ended_early += bool(stopped.any()) and bool(
-            (many.pivot_count[stopped].min() < many.pivot_count).any()
-        )
-    assert {"solved", "ray_termination"} <= seen
-    if max_pivots is not None:
-        assert "max_pivots" in seen
-    assert ended_early >= 50
+    for path in _lemke_paths(monkeypatch):
+        rng = np.random.default_rng(20240917)
+        ended_early = 0
+        seen = set()
+        for _ in range(150):
+            n = int(rng.integers(2, 7))
+            m = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0], size=(n, n))
+            q = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=(8, n))
+            many = _assert_rows_alike(m, q)
+            seen.update(many.status)
+            stopped = many.status != "solved"
+            ended_early += bool(stopped.any()) and bool(
+                (many.pivot_count[stopped].min() < many.pivot_count).any()
+            )
+        assert {"solved", "ray_termination"} <= seen, path
+        if max_pivots is not None:
+            assert "max_pivots" in seen, path
+        assert ended_early >= 50, path
 
 
 def _walked_first_pivot_row(m, q):
@@ -443,14 +455,15 @@ def test_the_scalar_tie_walk_picks_the_numpy_walks_row(n, columns, copies, d, pi
     assert lcp_module._lex_argmin(table, cand, d) == want
 
 
-def test_a_degenerate_solve_keeps_the_signs_of_its_zeros():
+def test_a_degenerate_solve_keeps_the_signs_of_its_zeros(monkeypatch):
     # The first pivot lands on the zero row of q, and a -0.0 then reaches
     # the value column.  An update that forms d * pivot_row as 0 + d *
     # pivot_row (as einsum does) ends with z = [-0.0, -1e-13].
     m = np.array([[0.0, -1.0], [2.0, 0.0]])
     q = np.array([[-1e-13, 0.0]])
-    many = _assert_rows_alike(m, q)
-    assert many.z[0].tobytes() == np.array([0.0, -1e-13]).tobytes()
+    for path in _lemke_paths(monkeypatch):
+        many = _assert_rows_alike(m, q)
+        assert many.z[0].tobytes() == np.array([0.0, -1e-13]).tobytes(), path
 
 
 def _dyadic_stack(kind):
@@ -483,28 +496,111 @@ PINNED_LEMKE = {
 
 
 @pytest.mark.parametrize("kind", sorted(PINNED_LEMKE))
-def test_lemke_many_bytes_are_pinned(kind):
+def test_lemke_many_bytes_are_pinned(kind, monkeypatch):
     # lemke_many uses elementwise arithmetic and index-ordered sums
-    # only, so these bytes hold on every platform: a change to the
-    # kernel that moves a bit of any output shows here.
-    sol = lemke_many(*_dyadic_stack(kind))
-    digest = hashlib.sha256()
-    for part in (sol.z, sol.w, sol.pivot_count, sol.status):
-        digest.update(part.astype(part.dtype.newbyteorder("<")).tobytes())
-    assert digest.hexdigest() == PINNED_LEMKE[kind]
+    # only, so these bytes hold on every platform and on both paths: a
+    # change to either that moves a bit of any output shows here.
+    for path in _lemke_paths(monkeypatch):
+        sol = lemke_many(*_dyadic_stack(kind))
+        digest = hashlib.sha256()
+        for part in (sol.z, sol.w, sol.pivot_count, sol.status):
+            digest.update(part.astype(part.dtype.newbyteorder("<")).tobytes())
+        assert digest.hexdigest() == PINNED_LEMKE[kind], path
 
 
 def test_lemke_many_reports_a_status_per_row(monkeypatch):
-    q = np.array([[-1.0, -1.0], [0.0, 2.0], [-1.0, -2.0]])
-    sol = lemke_many(-np.eye(2), q)
-    assert list(sol.status) == ["ray_termination", "solved", "ray_termination"]
-    assert sol.pivot_count[1] == 0
-    np.testing.assert_array_equal(sol.z[1], [0.0, 0.0])
-    np.testing.assert_array_equal(sol.w[1], [0.0, 2.0])
-    monkeypatch.setattr(lcp_module, "MAX_PIVOTS", 1)
-    capped = lemke_many(np.eye(2), np.array([[-1.0, -2.0], [1.0, 1.0]]))
-    assert list(capped.status) == ["max_pivots", "solved"]
-    assert list(capped.pivot_count) == [1, 0]
+    for path in _lemke_paths(monkeypatch):
+        q = np.array([[-1.0, -1.0], [0.0, 2.0], [-1.0, -2.0]])
+        sol = lemke_many(-np.eye(2), q)
+        assert list(sol.status) == ["ray_termination", "solved", "ray_termination"], path
+        assert sol.pivot_count[1] == 0
+        np.testing.assert_array_equal(sol.z[1], [0.0, 0.0])
+        np.testing.assert_array_equal(sol.w[1], [0.0, 2.0])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lcp_module, "MAX_PIVOTS", 1)
+            capped = lemke_many(np.eye(2), np.array([[-1.0, -2.0], [1.0, 1.0]]))
+        assert list(capped.status) == ["max_pivots", "solved"], path
+        assert list(capped.pivot_count) == [1, 0]
+
+
+# Entries that make ties and signed zeros likely: few values, zeros of
+# both signs, keys within LEX_TIE_TOL of each other, and negative entries,
+# so that most matrices are not copositive and many rows end on a ray.
+_TIE_HEAVY = [-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.0 + 5e-12, 2.0, 1e-12, -1e-12]
+
+
+@pytest.mark.skipif(lcp_module.KERNEL is None, reason="the compiled kernel did not load")
+@settings(max_examples=300)
+@given(
+    n=st.integers(1, 7),
+    k=st.integers(1, 12),
+    budget=st.sampled_from([lcp_module.MAX_PIVOTS, 1, 3]),
+    data=st.data(),
+)
+def test_the_kernel_gives_the_numpy_bits_on_tie_heavy_stacks(n, k, budget, data):
+    values = st.sampled_from(_TIE_HEAVY)
+    m = np.array(data.draw(st.lists(values, min_size=n * n, max_size=n * n))).reshape(n, n)
+    q = np.array(data.draw(st.lists(values, min_size=k * n, max_size=k * n))).reshape(k, n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lcp_module, "MAX_PIVOTS", budget)
+        kernel = lemke_many(m, q)
+        patch.setattr(lcp_module, "KERNEL", None)
+        fallback = lemke_many(m, q)
+    assert solved_parts(kernel) == solved_parts(fallback)
+
+
+@pytest.mark.skipif(lcp_module.KERNEL is None, reason="the compiled kernel did not load")
+@pytest.mark.parametrize("case", ["overflow", "inf-in-q", "nan-in-q"])
+def test_a_stack_that_is_not_finite_is_left_to_the_numpy_body(case, monkeypatch):
+    # Where a ratio is not finite the stacked walk need not pick the row
+    # that a walk over one row picks, so the kernel declines the stack.
+    m = np.array([[1.0, 0.0, -1.0], [-1.0, 0.0, 1e308], [1e308, 1.0, 1e-300]])
+    q = np.array([[-1.0, 0.0, -2.0], [1.0, 1.0, 1.0]])
+    if case != "overflow":
+        q[0, 1] = -np.inf if case == "inf-in-q" else np.nan
+    with np.errstate(all="ignore"):
+        assert lcp_module._kernel_many(m, q) is None
+        kernel = lemke_many(m, q)
+        monkeypatch.setattr(lcp_module, "KERNEL", None)
+        assert solved_parts(lemke_many(m, q)) == solved_parts(kernel)
+
+
+def test_lemke_many_takes_a_square_m_of_the_width_of_q():
+    with pytest.raises(ValueError, match="M has shape"):
+        lemke_many(np.ones((1, 2)), -np.ones((3, 2)))
+
+
+SET_SAMPLERS = {"sobol": SobolSampler(), "uniform": UniformSampler(seed=5)}
+
+
+@pytest.mark.parametrize("sampler", sorted(SET_SAMPLERS))
+@pytest.mark.parametrize("name", ["ball", *STEP_SCENES])
+def test_a_sampled_set_has_the_same_bytes_on_both_lemke_paths(name, sampler, monkeypatch):
+    # Every stack that sampling hands to ``lemke_many`` is solved on both
+    # paths and compared bitwise, and the exported sets must match too.
+    problem, v0, meta = build_example(name)
+    h = float(meta["h"])
+    stacks = []
+
+    def recording(m, q):
+        if lcp_module.KERNEL is not None:
+            stacks.append((m, q))
+        return lemke_many(m, q)
+
+    monkeypatch.setattr(resolution, "lemke_many", recording)
+    exported = {}
+    for path in _lemke_paths(monkeypatch):
+        post = approximate(
+            problem, v0, h, h / 10.0, int(meta["n_steps"]), 256, SET_SAMPLERS[sampler]
+        )
+        exported[path] = set_to_csv(post, problem)
+    assert exported["kernel"] == exported["numpy"]
+    assert stacks
+    for m, q in stacks:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lcp_module, "KERNEL", None)
+            fallback = lemke_many(m, q)
+        assert solved_parts(lemke_many(m, q)) == solved_parts(fallback)
 
 
 def _tampered(solve, change):
