@@ -1,9 +1,9 @@
 /* Lemke's method on each row of a stack of LCPs that share M.
 
    lcp.lemke_many's numpy body is the reference: this file takes the same
-   IEEE operations in the same order for one row at a time, so z, the pivot
-   counts and the statuses come out bit for bit alike.  lcp.py builds it
-   with -ffp-contract=off, so no product and sum fuse into one rounding,
+   IEEE operations in the same order for one row at a time, so z, w, the
+   pivot counts and the statuses come out bit for bit alike.  lcp.py builds
+   it with -ffp-contract=off, so no product and sum fuse into one rounding,
    and passes the tolerances and the pivot budget at each call. */
 
 #include <math.h>
@@ -78,9 +78,39 @@ static void subtract_scaled(double *restrict row, double di, const double *restr
         row[j] -= di * p[j];
 }
 
+/* Whether x[0..count) are all finite. */
+static int all_finite(const double *x, size_t count)
+{
+    for (size_t i = 0; i < count; i++)
+        if (!isfinite(x[i]))
+            return 0;
+    return 1;
+}
+
+/* lcp.ordered_matvec's row i plus q[i]: w = M z + q with each row's sum
+   in lcp.ordered_sum's order, which adds the second half of the terms
+   onto the first until one is left.  terms holds n doubles. */
+static void form_w(int n, const double *m, const double *q, const double *z, double *w,
+                   double *terms)
+{
+    for (int i = 0; i < n; i++) {
+        for (int j = 0; j < n; j++)
+            terms[j] = z[j] * m[i * n + j];
+        for (int len = n; len > 1; len /= 2) {
+            int half = len / 2;
+            for (int j = 0; j < half; j++)
+                terms[j] = terms[j] + terms[half + j];
+            if (len % 2)
+                terms[0] += terms[2 * half];
+        }
+        w[i] = terms[0] + q[i];
+    }
+}
+
 /* One row of lemke_stack on the workspace t (n x (2n + 2), then p, d and
-   keys) and basis (basis, then cand and alive).  Returns its status, or
-   -1 if its q or a ratio it forms is not finite. */
+   keys) and basis (basis, then cand and alive): writes z (which must hold
+   zeros) and the pivot count.  Returns its status, or -1 if a ratio it
+   forms is not finite. */
 static int solve_row(int n, const double *m, const double *q, double *z, int64_t *pivots,
                      double pivot_tol, double tie_tol, int64_t max_pivots, double *t,
                      int *basis)
@@ -88,16 +118,12 @@ static int solve_row(int n, const double *m, const double *q, double *z, int64_t
     const int width = 2 * n + 2, z0 = 2 * n;
     double *p = t + n * width, *d = p + width, *keys = d + n;
     int *cand = basis + n, *alive = cand + n;
-    int feasible = 1, finite = 1;
-    for (int i = 0; i < n; i++) {
+    int feasible = 1;
+    for (int i = 0; i < n; i++)
         feasible &= q[i] >= 0.0;
-        finite &= isfinite(q[i]) != 0;
-    }
     *pivots = 0;
     if (feasible)
         return SOLVED;
-    if (!finite)
-        return -1;
 
     /* The tableau [q | I | -M | -1] (lcp._tableau). */
     for (int i = 0; i < n; i++) {
@@ -164,22 +190,29 @@ static int solve_row(int n, const double *m, const double *q, double *z, int64_t
 }
 
 /* Solve w = M z + q[s] for s < k: m is n x n and q is k x n, row-major.
-   z (k x n) must hold zeros.  Writes each row's pivot count and status.
-   Returns 0, or 1 when a row's q or a ratio it forms is not finite:
-   lemke_many then solves the stack with its numpy body, which decides
-   such rows. */
-int lemke_stack(int k, int n, const double *m, const double *q, double *z,
-                int64_t *pivots, int8_t *status, double pivot_tol, double tie_tol,
-                int64_t max_pivots)
+   zw (2 x k x n) receives z, then w; counts (2 x k) each row's pivot
+   count, then its status.  Returns 0, or 1 when m or q holds a NaN or an
+   infinity, or a ratio that a row forms is not finite: lemke_many then
+   rejects the input or solves the stack with its numpy body, which
+   decides such rows. */
+int lemke_stack(int k, int n, const double *m, const double *q, double *zw, int64_t *counts,
+                double pivot_tol, double tie_tol, int64_t max_pivots)
 {
+    size_t cells = (size_t)k * n;
+    if (!all_finite(m, (size_t)n * n) || !all_finite(q, cells))
+        return 1;
     double *t = malloc(sizeof(double) * (size_t)(n * (2 * n + 2) + (2 * n + 2) + n + n * n));
     int *basis = malloc(sizeof(int) * (size_t)(3 * n));
     int declined = !t || !basis;
+    memset(zw, 0, sizeof(double) * cells);
     for (int s = 0; s < k && !declined; s++) {
-        int done = solve_row(n, m, q + (size_t)s * n, z + (size_t)s * n, pivots + s,
-                             pivot_tol, tie_tol, max_pivots, t, basis);
-        declined = done < 0;
-        status[s] = (int8_t)done;
+        const double *qs = q + (size_t)s * n;
+        double *z = zw + (size_t)s * n;
+        int status = solve_row(n, m, qs, z, counts + s, pivot_tol, tie_tol, max_pivots, t,
+                               basis);
+        declined = status < 0;
+        counts[k + s] = status;
+        form_w(n, m, qs, z, z + cells, t);
     }
     free(t);
     free(basis);

@@ -7,29 +7,27 @@ cycle.  Problems here are small and dense (at most a few dozen rows), so
 each instance carries its full tableau ``[q | I | -M | -1]`` and updates
 it by an elementwise rank-one row operation per pivot.
 
-``lemke_many`` runs it on a stack of instances that share ``M``.  Its
-stack path is a compiled kernel, ``_lemke.c``, which solves one row
-after another; the system ``cc`` builds it on first import into this
-package's ``__pycache__`` (see ``_load_kernel``).  Its reference is the
-numpy body, ``_lemke_many_numpy``, which pivots every unfinished row in
-lockstep, one pivot per pass, and which runs when no kernel could be
-built.  The numpy body changes the tableau only by elementwise
-operations, so a row's bits never depend on the other rows of the
-stack, on its height or on its order, which changes as rows end; the
-kernel takes the same IEEE operations in the same order, so both give
-the same ``z``, pivot counts and statuses, and ``w`` is summed by
-:func:`ordered_sum` on either path.  Both take the first pivot's row in
-closed form; the numpy tie walk skips the columns that cannot narrow a
-tie, and a row that ends is replaced by the last live row instead of
-the stack being copied.  ``lemke_solve`` runs the same arithmetic on
-one row without the stack: its tableau and rank-one update stay in
-numpy, while its pivot decisions are taken on Python floats by the
-same IEEE operations, so a solve gives the same ``z``, pivot count and
-status whichever of the two runs it.
+There is one solve path: ``lemke_many`` solves a stack of instances
+that share ``M``, and ``lemke_solve`` is ``lemke_many`` on a stack of
+one.  The path is a compiled kernel, ``_lemke.c``, which solves one row
+after another and forms each row's ``w``; the system ``cc`` builds it
+on first import into this package's ``__pycache__`` (see
+``_load_kernel``).  Its reference is the numpy body,
+``_lemke_many_numpy``, which pivots every unfinished row in lockstep,
+one pivot per pass, and which runs when no kernel could be built.  The
+numpy body changes the tableau only by elementwise operations, so a
+row's bits never depend on the other rows of the stack, on its height
+or on its order, which changes as rows end; the kernel takes the same
+IEEE operations in the same order, so both give the same ``z``, pivot
+counts and statuses, and both sum ``w`` in :func:`ordered_sum`'s order.
+Both take the first pivot's row in closed form; the numpy tie walk
+skips the columns that cannot narrow a tie, and a row that ends is
+replaced by the last live row instead of the stack being copied.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
 import zlib
@@ -63,6 +61,8 @@ _CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 # A compiler that runs longer than this is stopped, and numpy solves.
 _BUILD_TIMEOUT_S = 120.0
 _STATUSES = np.array(["solved", "ray_termination", "max_pivots"], dtype="<U15")
+# Their codes, as ``_lemke.c`` numbers them.
+_SOLVED, _RAY_TERMINATION, _OUT_OF_PIVOTS = range(3)
 
 
 def _kernel_name(source: bytes, command: tuple) -> str:
@@ -115,8 +115,7 @@ def _open(path: Path) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
     p = ctypes.c_void_p
     lib.lemke_stack.argtypes = [
-        ctypes.c_int, ctypes.c_int, p, p, p, p, p, ctypes.c_double, ctypes.c_double,
-        ctypes.c_int64,
+        ctypes.c_int, ctypes.c_int, p, p, p, p, ctypes.c_double, ctypes.c_double, ctypes.c_int64,
     ]
     lib.lemke_stack.restype = ctypes.c_int
     return lib
@@ -127,7 +126,9 @@ def _load_kernel(source: Path, cache: Path, command: tuple = _CC) -> ctypes.CDLL
     library of this source and command is there or the one there does
     not load (a corrupt or truncated file); ``None`` if it cannot be
     built or loaded: no compiler, a cache that cannot be written.  The
-    numpy body then solves every stack."""
+    numpy body then solves every stack.  A build that succeeds removes
+    the other libraries in ``cache``, which older sources or commands
+    built; one that fails removes nothing."""
     try:
         target = cache / _kernel_name(source.read_bytes(), command)
         if target.exists():
@@ -137,6 +138,10 @@ def _load_kernel(source: Path, cache: Path, command: tuple = _CC) -> ctypes.CDLL
                 pass  # not a library with the entry point: build it again
         cache.mkdir(exist_ok=True)
         _build(source, target, command)
+        for stale in cache.glob("_lemke.*.so"):
+            if stale != target:
+                with contextlib.suppress(OSError):
+                    stale.unlink()
         return _open(target)
     except (OSError, AttributeError):
         return None
@@ -144,6 +149,12 @@ def _load_kernel(source: Path, cache: Path, command: tuple = _CC) -> ctypes.CDLL
 
 # The loaded kernel library (its repr names the file), or ``None``.
 KERNEL = _load_kernel(Path(__file__).with_name("_lemke.c"), Path(__file__).with_name("__pycache__"))
+
+
+def _check_finite(m: np.ndarray, q: np.ndarray) -> None:
+    """Raise ``ValueError`` if ``m`` or ``q`` holds a NaN or an infinity."""
+    if not (np.isfinite(m).all() and np.isfinite(q).all()):
+        raise ValueError("M and q must be finite")
 
 
 @dataclass(eq=False)
@@ -164,8 +175,7 @@ class LcpInstance:
                 f"q has shape {self.q.shape}, expected ({self.m.shape[0]},) "
                 f"or (k, {self.m.shape[0]})"
             )
-        if not (np.isfinite(self.m).all() and np.isfinite(self.q).all()):
-            raise ValueError("M and q must be finite")
+        _check_finite(self.m, self.q)
 
     @property
     def n(self) -> int:
@@ -251,30 +261,17 @@ def _tie_limit(x: float | np.ndarray) -> float | np.ndarray:
     return x + LEX_TIE_TOL * (1.0 + abs(x))
 
 
-def _lex_argmin(table: np.ndarray, cand: list[int], d: list[float]) -> int:
-    """Among candidate rows pick the one minimizing ``table[r, :n + 1] /
-    d[r]`` lexicographically: column by column, keep the rows that tie
-    with the column's minimum; the lowest surviving row wins.  This is the
-    single-row form of :func:`_lex_argmin_many`, which picks the same row
-    while skipping the columns that cannot narrow a tie.
-
-    ``cand`` lists the candidate rows in increasing order and ``d`` holds
-    the entering column as Python floats.  Each column forms the ratios
-    of the rows still tied only, with the division, minimum, tie limit
-    and comparison that the stacked walk applies elementwise."""
-    for col in range(table.shape[0] + 1):
-        if len(cand) == 1:
-            break
-        vals = [table.item(r, col) / d[r] for r in cand]
-        limit = _tie_limit(min(vals))
-        cand = [r for r, x in zip(cand, vals) if x <= limit]
-    return cand[0]
-
-
 def _lex_argmin_many(table: np.ndarray, cand: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """``_lex_argmin`` for every row of a stack of tableaux: ``cand``
-    (k, n) marks each row's candidate rows and ``d`` (k, n) their ratio
-    denominators; returns one tableau row per stack row.
+    """The lexicographic ratio test for every row of a stack of tableaux:
+    ``cand`` (k, n) marks each row's candidate rows and ``d`` (k, n)
+    their ratio denominators; returns one tableau row per stack row.
+    Among a stack row's candidates it picks the one minimizing ``table[r,
+    :n + 1] / d[r]`` lexicographically: column by column it keeps the
+    rows that tie with the column's minimum (``_tie_limit``), and the
+    lowest surviving row wins; a row once dropped stays dropped, also
+    where an infinite key makes a column's tie limit infinite.  A walk
+    through the basis-inverse columns that keeps no row, because a key is
+    NaN, raises ``ValueError``.
 
     Rows still tied after column 0 walk the basis-inverse columns with
     one key row per candidate, grouped by stack row.  The walk visits
@@ -300,11 +297,13 @@ def _lex_argmin_many(table: np.ndarray, cand: np.ndarray, d: np.ndarray) -> np.n
         alive = np.ones(group.size, dtype=bool)
         for col in np.flatnonzero((high > low).any(axis=0)):
             vals = np.where(alive, keys[:, col], np.inf)
-            alive = vals <= _tie_limit(np.minimum.reduceat(vals, starts))[group]
+            alive &= vals <= _tie_limit(np.minimum.reduceat(vals, starts))[group]
             if np.count_nonzero(alive) == tied.size:
                 break
         # Each group's lowest surviving tableau row.
         choice[tied] = np.minimum.reduceat(np.where(alive, row, n), starts)
+        if choice.max() == n:
+            raise ValueError("the tableau overflowed: a pivot ratio is not a number")
     return choice
 
 
@@ -327,8 +326,10 @@ def lemke_many(m: np.ndarray, q: np.ndarray) -> LcpSolution:
     ``PIVOT_TOL`` and ``MAX_PIVOTS``, and ends with its own status and
     pivot count.  The compiled kernel (``KERNEL``) solves the stack when
     it is loaded, else :func:`_lemke_many_numpy`, its reference, with the
-    same bits.  Returns an :class:`LcpSolution` with one row (or entry)
-    per instance.
+    same bits; ``w`` is summed in :func:`ordered_sum`'s order on either
+    path.  Returns an :class:`LcpSolution` with one row (or entry) per
+    instance.  An ``M`` or ``q`` that holds a NaN or an infinity raises
+    ``ValueError``, as :class:`LcpInstance` does.
     """
     m = np.asarray(m, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -336,40 +337,44 @@ def lemke_many(m: np.ndarray, q: np.ndarray) -> LcpSolution:
     if m.shape != (n, n):
         raise ValueError(f"M has shape {m.shape}, expected ({n}, {n}) for q of shape {q.shape}")
     solved = None if KERNEL is None else _kernel_many(m, q)
-    z, pivot_count, status = _lemke_many_numpy(m, q) if solved is None else solved
-    w = ordered_matvec(m, z) + q
-    return LcpSolution(z=z, w=w, pivot_count=pivot_count, status=status)
+    if solved is None:
+        _check_finite(m, q)
+        z, pivot_count, codes = _lemke_many_numpy(m, q)
+        solved = z, ordered_matvec(m, z) + q, pivot_count, codes
+    z, w, pivot_count, codes = solved
+    return LcpSolution(z=z, w=w, pivot_count=pivot_count, status=_STATUSES[codes])
 
 
 def _kernel_many(m: np.ndarray, q: np.ndarray) -> tuple | None:
-    """``z``, pivot counts and statuses of the stack from the compiled
-    kernel, which runs the operations of :func:`_lemke_many_numpy` one
-    row at a time; ``None`` if a row's ``q`` or a ratio it forms is not
-    finite, where the numpy body decides."""
+    """``z``, ``w``, pivot counts and status codes of the stack from the
+    compiled kernel, which runs the operations of :func:`lemke_many`'s
+    numpy path one row at a time; ``None`` if ``m`` or ``q``, or a ratio
+    that a row forms, is not finite, where :func:`lemke_many` decides.
+    The outputs come in two blocks, so the call converts four pointers,
+    which cost more than the solve itself on a small LCP."""
     k, n = q.shape
     m = np.ascontiguousarray(m)
     q = np.ascontiguousarray(q)
-    z = np.zeros((k, n))
-    pivot_count = np.zeros(k, dtype=np.int64)
-    codes = np.zeros(k, dtype=np.int8)
+    zw = np.empty((2, k, n))
+    counts = np.empty((2, k), dtype=np.int64)
     declined = KERNEL.lemke_stack(
-        k, n, m.ctypes.data, q.ctypes.data, z.ctypes.data, pivot_count.ctypes.data,
-        codes.ctypes.data, PIVOT_TOL, LEX_TIE_TOL, MAX_PIVOTS,
+        k, n, m.ctypes.data, q.ctypes.data, zw.ctypes.data, counts.ctypes.data,
+        PIVOT_TOL, LEX_TIE_TOL, MAX_PIVOTS,
     )
     if declined:
         return None
-    return z, pivot_count.astype(int, copy=False), _STATUSES[codes]
+    return zw[0], zw[1], counts[0], counts[1]
 
 
 def _lemke_many_numpy(m: np.ndarray, q: np.ndarray) -> tuple:
-    """``z``, pivot counts and statuses of :func:`lemke_many`, in numpy:
-    all unfinished rows pivot together, and a row leaves the stack when
-    it ends.  The compiled kernel's reference, and the path taken
-    without it."""
+    """``z``, pivot counts and status codes (indices into ``_STATUSES``)
+    of :func:`lemke_many`, in numpy: all unfinished rows pivot together,
+    and a row leaves the stack when it ends.  The compiled kernel's
+    reference, and the path taken without it."""
     k, n = q.shape
     z = np.zeros((k, n))
-    pivot_count = np.zeros(k, dtype=int)
-    status = np.full(k, "solved", dtype="<U15")
+    pivot_count = np.zeros(k, dtype=np.int64)
+    codes = np.zeros(k, dtype=np.int64)
     z0_id = 2 * n  # the covering variable's id (see ``_tableau``)
 
     rows = np.flatnonzero(~np.all(q >= 0.0, axis=1))
@@ -379,7 +384,7 @@ def _lemke_many_numpy(m: np.ndarray, q: np.ndarray) -> tuple:
     at = np.arange(rows.size)
     count = 0
 
-    def finish(done: np.ndarray, why: str) -> None:
+    def finish(done: np.ndarray, why: int) -> None:
         """Record the rows marked ``done`` and drop them from the stack.
         The last live rows move into their slots: the stack's order
         changes, and only the moved rows are copied."""
@@ -387,7 +392,7 @@ def _lemke_many_numpy(m: np.ndarray, q: np.ndarray) -> tuple:
         ended = rows[done]
         z[ended] = _basic_z(table[done, :, 0], basis[done])
         pivot_count[ended] = count
-        status[ended] = why
+        codes[ended] = why
         live = rows.size - ended.size
         holes = np.flatnonzero(done[:live])
         movers = live + np.flatnonzero(~done[live:])
@@ -402,7 +407,7 @@ def _lemke_many_numpy(m: np.ndarray, q: np.ndarray) -> tuple:
             eligible = d > PIVOT_TOL
             ray = ~eligible.any(axis=1)
             if ray.any():
-                finish(ray, "ray_termination")
+                finish(ray, _RAY_TERMINATION)
                 if not rows.size:
                     break
                 # ``finish`` reordered the stack: read the columns again.
@@ -429,73 +434,27 @@ def _lemke_many_numpy(m: np.ndarray, q: np.ndarray) -> tuple:
 
         solved = leaving == z0_id
         if solved.any():
-            finish(solved, "solved")
+            finish(solved, _SOLVED)
         if count >= MAX_PIVOTS and rows.size:
-            finish(np.ones(rows.size, dtype=bool), "max_pivots")
-    return z, pivot_count, status
+            finish(np.ones(rows.size, dtype=bool), _OUT_OF_PIVOTS)
+    return z, pivot_count, codes
 
 
 def lemke_solve(lcp: LcpInstance) -> LcpSolution:
-    """Solve one LCP by Lemke complementary pivoting.
-
-    This is :func:`lemke_many` for a stack of one, run without the stack:
-    the same tableau, covering vector, lexicographic ratio test,
-    elementwise rank-one update, tolerances, pivot budget and status
-    order, so ``z``, ``pivot_count`` and ``status`` are bitwise those of
-    ``lemke_many(lcp.m, lcp.q[None])``.  For the copositive matrices
-    produced by the impact assembly (whose homogeneous solutions satisfy
-    the required feasibility side condition) termination with
-    ``status="solved"`` is guaranteed up to floating-point degeneracy;
-    instances outside that class may end in ``ray_termination``.
+    """Solve one LCP by Lemke complementary pivoting: :func:`lemke_many`
+    on a stack of one, whose row it returns, with an ``int`` pivot count
+    and a ``str`` status.  For the copositive matrices produced by the
+    impact assembly (whose homogeneous solutions satisfy the required
+    feasibility side condition) termination with ``status="solved"`` is
+    guaranteed up to floating-point degeneracy; instances outside that
+    class may end in ``ray_termination``.
     """
     if lcp.q.ndim != 1:
         raise ValueError("lemke_solve takes one instance; solve a stack with lemke_many")
-    n = lcp.n
-    q = lcp.q
-    if (q >= 0.0).all():
-        return LcpSolution(z=np.zeros(n), w=q.copy(), pivot_count=0, status="solved")
-
-    # The tableau and its rank-one update stay in numpy; every decision
-    # (first pivot, eligibility, ratio test, tie walk) is taken on Python
-    # floats, by the same IEEE operations in the same order as the stack.
-    z0_id = 2 * n
-    table = _tableau(lcp.m, q[None])[0]
-    basis = list(range(n))
-    entering = z0_id
-    pivot_count = 0
-    values = q.tolist()
-    limit = _tie_limit(min(values))
-    row = max(r for r, x in enumerate(values) if x <= limit)  # see _first_pivot_row
-    while True:
-        d = table[:, entering + 1]
-        if pivot_count:
-            dl = d.tolist()
-            eligible = [r for r, x in enumerate(dl) if x > PIVOT_TOL]
-            if not eligible:
-                status = "ray_termination"
-                break
-            row = _lex_argmin(table, eligible, dl)
-
-        pivot_row = table[row] / d.item(row)
-        table -= d[:, None] * pivot_row
-        table[row] = pivot_row
-        leaving = basis[row]
-        basis[row] = entering
-        pivot_count += 1
-        if leaving == z0_id:
-            status = "solved"
-            break
-        if pivot_count >= MAX_PIVOTS:
-            status = "max_pivots"
-            break
-        entering = (leaving + n) % z0_id
-
-    # A basic z_i takes its row's value, every other z_i is 0 (``_basic_z``).
-    z = np.zeros(n)
-    for r, var in enumerate(basis):
-        if n <= var < z0_id:
-            z[var - n] = table.item(r, 0)
-    return LcpSolution(z=z, w=lcp.m @ z + q, pivot_count=pivot_count, status=status)
+    sol = lemke_many(lcp.m, lcp.q[None])
+    return LcpSolution(
+        z=sol.z[0], w=sol.w[0], pivot_count=int(sol.pivot_count[0]), status=str(sol.status[0])
+    )
 
 
 def residuals(lcp: LcpInstance, z: np.ndarray) -> tuple:

@@ -208,23 +208,17 @@ def _check_caps(problem: ImpactProblem, v: np.ndarray, lambda_max: np.ndarray) -
 
 
 def _certified_solve(lcp: LcpInstance, context: str) -> np.ndarray:
-    """Solve a stack with ``lemke_many``, or one instance or a stack of
-    one with ``lemke_solve`` (the same bits at less cost), and certify
-    the residuals of every row from the solver's ``(z, w)``; the first
-    row that fails raises :class:`LcpSolveError`."""
+    """Solve a stack, a stack of one included, with ``lemke_many`` and
+    certify the residuals of every row from the solver's ``(z, w)``; the
+    first row that fails raises :class:`LcpSolveError`.  One instance
+    goes to :func:`_certified_solve_one`."""
     if lcp.q.ndim == 1:
         return _certified_solve_one(lcp, context)
-    if len(lcp.q) > 1:
-        sol = lemke_many(lcp.m, lcp.q)
-        z, w = sol.z, sol.w
-    else:
-        sol = lemke_solve(LcpInstance(lcp.m, lcp.q[0]))
-        # A stack's w is summed by ``ordered_sum``, as ``lemke_many`` forms it.
-        z = sol.z[None]
-        w = ordered_matvec(lcp.m, z) + lcp.q
-    unsolved = np.atleast_1d(sol.status != "solved")
+    sol = lemke_many(lcp.m, lcp.q)
+    unsolved = sol.status != "solved"
     if unsolved.any():
-        raise LcpSolveError(str(np.atleast_1d(sol.status)[unsolved.argmax()]), context)
+        raise LcpSolveError(str(sol.status[unsolved.argmax()]), context)
+    z, w = sol.z, sol.w
     comp_gap, neg_z, neg_w = _residuals(z, w)
     scale = 1.0 + np.sqrt(ordered_sum(z * z) * ordered_sum(w * w))
     # Each residual passes only at or below its bound, so a NaN fails; an
@@ -238,11 +232,13 @@ def _certified_solve(lcp: LcpInstance, context: str) -> np.ndarray:
 
 
 def _certified_solve_one(lcp: LcpInstance, context: str) -> np.ndarray:
-    """:func:`_certified_solve` of one instance, certified on Python
-    floats: the residuals of ``lcp._residuals`` and the same scale, each
-    sum taken left to right (``_serial_sum``).  ``min`` may drop
-    a NaN, but the gap sums every ``z_i w_i``, so a NaN fails there; an
-    infinite scale fails as on a stack."""
+    """:func:`_certified_solve` of one instance: ``lemke_solve``, whose
+    ``w`` the kernel forms, certified on Python floats, with the
+    residuals of ``lcp._residuals`` and the same scale, each sum taken
+    left to right (``_serial_sum``).  On one instance this is cheaper
+    than the array certification.  ``min`` may drop a NaN, but the gap
+    sums every ``z_i w_i``, so a NaN fails there; an infinite scale
+    fails as on a stack."""
     sol = lemke_solve(lcp)
     if sol.status != "solved":
         raise LcpSolveError(sol.status, context)

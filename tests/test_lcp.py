@@ -195,6 +195,25 @@ def test_a_kernel_that_cannot_be_built_leaves_numpy_to_solve(fault, tmp_path, mo
         assert _solves_as_numpy(lcp_module.KERNEL, monkeypatch)
 
 
+@pytest.mark.parametrize("build", ["succeeds", "fails"])
+def test_a_build_that_succeeds_removes_the_stale_kernels(build, tmp_path):
+    stale = [tmp_path / "_lemke.00000000.so", tmp_path / "_lemke.0badcafe.so"]
+    for path in stale:
+        path.write_bytes(b"an older library")
+    other = tmp_path / "notes.txt"
+    other.write_text("kept")
+    command = lcp_module._CC if build == "succeeds" else ("false", *lcp_module._CC[1:])
+    kernel = lcp_module._load_kernel(KERNEL_SOURCE, tmp_path, command)
+    assert other.exists()
+    if build == "fails":
+        assert kernel is None
+        assert all(path.exists() for path in stale)
+    else:
+        target = tmp_path / lcp_module._kernel_name(KERNEL_SOURCE.read_bytes(), command)
+        assert kernel is not None
+        assert sorted(tmp_path.glob("_lemke.*")) == [target]
+
+
 def _running(pid: int) -> bool:
     """Whether process ``pid`` exists and is not a zombie."""
     try:

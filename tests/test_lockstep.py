@@ -254,6 +254,7 @@ def _assert_solved_alike(single, stack_of_one):
     assert single.status == stack_of_one.status[0]
     assert single.pivot_count == stack_of_one.pivot_count[0]
     assert single.z.tobytes() == stack_of_one.z[0].tobytes()
+    assert single.w.tobytes() == stack_of_one.w[0].tobytes()
 
 
 STEP_SCENES = ["phone", "compass", "box_wall", "disk_stack"]
@@ -298,7 +299,7 @@ def _with_negative_zeros(stack):
 
 
 @pytest.mark.parametrize("name", STEP_SCENES + ONE_AT_A_TIME)
-def test_lemke_many_rows_match_a_stack_of_one_and_the_scalar_solver(name):
+def test_lemke_many_rows_match_a_stack_of_one_and_the_scalar_solver(name, monkeypatch):
     if name in STEP_SCENES:
         stack = _random_step_lcps(name, 60, seed=17)
         stacks = [stack, _with_negative_zeros(stack)]
@@ -307,13 +308,18 @@ def test_lemke_many_rows_match_a_stack_of_one_and_the_scalar_solver(name):
         stacks = [
             LcpInstance(lcp.m, lcp.q[None]) for lcp in _lcps_solved_one_at_a_time(kind, scene)
         ]
-    for stack in stacks:
-        many = _assert_rows_alike(stack.m, stack.q)
-        assert np.all(many.status == "solved")
-        gap, neg_z, neg_w = residuals(stack, many.z)
-        assert max(neg_z.max(), neg_w.max()) <= RESIDUAL_TOL
-        scale = 1.0 + np.linalg.norm(many.z, axis=1) * np.linalg.norm(many.w, axis=1)
-        assert np.all(gap <= RESIDUAL_TOL * scale)
+    solved = {}
+    for path in _lemke_paths(monkeypatch):
+        solved[path] = []
+        for stack in stacks:
+            many = _assert_rows_alike(stack.m, stack.q)
+            solved[path].append(solved_parts(many))
+            assert np.all(many.status == "solved")
+            gap, neg_z, neg_w = residuals(stack, many.z)
+            assert max(neg_z.max(), neg_w.max()) <= RESIDUAL_TOL
+            scale = 1.0 + np.linalg.norm(many.z, axis=1) * np.linalg.norm(many.w, axis=1)
+            assert np.all(gap <= RESIDUAL_TOL * scale)
+    assert solved["kernel"] == solved["numpy"]
 
 
 @pytest.mark.parametrize("max_pivots", [None, 4])
@@ -344,9 +350,11 @@ def test_rows_that_end_early_leave_the_other_rows_alike(max_pivots, monkeypatch)
 
 
 def _walked_first_pivot_row(m, q):
-    """The row on which the covering variable enters, by the tie walk."""
-    table = lcp_module._tableau(np.asarray(m, dtype=float), np.asarray(q, dtype=float)[None])[0]
-    return lcp_module._lex_argmin(table, list(range(len(q))), (-table[:, -1]).tolist())
+    """The row on which the covering variable enters, by the tie walk on
+    a stack of one."""
+    table = lcp_module._tableau(np.asarray(m, dtype=float), np.asarray(q, dtype=float)[None])
+    d = -table[:, :, -1]
+    return int(lcp_module._lex_argmin_many(table, np.ones(d.shape, dtype=bool), d)[0])
 
 
 def test_the_first_pivot_takes_the_last_row_tied_at_the_minimum_of_q():
@@ -386,16 +394,14 @@ def test_the_stacked_tie_walk_skips_only_columns_that_keep_every_row():
     table[:, 0] = 0.5
     table[:, 1] = [0.0, 0.0, 1.0]
     table[:, 2] = [limit1, x2, x1]
-    d = np.ones(3)
-    assert lcp_module._lex_argmin(table, [0, 1, 2], d.tolist()) == 1
-    many = lcp_module._lex_argmin_many(table[None], np.ones((1, 3), dtype=bool), d[None])
+    many = lcp_module._lex_argmin_many(table[None], np.ones((1, 3), dtype=bool), np.ones((1, 3)))
     assert many.tolist() == [1]
 
 
 def _numpy_lex_argmin(table, cand, d):
-    """The single-row tie walk on numpy arrays, as ``lemke_solve`` ran it
-    before its decisions moved to Python floats: ``cand`` is an index
-    array and ``d`` the entering column."""
+    """The single-row tie walk on numpy arrays, column by column with no
+    column skipped: ``cand`` is an index array and ``d`` the entering
+    column."""
     for col in range(table.shape[0] + 1):
         if cand.size == 1:
             break
@@ -450,9 +456,10 @@ def test_the_scalar_tie_walk_picks_the_numpy_walks_row(n, columns, copies, d, pi
         if max(src, dst) < n:
             table[dst] = table[src]
     cand = [r for r in range(n) if picked[r]] or [n - 1]
-    d = d[:n]
-    want = _numpy_lex_argmin(table, np.array(cand), np.array(d))
-    assert lcp_module._lex_argmin(table, cand, d) == want
+    d = np.array(d[:n])
+    want = _numpy_lex_argmin(table, np.array(cand), d)
+    marked = np.isin(np.arange(n), cand)
+    assert lcp_module._lex_argmin_many(table[None], marked[None], d[None]).tolist() == [want]
 
 
 def test_a_degenerate_solve_keeps_the_signs_of_its_zeros(monkeypatch):
@@ -550,19 +557,85 @@ def test_the_kernel_gives_the_numpy_bits_on_tie_heavy_stacks(n, k, budget, data)
 
 
 @pytest.mark.skipif(lcp_module.KERNEL is None, reason="the compiled kernel did not load")
-@pytest.mark.parametrize("case", ["overflow", "inf-in-q", "nan-in-q"])
+@pytest.mark.parametrize("case", ["overflow", "overflow-in-q"])
 def test_a_stack_that_is_not_finite_is_left_to_the_numpy_body(case, monkeypatch):
     # Where a ratio is not finite the stacked walk need not pick the row
     # that a walk over one row picks, so the kernel declines the stack.
     m = np.array([[1.0, 0.0, -1.0], [-1.0, 0.0, 1e308], [1e308, 1.0, 1e-300]])
     q = np.array([[-1.0, 0.0, -2.0], [1.0, 1.0, 1.0]])
-    if case != "overflow":
-        q[0, 1] = -np.inf if case == "inf-in-q" else np.nan
+    if case == "overflow-in-q":
+        m, q = np.array([[1.0, 1.0], [0.5, 1.0]]), np.array([[-1e308, 1.0], [-1.0, -1.0]])
     with np.errstate(all="ignore"):
         assert lcp_module._kernel_many(m, q) is None
         kernel = lemke_many(m, q)
         monkeypatch.setattr(lcp_module, "KERNEL", None)
         assert solved_parts(lemke_many(m, q)) == solved_parts(kernel)
+
+
+@pytest.mark.parametrize("case", ["inf-in-q", "nan-in-q", "inf-in-m", "nan-in-m"])
+def test_lemke_many_rejects_a_stack_that_is_not_finite(case, monkeypatch):
+    m = np.array([[1.0, 0.0, -1.0], [-1.0, 0.0, 2.0], [3.0, 1.0, 1e-300]])
+    q = np.array([[1.0, 0.0, 2.0], [-1.0, 1.0, 1.0]])
+    bad = -np.inf if case.startswith("inf") else np.nan
+    (q if case.endswith("q") else m)[0, 1] = bad
+    for path in _lemke_paths(monkeypatch):
+        with pytest.raises(ValueError, match="must be finite"):
+            lemke_many(m, q)
+
+
+# Stacks whose numpy tie walk meets a NaN ratio after an overflow and
+# keeps no row: each raises, though none of its rows raises alone.
+_OVERFLOWING = [
+    (
+        [[1.0, -1e308, -2.0, 1e308], [0.5, 1e308, 1e308, 0.5],
+         [1.0, -1e308, 1e308, 0.5], [0.0, 1e308, 1e308, 1.0]],
+        [[-2.0, 0.5, -2.0, -2.0], [0.5, 0.0, 0.0, -1.0], [0.5, -1e308, -1.0, -1.0]],
+    ),
+    (
+        [[0.0, 1.0, 0.5, -2.0], [0.5, 1e308, -1.0, 0.5],
+         [0.0, 1e308, -1.0, 1.0], [1e308, -1e308, 1.0, -1.0]],
+        [[1e308, -1e308, -2.0, 1.0], [-1e308, -1e308, -1.0, 0.5]],
+    ),
+]
+
+
+def _outcome(m, q):
+    """``lemke_many``'s bytes, or the message of the ``ValueError`` it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return solved_parts(lemke_many(m, q))
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_stacks_of_huge_entries_solve_or_raise_alike_on_both_paths(monkeypatch):
+    rng = np.random.default_rng(0)
+    values = [-1e308, 1e308, -1.0, 0.0, 1.0, 0.5, -2.0]
+    stacks = [(np.array(m), np.array(q)) for m, q in _OVERFLOWING]
+    for _ in range(800):
+        n, k = rng.integers(2, 5, size=2)
+        stacks.append((rng.choice(values, size=(n, n)), rng.choice(values, size=(k, n))))
+    outcomes = {path: [_outcome(m, q) for m, q in stacks] for path in _lemke_paths(monkeypatch)}
+    assert outcomes["kernel"] == outcomes["numpy"]
+    raised = [isinstance(outcome, str) for outcome in outcomes["numpy"]]
+    assert raised[: len(_OVERFLOWING)] == [True] * len(_OVERFLOWING)
+    assert {outcomes["numpy"][0]} == {"the tableau overflowed: a pivot ratio is not a number"}
+    assert not all(raised)
+
+
+@pytest.mark.skipif(lcp_module.KERNEL is None, reason="the compiled kernel did not load")
+@settings(max_examples=100)
+@given(n=st.integers(1, 9), k=st.integers(1, 6), data=st.data())
+def test_the_kernels_w_is_the_ordered_matvec_of_its_z(n, k, data):
+    # On tie-heavy stacks with -0.0 entries, and on other draws; n up to
+    # 9 takes every branch of the halving sum.  (The step LCPs' w is
+    # compared with the numpy path's in the tests above.)
+    values = st.sampled_from(_TIE_HEAVY) | st.floats(-4.0, 4.0)
+    m = np.array(data.draw(st.lists(values, min_size=n * n, max_size=n * n))).reshape(n, n)
+    q = np.array(data.draw(st.lists(values, min_size=k * n, max_size=k * n))).reshape(k, n)
+    sol = lemke_many(m, q)
+    assert sol.w.tobytes() == (ordered_matvec(m, sol.z) + q).tobytes()
+
 
 
 def test_lemke_many_takes_a_square_m_of_the_width_of_q():

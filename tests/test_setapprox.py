@@ -25,7 +25,7 @@ from multimpact import (
     sim,
 )
 from multimpact.resolution import _workspace
-from multimpact.setapprox import MAX_DIMENSION, MAXBIT, _direction_table, sobol_block
+from multimpact.setapprox import MAX_DIMENSION, MAXBIT, _byte_table, _direction_table, sobol_block
 
 SENTINEL = 2**63 - 1
 
@@ -135,10 +135,11 @@ def test_sobol_indices_stay_in_the_sequence():
 
 
 def test_cached_direction_tables_are_read_only():
-    table = _direction_table(4)
-    assert _direction_table(4) is table
-    with pytest.raises(ValueError):
-        table[0, 0] = 1
+    for build in (_direction_table, _byte_table):
+        table = build(4)
+        assert build(4) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
 
 
 def test_sobol_dimension_limits():
