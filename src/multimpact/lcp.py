@@ -23,6 +23,14 @@ counts and statuses, and both sum ``w`` in :func:`ordered_sum`'s order.
 Both take the first pivot's row in closed form; the numpy tie walk
 skips the columns that cannot narrow a tie, and a row that ends is
 replaced by the last live row instead of the stack being copied.
+
+The same library (``KERNEL``) holds two more entry points, which
+other modules call: ``step_stack`` takes a whole capped step of a
+stack of trajectories, this module's solve included
+(``resolution._step``), and ``pcg_seed`` and ``pcg_draw`` give the
+uniform sampler numpy's ``default_rng`` draws
+(``setapprox.UniformSampler``).  Each keeps a numpy path as its
+reference and its fallback.
 """
 
 from __future__ import annotations
@@ -63,6 +71,8 @@ _BUILD_TIMEOUT_S = 120.0
 _STATUSES = np.array(["solved", "ray_termination", "max_pivots"], dtype="<U15")
 # Their codes, as ``_lemke.c`` numbers them.
 _SOLVED, _RAY_TERMINATION, _OUT_OF_PIVOTS = range(3)
+# What a tie walk that a NaN key leaves with no row raises.
+_OVERFLOW = "the tableau overflowed: a pivot ratio is not a number"
 
 
 def _kernel_name(source: bytes, command: tuple) -> str:
@@ -104,20 +114,28 @@ def _build(source: Path, target: Path, command: tuple) -> None:
 
 
 def _open(path: Path) -> ctypes.CDLL:
-    """Load the library at ``path`` and declare its entry point.  A
-    library that does not end in the crc32 of the bytes before it raises
-    ``OSError`` unloaded: loading a truncated library can kill the
-    process with SIGBUS instead of raising.  (The loader ignores the
-    bytes past the library's last section.)"""
+    """Load the library at ``path`` and declare its entry points:
+    ``lemke_stack`` (``lemke_many``), ``step_stack``
+    (``resolution._step``), and ``pcg_seed`` and ``pcg_draw``
+    (``setapprox.UniformSampler.stream``).  A library that does not end
+    in the crc32 of the bytes before it raises ``OSError`` unloaded:
+    loading a truncated library can kill the process with SIGBUS instead
+    of raising.  (The loader ignores the bytes past the library's last
+    section.)"""
     data = path.read_bytes()
     if len(data) < 4 or zlib.crc32(data[:-4]) != int.from_bytes(data[-4:], "little"):
         raise OSError(f"{path} is not a whole library")
     lib = ctypes.CDLL(str(path))
-    p = ctypes.c_void_p
-    lib.lemke_stack.argtypes = [
-        ctypes.c_int, ctypes.c_int, p, p, p, p, ctypes.c_double, ctypes.c_double, ctypes.c_int64,
-    ]
-    lib.lemke_stack.restype = ctypes.c_int
+    p, i32, i64, f64 = ctypes.c_void_p, ctypes.c_int, ctypes.c_int64, ctypes.c_double
+    for name, argtypes in (
+        ("lemke_stack", [i32, i32, p, p, p, p, f64, f64, i64]),
+        ("step_stack", [i32, i32, i32, p, p, p, i32, p, p, f64, f64, i64, f64, f64, f64]),
+        ("pcg_seed", [i64, p, i32, ctypes.c_uint64, p]),
+        ("pcg_draw", [i64, p, i64, i32, p, p]),
+    ):
+        entry = getattr(lib, name)
+        entry.argtypes = argtypes
+        entry.restype = ctypes.c_int
     return lib
 
 
@@ -268,10 +286,11 @@ def _lex_argmin_many(table: np.ndarray, cand: np.ndarray, d: np.ndarray) -> np.n
     Among a stack row's candidates it picks the one minimizing ``table[r,
     :n + 1] / d[r]`` lexicographically: column by column it keeps the
     rows that tie with the column's minimum (``_tie_limit``), and the
-    lowest surviving row wins; a row once dropped stays dropped, also
-    where an infinite key makes a column's tie limit infinite.  A walk
-    through the basis-inverse columns that keeps no row, because a key is
-    NaN, raises ``ValueError``.
+    lowest surviving row wins; a row once dropped, or never a
+    candidate, stays out, also where an infinite key makes a tie limit
+    infinite.  A walk through the ratios or the basis-inverse columns
+    that keeps no row, because a key or its tie limit is NaN, raises
+    ``ValueError``: a row picked then need not be a candidate.
 
     Rows still tied after column 0 walk the basis-inverse columns with
     one key row per candidate, grouped by stack row.  The walk visits
@@ -284,9 +303,12 @@ def _lex_argmin_many(table: np.ndarray, cand: np.ndarray, d: np.ndarray) -> np.n
     n = cand.shape[1]
     d = np.where(cand, d, 1.0)
     vals = np.where(cand, table[:, :, 0] / d, np.inf)
-    cand = vals <= _tie_limit(vals.min(axis=1, keepdims=True))
+    cand = cand & (vals <= _tie_limit(vals.min(axis=1, keepdims=True)))
+    kept = cand.sum(axis=1)
+    if not kept.all():
+        raise ValueError(_OVERFLOW)
     choice = cand.argmax(axis=1)
-    tied = np.flatnonzero(cand.sum(axis=1) > 1)
+    tied = np.flatnonzero(kept > 1)
     if tied.size:
         group, row = np.nonzero(cand[tied])
         stack_row = tied[group]
@@ -303,7 +325,7 @@ def _lex_argmin_many(table: np.ndarray, cand: np.ndarray, d: np.ndarray) -> np.n
         # Each group's lowest surviving tableau row.
         choice[tied] = np.minimum.reduceat(np.where(alive, row, n), starts)
         if choice.max() == n:
-            raise ValueError("the tableau overflowed: a pivot ratio is not a number")
+            raise ValueError(_OVERFLOW)
     return choice
 
 

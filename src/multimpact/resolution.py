@@ -8,10 +8,15 @@ is approaching yields one sampled resolution of a simultaneous impact; the
 per-step impulse caps are what make distinct outcomes reachable.
 
 The stepping runs in lockstep: ``sim_block`` advances a stack of
-trajectories together, and each ``step_block`` solves all their step
-LCPs, which share one matrix, in one ``lemke_many`` call.  Every check
-then runs row by row.  ``sim_step`` and ``sim`` are the same engine on a
-stack of one, and a row's bits do not depend on the stack around it.
+trajectories together, and each step of the stack is one call of the
+compiled kernel (``lcp.KERNEL``), which assembles, solves, certifies,
+applies and audits every row's step and tests each stepped row for
+impact.  Its reference, and the path without the kernel, is numpy
+(``_numpy_step``): the stack's step LCPs, which share one matrix, are
+solved in one ``lemke_many`` call, and every check then runs on the
+stack.  Both give the same bits, and ``step_block`` takes the same
+path.  ``sim_step`` and ``sim`` are the same engine on a stack of one,
+and a row's bits do not depend on the stack around it.
 
 Also provided: two deterministic baselines (an uncapped one-shot resolution
 and a one-contact-at-a-time sweep), an impulse-progress certificate ``r``
@@ -29,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import contact as _contact, lcp as _lcp
 from .contact import ImpactProblem, in_linear_cone, is_impacting, kinetic_energy
 from .errors import (
     ConeViolationError,
@@ -164,6 +170,11 @@ class _Workspace:
         # Uncapped variant: drop the budget slack rows/columns.
         keep = np.arange(m, size)
         self.uncapped_matrix = full[np.ix_(keep, keep)]
+        # The blocks a compiled step reads, one after another in one
+        # array: jbar's rows are jn's and then jd's.
+        self.packed = np.concatenate(
+            [jbar.ravel(), self.minv_jbar_t.ravel(), full.ravel(), problem.mu]
+        )
         # ``setapprox.psi``, set on its first call: an SVD that only
         # sampling needs.
         self.psi: float | None = None
@@ -279,32 +290,92 @@ def step_block(
     v = np.asarray(v, dtype=float)
     lambda_max = np.asarray(lambda_max, dtype=float)
     _check_caps(problem, v, lambda_max)
-    return _step(problem, v, lambda_max, is_impacting(problem, v))
+    return _step(problem, v, lambda_max)[:3]
 
 
 def _step(
+    problem: ImpactProblem, v: np.ndarray, lambda_max: np.ndarray, impacting: bool | None = None
+) -> tuple:
+    """:func:`step_block` on float arrays, plus the stacked impact test
+    of every row of ``v_after``: returns ``(v_after, lambda_n, beta,
+    impacting_after)``.  ``impacting`` is ``True`` when every row is
+    known to impact, or ``None`` to test each row.
+
+    With the compiled kernel the whole step is one call
+    (:func:`_kernel_step`); without it, or for a stack the kernel
+    declines, :func:`_numpy_step`, its reference, takes the step."""
+    if _lcp.KERNEL is not None:
+        stepped = _kernel_step(problem, v, lambda_max, impacting is None)
+        if stepped is not None:
+            return stepped
+    return _numpy_step(problem, v, lambda_max, impacting)
+
+
+def _numpy_step(
     problem: ImpactProblem, v: np.ndarray, lambda_max: np.ndarray, impacting
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`step_block` on float arrays whose rows' impact test is
-    already known: ``impacting`` holds one flag per row, or ``True`` when
-    every row impacts."""
+) -> tuple:
+    """:func:`_step` in numpy: the live rows' step LCPs are assembled and
+    certified as a stack, and the stepped rows audited together."""
+    if impacting is None:
+        impacting = is_impacting(problem, v)
     m = problem.n_contacts
     v_after = v.copy()
     lambda_n = np.zeros((len(v), m))
     beta = np.zeros((len(v), 2 * m))
     live = np.flatnonzero(impacting & np.any(lambda_max > 0.0, axis=1))
     if live.size:
-        lcp, layout = assemble_impact_lcp(problem, v[live], lambda_max[live])
-        z = _certified_solve(lcp, "capped impact step")
+        stack, layout = assemble_impact_lcp(problem, v[live], lambda_max[live])
+        z = _certified_solve(stack, "capped impact step")
         impulses = z[:, layout.lambda_n.start : layout.beta.stop]
         stepped = v[live] + ordered_matvec(_workspace(problem).minv_jbar_t, impulses)
         lam, bet = z[:, layout.lambda_n], z[:, layout.beta]
         if not np.all(in_linear_cone(problem, stepped, lam, bet)):
-            raise ConeViolationError(
-                "post-step state failed the friction-cone feasibility audit"
-            )
+            raise ConeViolationError(_CONE_FAILURE)
         v_after[live], lambda_n[live], beta[live] = stepped, lam, bet
-    return v_after, lambda_n, beta
+    return v_after, lambda_n, beta, is_impacting(problem, v_after)
+
+
+# Outcomes of ``_lemke.c``'s ``step_stack`` other than a step taken (0).
+_DECLINED, _UNSOLVED, _RESIDUALS, _CONE = range(1, 5)
+_CONE_FAILURE = "post-step state failed the friction-cone feasibility audit"
+
+
+def _kernel_step(
+    problem: ImpactProblem, v: np.ndarray, lambda_max: np.ndarray, test_rows: bool
+) -> tuple | None:
+    """:func:`_step` in one call of the compiled kernel, which takes
+    :func:`_numpy_step`'s operations row by row with its bits, the
+    tolerances read here at each call.  It raises the error that
+    :func:`_numpy_step` raises first: an unsolved row, then a row that
+    fails certification, each the first such row, then the cone audit.
+    Returns ``None`` for a problem without contacts, a stack that is not
+    (k, n_v) with (k, m) caps, or one that the kernel declines (caps,
+    ``q`` or a pivot ratio that is not finite), where
+    :func:`_numpy_step` raises or decides."""
+    m, n_v = problem.n_contacts, problem.n_v
+    k = len(v)
+    if not m or v.shape != (k, n_v) or lambda_max.shape != (k, m):
+        return None
+    v = np.ascontiguousarray(v, dtype=float)
+    caps = np.ascontiguousarray(lambda_max, dtype=float)
+    out = np.empty(k * (n_v + 3 * m) + 10 * m)
+    impacting = np.empty(k, dtype=bool)
+    outcome = _lcp.KERNEL.step_stack(
+        k, n_v, m, _workspace(problem).packed.ctypes.data, v.ctypes.data, caps.ctypes.data,
+        test_rows, out.ctypes.data, impacting.ctypes.data, _lcp.PIVOT_TOL, _lcp.LEX_TIE_TOL,
+        _lcp.MAX_PIVOTS, RESIDUAL_TOL, _contact.CONE_TOL, _contact.APPROACH_TOL,
+    )
+    if outcome == _DECLINED:
+        return None
+    v_after, lambda_n, beta, detail = np.split(out, np.cumsum([k * n_v, k * m, 2 * k * m]))
+    if outcome == _UNSOLVED:
+        raise LcpSolveError(str(_lcp._STATUSES[int(detail[0])]), "capped impact step")
+    if outcome == _RESIDUALS:
+        gap, neg_z, neg_w = _residuals(*detail.reshape(2, 1, 5 * m))
+        raise _residual_error("capped impact step", gap[0], neg_z[0], neg_w[0])
+    if outcome == _CONE:
+        raise ConeViolationError(_CONE_FAILURE)
+    return v_after.reshape(k, n_v), lambda_n.reshape(k, m), beta.reshape(k, 2 * m), impacting
 
 
 def sim_block(
@@ -343,12 +414,13 @@ def sim_block(
         if not rows.size:
             break
         caps = h * draw(rows, j)
+        v_before = v[rows]
         # Every row in ``rows`` impacts: the last step (or the start) tested it.
-        v_after, lambda_n, beta = _step(problem, v[rows], caps, True)
+        v_after, lambda_n, beta, impacting = _step(problem, v_before, caps, True)
         if on_step is not None:
-            on_step(caps, v[rows], v_after, lambda_n, beta)
+            on_step(caps, v_before, v_after, lambda_n, beta)
         v[rows] = v_after
-        rows = rows[is_impacting(problem, v_after)]
+        rows = rows[impacting]
     return v
 
 

@@ -36,8 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import ImpactProblem, is_impacting
-from .resolution import _check_budget, _check_integers, _workspace, sim_block, step_block
+from . import lcp
+from .contact import ImpactProblem
+from .contact import is_impacting  # noqa: F401  (stays importable from here)
+from .resolution import _check_budget, _check_integers, _step, _workspace, sim_block, step_block
 from .resolution import sim, sim_step  # noqa: F401  (stay importable from here)
 
 __all__ = [
@@ -207,9 +209,34 @@ class UniformSampler:
     def stream(self, first: int, count: int, n: int, m: int):
         """Cap draws in [0, 1) of trajectories ``first .. first+count-1``,
         one step at a time: ``draw(rows, step)`` gives the next ``random(m)``
-        of each trajectory ``first + rows``, shape (len(rows), m).  A
+        of each trajectory ``first + rows``' generator
+        ``np.random.default_rng([seed, i])``, shape (len(rows), m).  A
         trajectory drawn at every step so far gets the bits of one
-        ``random((n, m))``, as the live rows of ``sim_block`` are."""
+        ``random((n, m))``, as the live rows of ``sim_block`` are.
+
+        With the compiled kernel, one call seeds every generator's PCG64
+        state from its ``SeedSequence`` and one call per ``draw`` fills
+        the rows, with numpy's bits; the seed's 32-bit words, as
+        ``SeedSequence`` reads them, are formed here.  Without it, or for
+        indices past 2**64, the ``default_rng`` generators draw."""
+        kernel = lcp.KERNEL
+        if kernel is not None and first + count <= 1 << 64:
+            bits = range(0, max(1, self.seed.bit_length()), 32)
+            words = np.array([self.seed >> bit & 0xFFFFFFFF for bit in bits], dtype=np.uint32)
+            states = np.empty((count, 4), dtype=np.uint64)
+            if not kernel.pcg_seed(count, words.ctypes.data, words.size, first, states.ctypes.data):
+
+                def draw(rows: np.ndarray, step: int) -> np.ndarray:
+                    rows = np.ascontiguousarray(rows, dtype=np.int64)
+                    out = np.empty((rows.size, m))
+                    if kernel.pcg_draw(
+                        rows.size, rows.ctypes.data, count, m, states.ctypes.data, out.ctypes.data
+                    ):
+                        raise IndexError(f"draw rows must lie in [0, {count})")
+                    return out
+
+                return draw
+
         generators = [np.random.default_rng([self.seed, i]) for i in range(first, first + count)]
 
         def draw(rows: np.ndarray, step: int) -> np.ndarray:
@@ -261,8 +288,9 @@ def _run_trajectories(
     for first in range(start, stop, BLOCK_SIZE):
         count = min(BLOCK_SIZE, stop - first)
         v = sim_block(problem, v0, h, n_max, sampler, first, count)
-        v_fin, _, _ = step_block(problem, v, np.broadcast_to(finishing, (count, finishing.size)))
-        kept = ~is_impacting(problem, v_fin)
+        caps = np.broadcast_to(finishing, (count, finishing.size))
+        v_fin, _, _, impacting = _step(problem, v, caps)
+        kept = ~impacting
         indices.append(first + np.flatnonzero(kept))
         samples.append(v_fin[kept])
     return np.concatenate(indices), np.concatenate(samples)

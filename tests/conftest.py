@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from multimpact import ImpactProblem, LcpInstance
+from multimpact import ImpactProblem, LcpInstance, lcp
 from multimpact.scenes import _bundled_text
 
 settings.register_profile("suite", deadline=None)
@@ -68,6 +68,17 @@ def solved_parts(sol) -> list:
     """An ``LcpSolution``'s arrays as (dtype, bytes) pairs, to compare
     two solutions bitwise."""
     return [(part.dtype, part.tobytes()) for part in (sol.z, sol.w, sol.pivot_count, sol.status)]
+
+
+def kernel_paths(monkeypatch):
+    """Run the caller's loop body once on each path: the compiled kernel
+    (Lemke, the fused step and the uniform draws), then the numpy
+    fallback, forced by setting ``lcp.KERNEL`` to ``None``.  Yields the
+    path's name.  Without a compiler both runs take the fallback (CI
+    asserts the kernel loads)."""
+    for name, kernel in (("kernel", lcp.KERNEL), ("numpy", None)):
+        monkeypatch.setattr(lcp, "KERNEL", kernel)
+        yield name
 
 
 def random_spd_matrix(rng: np.random.Generator, n: int, *, shift: float = 0.5) -> np.ndarray:

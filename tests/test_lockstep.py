@@ -6,7 +6,9 @@ leaves no child process behind."""
 
 from __future__ import annotations
 
+import collections
 import hashlib
+import itertools
 import multiprocessing
 import os
 import pickle
@@ -40,12 +42,12 @@ from multimpact import (
 )
 from multimpact import errors
 from multimpact import lcp as lcp_module
-from multimpact import resolution, setapprox
+from multimpact import contact, resolution, setapprox
 from multimpact.errors import LcpSolveError
 from multimpact.io import set_to_csv
 from multimpact.lcp import RESIDUAL_TOL, ordered_matvec
 from multimpact.resolution import _workspace
-from conftest import random_spd_matrix, solved_parts
+from conftest import kernel_paths, random_spd_matrix, solved_parts
 
 CASES = {
     "compass": (SobolSampler(), 40),
@@ -280,16 +282,6 @@ def _assert_rows_alike(m, q):
     return many
 
 
-def _lemke_paths(monkeypatch):
-    """Run the caller's loop body once on each path of ``lemke_many``:
-    the compiled kernel, then the numpy fallback, forced by setting
-    ``lcp.KERNEL`` to ``None``.  Yields the path's name.  Without a
-    compiler both runs take the fallback (CI asserts the kernel loads)."""
-    for name, kernel in (("kernel", lcp_module.KERNEL), ("numpy", None)):
-        monkeypatch.setattr(lcp_module, "KERNEL", kernel)
-        yield name
-
-
 def _with_negative_zeros(stack):
     """``stack`` with every zero of ``q`` in its even rows made -0.0."""
     q = stack.q.copy()
@@ -309,7 +301,7 @@ def test_lemke_many_rows_match_a_stack_of_one_and_the_scalar_solver(name, monkey
             LcpInstance(lcp.m, lcp.q[None]) for lcp in _lcps_solved_one_at_a_time(kind, scene)
         ]
     solved = {}
-    for path in _lemke_paths(monkeypatch):
+    for path in kernel_paths(monkeypatch):
         solved[path] = []
         for stack in stacks:
             many = _assert_rows_alike(stack.m, stack.q)
@@ -329,7 +321,7 @@ def test_rows_that_end_early_leave_the_other_rows_alike(max_pivots, monkeypatch)
     # The numpy path moves rows within its stack as rows end.
     if max_pivots is not None:
         monkeypatch.setattr(lcp_module, "MAX_PIVOTS", max_pivots)
-    for path in _lemke_paths(monkeypatch):
+    for path in kernel_paths(monkeypatch):
         rng = np.random.default_rng(20240917)
         ended_early = 0
         seen = set()
@@ -396,6 +388,35 @@ def test_the_stacked_tie_walk_skips_only_columns_that_keep_every_row():
     table[:, 2] = [limit1, x2, x1]
     many = lcp_module._lex_argmin_many(table[None], np.ones((1, 3), dtype=bool), np.ones((1, 3)))
     assert many.tolist() == [1]
+
+
+def _ratio_walk(values, cand):
+    """``_lex_argmin_many`` on one tableau of three rows whose column 0
+    holds ``values``, with unit denominators and candidates ``cand``."""
+    table = np.zeros((1, 3, 8))
+    table[0, :, 0] = values
+    table[0, :, 1:4] = np.eye(3)
+    marked = np.isin(np.arange(3), cand)[None]
+    return int(lcp_module._lex_argmin_many(table, marked, np.ones((1, 3)))[0])
+
+
+def test_a_tie_walk_that_a_nan_ratio_leaves_with_no_row_raises():
+    # A NaN outside the candidates changes nothing.
+    assert _ratio_walk([np.nan, 2.0, 3.0], [1, 2]) == 1
+    # A NaN candidate ratio makes the column's minimum NaN, which keeps
+    # no row: the walk used to pick row 0, not a candidate.
+    with pytest.raises(ValueError, match="the tableau overflowed: a pivot ratio is not a number"):
+        _ratio_walk([1.0, np.nan, 3.0], [1, 2])
+    # A row that is not a candidate, row 0 included, is never picked.
+    values = [np.nan, np.inf, -np.inf, 0.0, 1.0, 2.0, -1.0]
+    for column in itertools.product(values, repeat=3):
+        for cand in ([1], [2], [1, 2]):
+            try:
+                with np.errstate(invalid="ignore"):  # the tie limit of -inf
+                    picked = _ratio_walk(column, cand)
+            except ValueError:
+                continue
+            assert picked in cand
 
 
 def _numpy_lex_argmin(table, cand, d):
@@ -468,7 +489,7 @@ def test_a_degenerate_solve_keeps_the_signs_of_its_zeros(monkeypatch):
     # pivot_row (as einsum does) ends with z = [-0.0, -1e-13].
     m = np.array([[0.0, -1.0], [2.0, 0.0]])
     q = np.array([[-1e-13, 0.0]])
-    for path in _lemke_paths(monkeypatch):
+    for path in kernel_paths(monkeypatch):
         many = _assert_rows_alike(m, q)
         assert many.z[0].tobytes() == np.array([0.0, -1e-13]).tobytes(), path
 
@@ -507,7 +528,7 @@ def test_lemke_many_bytes_are_pinned(kind, monkeypatch):
     # lemke_many uses elementwise arithmetic and index-ordered sums
     # only, so these bytes hold on every platform and on both paths: a
     # change to either that moves a bit of any output shows here.
-    for path in _lemke_paths(monkeypatch):
+    for path in kernel_paths(monkeypatch):
         sol = lemke_many(*_dyadic_stack(kind))
         digest = hashlib.sha256()
         for part in (sol.z, sol.w, sol.pivot_count, sol.status):
@@ -516,7 +537,7 @@ def test_lemke_many_bytes_are_pinned(kind, monkeypatch):
 
 
 def test_lemke_many_reports_a_status_per_row(monkeypatch):
-    for path in _lemke_paths(monkeypatch):
+    for path in kernel_paths(monkeypatch):
         q = np.array([[-1.0, -1.0], [0.0, 2.0], [-1.0, -2.0]])
         sol = lemke_many(-np.eye(2), q)
         assert list(sol.status) == ["ray_termination", "solved", "ray_termination"], path
@@ -561,15 +582,18 @@ def test_the_kernel_gives_the_numpy_bits_on_tie_heavy_stacks(n, k, budget, data)
 def test_a_stack_that_is_not_finite_is_left_to_the_numpy_body(case, monkeypatch):
     # Where a ratio is not finite the stacked walk need not pick the row
     # that a walk over one row picks, so the kernel declines the stack.
+    # In the overflow case every candidate ratio of row 0 turns NaN: the
+    # walk keeps no row and raises on both paths (it used to pivot on
+    # tableau row 0 and end on a ray).
     m = np.array([[1.0, 0.0, -1.0], [-1.0, 0.0, 1e308], [1e308, 1.0, 1e-300]])
     q = np.array([[-1.0, 0.0, -2.0], [1.0, 1.0, 1.0]])
     if case == "overflow-in-q":
         m, q = np.array([[1.0, 1.0], [0.5, 1.0]]), np.array([[-1e308, 1.0], [-1.0, -1.0]])
     with np.errstate(all="ignore"):
         assert lcp_module._kernel_many(m, q) is None
-        kernel = lemke_many(m, q)
-        monkeypatch.setattr(lcp_module, "KERNEL", None)
-        assert solved_parts(lemke_many(m, q)) == solved_parts(kernel)
+    outcomes = {path: _outcome(m, q) for path in kernel_paths(monkeypatch)}
+    assert outcomes["kernel"] == outcomes["numpy"]
+    assert isinstance(outcomes["numpy"], str) == (case == "overflow")
 
 
 @pytest.mark.parametrize("case", ["inf-in-q", "nan-in-q", "inf-in-m", "nan-in-m"])
@@ -578,13 +602,16 @@ def test_lemke_many_rejects_a_stack_that_is_not_finite(case, monkeypatch):
     q = np.array([[1.0, 0.0, 2.0], [-1.0, 1.0, 1.0]])
     bad = -np.inf if case.startswith("inf") else np.nan
     (q if case.endswith("q") else m)[0, 1] = bad
-    for path in _lemke_paths(monkeypatch):
+    for path in kernel_paths(monkeypatch):
         with pytest.raises(ValueError, match="must be finite"):
             lemke_many(m, q)
 
 
-# Stacks whose numpy tie walk meets a NaN ratio after an overflow and
-# keeps no row: each raises, though none of its rows raises alone.
+# Stacks whose numpy tie walk met a NaN ratio after an overflow and kept
+# no row, though none of their rows raises alone.  In the first, rows that
+# were not candidates tied at an infinite ratio and led the walk to the
+# NaN; a walk among the candidates alone now solves it as its rows solve
+# alone.  The second still raises.
 _OVERFLOWING = [
     (
         [[1.0, -1e308, -2.0, 1e308], [0.5, 1e308, 1e308, 0.5],
@@ -615,12 +642,19 @@ def test_stacks_of_huge_entries_solve_or_raise_alike_on_both_paths(monkeypatch):
     for _ in range(800):
         n, k = rng.integers(2, 5, size=2)
         stacks.append((rng.choice(values, size=(n, n)), rng.choice(values, size=(k, n))))
-    outcomes = {path: [_outcome(m, q) for m, q in stacks] for path in _lemke_paths(monkeypatch)}
+    outcomes = {path: [_outcome(m, q) for m, q in stacks] for path in kernel_paths(monkeypatch)}
     assert outcomes["kernel"] == outcomes["numpy"]
     raised = [isinstance(outcome, str) for outcome in outcomes["numpy"]]
-    assert raised[: len(_OVERFLOWING)] == [True] * len(_OVERFLOWING)
-    assert {outcomes["numpy"][0]} == {"the tableau overflowed: a pivot ratio is not a number"}
+    assert raised[: len(_OVERFLOWING)] == [False, True]
+    assert outcomes["numpy"][1] == "the tableau overflowed: a pivot ratio is not a number"
     assert not all(raised)
+    m, q = stacks[0]
+    with np.errstate(all="ignore"):
+        stack = lemke_many(m, q)
+        for i, row in enumerate(q):
+            alone = lemke_many(m, row[None])
+            assert alone.z.tobytes() == stack.z[i].tobytes()
+            assert alone.status[0] == stack.status[i]
 
 
 @pytest.mark.skipif(lcp_module.KERNEL is None, reason="the compiled kernel did not load")
@@ -646,34 +680,136 @@ def test_lemke_many_takes_a_square_m_of_the_width_of_q():
 SET_SAMPLERS = {"sobol": SobolSampler(), "uniform": UniformSampler(seed=5)}
 
 
+def _step_bytes(stepped):
+    """A step's outputs (``v_after``, ``lambda_n``, ``beta`` and the
+    verdicts) as (dtype, bytes) pairs."""
+    return [(part.dtype, part.tobytes()) for part in stepped]
+
+
+def _assert_steps_alike(problem, v, caps, impacting=None):
+    """The compiled step, in one kernel call that must not decline, and
+    the numpy ``_step`` on the Lemke fallback give the same bytes."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lcp_module, "KERNEL", None)
+        reference = resolution._numpy_step(problem, v, caps, impacting)
+    if lcp_module.KERNEL is not None:
+        fused = resolution._kernel_step(problem, v, caps, impacting is None)
+        assert fused is not None
+        assert _step_bytes(fused) == _step_bytes(reference)
+    return reference
+
+
 @pytest.mark.parametrize("sampler", sorted(SET_SAMPLERS))
 @pytest.mark.parametrize("name", ["ball", *STEP_SCENES])
 def test_a_sampled_set_has_the_same_bytes_on_both_lemke_paths(name, sampler, monkeypatch):
-    # Every stack that sampling hands to ``lemke_many`` is solved on both
-    # paths and compared bitwise, and the exported sets must match too.
+    # Every step that sampling takes on the kernel is taken again by the
+    # numpy ``_step`` and compared bitwise, and the exported sets must
+    # match too.
     problem, v0, meta = build_example(name)
     h = float(meta["h"])
-    stacks = []
+    steps = []
+    kernel_step = resolution._kernel_step
 
-    def recording(m, q):
-        if lcp_module.KERNEL is not None:
-            stacks.append((m, q))
-        return lemke_many(m, q)
+    def recording(*args):
+        steps.append(args)
+        return kernel_step(*args)
 
-    monkeypatch.setattr(resolution, "lemke_many", recording)
+    monkeypatch.setattr(resolution, "_kernel_step", recording)
     exported = {}
-    for path in _lemke_paths(monkeypatch):
+    for path in kernel_paths(monkeypatch):
         post = approximate(
             problem, v0, h, h / 10.0, int(meta["n_steps"]), 256, SET_SAMPLERS[sampler]
         )
         exported[path] = set_to_csv(post, problem)
     assert exported["kernel"] == exported["numpy"]
-    assert stacks
-    for m, q in stacks:
+    monkeypatch.undo()
+    assert steps or lcp_module.KERNEL is None
+    for problem, v, caps, test_rows in steps:
+        _assert_steps_alike(problem, v, caps, None if test_rows else True)
+
+
+def test_a_lockstep_step_is_one_kernel_call(monkeypatch):
+    # One call opens the uniform stream, and each step is one call that
+    # draws and one that steps every live row; nothing else is called.
+    kernel = lcp_module.KERNEL
+    if kernel is None:
+        pytest.skip("the compiled kernel did not load")
+    calls = collections.Counter()
+
+    class Counting:
+        def __getattr__(self, name):
+            calls[name] += 1
+            return getattr(kernel, name)
+
+    monkeypatch.setattr(lcp_module, "KERNEL", Counting())
+    problem, v0, meta = build_example("disk_stack")
+    steps = []
+    resolution.sim_block(
+        problem, v0, float(meta["h"]), int(meta["n_steps"]), UniformSampler(seed=2), 0, 64,
+        on_step=lambda *step: steps.append(step),
+    )
+    assert len(steps) > 1
+    assert calls == {"pcg_seed": 1, "pcg_draw": len(steps), "step_stack": len(steps)}
+
+
+def test_a_problem_without_contacts_is_stepped_by_numpy_on_both_paths(monkeypatch):
+    problem = ImpactProblem(mass=np.eye(2), jn=np.zeros((0, 2)), jt=np.zeros((0, 2)), mu=[])
+    assert resolution._kernel_step(problem, np.ones((2, 2)), np.zeros((2, 0)), True) is None
+    for path in kernel_paths(monkeypatch):
+        # numpy's impact test takes a minimum over no contacts.
+        with pytest.raises(ValueError):
+            step_block(problem, np.ones((2, 2)), np.zeros((2, 0)))
+
+
+def _failed_step(step, *args):
+    """The type and message of what ``step(*args)`` raised, or ``None``."""
+    try:
+        step(*args)
+    except (LcpSolveError, errors.ConeViolationError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_a_failing_step_raises_alike_on_both_paths(monkeypatch):
+    # One stack holds a row that runs out of pivots (the last row), rows
+    # that fail certification and rows that fail the cone audit, each
+    # forced by a tolerance.  Both paths report the unsolved row, else
+    # the first row that fails certification, else the audit.
+    problem, v0, meta = build_example("disk_stack")
+    rng = np.random.default_rng(3)
+    v = v0 + 0.3 * rng.standard_normal((12, problem.n_v))
+    caps = float(meta["h"]) * rng.random((12, problem.n_contacts))
+    stack, _ = assemble_impact_lcp(problem, v, caps)
+    sol = lemke_many(stack.m, stack.q)
+    order = np.argsort(sol.pivot_count, kind="stable")
+    v, caps, pivots = v[order], caps[order], sol.pivot_count[order]
+    assert pivots[-1] > pivots[-2]
+    neg_w = lcp_module._residuals(sol.z[order], sol.w[order])[2]
+    residual_tol = float(np.median(neg_w))
+    assert np.flatnonzero(neg_w > residual_tol)[0] < len(v) - 1
+    tolerances = [
+        (lcp_module, "MAX_PIVOTS", int(pivots[-1]) - 1),
+        (resolution, "RESIDUAL_TOL", residual_tol),
+        (contact, "CONE_TOL", -1.0),
+    ]
+    failures = []
+    for first in range(len(tolerances) + 1):
         with pytest.MonkeyPatch.context() as patch:
+            for module, name, value in tolerances[first:]:
+                patch.setattr(module, name, value)
+            if lcp_module.KERNEL is not None:
+                fused = _failed_step(resolution._kernel_step, problem, v, caps, True)
             patch.setattr(lcp_module, "KERNEL", None)
-            fallback = lemke_many(m, q)
-        assert solved_parts(lemke_many(m, q)) == solved_parts(fallback)
+            failures.append(_failed_step(resolution._numpy_step, problem, v, caps, True))
+        if lcp_module.KERNEL is not None:
+            assert fused == failures[-1]
+    unsolved, uncertified, cone, passed = failures
+    failed = "LCP solve failed with status"
+    assert unsolved == (LcpSolveError, f"{failed} 'max_pivots': capped impact step")
+    assert uncertified[0] is LcpSolveError
+    assert uncertified[1].startswith(f"{failed} 'solved': capped impact step: residuals exceed")
+    assert cone == (errors.ConeViolationError, resolution._CONE_FAILURE)
+    assert passed is None
 
 
 def _tampered(solve, change):
@@ -822,6 +958,18 @@ def test_an_over_constrained_step_lcp_solves_alike_on_both_paths():
 def test_lockstep_step_on_random_multi_contact_problems(seed, m, k):
     problem, v, caps = _random_step(np.random.default_rng(seed), m, k)
     v_after, lambda_n, beta = step_block(problem, v, caps)
+
+    # The compiled step gives the numpy step's bytes, also with rows that
+    # hold NaN or an infinity and no cap, and rows taken to impact.
+    bad = np.vstack([v[:1]] * 3)
+    bad[0, 0], bad[1, -1], bad[2, 0] = np.nan, np.inf, -np.inf
+    mixed = np.vstack([v, bad])
+    stepped = _assert_steps_alike(problem, mixed, np.vstack([caps, np.zeros((3, m))]))
+    for got, want in zip(stepped, (v_after, lambda_n, beta)):
+        assert got[:k].tobytes() == want.tobytes()
+    assert stepped[0][k:].tobytes() == bad.tobytes()
+    assert stepped[3][k:].all()
+    _assert_steps_alike(problem, v, caps, True)
 
     assert np.all(in_linear_cone(problem, v_after, lambda_n, beta))
     live = is_impacting(problem, v) & np.any(caps > 0.0, axis=1)

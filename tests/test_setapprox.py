@@ -24,8 +24,10 @@ from multimpact import (
     sample_count_bound,
     sim,
 )
+from multimpact import lcp
 from multimpact.resolution import _workspace
 from multimpact.setapprox import MAX_DIMENSION, MAXBIT, _byte_table, _direction_table, sobol_block
+from conftest import kernel_paths
 
 SENTINEL = 2**63 - 1
 
@@ -177,13 +179,52 @@ def _live_draws(sampler, first, count, n, m, seed):
 
 @pytest.mark.parametrize("sampler", [SobolSampler(), UniformSampler(seed=11)], ids=["sobol", "uniform"])
 @pytest.mark.parametrize("first, count", [(0, 1), (0, 9), (37, 20)])
-def test_stream_draws_the_block_layout_bit_for_bit(sampler, first, count):
+def test_stream_draws_the_block_layout_bit_for_bit(sampler, first, count, monkeypatch):
     n, m = 6, 3
     layout = _block_layout(sampler, first, count, n, m)
-    for seed in range(5):
-        for rows, step, drawn in _live_draws(sampler, first, count, n, m, seed):
-            assert drawn.shape == (len(rows), m)
-            np.testing.assert_array_equal(drawn.view(np.uint64), layout[rows, step].view(np.uint64))
+    for path in kernel_paths(monkeypatch):
+        for seed in range(5):
+            for rows, step, drawn in _live_draws(sampler, first, count, n, m, seed):
+                assert drawn.shape == (len(rows), m)
+                want = layout[rows, step]
+                np.testing.assert_array_equal(drawn.view(np.uint64), want.view(np.uint64))
+
+
+_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**30]
+_INDICES = [0, 2**32 - 1, 2**32, 2**52 - 1]
+
+
+def test_uniform_draws_are_numpys_for_any_seed_and_index(monkeypatch):
+    # Seeds of one to four 32-bit words and indices of one or two, with
+    # the stream's next index crossing a word boundary at 2**32 - 1.
+    rng = np.random.default_rng(8)
+    seeds = _SEEDS + [int(x) for x in rng.integers(0, 2**63, 6)]
+    seeds.append(int(rng.integers(1, 2**62)) << 70)
+    indices = _INDICES + [int(x) for x in rng.integers(0, 2**52, 4)]
+    n, m = 3, 5
+    for seed in seeds:
+        for first in indices:
+            want = [np.random.default_rng([seed, i]).random((n, m)) for i in (first, first + 1)]
+            for path in kernel_paths(monkeypatch):
+                draw = UniformSampler(seed).stream(first, 2, n, m)
+                got = np.stack([draw(np.arange(2), j) for j in range(n)], axis=1)
+                assert got.tobytes() == np.array(want).tobytes(), (path, seed, first)
+
+
+def test_the_kernel_stream_builds_no_numpy_generator(monkeypatch):
+    if lcp.KERNEL is None:
+        pytest.skip("the compiled kernel did not load")
+    want = np.random.default_rng([7, 3]).random((2, 4))
+
+    def refused(*args):
+        raise AssertionError("a numpy generator was built")
+
+    monkeypatch.setattr(np.random, "default_rng", refused)
+    draw = UniformSampler(7).stream(2, 3, 2, 4)
+    got = np.stack([draw(np.array([1]), j)[0] for j in range(2)])
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(IndexError):
+        draw(np.array([3]), 2)
 
 
 def test_sobol_sampler_uses_disjoint_index_blocks():
@@ -198,37 +239,39 @@ def test_sobol_sampler_uses_disjoint_index_blocks():
     np.testing.assert_array_equal(again(np.array([0]), 4)[0], steps[2, 4])
 
 
-def test_uniform_sampler_is_scheduling_independent():
+def test_uniform_sampler_is_scheduling_independent(monkeypatch):
     sampler = UniformSampler(seed=11)
 
     def steps(first, count, row):
         draw = sampler.stream(first, count, 5, 2)
         return np.array([draw(np.array([row]), j)[0] for j in range(5)])
 
-    first = steps(4, 1, 0)
-    again = steps(3, 2, 1)  # the same trajectory in another block
-    np.testing.assert_array_equal(first, again)
-    other = steps(5, 1, 0)
-    assert not np.array_equal(first, other)
-    assert first.min() >= 0.0 and first.max() < 1.0
-    # Drawing step by step gives the bits of one call.
-    rng = np.random.default_rng([11, 4])
-    np.testing.assert_array_equal(first, rng.random((5, 2)))
+    for path in kernel_paths(monkeypatch):
+        first = steps(4, 1, 0)
+        again = steps(3, 2, 1)  # the same trajectory in another block
+        np.testing.assert_array_equal(first, again)
+        other = steps(5, 1, 0)
+        assert not np.array_equal(first, other)
+        assert first.min() >= 0.0 and first.max() < 1.0
+        # Drawing step by step gives the bits of one call.
+        rng = np.random.default_rng([11, 4])
+        np.testing.assert_array_equal(first, rng.random((5, 2)))
 
 
 @pytest.mark.parametrize("sampler", [SobolSampler(), UniformSampler(seed=3)], ids=["sobol", "uniform"])
-def test_memory_does_not_grow_with_the_step_cap(sampler):
+def test_memory_does_not_grow_with_the_step_cap(sampler, monkeypatch):
     problem, v0, meta = build_example("compass")
     h = float(meta["h"])
-    peaks = {}
-    for n_max in (10, 10**9, 10):
-        tracemalloc.start()
-        try:
-            approximate(problem, v0, h, h / 10.0, n_max, 256, sampler)
-            peaks[n_max] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peaks[10**9] <= 1.1 * peaks[10]
+    for path in kernel_paths(monkeypatch):
+        peaks = {}
+        for n_max in (10, 10**9, 10):
+            tracemalloc.start()
+            try:
+                approximate(problem, v0, h, h / 10.0, n_max, 256, sampler)
+                peaks[n_max] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[10**9] <= 1.1 * peaks[10], path
 
 
 @pytest.mark.parametrize("sampler", [SobolSampler(), UniformSampler()], ids=["sobol", "uniform"])
