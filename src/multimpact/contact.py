@@ -54,7 +54,7 @@ class ImpactProblem:
         to the separation rate of contact i (positive = separating).
     jt : (m, n_v) tangential contact Jacobian; row i maps generalized
         velocity to the slip rate of contact i.
-    mu : (m,) positive friction coefficients.
+    mu : (m,) positive friction coefficients; m is at least 1.
     labels : distinct human-readable contact names, one per contact.
     jd : (2m, n_v) derived, not passed: rows 2i and 2i+1 are jt_i and -jt_i.
 
@@ -96,6 +96,8 @@ class ImpactProblem:
         m = self.jn.shape[0]
         if self.jn.shape != (m, n_v):
             raise ValueError("jn must have shape (m, n_v)")
+        if not m:
+            raise ValueError("a problem needs at least one contact")
         if np.any(np.linalg.norm(self.jn, axis=1) == 0.0):
             raise ValueError("every normal Jacobian row must be nonzero")
         if self.jt.shape != (m, n_v):

@@ -2,16 +2,21 @@
 
 Every file starts with the format marker (``# multimpact-format v1`` as a
 comment line in CSV, a ``"format"`` key in JSON), and every number is
-written with ``repr``, the shortest representation that round-trips to the
+written as ``repr`` writes it, the shortest text that round-trips to the
 exact same double.  No timestamps or environment data are written, so
 identical inputs produce byte-identical files.
 
-Each output builds its number table once, as an array.  A CSV writer
-formats each distinct double of its table once, with ``repr``, and hands
-the strings, after their row's leads, to ``csv.writer``: sampled sets
-repeat their outcomes, so most values are formatted once for many rows.
-The distinct values are found by their bits, so ``-0.0`` and ``0.0`` keep
-their own text.  The JSON writers pass rows on as Python floats
+Each output builds its number table once, as an array, and every CSV
+writer hands it to one helper, ``_csv``.  There the compiled kernel
+(``lcp.KERNEL``, read at each call) writes the rows' text in chunks of
+rows: each double as ``repr`` writes it (Ryu's shortest digits in
+``repr``'s layout) and each int lead (a trajectory index or a step) as
+``str`` writes it.  String leads and trailers (a comparison's method and
+order, a dense path's mode) go through ``csv.writer``, so labels keep
+their CSV quoting.  The reference, and the path without the kernel,
+formats each distinct double of the table once with ``repr``
+(``_repr_table``) and hands every row to ``csv.writer``; both paths give
+the same bytes.  The JSON writers pass rows on as Python floats
 (``tolist``), which ``json`` formats with ``repr`` as well.
 """
 
@@ -24,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import lcp
 from .contact import ImpactProblem
 from .oracles import DenseTrajectory
 from .resolution import Trajectory
@@ -42,6 +48,14 @@ __all__ = [
 ]
 
 FORMAT_MARKER = "multimpact-format v1"
+
+# The most bytes the kernel writes for an int lead (an int64's ``str`` and
+# its comma) and for a number (``repr`` of a double, at most 24 bytes, and
+# its comma or newline).
+_LEAD_BYTES, _NUMBER_BYTES = 21, 25
+# The most bytes of text one kernel call writes: a larger table is
+# formatted in chunks of rows into one buffer of this size.
+_CHUNK_BYTES = 1 << 18
 
 
 def _write(path: str | Path | None, text: str) -> str:
@@ -67,6 +81,79 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _field_texts(rows) -> list[str]:
+    """``csv.writer``'s text of each row of strings, without its newline."""
+    buf = _io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    texts = []
+    for fields in rows:
+        writer.writerow(fields)
+        texts.append(buf.getvalue()[:-1])
+        buf.seek(0)
+        buf.truncate()
+    return texts
+
+
+def _kernel_rows(kernel, table: np.ndarray, lead: np.ndarray | None) -> str | None:
+    """The CSV lines of a C-contiguous float table from the kernel's
+    ``csv_rows``, each row after its ``lead`` entry if ``lead`` is given;
+    ``None`` if the kernel cannot format (no 128-bit integers)."""
+    n, cols = table.shape
+    row_bytes = _NUMBER_BYTES * cols + (0 if lead is None else _LEAD_BYTES)
+    step = max(1, _CHUNK_BYTES // row_bytes)
+    buf = np.empty(min(n, step) * row_bytes, dtype=np.uint8)
+    parts = []
+    for first in range(0, n, step):
+        rows = table[first : first + step]
+        size = kernel.csv_rows(
+            len(rows), cols, rows.ctypes.data,
+            None if lead is None else lead[first:].ctypes.data, buf.ctypes.data,
+        )
+        if size < 0:
+            return None
+        parts.append(buf[:size].tobytes().decode("ascii"))
+    return "".join(parts)
+
+
+def _csv(
+    path: str | Path | None,
+    header: list[str],
+    table: np.ndarray,
+    lead: np.ndarray | None = None,
+    before: list[tuple[str, ...]] | None = None,
+    after: list[tuple[str, ...]] | None = None,
+) -> str:
+    """The CSV text of a 2-D float ``table`` under ``header``, also
+    written to ``path`` if it is given.  Row ``r`` holds ``lead[r]`` (an
+    int) if ``lead`` is given, the strings ``before[r]``, the table's row
+    ``r`` and the strings ``after[r]``.  The kernel writes the numbers
+    and int leads when it is loaded; otherwise ``_repr_table`` and
+    ``csv.writer`` write every row, with the same bytes."""
+    table = np.ascontiguousarray(table, dtype=float)
+    if lead is not None:
+        lead = np.ascontiguousarray(lead, dtype=np.int64)
+    body = None if lcp.KERNEL is None else _kernel_rows(lcp.KERNEL, table, lead)
+    if body is None:
+        rows = _repr_table(table)
+        if lead is not None:
+            rows = [[i, *row] for i, row in zip(lead.tolist(), rows)]
+        if before is not None:
+            rows = [[*fields, *row] for fields, row in zip(before, rows)]
+        if after is not None:
+            rows = [[*row, *fields] for row, fields in zip(rows, after)]
+        return _write(path, _csv_text(header, rows))
+    if before is not None or after is not None:
+        # The extra empty field gives each string part its comma and keeps
+        # a lone empty string from being quoted as a row of its own.
+        lines = body.split("\n")[:-1]
+        if before is not None:
+            lines = [h + x for h, x in zip(_field_texts([*f, ""] for f in before), lines)]
+        if after is not None:
+            lines = [x + t for x, t in zip(lines, _field_texts(["", *f] for f in after))]
+        body = "".join(line + "\n" for line in lines)
+    return _write(path, _csv_text(header, []) + body)
 
 
 def _json_text(payload: dict) -> str:
@@ -104,13 +191,11 @@ def _velocity_table(problem: ImpactProblem, velocities) -> np.ndarray:
 
 
 def _velocity_csv(
-    problem: ImpactProblem, lead_columns: list[str], leads, velocities, path
+    problem: ImpactProblem, lead_columns: list[str], velocities, path, **leads
 ) -> str:
-    """CSV of the velocity table, each row after its ``leads`` entries."""
+    """CSV of the velocity table, each row after its leads (see ``_csv``)."""
     header = lead_columns + _velocity_columns(problem.n_v) + _projection_columns(problem)
-    table = _repr_table(_velocity_table(problem, velocities))
-    rows = [[*lead, *row] for lead, row in zip(leads, table)]
-    return _write(path, _csv_text(header, rows))
+    return _csv(path, header, _velocity_table(problem, velocities), **leads)
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +217,8 @@ def trajectory_to_csv(
             for s in traj.steps
         ],
         dtype=float,
-    )
-    rows = [[k, *row] for k, row in enumerate(_repr_table(table))]
-    return _write(path, _csv_text(header, rows))
+    ).reshape(traj.n_steps, len(header) - 1)
+    return _csv(path, header, table, lead=np.arange(traj.n_steps))
 
 
 def trajectory_to_json(
@@ -170,8 +254,7 @@ def trajectory_to_json(
 def set_to_csv(
     post_set: PostImpactSet, problem: ImpactProblem, path: str | Path | None = None
 ) -> str:
-    leads = zip(post_set.traj_indices.tolist())
-    return _velocity_csv(problem, ["traj"], leads, post_set.samples, path)
+    return _velocity_csv(problem, ["traj"], post_set.samples, path, lead=post_set.traj_indices)
 
 
 def set_to_json(
@@ -197,8 +280,10 @@ def compare_to_csv(
     problem: ImpactProblem,
     path: str | Path | None = None,
 ) -> str:
-    leads = [(method, order) for method, order, _ in rows]
-    return _velocity_csv(problem, ["method", "order"], leads, [v for *_, v in rows], path)
+    before = [(method, order) for method, order, _ in rows]
+    return _velocity_csv(
+        problem, ["method", "order"], [v for *_, v in rows], path, before=before
+    )
 
 
 def compare_to_json(
@@ -233,9 +318,8 @@ def dense_to_csv(
     dense: DenseTrajectory, problem: ImpactProblem, path: str | Path | None = None
 ) -> str:
     header = ["impulse"] + _velocity_columns(problem.n_v) + ["mode"]
-    table = _repr_table(np.column_stack([dense.s_grid, dense.v_grid]))
-    rows = [[*row, mode] for row, mode in zip(table, ["", *dense.modes])]
-    return _write(path, _csv_text(header, rows))
+    table = np.column_stack([dense.s_grid, dense.v_grid])
+    return _csv(path, header, table, after=[(mode,) for mode in ["", *dense.modes]])
 
 
 def dense_to_json(

@@ -24,13 +24,14 @@ Both take the first pivot's row in closed form; the numpy tie walk
 skips the columns that cannot narrow a tie, and a row that ends is
 replaced by the last live row instead of the stack being copied.
 
-The same library (``KERNEL``) holds two more entry points, which
-other modules call: ``step_stack`` takes a whole capped step of a
-stack of trajectories, this module's solve included
-(``resolution._step``), and ``pcg_seed`` and ``pcg_draw`` give the
-uniform sampler numpy's ``default_rng`` draws
-(``setapprox.UniformSampler``).  Each keeps a numpy path as its
-reference and its fallback.
+The same library (``KERNEL``) holds more entry points, which other
+modules call: ``step_stack`` takes a whole capped step of a stack of
+trajectories, this module's solve included (``resolution._step``);
+``pcg_seed`` and ``pcg_draw`` give the uniform sampler numpy's
+``default_rng`` draws (``setapprox.UniformSampler``); and ``csv_rows``
+writes the rows of a float table as CSV text, each number as ``repr``
+writes it (``io._csv``).  Each keeps a Python path as its reference and
+its fallback.
 """
 
 from __future__ import annotations
@@ -116,8 +117,9 @@ def _build(source: Path, target: Path, command: tuple) -> None:
 def _open(path: Path) -> ctypes.CDLL:
     """Load the library at ``path`` and declare its entry points:
     ``lemke_stack`` (``lemke_many``), ``step_stack``
-    (``resolution._step``), and ``pcg_seed`` and ``pcg_draw``
-    (``setapprox.UniformSampler.stream``).  A library that does not end
+    (``resolution._step``), ``pcg_seed`` and ``pcg_draw``
+    (``setapprox.UniformSampler.stream``), and ``csv_rows``
+    (``io._csv``).  A library that does not end
     in the crc32 of the bytes before it raises ``OSError`` unloaded:
     loading a truncated library can kill the process with SIGBUS instead
     of raising.  (The loader ignores the bytes past the library's last
@@ -132,6 +134,7 @@ def _open(path: Path) -> ctypes.CDLL:
         ("step_stack", [i32, i32, i32, p, p, p, i32, p, p, f64, f64, i64, f64, f64, f64]),
         ("pcg_seed", [i64, p, i32, ctypes.c_uint64, p]),
         ("pcg_draw", [i64, p, i64, i32, p, p]),
+        ("csv_rows", [i64, i32, p, p, p]),
     ):
         entry = getattr(lib, name)
         entry.argtypes = argtypes

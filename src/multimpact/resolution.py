@@ -348,13 +348,12 @@ def _kernel_step(
     tolerances read here at each call.  It raises the error that
     :func:`_numpy_step` raises first: an unsolved row, then a row that
     fails certification, each the first such row, then the cone audit.
-    Returns ``None`` for a problem without contacts, a stack that is not
-    (k, n_v) with (k, m) caps, or one that the kernel declines (caps,
-    ``q`` or a pivot ratio that is not finite), where
-    :func:`_numpy_step` raises or decides."""
+    Returns ``None`` for a stack that is not (k, n_v) with (k, m) caps,
+    or one that the kernel declines (caps, ``q`` or a pivot ratio that is
+    not finite), where :func:`_numpy_step` raises or decides."""
     m, n_v = problem.n_contacts, problem.n_v
     k = len(v)
-    if not m or v.shape != (k, n_v) or lambda_max.shape != (k, m):
+    if v.shape != (k, n_v) or lambda_max.shape != (k, m):
         return None
     v = np.ascontiguousarray(v, dtype=float)
     caps = np.ascontiguousarray(lambda_max, dtype=float)

@@ -218,7 +218,10 @@ class UniformSampler:
         state from its ``SeedSequence`` and one call per ``draw`` fills
         the rows, with numpy's bits; the seed's 32-bit words, as
         ``SeedSequence`` reads them, are formed here.  Without it, or for
-        indices past 2**64, the ``default_rng`` generators draw."""
+        indices past 2**64, the ``default_rng`` generators draw.  On
+        either path a row outside ``[0, count)`` raises ``IndexError``
+        before any generator draws."""
+        outside = f"draw rows must lie in [0, {count})"
         kernel = lcp.KERNEL
         if kernel is not None and first + count <= 1 << 64:
             bits = range(0, max(1, self.seed.bit_length()), 32)
@@ -232,7 +235,7 @@ class UniformSampler:
                     if kernel.pcg_draw(
                         rows.size, rows.ctypes.data, count, m, states.ctypes.data, out.ctypes.data
                     ):
-                        raise IndexError(f"draw rows must lie in [0, {count})")
+                        raise IndexError(outside)
                     return out
 
                 return draw
@@ -240,8 +243,11 @@ class UniformSampler:
         generators = [np.random.default_rng([self.seed, i]) for i in range(first, first + count)]
 
         def draw(rows: np.ndarray, step: int) -> np.ndarray:
-            out = np.empty((len(rows), m))
-            for row, index in enumerate(rows.tolist()):
+            indices = rows.tolist()
+            if not all(0 <= index < count for index in indices):
+                raise IndexError(outside)
+            out = np.empty((len(indices), m))
+            for row, index in enumerate(indices):
                 generators[index].random(out=out[row])
             return out
 

@@ -6,6 +6,7 @@ import csv
 import io as stdio
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -27,9 +28,10 @@ from multimpact import (
     sequential_resolve,
     sim,
 )
-from multimpact import cli
+from multimpact import cli, lcp
 from multimpact import io as mio
 from multimpact.oracles import DenseTrajectory
+from multimpact.resolution import StepRecord, Trajectory
 from multimpact.io import (
     FORMAT_MARKER,
     compare_to_csv,
@@ -42,7 +44,7 @@ from multimpact.io import (
     trajectory_to_json,
 )
 
-from conftest import bundled_scene
+from conftest import bundled_scene, kernel_paths
 
 
 def _parse_csv(text: str) -> tuple[str, list[str], list[list[str]]]:
@@ -281,6 +283,34 @@ _DOUBLES = st.one_of(
 _TEXTS = st.text(alphabet=' ,"\'ab\t;', max_size=6)
 
 
+def _four_writers(table: np.ndarray, labels: list[str], leads: list[int]) -> list[str]:
+    """Every CSV writer's text for a float table on the one-contact ball:
+    its first column as the velocities of a set (indices ``leads``), of a
+    comparison (methods and orders ``labels``) and of a dense path (the
+    second column as its impulses, modes ``labels``), and each row as a
+    trajectory step (the row's entries repeated to the step's width)."""
+    ball, _, _ = build_ball()
+    v = table[:, :1]
+    post = PostImpactSet(samples=v, traj_indices=np.array(leads, dtype=np.int64),
+                         rejected_count=0, params={})
+    steps = []
+    for row in table:
+        wide = np.resize(row, 6)
+        steps.append(StepRecord(lambda_max=wide[:1], lambda_n=wide[1:2], beta=wide[2:4],
+                                v_before=wide[4:5], v_after=wide[4:5], energy_before=0.0,
+                                energy_after=float(wide[5])))
+    traj = Trajectory(steps=steps, terminated=True, h=1.0, rng_seed=None,
+                      v0=np.zeros(1), v_final=np.zeros(1))
+    dense = DenseTrajectory(s_grid=table[:, 1], v_grid=v, modes=labels[1:])
+    with np.errstate(all="ignore"):  # the projections of ±inf and NaN
+        return [
+            set_to_csv(post, ball),
+            compare_to_csv([(lbl, lbl[::-1], x) for lbl, x in zip(labels, v)], ball),
+            dense_to_csv(dense, ball),
+            trajectory_to_csv(traj, ball),
+        ]
+
+
 @settings(max_examples=200)
 @given(data=st.data())
 def test_csv_bytes_equal_a_writer_fed_python_floats(data):
@@ -302,6 +332,70 @@ def test_csv_bytes_equal_a_writer_fed_python_floats(data):
     dense = DenseTrajectory(s_grid=table[:, 0], v_grid=table[:, 1:2], modes=labels[1:])
     rows = [[*row, mode] for row, mode in zip(table[:, :2].tolist(), ["", *labels[1:]])]
     assert dense_to_csv(dense, ball) == _reference_csv(["impulse", "v_0", "mode"], rows)
+
+    # Every CSV writer gives the reference's bytes on the kernel, also
+    # when each kernel call formats a single row.
+    leads = data.draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n_rows,
+                               max_size=n_rows))
+    chunk = data.draw(st.sampled_from([1, 300, mio._CHUNK_BYTES]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mio, "_CHUNK_BYTES", chunk)
+        kernel, numpy = [_four_writers(table, labels, leads) for _ in kernel_paths(patch)]
+    assert kernel == numpy
+
+
+def _kernel_text(table, lead=None) -> str:
+    if lcp.KERNEL is None:
+        pytest.skip("the compiled kernel did not load")
+    return mio._kernel_rows(lcp.KERNEL, np.ascontiguousarray(table, dtype=float), lead)
+
+
+def _repr_rows(table, lead=None) -> str:
+    rows = table.tolist()
+    if lead is not None:
+        rows = [[str(i), *map(repr, row)] for i, row in zip(lead.tolist(), rows)]
+    else:
+        rows = [list(map(repr, row)) for row in rows]
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def _edge_doubles() -> list[float]:
+    edges = [
+        0.0, math.nan, math.inf, 5e-324,
+        float.fromhex("0x0.fffffffffffffp-1022"),  # the largest subnormal
+        sys.float_info.min, sys.float_info.max, 0.1, 1 / 3,
+    ]
+    edges += [2.0**k for k in range(-1074, 1024)]
+    # Fixed notation runs from 1e-4 to just below 1e16.
+    for k in (-6, -5, -4, -3, 15, 16, 17, 18):
+        x = float(f"1e{k}")
+        edges += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+    edges += [float(2**53 + d) for d in range(-3, 5)] + [2.0**53 * 10.0, 9007199254740993e1]
+    return edges + [-x for x in edges]
+
+
+def test_kernel_numbers_are_repr_on_the_edges():
+    edges = np.array(_edge_doubles())
+    for cols in (1, 3, 7):
+        table = np.resize(edges, (len(edges) // cols + 1, cols))
+        assert _kernel_text(table) == _repr_rows(table)
+    lead = np.array([0, -1, 7, 10**18, -(2**63), 2**63 - 1], dtype=np.int64)
+    table = np.resize(edges, (len(lead), 2))
+    assert _kernel_text(table, lead) == _repr_rows(table, lead)
+    assert _kernel_text(np.zeros((0, 3)), np.zeros(0, dtype=np.int64)) == ""
+
+
+@settings(max_examples=500)
+@given(
+    bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40),
+    cols=st.integers(1, 5),
+    lead=st.integers(-(2**63), 2**63 - 1),
+)
+def test_kernel_numbers_are_repr_for_any_bits(bits, cols, lead):
+    table = np.resize(np.array(bits, dtype=np.uint64).view(float), (len(bits) // cols + 1, cols))
+    leads = np.full(len(table), lead, dtype=np.int64)
+    assert _kernel_text(table) == _repr_rows(table)
+    assert _kernel_text(table, leads) == _repr_rows(table, leads)
 
 
 def test_csv_keeps_the_sign_of_zero():

@@ -752,13 +752,9 @@ def test_a_lockstep_step_is_one_kernel_call(monkeypatch):
     assert calls == {"pcg_seed": 1, "pcg_draw": len(steps), "step_stack": len(steps)}
 
 
-def test_a_problem_without_contacts_is_stepped_by_numpy_on_both_paths(monkeypatch):
-    problem = ImpactProblem(mass=np.eye(2), jn=np.zeros((0, 2)), jt=np.zeros((0, 2)), mu=[])
-    assert resolution._kernel_step(problem, np.ones((2, 2)), np.zeros((2, 0)), True) is None
-    for path in kernel_paths(monkeypatch):
-        # numpy's impact test takes a minimum over no contacts.
-        with pytest.raises(ValueError):
-            step_block(problem, np.ones((2, 2)), np.zeros((2, 0)))
+def test_a_problem_without_contacts_is_rejected():
+    with pytest.raises(ValueError, match="a problem needs at least one contact"):
+        ImpactProblem(mass=np.eye(2), jn=np.zeros((0, 2)), jt=np.zeros((0, 2)), mu=[])
 
 
 def _failed_step(step, *args):

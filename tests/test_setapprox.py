@@ -227,6 +227,17 @@ def test_the_kernel_stream_builds_no_numpy_generator(monkeypatch):
         draw(np.array([3]), 2)
 
 
+@pytest.mark.parametrize("rows", [[-1], [3], [0, -3], [2, 4]])
+def test_a_uniform_draw_rejects_rows_outside_the_stream(rows, monkeypatch):
+    want = np.random.default_rng([7, 3]).random(4)
+    for path in kernel_paths(monkeypatch):
+        draw = UniformSampler(7).stream(2, 3, 2, 4)
+        with pytest.raises(IndexError, match=r"draw rows must lie in \[0, 3\)"):
+            draw(np.array(rows), 0)
+        # Nothing was drawn: row 1 (trajectory 3) still starts its stream.
+        assert draw(np.array([1]), 0)[0].tobytes() == want.tobytes(), path
+
+
 def test_sobol_sampler_uses_disjoint_index_blocks():
     n, m = 7, 3
     draw = SobolSampler().stream(0, 3, n, m)
