@@ -1,6 +1,6 @@
 /* Lemke's method on each row of a stack of LCPs that share M, one whole
-   capped step of a stack of trajectories, the uniform draws of their
-   generators, and the CSV text of a table of doubles.
+   capped or uncapped step of a stack of velocities, the uniform draws of
+   their generators, and the CSV text of a table of doubles.
 
    lcp.lemke_many's numpy body is the reference: this file takes the same
    IEEE operations in the same order for one row at a time, so z, w, the
@@ -251,21 +251,26 @@ static double lowest(const double *x, int count)
     return low;
 }
 
-/* contact.is_impacting of one row of a stack x (nv): some rate jn_i . x
-   lies below -tol (1 + |x|), or one of them or the limit is not a
-   number, or the limit is -inf.  jn is m x nv; terms holds nv doubles. */
+/* Whether some rate jn_i . x of x (nv) is below limit or not a number.
+   jn is m x nv; terms holds nv doubles. */
+static int below(const double *jn, int m, int nv, const double *x, double limit, double *terms)
+{
+    for (int i = 0; i < m; i++)
+        if (!(ordered_dot(jn + (size_t)i * nv, x, nv, terms) >= limit))
+            return 1;
+    return 0;
+}
+
+/* contact.is_impacting of one row of a stack x (nv): some rate lies
+   below -tol (1 + |x|), or one of them or the limit is not a number, or
+   the limit is -inf. */
 static int approaching(const double *jn, int m, int nv, const double *x, double tol,
                        double *terms)
 {
     for (int j = 0; j < nv; j++)
         terms[j] = x[j] * x[j];
     double limit = -tol * (1.0 + sqrt(ordered_sum(terms, nv)));
-    if (!(limit > -INFINITY))
-        return 1;
-    for (int i = 0; i < m; i++)
-        if (!(ordered_dot(jn + (size_t)i * nv, x, nv, terms) >= limit))
-            return 1;
-    return 0;
+    return !(limit > -INFINITY) || below(jn, m, nv, x, limit, terms);
 }
 
 /* contact.in_linear_cone of one row of a stack: the six conditions of
@@ -311,14 +316,18 @@ enum { STEPPED = 0, DECLINED = 1, UNSOLVED = 2, RESIDUALS = 3, CONE = 4 };
 /* resolution._step on k rows: velocities v (k x nv) and caps (k x m) of
    a problem with m contacts, whose constant blocks `packed` holds one
    after another: jbar = [jn; jd] (3m x nv), minv_jbar_t (nv x 3m), the
-   step LCP's matrix (5m x 5m) and mu (m).  A row steps when it impacts
-   (tested here when test_rows is set, else taken as given) and holds a
-   cap above zero: its q = [caps; jbar v; 0] is solved as lemke_stack
-   solves a row, certified, and applied, v + minv_jbar_t [lambda_n; beta],
-   and the result audited against the friction cone.  out receives
-   v_after (k x nv), lambda_n (k x m) and beta (k x 2m) with zeros for
-   rows that do not step, then 10m doubles of detail; impacting receives
-   each v_after row's impact test.
+   step LCP's matrix (5m x 5m), mu (m) and the uncapped LCP's matrix
+   (4m x 4m), the step's without its budget rows and columns.  A row
+   steps when it impacts (tested here when test_rows is set, else taken
+   as given) and holds a cap above zero: its q = [caps; jbar v; 0] is
+   solved as lemke_stack solves a row, certified, and applied,
+   v + minv_jbar_t [lambda_n; beta], and the result audited against the
+   friction cone.  caps NULL asks for the uncapped resolution: a row
+   steps when some rate jn_i . v is below zero, and its q = [jbar v; 0]
+   is solved on the uncapped matrix, whose impulses start at z[0].  out
+   receives v_after (k x nv), lambda_n (k x m) and beta (k x 2m) with
+   zeros for rows that do not step, then 10m doubles of detail;
+   impacting receives each v_after row's impact test.
 
    Returns STEPPED; or UNSOLVED with the first unsolved row's status in
    detail[0], else RESIDUALS with the first row that fails certification's
@@ -331,12 +340,13 @@ int step_stack(int k, int nv, int m, const double *packed, const double *v, cons
                double tie_tol, int64_t max_pivots, double residual_tol, double cone_tol,
                double approach_tol)
 {
-    const int n = 5 * m, width = 3 * m;
+    const int width = 3 * m, first = caps ? m : 0, n = width + m + first;
     const double *jbar = packed, *minv = jbar + (size_t)width * nv;
-    const double *full = minv + (size_t)nv * width, *mu = full + (size_t)n * n;
+    const double *full = minv + (size_t)nv * width, *mu = full + (size_t)(5 * m) * (5 * m);
+    const double *matrix = caps ? full : mu + m;
     double *v_after = out, *lambda_n = v_after + (size_t)k * nv;
     double *beta = lambda_n + (size_t)k * m, *detail = beta + (size_t)k * 2 * m;
-    if (!all_finite(full, (size_t)n * n))
+    if (!all_finite(matrix, (size_t)n * n))
         return DECLINED;
     int terms_size = nv > n ? nv : n;
     double *t = malloc(sizeof(double) * (size_t)(n * (2 * n + 2) + (2 * n + 2) + n + n * n));
@@ -345,37 +355,38 @@ int step_stack(int k, int nv, int m, const double *packed, const double *v, cons
     int outcome = !t || !q || !basis ? DECLINED : STEPPED, unsolved = 0, failed = 0;
     double *z = q + n, *w = z + n, *terms = w + n;
     for (int s = 0; s < k && outcome == STEPPED; s++) {
-        const double *vs = v + (size_t)s * nv, *cs = caps + (size_t)s * m;
+        const double *vs = v + (size_t)s * nv, *cs = caps ? caps + (size_t)s * m : NULL;
         double *va = v_after + (size_t)s * nv, *lam = lambda_n + (size_t)s * m;
         double *bet = beta + (size_t)s * 2 * m;
         memcpy(va, vs, sizeof(double) * (size_t)nv);
         memset(lam, 0, sizeof(double) * (size_t)m);
         memset(bet, 0, sizeof(double) * (size_t)(2 * m));
-        int capped = 0;
-        for (int i = 0; i < m; i++)
-            capped |= cs[i] > 0.0;
-        if (capped && (!test_rows || approaching(jbar, m, nv, vs, approach_tol, terms))) {
-            for (int i = 0; i < m; i++) {
+        int live = !cs && below(jbar, m, nv, vs, 0.0, terms);
+        for (int i = 0; i < first; i++)
+            live |= cs[i] > 0.0;
+        if (live && (!cs || !test_rows || approaching(jbar, m, nv, vs, approach_tol, terms))) {
+            for (int i = 0; i < first; i++) {
                 if (!(isfinite(cs[i]) && cs[i] >= 0.0))
                     outcome = DECLINED;
                 q[i] = cs[i];
-                q[4 * m + i] = 0.0;
             }
             for (int r = 0; r < width; r++)
-                q[m + r] = ordered_dot(jbar + (size_t)r * nv, vs, nv, terms);
+                q[first + r] = ordered_dot(jbar + (size_t)r * nv, vs, nv, terms);
+            for (int i = 0; i < m; i++)
+                q[first + width + i] = 0.0;
             if (outcome != STEPPED || !all_finite(q, (size_t)n)) {
                 outcome = DECLINED;
                 break;
             }
             memset(z, 0, sizeof(double) * (size_t)n);
             int64_t pivots;
-            int status = solve_row(n, full, q, z, &pivots, pivot_tol, tie_tol, max_pivots, t,
+            int status = solve_row(n, matrix, q, z, &pivots, pivot_tol, tie_tol, max_pivots, t,
                                    basis);
             if (status < 0) {
                 outcome = DECLINED;
                 break;
             }
-            form_w(n, full, q, z, w, terms);
+            form_w(n, matrix, q, z, w, terms);
             if (status != SOLVED) {
                 if (!unsolved)
                     unsolved = status;
@@ -384,9 +395,9 @@ int step_stack(int k, int nv, int m, const double *packed, const double *v, cons
                 memcpy(detail, z, sizeof(double) * (size_t)(2 * n));
             }
             for (int a = 0; a < nv; a++)
-                va[a] = vs[a] + ordered_dot(minv + (size_t)a * width, z + m, width, terms);
-            memcpy(lam, z + m, sizeof(double) * (size_t)m);
-            memcpy(bet, z + 2 * m, sizeof(double) * (size_t)(2 * m));
+                va[a] = vs[a] + ordered_dot(minv + (size_t)a * width, z + first, width, terms);
+            memcpy(lam, z + first, sizeof(double) * (size_t)m);
+            memcpy(bet, z + first + m, sizeof(double) * (size_t)(2 * m));
             if (!failed && !in_cone(jbar, mu, m, nv, va, lam, bet, cone_tol, terms))
                 failed = CONE;
         }

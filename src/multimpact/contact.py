@@ -9,12 +9,13 @@ contact ``i``, so frictional impulses decompose into nonnegative parts.
 Velocities are plain 1-D numpy arrays over the generalized coordinates;
 the helpers here evaluate kinetic energy, the kinetic metric norm, the
 impact-activity test, and a feasibility audit for post-impact states.
-The test and the audit take one state or a stack of them (one per row).
-A stack is checked in a few numpy calls; one state, as the baselines
-check it after every resolution, on Python floats with the same IEEE
-operations, since numpy's per-call cost dwarfs the arithmetic on a few
-numbers.  Each condition holds only when its comparison does, so a NaN
-fails it.
+The test and the audit take one state or a stack of them (one per row),
+and each condition holds only when its comparison does, so a NaN fails
+it.  The audit sums every product in ``lcp.ordered_sum``'s order, so one
+state reads the verdict of a row of a stack, as the compiled step
+(``resolution._step``) reads it.  The impact test takes one state, as
+the sequential baseline asks it before every visit, on Python floats,
+since numpy's per-call cost dwarfs the arithmetic on a few numbers.
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ def in_linear_cone(
     v_plus: np.ndarray,
     lambda_n: np.ndarray,
     beta: np.ndarray,
-) -> bool | np.ndarray:
+) -> np.bool_ | np.ndarray:
     """Audit a post-impact velocity and impulse pair against the linearized
     friction-cone feasibility conditions.
 
@@ -201,11 +202,8 @@ def in_linear_cone(
 
     Each condition passes only when its comparison holds, so a NaN
     anywhere fails the audit.  For stacks (one state per row of
-    ``v_plus``, ``lambda_n`` and ``beta``) returns one verdict per row.
-    One state is audited on Python floats, contact by contact, from the
-    products ``jn @ v_plus`` and ``jd @ v_plus`` by the same IEEE
-    operations as on arrays, so its verdict is the one numpy's array
-    operations give on that state.
+    ``v_plus``, ``lambda_n`` and ``beta``) returns one verdict per row;
+    one state gets the verdict it would get as a row.
     """
     v_plus = np.asarray(v_plus, dtype=float)
     stack = v_plus.shape[:-1]
@@ -214,9 +212,6 @@ def in_linear_cone(
     beta = np.asarray(beta, dtype=float).reshape(*stack, -1)
     if lambda_n.shape[-1] != m or beta.shape[-1] != 2 * m:
         raise ValueError("impulse vectors do not match the contact count")
-    if v_plus.ndim == 1:
-        return _in_linear_cone_one(problem, v_plus, lambda_n.tolist(), beta.tolist())
-
     jn_v = ordered_matvec(problem.jn, v_plus)
     jd_v = ordered_matvec(problem.jd, v_plus).reshape(*stack, m, 2)
     beta2 = beta.reshape(*stack, m, 2)
@@ -231,31 +226,3 @@ def in_linear_cone(
         & (gamma * budget <= CONE_TOL).all(axis=-1)
     )
 
-
-def _in_linear_cone_one(
-    problem: ImpactProblem, v_plus: np.ndarray, lambda_n: list[float], beta: list[float]
-) -> bool:
-    """:func:`in_linear_cone` of one state on Python floats.  ``gamma``
-    may differ from numpy's only in the sign of a zero, which no
-    comparison sees, or where ``min`` and ``max`` drop a NaN tangent
-    rate, which then fails the fourth condition."""
-    tol = CONE_TOL
-    jn_v = (problem.jn @ v_plus).tolist()
-    jd_v = (problem.jd @ v_plus).tolist()
-    for i, mu in enumerate(problem.mu.tolist()):
-        lam, b0, b1 = lambda_n[i], beta[2 * i], beta[2 * i + 1]
-        d0, d1 = jd_v[2 * i], jd_v[2 * i + 1]
-        gamma = max(0.0, -min(d0, d1))
-        budget = mu * lam - (b0 + b1)
-        if not (
-            lam >= -tol
-            and b0 >= -tol
-            and b1 >= -tol
-            and lam * jn_v[i] <= tol
-            and b0 * (d0 + gamma) <= tol
-            and b1 * (d1 + gamma) <= tol
-            and budget >= -tol
-            and gamma * budget <= tol
-        ):
-            return False
-    return True

@@ -182,11 +182,13 @@ def _velocity_table(problem: ImpactProblem, velocities) -> np.ndarray:
     """Rows ``[*v, *(jn @ v), *(jt @ v)]``, one per velocity.
 
     The batched matrix-vector product gives every row the bits of
-    ``jn @ v`` on that row alone, which a gemm ``V @ jn.T`` does not."""
+    ``jn @ v`` on that row alone, which a gemm ``V @ jn.T`` does not.  A
+    row that is not finite projects to NaN or an infinity silently."""
     v = np.asarray(velocities, dtype=float).reshape(-1, problem.n_v)
     column = v[:, :, None]
-    jn_v = np.matmul(problem.jn, column)[..., 0]
-    jt_v = np.matmul(problem.jt, column)[..., 0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        jn_v = np.matmul(problem.jn, column)[..., 0]
+        jt_v = np.matmul(problem.jt, column)[..., 0]
     return np.hstack([v, jn_v, jt_v])
 
 

@@ -25,8 +25,10 @@ skips the columns that cannot narrow a tie, and a row that ends is
 replaced by the last live row instead of the stack being copied.
 
 The same library (``KERNEL``) holds more entry points, which other
-modules call: ``step_stack`` takes a whole capped step of a stack of
-trajectories, this module's solve included (``resolution._step``);
+modules call: ``step_stack`` takes a whole step of a stack of
+velocities, this module's solve included (``resolution._step``): a
+capped step of the sampler's trajectories, or the baselines' uncapped
+resolution;
 ``pcg_seed`` and ``pcg_draw`` give the uniform sampler numpy's
 ``default_rng`` draws (``setapprox.UniformSampler``); and ``csv_rows``
 writes the rows of a float table as CSV text, each number as ``repr``
@@ -216,14 +218,14 @@ class LcpSolution:
 
 
 def ordered_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the last axis.  For a stack (``x.ndim > 1``) the terms are
-    grouped by index alone: each round adds the second half of the axis
-    onto the first.  numpy reductions and BLAS products may group a sum
-    by the shape of the whole array, so one row's bits could depend on
-    its neighbours; here they cannot.  A single vector has no neighbours
-    and is summed by numpy."""
-    if x.ndim == 1:
-        return x.sum()
+    """Sum over the last axis, with the terms grouped by index alone:
+    each round adds the second half of the axis onto the first.  numpy
+    reductions and BLAS products may group a sum by the shape of the
+    whole array, so one row's bits could depend on its neighbours; here
+    they cannot, and a single vector sums as a row of a stack.  An empty
+    axis sums to 0."""
+    if not x.shape[-1]:
+        return np.zeros(x.shape[:-1])
     while x.shape[-1] > 1:
         half = x.shape[-1] // 2
         total = x[..., :half] + x[..., half : 2 * half]
@@ -235,8 +237,9 @@ def ordered_sum(x: np.ndarray) -> np.ndarray:
 
 def _serial_sum(values) -> float:
     """Sum of Python floats added left to right from 0.0, as numpy adds
-    fewer than 8 terms.  Builtin ``sum`` compensates its rounding from
-    Python 3.12 on, so its bits would depend on the Python version."""
+    fewer than 8 terms, for ``contact.is_impacting`` of one state.
+    Builtin ``sum`` compensates its rounding from Python 3.12 on, so its
+    bits would depend on the Python version."""
     total = 0.0
     for x in values:
         total += x
@@ -244,10 +247,8 @@ def _serial_sum(values) -> float:
 
 
 def ordered_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``a @ x`` for a vector ``x``, or for each row of a stack ``x`` with
-    the row's sums taken by :func:`ordered_sum`."""
-    if x.ndim == 1:
-        return a @ x
+    """``a @ x`` for a vector ``x``, or for each row of a stack ``x``,
+    with the sums taken by :func:`ordered_sum`."""
     return ordered_sum(x[..., None, :] * a)
 
 

@@ -18,10 +18,14 @@ stack.  Both give the same bits, and ``step_block`` takes the same
 path.  ``sim_step`` and ``sim`` are the same engine on a stack of one,
 and a row's bits do not depend on the stack around it.
 
-Also provided: two deterministic baselines (an uncapped one-shot resolution
-and a one-contact-at-a-time sweep), an impulse-progress certificate ``r``
-obtained from a small linear program, and the integer constant turning that
-certificate into a geometric tail bound on the number of steps.
+Also provided: two deterministic baselines, an impulse-progress
+certificate ``r`` obtained from a small linear program, and the integer
+constant turning that certificate into a geometric tail bound on the
+number of steps.  The baselines are an uncapped one-shot resolution and
+a one-contact-at-a-time sweep of such resolutions.  The uncapped
+resolution is the step without its budget rows and columns, taken by
+the same ``_step`` on a stack of one, so it has the step's kernel call,
+numpy reference, certification and cone audit.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from .lcp import (
     RESIDUAL_TOL,
     LcpInstance,
     _residuals,
-    _serial_sum,
     lemke_many,
     lemke_solve,
     ordered_matvec,
@@ -173,7 +176,8 @@ class _Workspace:
         # The blocks a compiled step reads, one after another in one
         # array: jbar's rows are jn's and then jd's.
         self.packed = np.concatenate(
-            [jbar.ravel(), self.minv_jbar_t.ravel(), full.ravel(), problem.mu]
+            [jbar.ravel(), self.minv_jbar_t.ravel(), full.ravel(), problem.mu,
+             self.uncapped_matrix.ravel()]
         )
         # ``setapprox.psi``, set on its first call: an SVD that only
         # sampling needs.
@@ -218,14 +222,12 @@ def _check_caps(problem: ImpactProblem, v: np.ndarray, lambda_max: np.ndarray) -
         raise ValueError("impulse caps must be finite and nonnegative")
 
 
-def _certified_solve(lcp: LcpInstance, context: str) -> np.ndarray:
-    """Solve a stack, a stack of one included, with ``lemke_many`` and
-    certify the residuals of every row from the solver's ``(z, w)``; the
-    first row that fails raises :class:`LcpSolveError`.  One instance
-    goes to :func:`_certified_solve_one`."""
-    if lcp.q.ndim == 1:
-        return _certified_solve_one(lcp, context)
-    sol = lemke_many(lcp.m, lcp.q)
+def _certified_solve(m: np.ndarray, q: np.ndarray, context: str) -> np.ndarray:
+    """Solve ``w = m z + q`` for each row of ``q`` (one ``q`` is a stack
+    of one) with ``lemke_many`` and certify the residuals of every row
+    from the solver's ``(z, w)``; the first row that fails raises
+    :class:`LcpSolveError`.  Returns ``z`` in the shape of ``q``."""
+    sol = lemke_many(m, q.reshape(-1, q.shape[-1]))
     unsolved = sol.status != "solved"
     if unsolved.any():
         raise LcpSolveError(str(sol.status[unsolved.argmax()]), context)
@@ -239,29 +241,7 @@ def _certified_solve(lcp: LcpInstance, context: str) -> np.ndarray:
     if not ok.all():
         i = ok.argmin()
         raise _residual_error(context, comp_gap[i], neg_z[i], neg_w[i])
-    return z
-
-
-def _certified_solve_one(lcp: LcpInstance, context: str) -> np.ndarray:
-    """:func:`_certified_solve` of one instance: ``lemke_solve``, whose
-    ``w`` the kernel forms, certified on Python floats, with the
-    residuals of ``lcp._residuals`` and the same scale, each sum taken
-    left to right (``_serial_sum``).  On one instance this is cheaper
-    than the array certification.  ``min`` may drop a NaN, but the gap
-    sums every ``z_i w_i``, so a NaN fails there; an infinite scale
-    fails as on a stack."""
-    sol = lemke_solve(lcp)
-    if sol.status != "solved":
-        raise LcpSolveError(sol.status, context)
-    z, w = sol.z.tolist(), sol.w.tolist()
-    comp_gap = abs(_serial_sum([a * b for a, b in zip(z, w)]))
-    neg_z = max(0.0, -min(0.0, *z))
-    neg_w = max(0.0, -min(0.0, *w))
-    scale = 1.0 + math.sqrt(_serial_sum([a * a for a in z]) * _serial_sum([b * b for b in w]))
-    ok = math.isfinite(scale) and neg_z <= RESIDUAL_TOL and neg_w <= RESIDUAL_TOL
-    if not (ok and comp_gap <= RESIDUAL_TOL * scale):
-        raise _residual_error(context, comp_gap, neg_z, neg_w)
-    return sol.z
+    return z.reshape(q.shape)
 
 
 def _residual_error(context: str, gap: float, neg_z: float, neg_w: float) -> LcpSolveError:
@@ -294,12 +274,19 @@ def step_block(
 
 
 def _step(
-    problem: ImpactProblem, v: np.ndarray, lambda_max: np.ndarray, impacting: bool | None = None
+    problem: ImpactProblem,
+    v: np.ndarray,
+    lambda_max: np.ndarray | None,
+    impacting: bool | None = None,
 ) -> tuple:
     """:func:`step_block` on float arrays, plus the stacked impact test
     of every row of ``v_after``: returns ``(v_after, lambda_n, beta,
     impacting_after)``.  ``impacting`` is ``True`` when every row is
     known to impact, or ``None`` to test each row.
+
+    ``lambda_max`` ``None`` takes the uncapped resolution instead, the
+    step LCP without its budget rows and columns: a row steps when some
+    rate ``jn_i . v`` is below zero, and ``impacting`` is not read.
 
     With the compiled kernel the whole step is one call
     (:func:`_kernel_step`); without it, or for a stack the kernel
@@ -312,36 +299,49 @@ def _step(
 
 
 def _numpy_step(
-    problem: ImpactProblem, v: np.ndarray, lambda_max: np.ndarray, impacting
+    problem: ImpactProblem, v: np.ndarray, lambda_max: np.ndarray | None, impacting
 ) -> tuple:
     """:func:`_step` in numpy: the live rows' step LCPs are assembled and
     certified as a stack, and the stepped rows audited together."""
-    if impacting is None:
-        impacting = is_impacting(problem, v)
     m = problem.n_contacts
+    ws = _workspace(problem)
+    if lambda_max is None:
+        rates = ordered_matvec(ws.jbar, v)
+        live = np.flatnonzero(~np.all(rates[:, :m] >= 0.0, axis=1))
+        matrix = ws.uncapped_matrix
+        q = np.concatenate([rates[live], np.zeros((live.size, m))], axis=1)
+    else:
+        if impacting is None:
+            impacting = is_impacting(problem, v)
+        live = np.flatnonzero(impacting & np.any(lambda_max > 0.0, axis=1))
+        stack, _ = assemble_impact_lcp(problem, v[live], lambda_max[live])
+        matrix, q = stack.m, stack.q
     v_after = v.copy()
     lambda_n = np.zeros((len(v), m))
     beta = np.zeros((len(v), 2 * m))
-    live = np.flatnonzero(impacting & np.any(lambda_max > 0.0, axis=1))
     if live.size:
-        stack, layout = assemble_impact_lcp(problem, v[live], lambda_max[live])
-        z = _certified_solve(stack, "capped impact step")
-        impulses = z[:, layout.lambda_n.start : layout.beta.stop]
-        stepped = v[live] + ordered_matvec(_workspace(problem).minv_jbar_t, impulses)
-        lam, bet = z[:, layout.lambda_n], z[:, layout.beta]
+        context, cone_failure = _UNCAPPED if lambda_max is None else _CAPPED
+        z = _certified_solve(matrix, q, context)
+        # The impulses [lambda_n; beta] follow the budget slacks, if any.
+        impulses = z[:, len(matrix) - 4 * m : len(matrix) - m]
+        stepped = v[live] + ordered_matvec(ws.minv_jbar_t, impulses)
+        lam, bet = impulses[:, :m], impulses[:, m:]
         if not np.all(in_linear_cone(problem, stepped, lam, bet)):
-            raise ConeViolationError(_CONE_FAILURE)
+            raise ConeViolationError(cone_failure)
         v_after[live], lambda_n[live], beta[live] = stepped, lam, bet
     return v_after, lambda_n, beta, is_impacting(problem, v_after)
 
 
 # Outcomes of ``_lemke.c``'s ``step_stack`` other than a step taken (0).
 _DECLINED, _UNSOLVED, _RESIDUALS, _CONE = range(1, 5)
-_CONE_FAILURE = "post-step state failed the friction-cone feasibility audit"
+# The context of a failed solve and the message of a failed cone audit,
+# of a capped step and of the uncapped resolution.
+_CAPPED = ("capped impact step", "post-step state failed the friction-cone feasibility audit")
+_UNCAPPED = ("uncapped resolution", "uncapped resolution failed the friction-cone feasibility audit")
 
 
 def _kernel_step(
-    problem: ImpactProblem, v: np.ndarray, lambda_max: np.ndarray, test_rows: bool
+    problem: ImpactProblem, v: np.ndarray, lambda_max: np.ndarray | None, test_rows: bool
 ) -> tuple | None:
     """:func:`_step` in one call of the compiled kernel, which takes
     :func:`_numpy_step`'s operations row by row with its bits, the
@@ -350,30 +350,36 @@ def _kernel_step(
     fails certification, each the first such row, then the cone audit.
     Returns ``None`` for a stack that is not (k, n_v) with (k, m) caps,
     or one that the kernel declines (caps, ``q`` or a pivot ratio that is
-    not finite), where :func:`_numpy_step` raises or decides."""
+    not finite), where :func:`_numpy_step` raises or decides.  Without
+    caps the kernel takes the uncapped resolution."""
     m, n_v = problem.n_contacts, problem.n_v
     k = len(v)
-    if v.shape != (k, n_v) or lambda_max.shape != (k, m):
+    if v.shape != (k, n_v) or lambda_max is not None and lambda_max.shape != (k, m):
         return None
     v = np.ascontiguousarray(v, dtype=float)
-    caps = np.ascontiguousarray(lambda_max, dtype=float)
+    caps = None if lambda_max is None else np.ascontiguousarray(lambda_max, dtype=float)
     out = np.empty(k * (n_v + 3 * m) + 10 * m)
     impacting = np.empty(k, dtype=bool)
     outcome = _lcp.KERNEL.step_stack(
-        k, n_v, m, _workspace(problem).packed.ctypes.data, v.ctypes.data, caps.ctypes.data,
-        test_rows, out.ctypes.data, impacting.ctypes.data, _lcp.PIVOT_TOL, _lcp.LEX_TIE_TOL,
-        _lcp.MAX_PIVOTS, RESIDUAL_TOL, _contact.CONE_TOL, _contact.APPROACH_TOL,
+        k, n_v, m, _workspace(problem).packed.ctypes.data, v.ctypes.data,
+        None if caps is None else caps.ctypes.data, test_rows, out.ctypes.data,
+        impacting.ctypes.data, _lcp.PIVOT_TOL, _lcp.LEX_TIE_TOL, _lcp.MAX_PIVOTS, RESIDUAL_TOL,
+        _contact.CONE_TOL, _contact.APPROACH_TOL,
     )
     if outcome == _DECLINED:
         return None
-    v_after, lambda_n, beta, detail = np.split(out, np.cumsum([k * n_v, k * m, 2 * k * m]))
+    # Slices, not ``np.split``, whose own cost is most of a small step's.
+    a, b, c = k * n_v, k * (n_v + m), k * (n_v + 3 * m)
+    v_after, lambda_n, beta, detail = out[:a], out[a:b], out[b:c], out[c:]
+    context, cone_failure = _UNCAPPED if caps is None else _CAPPED
     if outcome == _UNSOLVED:
-        raise LcpSolveError(str(_lcp._STATUSES[int(detail[0])]), "capped impact step")
+        raise LcpSolveError(str(_lcp._STATUSES[int(detail[0])]), context)
     if outcome == _RESIDUALS:
-        gap, neg_z, neg_w = _residuals(*detail.reshape(2, 1, 5 * m))
-        raise _residual_error("capped impact step", gap[0], neg_z[0], neg_w[0])
+        n = 4 * m if caps is None else 5 * m
+        gap, neg_z, neg_w = _residuals(*detail[: 2 * n].reshape(2, 1, n))
+        raise _residual_error(context, gap[0], neg_z[0], neg_w[0])
     if outcome == _CONE:
-        raise ConeViolationError(_CONE_FAILURE)
+        raise ConeViolationError(cone_failure)
     return v_after.reshape(k, n_v), lambda_n.reshape(k, m), beta.reshape(k, 2 * m), impacting
 
 
@@ -437,6 +443,17 @@ def _check_integers(**values) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _start_velocity(problem: ImpactProblem, v: np.ndarray) -> np.ndarray:
+    """``v`` as a float array, or ``ValueError`` unless it is one finite
+    velocity of shape (n_v,)."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (problem.n_v,):
+        raise ValueError(f"start velocity must have shape ({problem.n_v},), got {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("start velocity must be finite")
+    return v
+
+
 def _record(problem: ImpactProblem, lambda_max, v_before, v_after, lambda_n, beta) -> StepRecord:
     """The record of row 0 of a stepped stack, with both energies; the
     arguments are those ``sim_block`` hands ``on_step``."""
@@ -485,12 +502,10 @@ def sim(
     ``sampler.stream(traj_index, 1, n_max, m)``, scales them by ``h`` and
     applies one capped step, stopping as soon as no contact approaches or
     after ``n_max`` steps.  A ``n_max`` or ``traj_index`` that is not a
-    nonnegative integer (a bool is not), or a ``v0`` with a NaN or an
-    infinite entry, raises ``ValueError``.
+    nonnegative integer (a bool is not), or a ``v0`` that is not one
+    finite velocity, raises ``ValueError``.
     """
-    v0 = np.asarray(v0, dtype=float)
-    if not np.isfinite(v0).all():
-        raise ValueError("start velocity must be finite")
+    v0 = _start_velocity(problem, v0)
     steps: list[StepRecord] = []
     v = sim_block(
         problem, v0, h, n_max, sampler, traj_index, 1,
@@ -509,27 +524,19 @@ def sim(
 def _uncapped_resolve(
     problem: ImpactProblem, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-shot resolution with no impulse caps, audited against the
-    friction cone; returns (v_after, lambda_n, beta)."""
-    m = problem.n_contacts
-    ws = _workspace(problem)
-    jn_v = problem.jn @ v
-    if all(rate >= 0.0 for rate in jn_v.tolist()):
-        v_after, z = np.asarray(v, dtype=float).copy(), np.zeros(3 * m)
-    else:
-        lcp = LcpInstance(ws.uncapped_matrix, np.concatenate([jn_v, problem.jd @ v, np.zeros(m)]))
-        z = _certified_solve(lcp, "uncapped resolution")
-        # z is [lambda_n; beta; slip speeds]: its first 3m entries are the impulses.
-        v_after = v + ws.minv_jbar_t @ z[: 3 * m]
-    if not in_linear_cone(problem, v_after, z[:m], z[m : 3 * m]):
-        raise ConeViolationError("uncapped resolution failed the friction-cone feasibility audit")
-    return v_after, z[:m], z[m : 3 * m]
+    """One-shot resolution of the float velocity ``v`` with no impulse
+    caps, audited against the friction cone: :func:`_step` without its
+    budget rows, on a stack of one.  Returns (v_after, lambda_n, beta);
+    a state with no negative rate ``jn_i . v`` comes back unchanged."""
+    v_after, lambda_n, beta, _ = _step(problem, v[None], None)
+    return v_after[0], lambda_n[0], beta[0]
 
 
 def anitescu_resolve(problem: ImpactProblem, v: np.ndarray) -> np.ndarray:
     """Deterministic one-shot baseline: resolve all contacts simultaneously
-    with unbounded normal impulses (the classical time-stepping impact law)."""
-    return _uncapped_resolve(problem, np.asarray(v, dtype=float))[0]
+    with unbounded normal impulses (the classical time-stepping impact law).
+    A ``v`` that is not one finite velocity raises ``ValueError``."""
+    return _uncapped_resolve(problem, _start_velocity(problem, v))[0]
 
 
 def _contact_index(problem: ImpactProblem, entry: int | str) -> int:
@@ -573,9 +580,10 @@ def sequential_resolve(
     each visit fully resolves that single contact if it is approaching.
     Terminates when a full sweep finds no approaching contact; more than
     ``SEQUENTIAL_CAP`` single-contact resolutions raises
-    :class:`SequentialCapExceeded`.
+    :class:`SequentialCapExceeded`.  A ``v`` that is not one finite
+    velocity raises ``ValueError``.
     """
-    v = np.asarray(v, dtype=float).copy()
+    v = _start_velocity(problem, v).copy()
     m = problem.n_contacts
     cycle: list[int] = []
     for entry in order:
@@ -644,7 +652,8 @@ def baselines(
 ) -> list[tuple[str, str, np.ndarray]]:
     """The deterministic outcomes at ``v`` as ``(method, order, v_plus)``
     rows: the uncapped resolution, then a sequential sweep started at each
-    contact in label order."""
+    contact in label order.  A ``v`` that is not one finite velocity
+    raises ``ValueError`` before any is resolved."""
     rows = [("anitescu", "", anitescu_resolve(problem, v))]
     for label in problem.labels:
         rows.append(("sequential", label, sequential_resolve(problem, v, [label]).v_final))

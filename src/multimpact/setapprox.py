@@ -39,7 +39,8 @@ import numpy as np
 from . import lcp
 from .contact import ImpactProblem
 from .contact import is_impacting  # noqa: F401  (stays importable from here)
-from .resolution import _check_budget, _check_integers, _step, _workspace, sim_block, step_block
+from .resolution import _check_budget, _check_integers, _start_velocity, _step, _workspace
+from .resolution import sim_block, step_block
 from .resolution import sim, sim_step  # noqa: F401  (stay importable from here)
 
 __all__ = [
@@ -373,7 +374,7 @@ def approximate(
     ``n_max`` steps, then takes one finishing step with per-contact cap
     ``epsilon / (3 psi)``; endpoints still impacting afterwards are
     discarded (counted in ``rejected_count``).  Requires a finite
-    ``0 < epsilon < h``, a finite ``v0`` and integer counts, and opens the
+    ``0 < epsilon < h``, one finite ``v0`` and integer counts, and opens the
     last trajectory's draw stream, so that a range or dimension the
     sampler rejects fails before any trajectory runs.  With ``jobs > 1`` the
     trajectories are split into ``jobs`` contiguous ranges: this process
@@ -391,9 +392,7 @@ def approximate(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if n_max < 0:
         raise ValueError("step cap must be nonnegative")
-    v0 = np.asarray(v0, dtype=float)
-    if not np.isfinite(v0).all():
-        raise ValueError("start velocity must be finite")
+    v0 = _start_velocity(problem, v0)
     sampler.stream(m_trajectories - 1, 1, n_max, problem.n_contacts)
     finishing = (epsilon / (3.0 * psi(problem))) * np.ones(problem.n_contacts)
 

@@ -287,15 +287,18 @@ def test_pickle_round_trip_preserves_solves(rng):
     np.testing.assert_array_equal(clone.jn, problem.jn)
 
 
-# The audits as they stood when one state still went through numpy: the
-# one-state verdicts on Python floats must be these, bit for bit, and a
-# stack's must stay these.  A stack sums by ``ordered_sum``, one state by
-# numpy, so the two paths can differ in the last bit of a rate or of |v|.
+# The checks on arrays.  The impact test of one state, on Python floats,
+# must give the verdict of numpy's ``@`` and ``sum`` on that state, and a
+# stack's must stay the one of ordered sums, so the two can differ in the
+# last bit of a rate or of |v|.  The cone audit has no one-state path:
+# one state sums as a row of a stack.
 
 
 def _impacting_on_arrays(problem, v):
-    rates = ordered_matvec(problem.jn, v)
-    speed = np.sqrt(ordered_sum(v * v))
+    if v.ndim == 1:
+        rates, speed = problem.jn @ v, np.sqrt(np.sum(v * v))
+    else:
+        rates, speed = ordered_matvec(problem.jn, v), np.sqrt(ordered_sum(v * v))
     return rates.min(axis=-1) < -APPROACH_TOL * (1.0 + speed)
 
 
@@ -335,60 +338,28 @@ def test_one_state_verdicts_are_those_of_the_array_checks(data, seed, m):
     rng = np.random.default_rng(seed)
     n_v = int(rng.integers(2, 7))
     jn = rng.standard_normal((m, n_v))
-    jt = rng.standard_normal((m, n_v))
-    # Rows along coordinate axes make contact 0's rates exact entries of
-    # v, so a state can sit exactly on the approach threshold.
-    if data.draw(st.booleans(), label="axis rows"):
-        jn[0], jt[0] = np.eye(n_v)[0], np.eye(n_v)[1]
+    # A row along a coordinate axis makes contact 0's rate an exact entry
+    # of v, so a state can sit exactly on the approach threshold.
+    if data.draw(st.booleans(), label="axis row"):
+        jn[0] = np.eye(n_v)[0]
     problem = ImpactProblem(
-        mass=random_spd_matrix(rng, n_v), jn=jn, jt=jt, mu=rng.uniform(0.1, 2.0, m)
+        mass=random_spd_matrix(rng, n_v), jn=jn, jt=rng.standard_normal((m, n_v)),
+        mu=rng.uniform(0.1, 2.0, m),
     )
 
     def pick(pool, label):
         return data.draw(st.sampled_from(pool), label=label)
 
     v = pick([1e-9, 1.0, 1e3], "scale") * rng.standard_normal(n_v)
-    # Powers of two make the products with CONE_TOL / rate exact.
     v[1] = pick([v[1], 0.0, -0.0, 0.25, -0.25], "v[1]")
     v[0] = 0.0
     for _ in range(2):  # v[0]^2 is far below an ulp of |v|^2 unless |v| is tiny
         v[0] = -APPROACH_TOL * (1.0 + np.sqrt(np.sum(v * v)))
     v[0] = pick([*_near(v[0]), 0.0, -0.0, 0.5, float(rng.standard_normal())], "v[0]")
 
-    # Impulses at the edges of the sign conditions, of the products with
-    # the rates, and of the budget.
-    edges = [0.0, -0.0, *_near(-CONE_TOL)]
-    jn_v, jd_v = (problem.jn @ v).tolist(), (problem.jd @ v).tolist()
-    lambda_n, beta = [], []
-    for i in range(m):
-        lam_pool = edges + [1.0] + (_near(CONE_TOL / jn_v[i]) if jn_v[i] else [])
-        lam = pick(lam_pool, f"lambda_n[{i}]")
-        d = jd_v[2 * i : 2 * i + 2]
-        gamma = max(0.0, -min(d))
-        b = []
-        for k in range(2):
-            slack = d[k] + gamma
-            b.append(pick(edges + (_near(CONE_TOL / slack) if slack else []), f"beta[{i},{k}]"))
-        # The second weight at the budget's edges: mu lam - sum(beta) at
-        # -CONE_TOL, and gamma times it at CONE_TOL.
-        mu = float(problem.mu[i])
-        budget_pool = [b[1], *_near(mu * lam - b[0] + CONE_TOL)]
-        if gamma:
-            budget_pool += _near(mu * lam - b[0] - CONE_TOL / gamma)
-        b[1] = pick(budget_pool, f"beta[{i},1] at the budget")
-        lambda_n.append(lam)
-        beta += b
-    lambda_n, beta = np.array(lambda_n), np.array(beta)
-
-    cone = bool(_in_cone_on_arrays(problem, v, lambda_n, beta))
     impacting = bool(_impacting_on_arrays(problem, v))
-    event(f"in cone: {cone}, impacting: {impacting}")
-    assert in_linear_cone(problem, v, lambda_n, beta) is cone
+    event(f"impacting: {impacting}")
     assert is_impacting(problem, v) is impacting
-    stack = (v[None], lambda_n[None], beta[None])
-    np.testing.assert_array_equal(
-        in_linear_cone(problem, *stack), _in_cone_on_arrays(problem, *stack)
-    )
     np.testing.assert_array_equal(
         is_impacting(problem, v[None]), _impacting_on_arrays(problem, v[None])
     )

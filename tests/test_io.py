@@ -7,6 +7,7 @@ import io as stdio
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -251,6 +252,20 @@ def test_empty_exports_write_marker_and_header_only():
     )
     assert json.loads(compare_to_json([], problem))["rows"] == []
     assert json.loads(set_to_json(empty, problem))["samples"] == []
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_velocity_exports_without_a_warning(bad):
+    # The ball's normal row is 1 and its tangent row 0: the tangent
+    # projection of inf is 0 * inf.
+    ball, _, _ = build_ball()
+    post = PostImpactSet(samples=np.array([[bad]]), traj_indices=np.array([0]),
+                         rejected_count=0, params={})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, rows = _parse_csv(set_to_csv(post, ball))
+        assert json.loads(set_to_json(post, ball))["samples"]
+    assert rows == [["0", repr(bad), repr(bad), "nan"]]
 
 
 def test_labels_with_delimiters_and_quotes_parse_back():

@@ -13,6 +13,8 @@ from multimpact import (
     LcpInstance,
     lemke_many,
     lemke_solve,
+    ordered_matvec,
+    ordered_sum,
     residuals,
 )
 from multimpact import lcp as lcp_module
@@ -112,9 +114,9 @@ def test_skew_symmetric_instances_never_cycle(seed: int):
 
 
 def test_serial_sum_adds_left_to_right_as_numpy_does_below_eight_terms():
-    # One-instance certification and one-state verdicts sum Python floats
-    # by this helper; below 8 terms it keeps the bits of ``np.sum``, on
-    # every Python version (builtin ``sum`` compensates from 3.12 on).
+    # The one-state impact test sums Python floats by this helper; below
+    # 8 terms it keeps the bits of ``np.sum``, on every Python version
+    # (builtin ``sum`` compensates from 3.12 on).
     rng = np.random.default_rng(11)
     for n in range(8):
         for _ in range(50):
@@ -126,6 +128,19 @@ def test_serial_sum_adds_left_to_right_as_numpy_does_below_eight_terms():
         assert np.float64(lcp_module._serial_sum(zeros.tolist())).tobytes() == np.sum(zeros).tobytes()
     # Cancellation that compensated summation would recover.
     assert lcp_module._serial_sum([1e16, 1.0, -1e16]) == 0.0
+
+
+def test_a_single_vector_sums_as_a_row_of_a_stack():
+    rng = np.random.default_rng(12)
+    for n in range(12):
+        x = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-8, 8, n)
+        a = rng.standard_normal((2, n))
+        assert ordered_sum(x[1]).tobytes() == ordered_sum(x)[1].tobytes()
+        assert ordered_matvec(a, x[1]).tobytes() == ordered_matvec(a, x)[1].tobytes()
+    # An empty sum is 0, for one vector and for a stack.
+    assert residuals(LcpInstance(np.zeros((0, 0)), np.zeros(0)), np.zeros(0)) == (0.0, 0.0, 0.0)
+    stack = residuals(LcpInstance(np.zeros((0, 0)), np.zeros((2, 0))), np.zeros((2, 0)))
+    assert [part.tolist() for part in stack] == [[0.0, 0.0]] * 3
 
 
 KERNEL_SOURCE = Path(lcp_module.__file__).with_name("_lemke.c")

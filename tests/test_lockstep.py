@@ -7,6 +7,7 @@ leaves no child process behind."""
 from __future__ import annotations
 
 import collections
+import dataclasses
 import hashlib
 import itertools
 import multiprocessing
@@ -26,6 +27,7 @@ from multimpact import (
     LcpSolution,
     SobolSampler,
     UniformSampler,
+    anitescu_resolve,
     approximate,
     assemble_impact_lcp,
     build_example,
@@ -36,6 +38,7 @@ from multimpact import (
     lemke_solve,
     psi,
     residuals,
+    sequential_resolve,
     sim,
     sim_step,
     step_block,
@@ -228,18 +231,26 @@ def _random_step_lcps(name, count, seed):
 
 
 def _lcps_solved_one_at_a_time(kind, name):
-    """The LCPs that ``resolution`` hands to ``lemke_solve`` at a bundled
-    scene's ``v0``: the uncapped resolution's, each single contact's, or
-    ``compute_r``'s skew-symmetric one."""
+    """The LCPs that ``resolution`` solves one at a time at a bundled
+    scene's ``v0``: the uncapped resolution's and each single contact's,
+    which the numpy step hands to ``_certified_solve`` as stacks of one,
+    or ``compute_r``'s skew-symmetric one, which goes to ``lemke_solve``."""
     problem, v0, _ = build_example(name)
     seen = []
+    certified_solve = resolution._certified_solve
 
     def record(lcp):
         seen.append(lcp)
         return lemke_solve(lcp)
 
+    def record_stack(m, q, context):
+        seen.extend(LcpInstance(m, row) for row in q)
+        return certified_solve(m, q, context)
+
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lcp_module, "KERNEL", None)
         patch.setattr(resolution, "lemke_solve", record)
+        patch.setattr(resolution, "_certified_solve", record_stack)
         if kind == "uncapped":
             resolution._uncapped_resolve(problem, v0)
         elif kind == "single-contact":
@@ -804,18 +815,19 @@ def test_a_failing_step_raises_alike_on_both_paths(monkeypatch):
     assert unsolved == (LcpSolveError, f"{failed} 'max_pivots': capped impact step")
     assert uncertified[0] is LcpSolveError
     assert uncertified[1].startswith(f"{failed} 'solved': capped impact step: residuals exceed")
-    assert cone == (errors.ConeViolationError, resolution._CONE_FAILURE)
+    assert cone == (
+        errors.ConeViolationError, "post-step state failed the friction-cone feasibility audit"
+    )
     assert passed is None
 
 
 def _tampered(solve, change):
     """``solve``, but returning ``change(z)`` with that candidate's own ``w``."""
 
-    def broken(*args):
-        lcp = args[0] if len(args) == 1 else LcpInstance(*args)
-        sol = solve(*args)
+    def broken(m, q):
+        sol = solve(m, q)
         z = change(sol.z)
-        return LcpSolution(z, ordered_matvec(lcp.m, z) + lcp.q, sol.pivot_count, sol.status)
+        return LcpSolution(z, ordered_matvec(m, z) + q, sol.pivot_count, sol.status)
 
     return broken
 
@@ -833,12 +845,11 @@ def _breaking_complementarity(solve):
 def test_a_solution_breaking_complementarity_fails_certification(q, monkeypatch):
     lcp = LcpInstance(np.eye(2), np.array(q))
     np.testing.assert_array_equal(
-        resolution._certified_solve(lcp, "capped impact step"), np.maximum(-lcp.q, 0.0)
+        resolution._certified_solve(lcp.m, lcp.q, "capped impact step"), np.maximum(-lcp.q, 0.0)
     )
-    monkeypatch.setattr(resolution, "lemke_solve", _breaking_complementarity(lemke_solve))
     monkeypatch.setattr(resolution, "lemke_many", _breaking_complementarity(lemke_many))
     with pytest.raises(LcpSolveError) as failed:
-        resolution._certified_solve(lcp, "capped impact step")
+        resolution._certified_solve(lcp.m, lcp.q, "capped impact step")
     assert failed.value.status == "solved"
     assert failed.value.detail.startswith("capped impact step: residuals exceed tolerance (gap=")
 
@@ -861,10 +872,9 @@ def _returning_nan(solve):
 )
 def test_a_solution_holding_nan_fails_certification(q, monkeypatch):
     lcp = LcpInstance(np.eye(2), np.array(q))
-    monkeypatch.setattr(resolution, "lemke_solve", _returning_nan(lemke_solve))
     monkeypatch.setattr(resolution, "lemke_many", _returning_nan(lemke_many))
     with pytest.raises(LcpSolveError) as failed:
-        resolution._certified_solve(lcp, "capped impact step")
+        resolution._certified_solve(lcp.m, lcp.q, "capped impact step")
     assert failed.value.status == "solved"
     assert failed.value.detail.startswith("capped impact step: residuals exceed tolerance (gap=nan")
 
@@ -886,10 +896,9 @@ def _returning_inf(solve):
 )
 def test_a_solution_holding_inf_fails_certification(q, monkeypatch):
     lcp = LcpInstance(np.eye(1), np.array(q))
-    monkeypatch.setattr(resolution, "lemke_solve", _returning_inf(lemke_solve))
     monkeypatch.setattr(resolution, "lemke_many", _returning_inf(lemke_many))
     with pytest.raises(LcpSolveError) as failed:
-        resolution._certified_solve(lcp, "capped impact step")
+        resolution._certified_solve(lcp.m, lcp.q, "capped impact step")
     assert failed.value.status == "solved"
     assert failed.value.detail.startswith("capped impact step: residuals exceed tolerance (gap=inf")
 
@@ -996,3 +1005,45 @@ def test_lockstep_step_on_random_multi_contact_problems(seed, m, k):
         reference = v[i] + minv_jbar_t @ sol.z[layout.lambda_n.start : layout.beta.stop]
         np.testing.assert_allclose(v_after[i], reference, rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(lambda_n[i], sol.z[layout.lambda_n], rtol=0.0, atol=1e-9)
+
+
+def _baseline_bytes(problem, v, first):
+    """``anitescu_resolve``'s velocity and every field of each step record,
+    ``v_final`` and ``terminated`` of ``sequential_resolve`` from contact
+    ``first``, as bytes, or the type and message of what each raised."""
+    outcomes = []
+    for resolve in (anitescu_resolve, lambda p, x: sequential_resolve(p, x, [first])):
+        try:
+            got = resolve(problem, v)
+        except errors.MultimpactError as exc:
+            outcomes.append((type(exc), str(exc)))
+            continue
+        if isinstance(got, np.ndarray):
+            outcomes.append(got.tobytes())
+            continue
+        records = [
+            [np.asarray(getattr(step, field.name)).tobytes() for field in dataclasses.fields(step)]
+            for step in got.steps
+        ]
+        outcomes.append((records, got.v_final.tobytes(), got.terminated))
+    return outcomes
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5), first=st.integers(0, 4))
+def test_the_baselines_have_the_same_bytes_on_both_paths(seed, m, first):
+    # Each uncapped resolution is one kernel call that must not decline.
+    problem, v, _ = _random_step(np.random.default_rng(seed), m, 1)
+    kernel_step = resolution._kernel_step
+
+    def taken(*args):
+        stepped = kernel_step(*args)
+        assert stepped is not None
+        return stepped
+
+    outcomes = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(resolution, "_kernel_step", taken)
+        for path in kernel_paths(patch):
+            outcomes[path] = _baseline_bytes(problem, v[0], first % m)
+    assert outcomes["kernel"] == outcomes["numpy"]

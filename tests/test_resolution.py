@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from multimpact import resolution
+from multimpact import contact, resolution
 from multimpact import (
     ConeViolationError,
     ImpactProblem,
@@ -38,6 +38,8 @@ from multimpact import (
     tail_bound,
     termination_constant,
 )
+
+from conftest import kernel_paths
 
 ALL_SCENES = ("phone", "compass", "box_wall", "disk_stack")
 
@@ -134,6 +136,17 @@ def test_sim_rejects_a_non_finite_budget(h):
     problem, v0, _ = build_example("phone")
     with pytest.raises(ValueError, match="h must be positive and finite"):
         sim(problem, v0, h=h, n_max=10, sampler=UniformSampler())
+
+
+@pytest.mark.parametrize("bad", [-1.0, [-1.0, 0.0], [[0.0, 0.0, -1.0]]], ids=["scalar", "short", "stack"])
+def test_sim_and_approximate_reject_a_start_that_is_not_one_velocity(bad):
+    # A scalar once broadcast to every coordinate, silently.
+    problem, _, meta = build_example("phone")
+    h = float(meta["h"])
+    with pytest.raises(ValueError, match=r"start velocity must have shape \(3,\)"):
+        sim(problem, bad, h=h, n_max=5, sampler=UniformSampler())
+    with pytest.raises(ValueError, match=r"start velocity must have shape \(3,\)"):
+        approximate(problem, bad, h, h / 10.0, 5, 4, UniformSampler(), jobs=1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -528,10 +541,28 @@ def test_sim_rejects_a_trajectory_range_that_is_not_nonnegative_integers(bad):
 
 
 def test_the_uncapped_cone_audit_is_one_check_with_one_message(monkeypatch):
+    # A negative tolerance fails every audit, on the kernel and in numpy.
     problem, v0, _ = build_example("phone")
-    monkeypatch.setattr(resolution, "in_linear_cone", lambda *args: False)
+    monkeypatch.setattr(contact, "CONE_TOL", -1.0)
     message = "uncapped resolution failed the friction-cone feasibility audit"
-    with pytest.raises(ConeViolationError, match=message):
-        anitescu_resolve(problem, v0)
-    with pytest.raises(ConeViolationError, match=message):
-        sequential_resolve(problem, v0, ["A"])
+    for _ in kernel_paths(monkeypatch):
+        with pytest.raises(ConeViolationError, match=message):
+            anitescu_resolve(problem, v0)
+        with pytest.raises(ConeViolationError, match=message):
+            sequential_resolve(problem, v0, ["A"])
+
+
+@pytest.mark.parametrize(
+    "bad", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf], [0.0, 0.0], [[0.0] * 3]],
+    ids=["nan", "inf", "-inf", "short", "stack"],
+)
+def test_the_baselines_reject_a_velocity_that_is_not_one_finite_state(bad):
+    problem, v0, _ = build_example("phone")
+    assert v0.shape == (3,)
+    message = "start velocity must be finite" if np.shape(bad) == (3,) else "shape"
+    with pytest.raises(ValueError, match=message):
+        anitescu_resolve(problem, bad)
+    with pytest.raises(ValueError, match=message):
+        sequential_resolve(problem, bad, ["A"])
+    with pytest.raises(ValueError, match=message):
+        baselines(problem, bad)
