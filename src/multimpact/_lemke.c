@@ -1,11 +1,13 @@
 /* Lemke's method on each row of a stack of LCPs that share M, one whole
-   capped or uncapped step of a stack of velocities, the uniform draws of
-   their generators, and the CSV text of a table of doubles.
+   capped or uncapped step of a stack of velocities, a whole sequential
+   sweep of one-contact resolutions, the uniform draws of their
+   generators, and the CSV text of a table of doubles.
 
    lcp.lemke_many's numpy body is the reference: this file takes the same
    IEEE operations in the same order for one row at a time, so z, w, the
    pivot counts and the statuses come out bit for bit alike.  step_stack
-   adds the rest of resolution._step in the same way, the draws are
+   adds the rest of resolution._step in the same way, sequential_sweep
+   runs resolution._numpy_sweep's loop on step_stack, the draws are
    numpy's PCG64 seeded by its SeedSequence, and csv_rows writes each
    double as Python's repr does, both in exact integer arithmetic.
    lcp.py builds it with -ffp-contract=off, so no product and sum fuse
@@ -311,7 +313,7 @@ static int certified(const double *z, const double *w, int n, double tol, double
     return isfinite(scale) && neg_z <= tol && neg_w <= tol && gap <= tol * scale;
 }
 
-enum { STEPPED = 0, DECLINED = 1, UNSOLVED = 2, RESIDUALS = 3, CONE = 4 };
+enum { STEPPED = 0, DECLINED = 1, UNSOLVED = 2, RESIDUALS = 3, CONE = 4, CAPPED = 5 };
 
 /* resolution._step on k rows: velocities v (k x nv) and caps (k x m) of
    a problem with m contacts, whose constant blocks `packed` holds one
@@ -334,7 +336,12 @@ enum { STEPPED = 0, DECLINED = 1, UNSOLVED = 2, RESIDUALS = 3, CONE = 4 };
    z and w in detail, else CONE if a row fails the audit.  DECLINED leaves
    the whole step to numpy, which raises or decides: a stepped row whose
    caps are not finite and nonnegative, a matrix or q that is not finite,
-   or a ratio that is not. */
+   or a ratio that is not.
+
+   Protected: sequential_sweep's calls bind here directly.  A call
+   through the PLT would add an entry ahead of the code and move every
+   function, which slowed the disk_stack sampling step by about 15 %. */
+__attribute__((visibility("protected")))
 int step_stack(int k, int nv, int m, const double *packed, const double *v, const double *caps,
                int test_rows, double *out, unsigned char *impacting, double pivot_tol,
                double tie_tol, int64_t max_pivots, double residual_tol, double cone_tol,
@@ -1100,3 +1107,91 @@ int csv_rows(int64_t rows, int cols, const double *table, const int64_t *lead, c
     return -1;
 }
 #endif
+
+/* The sequential sweep comes last, so that adding it left every function
+   above at its address in the library, and with its speed. */
+
+/* Contact i of a problem with m contacts, alone: its blocks gathered
+   from the problem's `packed` into b, laid out as step_stack reads the
+   blocks of a problem with one contact, 6 nv + 42 doubles.  Its rows i,
+   m + 2i and m + 2i + 1 of jbar (3 x nv) and the same columns of
+   minv_jbar_t (nv x 3), zeros for the step LCP's matrix (25, unread
+   without caps), mu[i], and rows and columns i, m + 2i, m + 2i + 1 and
+   3m + i of the uncapped matrix (16). */
+static void gather_contact(int nv, int m, const double *packed, int i, double *b)
+{
+    const int width = 3 * m, at[4] = {i, m + 2 * i, m + 2 * i + 1, 3 * m + i};
+    const double *minv = packed + (size_t)width * nv;
+    const double *mu = minv + (size_t)nv * width + (size_t)(5 * m) * (5 * m);
+    const double *uncapped = mu + m;
+    double *bm = b + 3 * nv, *bf = bm + 3 * nv, *bu = bf + 26;
+    for (int r = 0; r < 3; r++)
+        memcpy(b + r * nv, packed + (size_t)at[r] * nv, sizeof(double) * (size_t)nv);
+    for (int a = 0; a < nv; a++)
+        for (int c = 0; c < 3; c++)
+            bm[a * 3 + c] = minv[(size_t)a * width + at[c]];
+    memset(bf, 0, sizeof(double) * 25);
+    bf[25] = mu[i];
+    for (int r = 0; r < 4; r++)
+        for (int c = 0; c < 4; c++)
+            bu[r * 4 + c] = uncapped[(size_t)at[r] * (4 * m) + at[c]];
+}
+
+/* resolution.sequential_resolve's sweep from the velocity v (nv) of a
+   problem with m contacts, whose blocks `packed` holds as step_stack
+   reads them.  The visits go round cycle (m contact indices) until m
+   visits in a row find their contact settled.  A visit to contact i
+   takes it alone (gather_contact): it tests the contact's one rate for
+   impact, as approaching does, and if it approaches takes step_stack's
+   uncapped resolution of it as a stack of one.  Resolution r writes the
+   record out[r (nv + 4) ..]: i, v_after (nv), lambda_n and the two
+   beta.  tally receives the number of records, then whether the last
+   velocity approaches at some contact of the whole problem.
+
+   Returns STEPPED; or CAPPED when a resolution beyond the first cap is
+   due, with no record for it; or the outcome of the resolution that
+   failed, whose record is the last one written and whose detail
+   follows that record, so out must hold cap (nv + 4) + 10 doubles.
+   DECLINED leaves the whole sweep to numpy. */
+int sequential_sweep(int nv, int m, const double *packed, const double *v, const int *cycle,
+                     int64_t cap, double *out, int64_t *tally, double pivot_tol, double tie_tol,
+                     int64_t max_pivots, double residual_tol, double cone_tol,
+                     double approach_tol)
+{
+    const size_t size = (size_t)6 * nv + 42;
+    double *blocks = malloc(sizeof(double) * ((size_t)m * size + (size_t)nv));
+    if (!blocks)
+        return DECLINED;
+    double *terms = blocks + (size_t)m * size;
+    for (int i = 0; i < m; i++)
+        gather_contact(nv, m, packed, i, blocks + (size_t)i * size);
+    int64_t records = 0;
+    int outcome = STEPPED;
+    const double *x = v;
+    for (int at = 0, idle = 0; idle < m; at = (at + 1) % m) {
+        const int i = cycle[at];
+        const double *b = blocks + (size_t)i * size;
+        if (!approaching(b, 1, nv, x, approach_tol, terms)) {
+            idle++;
+            continue;
+        }
+        idle = 0;
+        if (records >= cap) {
+            outcome = CAPPED;
+            break;
+        }
+        double *record = out + (size_t)records * (size_t)(nv + 4);
+        unsigned char impacting;
+        record[0] = i;
+        records++;
+        outcome = step_stack(1, nv, 1, b, x, NULL, 0, record + 1, &impacting, pivot_tol, tie_tol,
+                             max_pivots, residual_tol, cone_tol, approach_tol);
+        if (outcome != STEPPED)
+            break;
+        x = record + 1;
+    }
+    tally[0] = records;
+    tally[1] = approaching(packed, m, nv, x, approach_tol, terms);
+    free(blocks);
+    return outcome;
+}

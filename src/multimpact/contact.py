@@ -11,22 +11,19 @@ the helpers here evaluate kinetic energy, the kinetic metric norm, the
 impact-activity test, and a feasibility audit for post-impact states.
 The test and the audit take one state or a stack of them (one per row),
 and each condition holds only when its comparison does, so a NaN fails
-it.  The audit sums every product in ``lcp.ordered_sum``'s order, so one
-state reads the verdict of a row of a stack, as the compiled step
-(``resolution._step``) reads it.  The impact test takes one state, as
-the sequential baseline asks it before every visit, on Python floats,
-since numpy's per-call cost dwarfs the arithmetic on a few numbers.
+it.  Both sum every product in ``lcp.ordered_sum``'s order, so one
+state reads the verdict of a row of a stack, as the compiled kernel
+(``resolution._step`` and the sequential sweep) reads it.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lcp import _serial_sum, ordered_matvec, ordered_sum
+from .lcp import ordered_matvec, ordered_sum
 
 __all__ = [
     "ImpactProblem",
@@ -156,28 +153,19 @@ def is_impacting(problem: ImpactProblem, v: np.ndarray) -> bool | np.ndarray:
     """True when some contact is approaching: ``min_i jn_i . v`` is below
     ``-APPROACH_TOL * (1 + |v|)``.  The relative term keeps the test
     meaningful across velocity scales.  For a stack of velocities (one
-    per row) returns one flag per row.
+    per row) returns one flag per row; one state is tested as a row and
+    gets a ``bool``.  The rates and ``|v|`` sum in ``ordered_sum``'s
+    order.
 
     A state counts as settled only when the threshold is finite and every
     rate is at or above it, so a state holding a NaN or an infinity (or
-    whose ``|v|`` overflows) reads as impacting.  One state is decided on
-    Python floats: the rates are ``jn @ v``'s and ``|v|`` sums the
-    squares left to right (``lcp._serial_sum``).  (A stack sums by
-    ``ordered_sum`` instead, so a state exactly on the threshold may read
-    differently as a row of a stack.)"""
+    whose ``|v|`` overflows) reads as impacting."""
     v = np.asarray(v, dtype=float)
-    if v.ndim == 1:
-        rates = (problem.jn @ v).tolist()
-        limit = -APPROACH_TOL * (1.0 + math.sqrt(_serial_sum([x * x for x in v.tolist()])))
-        if not limit > -math.inf:
-            return True
-        for rate in rates:
-            if not rate >= limit:
-                return True
-        return False
     rates = ordered_matvec(problem.jn, v)
-    limit = -APPROACH_TOL * (1.0 + np.sqrt(ordered_sum(v * v)))
-    return ~((rates.min(axis=-1) >= limit) & (limit > -np.inf))
+    with np.errstate(over="ignore"):  # an overflowing |v| reads as impacting
+        limit = -APPROACH_TOL * (1.0 + np.sqrt(ordered_sum(v * v)))
+    impacting = ~((rates.min(axis=-1) >= limit) & (limit > -np.inf))
+    return bool(impacting) if v.ndim == 1 else impacting
 
 
 def in_linear_cone(

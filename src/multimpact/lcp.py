@@ -28,7 +28,8 @@ The same library (``KERNEL``) holds more entry points, which other
 modules call: ``step_stack`` takes a whole step of a stack of
 velocities, this module's solve included (``resolution._step``): a
 capped step of the sampler's trajectories, or the baselines' uncapped
-resolution;
+resolution; ``sequential_sweep`` runs a whole sweep of the sequential
+baseline on ``step_stack`` (``resolution.sequential_resolve``);
 ``pcg_seed`` and ``pcg_draw`` give the uniform sampler numpy's
 ``default_rng`` draws (``setapprox.UniformSampler``); and ``csv_rows``
 writes the rows of a float table as CSV text, each number as ``repr``
@@ -119,7 +120,8 @@ def _build(source: Path, target: Path, command: tuple) -> None:
 def _open(path: Path) -> ctypes.CDLL:
     """Load the library at ``path`` and declare its entry points:
     ``lemke_stack`` (``lemke_many``), ``step_stack``
-    (``resolution._step``), ``pcg_seed`` and ``pcg_draw``
+    (``resolution._step``), ``sequential_sweep``
+    (``resolution.sequential_resolve``), ``pcg_seed`` and ``pcg_draw``
     (``setapprox.UniformSampler.stream``), and ``csv_rows``
     (``io._csv``).  A library that does not end
     in the crc32 of the bytes before it raises ``OSError`` unloaded:
@@ -134,6 +136,7 @@ def _open(path: Path) -> ctypes.CDLL:
     for name, argtypes in (
         ("lemke_stack", [i32, i32, p, p, p, p, f64, f64, i64]),
         ("step_stack", [i32, i32, i32, p, p, p, i32, p, p, f64, f64, i64, f64, f64, f64]),
+        ("sequential_sweep", [i32, i32, p, p, p, i64, p, p, f64, f64, i64, f64, f64, f64]),
         ("pcg_seed", [i64, p, i32, ctypes.c_uint64, p]),
         ("pcg_draw", [i64, p, i64, i32, p, p]),
         ("csv_rows", [i64, i32, p, p, p]),
@@ -233,17 +236,6 @@ def ordered_sum(x: np.ndarray) -> np.ndarray:
             total[..., :1] += x[..., 2 * half :]
         x = total
     return x[..., 0]
-
-
-def _serial_sum(values) -> float:
-    """Sum of Python floats added left to right from 0.0, as numpy adds
-    fewer than 8 terms, for ``contact.is_impacting`` of one state.
-    Builtin ``sum`` compensates its rounding from Python 3.12 on, so its
-    bits would depend on the Python version."""
-    total = 0.0
-    for x in values:
-        total += x
-    return total
 
 
 def ordered_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:

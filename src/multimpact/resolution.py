@@ -25,7 +25,9 @@ number of steps.  The baselines are an uncapped one-shot resolution and
 a one-contact-at-a-time sweep of such resolutions.  The uncapped
 resolution is the step without its budget rows and columns, taken by
 the same ``_step`` on a stack of one, so it has the step's kernel call,
-numpy reference, certification and cone audit.
+numpy reference, certification and cone audit.  A whole sweep is one
+kernel call, which takes that resolution of one contact at each visit
+that finds it approaching; ``_numpy_sweep`` is its reference.
 """
 
 from __future__ import annotations
@@ -145,7 +147,10 @@ class Trajectory:
 
 
 class _Workspace:
-    """Per-problem cached assembly blocks (constant across steps)."""
+    """Per-problem cached assembly blocks (constant across steps): those
+    of the capped step and of the uncapped resolution, which the
+    compiled kernel reads from ``packed`` and the sequential sweep
+    gathers per contact from (:class:`_OneContact`)."""
 
     def __init__(self, problem: ImpactProblem):
         m = problem.n_contacts
@@ -182,9 +187,6 @@ class _Workspace:
         # ``setapprox.psi``, set on its first call: an SVD that only
         # sampling needs.
         self.psi: float | None = None
-        # ``sequential_resolve``'s one-contact problems, built on its
-        # first call.
-        self.singles: tuple[ImpactProblem, ...] | None = None
 
 
 def _workspace(problem: ImpactProblem) -> _Workspace:
@@ -332,8 +334,9 @@ def _numpy_step(
     return v_after, lambda_n, beta, is_impacting(problem, v_after)
 
 
-# Outcomes of ``_lemke.c``'s ``step_stack`` other than a step taken (0).
-_DECLINED, _UNSOLVED, _RESIDUALS, _CONE = range(1, 5)
+# Outcomes of ``_lemke.c``'s ``step_stack`` and ``sequential_sweep``
+# other than a step taken (0).
+_DECLINED, _UNSOLVED, _RESIDUALS, _CONE, _OVER_CAP = range(1, 6)
 # The context of a failed solve and the message of a failed cone audit,
 # of a capped step and of the uncapped resolution.
 _CAPPED = ("capped impact step", "post-step state failed the friction-cone feasibility audit")
@@ -371,16 +374,21 @@ def _kernel_step(
     # Slices, not ``np.split``, whose own cost is most of a small step's.
     a, b, c = k * n_v, k * (n_v + m), k * (n_v + 3 * m)
     v_after, lambda_n, beta, detail = out[:a], out[a:b], out[b:c], out[c:]
-    context, cone_failure = _UNCAPPED if caps is None else _CAPPED
+    _raise_failure(outcome, detail, 4 * m if caps is None else 5 * m, caps is None)
+    return v_after.reshape(k, n_v), lambda_n.reshape(k, m), beta.reshape(k, 2 * m), impacting
+
+
+def _raise_failure(outcome: int, detail: np.ndarray, n: int, uncapped: bool) -> None:
+    """Raise the error of a ``step_stack`` outcome other than a step
+    taken or declined, from its ``detail``, for an LCP of ``n`` rows."""
+    context, cone_failure = _UNCAPPED if uncapped else _CAPPED
     if outcome == _UNSOLVED:
         raise LcpSolveError(str(_lcp._STATUSES[int(detail[0])]), context)
     if outcome == _RESIDUALS:
-        n = 4 * m if caps is None else 5 * m
         gap, neg_z, neg_w = _residuals(*detail[: 2 * n].reshape(2, 1, n))
         raise _residual_error(context, gap[0], neg_z[0], neg_w[0])
     if outcome == _CONE:
         raise ConeViolationError(cone_failure)
-    return v_after.reshape(k, n_v), lambda_n.reshape(k, m), beta.reshape(k, 2 * m), impacting
 
 
 def sim_block(
@@ -404,7 +412,8 @@ def sim_block(
     ``on_step(lambda_max, v_before, v_after, lambda_n, beta)``, if given,
     sees each step of the rows it stepped.  Returns the final velocities,
     one row per trajectory.  ``n_max``, ``first`` and ``count`` must be
-    nonnegative integers (not bools); anything else raises ``ValueError``.
+    nonnegative integers (not bools), and ``v0`` finite, of shape
+    (n_v,) or (count, n_v); anything else raises ``ValueError``.
     """
     _check_budget(h)
     _check_integers(n_max=n_max, first=first, count=count)
@@ -412,7 +421,8 @@ def sim_block(
         raise ValueError("step cap must be nonnegative")
     if first < 0 or count < 0:
         raise ValueError(f"first and count must be nonnegative, got {first} and {count}")
-    v = np.array(np.broadcast_to(np.asarray(v0, dtype=float), (count, problem.n_v)))
+    v0 = _start_velocity(problem, v0, count)
+    v = np.array(np.broadcast_to(v0, (count, problem.n_v)))
     rows = np.flatnonzero(is_impacting(problem, v))
     draw = sampler.stream(first, count, n_max, problem.n_contacts)
     for j in range(n_max):
@@ -443,12 +453,18 @@ def _check_integers(**values) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _start_velocity(problem: ImpactProblem, v: np.ndarray) -> np.ndarray:
+def _start_velocity(
+    problem: ImpactProblem, v: np.ndarray, count: int | None = None
+) -> np.ndarray:
     """``v`` as a float array, or ``ValueError`` unless it is one finite
-    velocity of shape (n_v,)."""
+    velocity of shape (n_v,) or, given ``count``, one per trajectory,
+    of shape (count, n_v)."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (problem.n_v,):
-        raise ValueError(f"start velocity must have shape ({problem.n_v},), got {v.shape}")
+    shapes = [(problem.n_v,)] if count is None else [(problem.n_v,), (count, problem.n_v)]
+    if v.shape not in shapes:
+        raise ValueError(
+            f"start velocity must have shape {' or '.join(map(str, shapes))}, got {v.shape}"
+        )
     if not np.isfinite(v).all():
         raise ValueError("start velocity must be finite")
     return v
@@ -582,8 +598,16 @@ def sequential_resolve(
     ``SEQUENTIAL_CAP`` single-contact resolutions raises
     :class:`SequentialCapExceeded`.  A ``v`` that is not one finite
     velocity raises ``ValueError``.
+
+    A visit takes its contact alone, on the contact's rows and columns of
+    the problem's step LCP blocks (:class:`_OneContact`): the impact test
+    of its one rate, then the uncapped resolution of :func:`_step`.  With
+    the compiled kernel the whole sweep is one call
+    (:func:`_kernel_sweep`); without it, or for a sweep the kernel
+    declines, :func:`_numpy_sweep`, its reference, runs it from the
+    start.  The energies are ``kinetic_energy``'s, one per resolution.
     """
-    v = _start_velocity(problem, v).copy()
+    v = np.array(_start_velocity(problem, v))
     m = problem.n_contacts
     cycle: list[int] = []
     for entry in order:
@@ -593,58 +617,126 @@ def sequential_resolve(
         cycle.append(idx)
     cycle.extend(i for i in range(m) if i not in cycle)
 
-    ws = _workspace(problem)
-    if ws.singles is None:
-        ws.singles = tuple(restrict_contacts(problem, [i]) for i in range(m))
-    singles = ws.singles
-    v0 = v.copy()
+    swept = None if _lcp.KERNEL is None else _kernel_sweep(problem, v, cycle)
+    records, terminated = swept or _numpy_sweep(problem, v, cycle)
+    # A record is the contact resolved, v_after, lambda_n and beta.
+    count, n_v = len(records), problem.n_v
+    contacts, rows = records[:, 0].astype(int), np.arange(count)
+    v_after = records[:, 1 : n_v + 1]
+    v_before = np.vstack([v, v_after[:-1]])
+    lambda_max, lambda_n, beta = np.zeros((count, m)), np.zeros((count, m)), np.zeros((count, m, 2))
+    lambda_max[rows, contacts] = np.inf
+    lambda_n[rows, contacts] = records[:, n_v + 1]
+    beta[rows, contacts] = records[:, n_v + 2 :]
+    beta = beta.reshape(count, 2 * m)
     energy = kinetic_energy(problem, v)
     steps: list[StepRecord] = []
-    resolutions = 0
-    position = 0
-    idle_sweeps = 0
-    while idle_sweeps < m:
-        idx = cycle[position % m]
-        position += 1
-        single = singles[idx]
-        if not is_impacting(single, v):
-            idle_sweeps += 1
-            continue
-        idle_sweeps = 0
-        resolutions += 1
-        if resolutions > SEQUENTIAL_CAP:
-            raise SequentialCapExceeded(
-                f"more than {SEQUENTIAL_CAP} single-contact resolutions without settling"
-            )
-        v_after, lam_single, beta_single = _uncapped_resolve(single, v)
-        lambda_max = np.zeros(m)
-        lambda_max[idx] = np.inf
-        lambda_n = np.zeros(m)
-        lambda_n[idx] = lam_single[0]
-        beta = np.zeros(2 * m)
-        beta[2 * idx : 2 * idx + 2] = beta_single
+    for j in range(count):
         # The energy after this resolution is the energy before the next.
-        energy_before, energy = energy, kinetic_energy(problem, v_after)
+        energy_before, energy = energy, kinetic_energy(problem, v_after[j])
         steps.append(
             StepRecord(
-                lambda_max=lambda_max,
-                lambda_n=lambda_n,
-                beta=beta,
-                v_before=v.copy(),
-                v_after=v_after.copy(),
+                lambda_max=lambda_max[j],
+                lambda_n=lambda_n[j],
+                beta=beta[j],
+                v_before=v_before[j],
+                v_after=v_after[j],
                 energy_before=energy_before,
                 energy_after=energy,
             )
         )
-        v = v_after
     return Trajectory(
         steps=steps,
-        terminated=not is_impacting(problem, v),
+        terminated=terminated,
         h=math.inf,
         rng_seed=None,
-        v0=v0,
-        v_final=v,
+        v0=v,
+        v_final=(v_after[-1] if count else v).copy(),
     )
+
+
+class _OneContact:
+    """Contact ``i`` of a problem alone, its blocks gathered from the
+    problem's :class:`_Workspace`: rows ``i``, ``m + 2i`` and
+    ``m + 2i + 1`` of ``jbar`` and the same columns of ``minv_jbar_t``,
+    ``mu[i]``, and rows and columns ``i``, ``m + 2i``, ``m + 2i + 1`` and
+    ``3m + i`` of the uncapped matrix, as ``_lemke.c`` gathers them for
+    ``sequential_sweep``.  It holds what :func:`_numpy_step`,
+    ``is_impacting`` and ``in_linear_cone`` read of a one-contact problem
+    and of its workspace, and stands in for both."""
+
+    n_contacts = 1
+
+    def __init__(self, problem: ImpactProblem, i: int):
+        m = problem.n_contacts
+        ws = _workspace(problem)
+        rows = [i, m + 2 * i, m + 2 * i + 1]
+        keep = rows + [3 * m + i]
+        self.jbar = ws.jbar[rows]
+        self.jn, self.jd = self.jbar[:1], self.jbar[1:]
+        self.mu = problem.mu[i : i + 1]
+        self.minv_jbar_t = ws.minv_jbar_t[:, rows]
+        self.uncapped_matrix = ws.uncapped_matrix[np.ix_(keep, keep)]
+        self._workspace = self
+
+
+def _cap_exceeded() -> SequentialCapExceeded:
+    """The error of a sweep that is due a resolution beyond ``SEQUENTIAL_CAP``."""
+    return SequentialCapExceeded(
+        f"more than {SEQUENTIAL_CAP} single-contact resolutions without settling"
+    )
+
+
+def _numpy_sweep(problem: ImpactProblem, v: np.ndarray, cycle: list[int]) -> tuple:
+    """:func:`sequential_resolve`'s sweep from ``v`` in numpy, the
+    compiled sweep's reference: returns its records, one row per
+    resolution of the contact's index, ``v_after``, ``lambda_n`` and
+    ``beta``, and whether it ends settled.  Each visit tests its
+    contact as a stack of one and resolves it with :func:`_numpy_step`."""
+    m = problem.n_contacts
+    contacts = [_OneContact(problem, i) for i in range(m)]
+    records = []
+    position = idle_sweeps = 0
+    while idle_sweeps < m:
+        idx = cycle[position % m]
+        position += 1
+        if not is_impacting(contacts[idx], v):
+            idle_sweeps += 1
+            continue
+        idle_sweeps = 0
+        if len(records) >= SEQUENTIAL_CAP:
+            raise _cap_exceeded()
+        v_after, lambda_n, beta, _ = _numpy_step(contacts[idx], v[None], None, None)
+        v = v_after[0]
+        records.append(np.concatenate([[idx], v, lambda_n[0], beta[0]]))
+    return np.array(records).reshape(-1, problem.n_v + 4), not is_impacting(problem, v)
+
+
+def _kernel_sweep(problem: ImpactProblem, v: np.ndarray, cycle: list[int]) -> tuple | None:
+    """:func:`_numpy_sweep` in one call of the compiled kernel, with its
+    bits and its errors, the cap and the tolerances read here at each
+    call; ``None`` for a sweep that the kernel declines (a ``q`` or a
+    pivot ratio that is not finite), which :func:`_numpy_sweep` then
+    runs.  The records are at most ``SEQUENTIAL_CAP`` rows of n_v + 4."""
+    n_v, width = problem.n_v, problem.n_v + 4
+    cap = SEQUENTIAL_CAP
+    # Named, so that each buffer outlives the call that reads its address.
+    order = np.array(cycle, dtype=np.intc)
+    out = np.empty(max(cap, 0) * width + 10)
+    tally = np.empty(2, dtype=np.int64)
+    outcome = _lcp.KERNEL.sequential_sweep(
+        n_v, problem.n_contacts, _workspace(problem).packed.ctypes.data, v.ctypes.data,
+        order.ctypes.data, cap, out.ctypes.data, tally.ctypes.data,
+        _lcp.PIVOT_TOL, _lcp.LEX_TIE_TOL, _lcp.MAX_PIVOTS, RESIDUAL_TOL, _contact.CONE_TOL,
+        _contact.APPROACH_TOL,
+    )
+    if outcome == _DECLINED:
+        return None
+    if outcome == _OVER_CAP:
+        raise _cap_exceeded()
+    count, approaching = tally.tolist()
+    _raise_failure(outcome, out[count * width :], 4, True)
+    return out[: count * width].reshape(count, width), not approaching
 
 
 def baselines(

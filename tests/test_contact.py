@@ -287,18 +287,12 @@ def test_pickle_round_trip_preserves_solves(rng):
     np.testing.assert_array_equal(clone.jn, problem.jn)
 
 
-# The checks on arrays.  The impact test of one state, on Python floats,
-# must give the verdict of numpy's ``@`` and ``sum`` on that state, and a
-# stack's must stay the one of ordered sums, so the two can differ in the
-# last bit of a rate or of |v|.  The cone audit has no one-state path:
-# one state sums as a row of a stack.
+# The checks on arrays.  Neither the impact test nor the cone audit has
+# a one-state path: one state sums as a row of a stack, in ordered sums.
 
 
 def _impacting_on_arrays(problem, v):
-    if v.ndim == 1:
-        rates, speed = problem.jn @ v, np.sqrt(np.sum(v * v))
-    else:
-        rates, speed = ordered_matvec(problem.jn, v), np.sqrt(ordered_sum(v * v))
+    rates, speed = ordered_matvec(problem.jn, v), np.sqrt(ordered_sum(v * v))
     return rates.min(axis=-1) < -APPROACH_TOL * (1.0 + speed)
 
 

@@ -113,23 +113,6 @@ def test_skew_symmetric_instances_never_cycle(seed: int):
         assert max(neg_z, neg_w) <= 1e-9
 
 
-def test_serial_sum_adds_left_to_right_as_numpy_does_below_eight_terms():
-    # The one-state impact test sums Python floats by this helper; below
-    # 8 terms it keeps the bits of ``np.sum``, on every Python version
-    # (builtin ``sum`` compensates from 3.12 on).
-    rng = np.random.default_rng(11)
-    for n in range(8):
-        for _ in range(50):
-            x = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
-            x[rng.random(n) < 0.3] = rng.choice([0.0, -0.0])
-            got = lcp_module._serial_sum(x.tolist())
-            assert np.float64(got).tobytes() == np.sum(x).tobytes(), n
-        zeros = -np.zeros(n)
-        assert np.float64(lcp_module._serial_sum(zeros.tolist())).tobytes() == np.sum(zeros).tobytes()
-    # Cancellation that compensated summation would recover.
-    assert lcp_module._serial_sum([1e16, 1.0, -1e16]) == 0.0
-
-
 def test_a_single_vector_sums_as_a_row_of_a_stack():
     rng = np.random.default_rng(12)
     for n in range(12):

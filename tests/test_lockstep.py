@@ -51,6 +51,7 @@ from multimpact.io import set_to_csv
 from multimpact.lcp import RESIDUAL_TOL, ordered_matvec
 from multimpact.resolution import _workspace
 from conftest import kernel_paths, random_spd_matrix, solved_parts
+from test_resolution import _sweep_outcomes
 
 CASES = {
     "compass": (SobolSampler(), 40),
@@ -1047,3 +1048,104 @@ def test_the_baselines_have_the_same_bytes_on_both_paths(seed, m, first):
         for path in kernel_paths(patch):
             outcomes[path] = _baseline_bytes(problem, v[0], first % m)
     assert outcomes["kernel"] == outcomes["numpy"]
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5))
+def test_sweeps_of_random_problems_give_the_reference_loops_bytes(seed, m):
+    # Every sweep is one kernel call that must not decline, and gives the
+    # bytes of a loop on ``restrict_contacts``' one-contact problems, on
+    # the kernel and in numpy.
+    problem, v, _ = _random_step(np.random.default_rng(seed), m, 1)
+    kernel_sweep = resolution._kernel_sweep
+
+    def taken(*args):
+        swept = kernel_sweep(*args)
+        assert swept is not None
+        return swept
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(resolution, "_kernel_sweep", taken)
+        for _ in kernel_paths(patch):
+            ours, reference = _sweep_outcomes(problem, v[0])
+            assert ours == reference
+
+
+# Seeds of ``_random_step(rng, 3, 1)`` whose velocity impacts and whose
+# sweep from contact 0 takes more than one resolution.
+FAILING_SWEEP_SEEDS = [0, 5, 13]
+_SWEEP_FAULTS = {
+    "cap": (resolution, "SEQUENTIAL_CAP", 1),
+    "pivots": (lcp_module, "MAX_PIVOTS", 1),
+    "residuals": (resolution, "RESIDUAL_TOL", -1.0),
+    "cone": (contact, "CONE_TOL", -1.0),
+}
+
+
+@pytest.mark.parametrize("seed", FAILING_SWEEP_SEEDS)
+def test_a_failing_sweep_raises_alike_on_both_paths(seed):
+    problem, v, _ = _random_step(np.random.default_rng(seed), 3, 1)
+    assert sequential_resolve(problem, v[0], [0]).n_steps > 1
+    raised = {}
+    for fault, (module, name, value) in _SWEEP_FAULTS.items():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(module, name, value)
+            for path in kernel_paths(patch):
+                with pytest.raises(errors.MultimpactError) as info:
+                    sequential_resolve(problem, v[0], [0])
+                raised[fault, path] = type(info.value), str(info.value)
+        assert raised[fault, "kernel"] == raised[fault, "numpy"]
+    failed = "LCP solve failed with status"
+    assert raised["cap", "numpy"] == (
+        errors.SequentialCapExceeded, "more than 1 single-contact resolutions without settling"
+    )
+    assert raised["pivots", "numpy"] == (
+        LcpSolveError, f"{failed} 'max_pivots': uncapped resolution"
+    )
+    assert raised["residuals", "numpy"][0] is LcpSolveError
+    assert raised["residuals", "numpy"][1].startswith(
+        f"{failed} 'solved': uncapped resolution: residuals exceed tolerance (gap="
+    )
+    assert raised["cone", "numpy"] == (
+        errors.ConeViolationError, "uncapped resolution failed the friction-cone feasibility audit"
+    )
+
+
+def test_a_sweep_is_one_kernel_call(monkeypatch):
+    kernel = lcp_module.KERNEL
+    if kernel is None:
+        pytest.skip("the compiled kernel did not load")
+    calls = collections.Counter()
+
+    class Counting:
+        def __getattr__(self, name):
+            calls[name] += 1
+            return getattr(kernel, name)
+
+    monkeypatch.setattr(lcp_module, "KERNEL", Counting())
+    problem, v0, _ = build_example("disk_stack")
+    assert sequential_resolve(problem, v0, ["A"]).n_steps > 1
+    assert calls == {"sequential_sweep": 1}
+
+
+def test_a_sweep_the_kernel_declines_runs_in_numpy_from_its_start(monkeypatch):
+    kernel = lcp_module.KERNEL
+    if kernel is None:
+        pytest.skip("the compiled kernel did not load")
+    problem, v0, _ = build_example("disk_stack")
+    monkeypatch.setattr(lcp_module, "KERNEL", None)
+    by_numpy = _baseline_bytes(problem, v0, 2)
+
+    class Declining:
+        """The kernel, but its sweeps, once run, decline."""
+
+        def __getattr__(self, name):
+            return getattr(kernel, name)
+
+        @staticmethod
+        def sequential_sweep(*args):
+            kernel.sequential_sweep(*args)
+            return resolution._DECLINED
+
+    monkeypatch.setattr(lcp_module, "KERNEL", Declining())
+    assert _baseline_bytes(problem, v0, 2) == by_numpy

@@ -270,10 +270,9 @@ def test_baselines_solve_perturbed_disk_stacks(case):
 
 
 def _reference_sweep(problem, v, first, cap=100):
-    """``sequential_resolve(problem, v, [first]).steps`` by the loop as it
-    stood before the one-contact problems were kept with the problem:
-    ``restrict_contacts`` on every call and each energy evaluated twice,
-    once after its resolution and once before the next."""
+    """``sequential_resolve(problem, v, [first]).steps`` by a loop of its
+    own on the one-contact problems of ``restrict_contacts``, each energy
+    evaluated twice, once after its resolution and once before the next."""
     v = np.asarray(v, dtype=float).copy()
     m = problem.n_contacts
     cycle = [first] + [i for i in range(m) if i != first]
@@ -381,24 +380,24 @@ def test_sweeps_keep_their_bits_on_perturbed_problems(seed, round_):
         assert ("cap" in reference) == ((seed, round_, index) == (75, 4, 4))
 
 
-def test_baselines_build_the_one_contact_problems_once(monkeypatch):
-    built = []
-
-    def counting(problem, indices):
-        built.append(problem)
-        return restrict_contacts(problem, indices)
-
-    monkeypatch.setattr(resolution, "restrict_contacts", counting)
+def test_baselines_build_no_problem_besides_the_one_given(monkeypatch):
+    # Each sweep takes its contacts on blocks gathered from the problem's
+    # own, so no one-contact problem is built, on either path.
     problem, v0, _ = build_example("disk_stack")
-    baselines(problem, v0)
-    baselines(problem, v0)
-    assert len(built) == problem.n_contacts
-    assert all(p is problem for p in built)
-    other, _, _ = build_example("disk_stack")
-    baselines(other, v0)
-    assert len(built) == 2 * problem.n_contacts
-    ours, theirs = (resolution._workspace(p).singles for p in (problem, other))
-    assert not {id(s) for s in ours} & {id(s) for s in theirs}
+    built = []
+    post_init = ImpactProblem.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ImpactProblem, "__post_init__", counting)
+    rows = {}
+    for path in kernel_paths(monkeypatch):
+        rows[path] = [v.tobytes() for _, _, v in baselines(problem, v0)]
+    assert built == []
+    assert rows["kernel"] == rows["numpy"]
+    assert len(rows["kernel"]) == 1 + problem.n_contacts
 
 
 def test_sequential_resolution_cap_triggers(monkeypatch):
@@ -538,6 +537,29 @@ def test_sim_rejects_a_trajectory_range_that_is_not_nonnegative_integers(bad):
     np.testing.assert_array_equal(
         by_numpy.v_final, sim(problem, v0, 0.3, 10, SobolSampler(), traj_index=2).v_final
     )
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (-1.0, r"shape \(3,\) or \(2, 3\), got \(\)"),
+        ([-1.0, -1.0], r"shape \(3,\) or \(2, 3\), got \(2,\)"),
+        ([[-1.0] * 3], r"got \(1, 3\)"),
+        ([[-1.0] * 3] * 3, r"got \(3, 3\)"),
+        ([np.nan, 0.0, 0.0], "start velocity must be finite"),
+        ([[0.0] * 3, [0.0, -np.inf, 0.0]], "start velocity must be finite"),
+    ],
+    ids=["scalar", "short", "too-few-rows", "too-many-rows", "nan", "inf-row"],
+)
+def test_sim_block_takes_one_finite_start_velocity_or_one_per_trajectory(bad, message):
+    # Broadcasting would spread a scalar over every coordinate, and a NaN
+    # would reach the LCP as "M and q must be finite".
+    problem, v0, _ = build_example("phone")
+    with pytest.raises(ValueError, match=message):
+        resolution.sim_block(problem, bad, 0.3, 10, UniformSampler(0), 0, 2)
+    one = resolution.sim_block(problem, v0, 0.3, 10, UniformSampler(0), 0, 2)
+    each = resolution.sim_block(problem, np.stack([v0, v0]), 0.3, 10, UniformSampler(0), 0, 2)
+    assert one.tobytes() == each.tobytes()
 
 
 def test_the_uncapped_cone_audit_is_one_check_with_one_message(monkeypatch):
