@@ -3,16 +3,16 @@
    sweep of one-contact resolutions, the uniform draws of their
    generators, and the CSV text of a table of doubles.
 
-   lcp.lemke_many's numpy body is the reference: this file takes the same
-   IEEE operations in the same order for one row at a time, so z, w, the
-   pivot counts and the statuses come out bit for bit alike.  step_stack
-   adds the rest of resolution._step in the same way, sequential_sweep
-   runs resolution._numpy_sweep's loop on step_stack, the draws are
-   numpy's PCG64 seeded by its SeedSequence, and csv_rows writes each
-   double as Python's repr does, both in exact integer arithmetic.
-   lcp.py builds it with -ffp-contract=off, so no product and sum fuse
-   into one rounding, and passes the tolerances and the pivot budget at
-   each call. */
+   lcp.lemke_many's numpy body is the reference: it solves one row at a
+   time, as solve_row does, and this file takes the same IEEE operations
+   in the same order, so z, w, the pivot counts and the statuses come out
+   bit for bit alike.  step_stack adds the rest of resolution._step in
+   the same way, sequential_sweep runs resolution._numpy_sweep's loop on
+   step_stack, the draws are numpy's PCG64 seeded by its SeedSequence,
+   and csv_rows writes each double as Python's repr does, both in exact
+   integer arithmetic.  lcp.py builds it with -ffp-contract=off, so no
+   product and sum fuse into one rounding, and passes the tolerances and
+   the pivot budget at each call. */
 
 #include <math.h>
 #include <stdint.h>
@@ -34,12 +34,12 @@ static double smallest(const double *x, int count)
     return low;
 }
 
-/* lcp._lex_argmin_many for one row: among the rows cand[0..count), in
-   increasing order, the lowest that stays tied with the smallest ratio to
-   d of the values, then column by column of the basis inverse.  The tied
-   rows' keys are formed for every column first, as numpy forms them.
-   Returns -1 if a ratio is not finite: numpy's stacked walk may then pick
-   another row.  keys holds n * n doubles and alive n ints. */
+/* lcp._lex_argmin: among the rows cand[0..count), in increasing order,
+   the lowest that stays tied with the smallest ratio to d of the values,
+   then column by column of the basis inverse.  The tied rows' keys are
+   formed for every column first.  Returns -1 if a ratio is not finite:
+   numpy's minimum keeps a NaN, where these comparisons drop it, so
+   numpy decides such a row.  keys holds n * n doubles and alive n ints. */
 static int lex_argmin(const double *t, int width, int n, int *cand, int count,
                       const double *d, double *keys, int *alive, double tol)
 {
@@ -128,10 +128,10 @@ static void form_w(int n, const double *m, const double *q, const double *z, dou
         w[i] = ordered_dot(m + (size_t)i * n, z, n, terms) + q[i];
 }
 
-/* One row of lemke_stack on the workspace t (n x (2n + 2), then p, d and
-   keys) and basis (basis, then cand and alive): writes z (which must hold
-   zeros) and the pivot count.  Returns its status, or -1 if a ratio it
-   forms is not finite. */
+/* One row of lemke_stack (lcp._solve_row) on the workspace t
+   (n x (2n + 2), then p, d and keys) and basis (basis, then cand and
+   alive): writes z (which must hold zeros) and the pivot count.  Returns
+   its status, or -1 if a ratio it forms is not finite. */
 static int solve_row(int n, const double *m, const double *q, double *z, int64_t *pivots,
                      double pivot_tol, double tie_tol, int64_t max_pivots, double *t,
                      int *basis)
@@ -203,7 +203,7 @@ static int solve_row(int n, const double *m, const double *q, double *z, int64_t
         entering = (leaving + n) % z0;
     }
     *pivots = count;
-    /* lcp._basic_z: a basic z_i takes its row's value. */
+    /* As lcp._solve_row ends: a basic z_i takes its row's value. */
     for (int r = 0; r < n; r++)
         if (basis[r] >= n && basis[r] < z0)
             z[basis[r] - n] = t[r * width];

@@ -8,21 +8,17 @@ each instance carries its full tableau ``[q | I | -M | -1]`` and updates
 it by an elementwise rank-one row operation per pivot.
 
 There is one solve path: ``lemke_many`` solves a stack of instances
-that share ``M``, and ``lemke_solve`` is ``lemke_many`` on a stack of
-one.  The path is a compiled kernel, ``_lemke.c``, which solves one row
-after another and forms each row's ``w``; the system ``cc`` builds it
-on first import into this package's ``__pycache__`` (see
-``_load_kernel``).  Its reference is the numpy body,
-``_lemke_many_numpy``, which pivots every unfinished row in lockstep,
-one pivot per pass, and which runs when no kernel could be built.  The
-numpy body changes the tableau only by elementwise operations, so a
-row's bits never depend on the other rows of the stack, on its height
-or on its order, which changes as rows end; the kernel takes the same
-IEEE operations in the same order, so both give the same ``z``, pivot
-counts and statuses, and both sum ``w`` in :func:`ordered_sum`'s order.
-Both take the first pivot's row in closed form; the numpy tie walk
-skips the columns that cannot narrow a tie, and a row that ends is
-replaced by the last live row instead of the stack being copied.
+that share ``M``, one row after another, and ``lemke_solve`` is
+``lemke_many`` on a stack of one.  The path is a compiled kernel,
+``_lemke.c``, whose ``solve_row`` solves a row and which forms each
+row's ``w``; the system ``cc`` builds it on first import into this
+package's ``__pycache__`` (see ``_load_kernel``).  Its reference is the
+numpy body, ``_lemke_many_numpy``, which runs when no kernel could be
+built: its ``_solve_row`` and ``_lex_argmin`` take the kernel's IEEE
+operations in the same order, so both give the same ``z``, pivot counts
+and statuses, and both sum ``w`` in :func:`ordered_sum`'s order.  A
+row's bits never depend on the other rows of the stack.  Both take the
+first pivot's row in closed form.
 
 The same library (``KERNEL``) holds more entry points, which other
 modules call: ``step_stack`` takes a whole step of a stack of
@@ -245,28 +241,18 @@ def ordered_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _tableau(m: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The full tableau ``[q | I | -M | -1]`` of each row of a stack ``q``
-    (k, n) of the homogeneous system ``w - M z - 1 z0 = q``.  Column 0
-    holds the basic values, columns 1..n the basis inverse (the
-    lexicographic key) and column 1 + id the variable with that id: ids
-    0..n-1 are the w_i, n..2n-1 the z_i and 2n the covering variable."""
-    k, n = q.shape
-    table = np.empty((k, n, 2 * n + 2))
-    table[:, :, 0] = q
-    table[:, :, 1 : n + 1] = np.eye(n)
-    table[:, :, n + 1 : 2 * n + 1] = -m
-    table[:, :, 2 * n + 1] = -1.0
+    """The full tableau ``[q | I | -M | -1]`` (n, 2n + 2) of the
+    homogeneous system ``w - M z - 1 z0 = q``.  Column 0 holds the basic
+    values, columns 1..n the basis inverse (the lexicographic key) and
+    column 1 + id the variable with that id: ids 0..n-1 are the w_i,
+    n..2n-1 the z_i and 2n the covering variable."""
+    n = q.size
+    table = np.empty((n, 2 * n + 2))
+    table[:, 0] = q
+    table[:, 1 : n + 1] = np.eye(n)
+    table[:, n + 1 : 2 * n + 1] = -m
+    table[:, 2 * n + 1] = -1.0
     return table
-
-
-def _basic_z(values: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """``z`` of each row of a stack from its basic values and the ids of
-    its basic variables (both (k, n)): a basic z_i takes its row's value,
-    every other z_i is 0."""
-    k, n = values.shape
-    by_id = np.zeros((k, 2 * n + 1))
-    by_id[np.arange(k)[:, None], basis] = values
-    return by_id[:, n : 2 * n]
 
 
 def _tie_limit(x: float | np.ndarray) -> float | np.ndarray:
@@ -275,54 +261,23 @@ def _tie_limit(x: float | np.ndarray) -> float | np.ndarray:
     return x + LEX_TIE_TOL * (1.0 + abs(x))
 
 
-def _lex_argmin_many(table: np.ndarray, cand: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The lexicographic ratio test for every row of a stack of tableaux:
-    ``cand`` (k, n) marks each row's candidate rows and ``d`` (k, n)
-    their ratio denominators; returns one tableau row per stack row.
-    Among a stack row's candidates it picks the one minimizing ``table[r,
-    :n + 1] / d[r]`` lexicographically: column by column it keeps the
-    rows that tie with the column's minimum (``_tie_limit``), and the
-    lowest surviving row wins; a row once dropped, or never a
-    candidate, stays out, also where an infinite key makes a tie limit
-    infinite.  A walk through the ratios or the basis-inverse columns
-    that keeps no row, because a key or its tie limit is NaN, raises
-    ``ValueError``: a row picked then need not be a candidate.
-
-    Rows still tied after column 0 walk the basis-inverse columns with
-    one key row per candidate, grouped by stack row.  The walk visits
-    only columns where some group holds a key above the smallest tie
-    limit of its keys: any other column keeps every candidate of every
-    group, now and after any later narrowing, so skipping it picks the
-    same row.  (The smallest limit, not the limit of the smallest key:
-    ``_tie_limit`` is not monotone within an ulp, where ``1 + |x|``
-    rounds up just below ``x = -2**-53``.)"""
-    n = cand.shape[1]
-    d = np.where(cand, d, 1.0)
-    vals = np.where(cand, table[:, :, 0] / d, np.inf)
-    cand = cand & (vals <= _tie_limit(vals.min(axis=1, keepdims=True)))
-    kept = cand.sum(axis=1)
-    if not kept.all():
+def _lex_argmin(table: np.ndarray, cand: np.ndarray, d: np.ndarray) -> int:
+    """The lexicographic ratio test on one tableau: among the rows
+    ``cand`` (increasing indices), the one minimizing ``table[r, :n + 1]
+    / d[r]`` lexicographically.  Column by column, from the ratios
+    through the basis-inverse columns, it keeps the candidates that tie
+    with the column's smallest key (``_tie_limit``) until one is left,
+    and the lowest surviving row wins.  A column that keeps no row,
+    because a key or its tie limit is NaN, raises ``ValueError``: a row
+    picked then need not be a candidate."""
+    for col in range(len(table) + 1):
+        keys = table[cand, col] / d[cand]
+        cand = cand[keys <= _tie_limit(keys.min())]
+        if cand.size < 2:
+            break
+    if not cand.size:
         raise ValueError(_OVERFLOW)
-    choice = cand.argmax(axis=1)
-    tied = np.flatnonzero(kept > 1)
-    if tied.size:
-        group, row = np.nonzero(cand[tied])
-        stack_row = tied[group]
-        keys = table[stack_row, row, 1 : n + 1] / d[stack_row, row][:, None]
-        starts = np.searchsorted(group, np.arange(tied.size))
-        high = np.maximum.reduceat(keys, starts)
-        low = np.minimum.reduceat(_tie_limit(keys), starts)
-        alive = np.ones(group.size, dtype=bool)
-        for col in np.flatnonzero((high > low).any(axis=0)):
-            vals = np.where(alive, keys[:, col], np.inf)
-            alive &= vals <= _tie_limit(np.minimum.reduceat(vals, starts))[group]
-            if np.count_nonzero(alive) == tied.size:
-                break
-        # Each group's lowest surviving tableau row.
-        choice[tied] = np.minimum.reduceat(np.where(alive, row, n), starts)
-        if choice.max() == n:
-            raise ValueError(_OVERFLOW)
-    return choice
+    return int(cand[0])
 
 
 def _first_pivot_row(values: np.ndarray) -> np.ndarray:
@@ -386,76 +341,59 @@ def _kernel_many(m: np.ndarray, q: np.ndarray) -> tuple | None:
 
 def _lemke_many_numpy(m: np.ndarray, q: np.ndarray) -> tuple:
     """``z``, pivot counts and status codes (indices into ``_STATUSES``)
-    of :func:`lemke_many`, in numpy: all unfinished rows pivot together,
-    and a row leaves the stack when it ends.  The compiled kernel's
-    reference, and the path taken without it."""
+    of :func:`lemke_many`, in numpy: :func:`_solve_row` on each row that
+    some ``q_i < 0`` makes infeasible at ``z = 0``.  The compiled
+    kernel's reference, and the path taken without it."""
     k, n = q.shape
     z = np.zeros((k, n))
     pivot_count = np.zeros(k, dtype=np.int64)
     codes = np.zeros(k, dtype=np.int64)
-    z0_id = 2 * n  # the covering variable's id (see ``_tableau``)
-
-    rows = np.flatnonzero(~np.all(q >= 0.0, axis=1))
-    table = _tableau(m, q[rows])
-    basis = np.tile(np.arange(n), (rows.size, 1))
-    entering = np.full(rows.size, z0_id)
-    at = np.arange(rows.size)
-    count = 0
-
-    def finish(done: np.ndarray, why: int) -> None:
-        """Record the rows marked ``done`` and drop them from the stack.
-        The last live rows move into their slots: the stack's order
-        changes, and only the moved rows are copied."""
-        nonlocal table, basis, entering, rows, at
-        ended = rows[done]
-        z[ended] = _basic_z(table[done, :, 0], basis[done])
-        pivot_count[ended] = count
-        codes[ended] = why
-        live = rows.size - ended.size
-        holes = np.flatnonzero(done[:live])
-        movers = live + np.flatnonzero(~done[live:])
-        for a in (table, basis, entering, rows):
-            a[holes] = a[movers]
-        table, basis, entering, rows = table[:live], basis[:live], entering[:live], rows[:live]
-        at = at[:live]
-
-    while rows.size:
-        d = table[at, :, entering + 1]
-        if count:
-            eligible = d > PIVOT_TOL
-            ray = ~eligible.any(axis=1)
-            if ray.any():
-                finish(ray, _RAY_TERMINATION)
-                if not rows.size:
-                    break
-                # ``finish`` reordered the stack: read the columns again.
-                d = table[at, :, entering + 1]
-                eligible = d > PIVOT_TOL
-            row = _lex_argmin_many(table, eligible, d)
-        else:
-            row = _first_pivot_row(table[:, :, 0])
-
-        pivot_row = table[at, row] / d[at, row][:, None]
-        # The broadcast product keeps the sign of a zero product.  A fused
-        # np.einsum("ki,kj->kij", ...) is about 1.5x faster here but forms
-        # each product as 0.0 plus the product, so -0.0 comes out +0.0,
-        # and that sign reaches z: M = [[0, -1], [2, 0]], q = [-1e-13, 0]
-        # then ends with z[0] = -0.0 instead of 0.0.
-        table -= d[:, :, None] * pivot_row[:, None, :]
-        table[at, row] = pivot_row
-        leaving = basis[at, row]
-        basis[at, row] = entering
-        count += 1
-        # Complementary rule: the partner of the leaving variable enters
-        # (the covering variable, id 2n, leaves only as its row finishes).
-        entering = (leaving + n) % z0_id
-
-        solved = leaving == z0_id
-        if solved.any():
-            finish(solved, _SOLVED)
-        if count >= MAX_PIVOTS and rows.size:
-            finish(np.ones(rows.size, dtype=bool), _OUT_OF_PIVOTS)
+    for r in np.flatnonzero(~np.all(q >= 0.0, axis=1)):
+        z[r], pivot_count[r], codes[r] = _solve_row(m, q[r])
     return z, pivot_count, codes
+
+
+def _solve_row(m: np.ndarray, q: np.ndarray) -> tuple:
+    """``z``, the pivot count and the status code of ``w = M z + q`` for
+    one ``q``, by Lemke pivoting on its tableau (see ``_tableau``), as
+    ``_lemke.c``'s ``solve_row`` takes it."""
+    n = q.size
+    z0_id = 2 * n  # the covering variable's id
+    table = _tableau(m, q)
+    basis = np.arange(n)
+    entering = z0_id
+    row = _first_pivot_row(q)
+    count = 0
+    while True:
+        d = table[:, entering + 1]
+        if count:
+            cand = np.flatnonzero(d > PIVOT_TOL)
+            if not cand.size:
+                code = _RAY_TERMINATION
+                break
+            row = _lex_argmin(table, cand, d)
+        pivot_row = table[row] / d[row]
+        # The broadcast product keeps the sign of a zero product; a fused
+        # np.einsum forms 0.0 plus the product, so -0.0 would come out +0.0
+        # and reach z (M = [[0, -1], [2, 0]], q = [-1e-13, 0]).
+        table -= d[:, None] * pivot_row
+        table[row] = pivot_row
+        leaving = basis[row]
+        basis[row] = entering
+        count += 1
+        if leaving == z0_id:
+            code = _SOLVED
+            break
+        if count >= MAX_PIVOTS:
+            code = _OUT_OF_PIVOTS
+            break
+        # Complementary rule: the partner of the leaving variable enters
+        # (the covering variable, id 2n, leaves only as the solve ends).
+        entering = (leaving + n) % z0_id
+    # A basic z_i takes its row's value, every other z_i is 0.
+    by_id = np.zeros(2 * n + 1)
+    by_id[basis] = table[:, 0]
+    return by_id[n:z0_id], count, code
 
 
 def lemke_solve(lcp: LcpInstance) -> LcpSolution:

@@ -803,14 +803,23 @@ def termination_constant(
     eigenvalue ``sigma``, ``c = 4 * ceil((m+1) |r|_2 / (h sqrt(sigma)))``,
     and the chance a trajectory runs more than ``k`` steps past the
     energy-determined prefix ``c * ceil(|v0|_M)`` is at most the returned
-    ``tail(k)``.
+    ``tail(k)``.  A given ``r`` must be one finite, nonzero vector of
+    shape ``(n_v,)`` whose ``c`` is finite, else ``ValueError``.
     """
     _check_budget(h)
     if r is None:
         r = compute_r(problem)
+    r = np.asarray(r, dtype=float)
+    if r.shape != (problem.n_v,) or not np.isfinite(r).all() or not r.any():
+        raise ValueError(
+            f"r must be one finite, nonzero vector of shape ({problem.n_v},), got {r!r}"
+        )
     m = problem.n_contacts
     sigma = float(np.linalg.eigvalsh(problem.mass)[0])
-    ratio = (m + 1) * float(np.linalg.norm(r)) / (h * math.sqrt(sigma))
+    with np.errstate(over="ignore"):
+        ratio = (m + 1) * float(np.linalg.norm(r)) / (h * math.sqrt(sigma))
+    if not math.isfinite(ratio):
+        raise ValueError(f"r = {r!r} gives no finite termination constant at h = {h!r}")
     return 4 * math.ceil(ratio), functools.partial(tail_bound, problem)
 
 

@@ -330,7 +330,7 @@ def test_lemke_many_rows_match_a_stack_of_one_and_the_scalar_solver(name, monkey
 def test_rows_that_end_early_leave_the_other_rows_alike(max_pivots, monkeypatch):
     # Matrices that are not copositive: in most stacks some rows end on a
     # ray, or on a patched pivot budget, while other rows pivot on.
-    # The numpy path moves rows within its stack as rows end.
+    # Both paths solve the rows of a stack one after another.
     if max_pivots is not None:
         monkeypatch.setattr(lcp_module, "MAX_PIVOTS", max_pivots)
     for path in kernel_paths(monkeypatch):
@@ -354,11 +354,10 @@ def test_rows_that_end_early_leave_the_other_rows_alike(max_pivots, monkeypatch)
 
 
 def _walked_first_pivot_row(m, q):
-    """The row on which the covering variable enters, by the tie walk on
-    a stack of one."""
-    table = lcp_module._tableau(np.asarray(m, dtype=float), np.asarray(q, dtype=float)[None])
-    d = -table[:, :, -1]
-    return int(lcp_module._lex_argmin_many(table, np.ones(d.shape, dtype=bool), d)[0])
+    """The row on which the covering variable enters, by the tie walk
+    over every row."""
+    table = lcp_module._tableau(np.asarray(m, dtype=float), np.asarray(q, dtype=float))
+    return lcp_module._lex_argmin(table, np.arange(len(table)), -table[:, -1])
 
 
 def test_the_first_pivot_takes_the_last_row_tied_at_the_minimum_of_q():
@@ -384,12 +383,12 @@ def test_the_first_pivot_takes_the_last_row_tied_at_the_minimum_of_q():
         _assert_rows_alike(m, stack)
 
 
-def test_the_stacked_tie_walk_skips_only_columns_that_keep_every_row():
+def test_the_tie_walk_takes_each_limit_from_the_surviving_keys():
     # ``1 + |x|`` rounds up just below x = -2**-53, so the smaller key
     # x1 has the larger tie limit.  Column 1 drops row 2; in column 2 the
     # survivors' smallest key is then x2, whose limit drops row 0.  The
     # limit of the smallest key over all rows (x1) would keep row 0, so
-    # a walk that skipped column 2 on it would pick row 0.
+    # a walk that took it would pick row 0.
     x2 = -(2.0**-53)
     x1 = np.nextafter(x2, -np.inf)
     limit1, limit2 = lcp_module._tie_limit(np.array([x1, x2]))
@@ -398,18 +397,16 @@ def test_the_stacked_tie_walk_skips_only_columns_that_keep_every_row():
     table[:, 0] = 0.5
     table[:, 1] = [0.0, 0.0, 1.0]
     table[:, 2] = [limit1, x2, x1]
-    many = lcp_module._lex_argmin_many(table[None], np.ones((1, 3), dtype=bool), np.ones((1, 3)))
-    assert many.tolist() == [1]
+    assert lcp_module._lex_argmin(table, np.arange(3), np.ones(3)) == 1
 
 
 def _ratio_walk(values, cand):
-    """``_lex_argmin_many`` on one tableau of three rows whose column 0
-    holds ``values``, with unit denominators and candidates ``cand``."""
-    table = np.zeros((1, 3, 8))
-    table[0, :, 0] = values
-    table[0, :, 1:4] = np.eye(3)
-    marked = np.isin(np.arange(3), cand)[None]
-    return int(lcp_module._lex_argmin_many(table, marked, np.ones((1, 3)))[0])
+    """``_lex_argmin`` on one tableau of three rows whose column 0 holds
+    ``values``, with unit denominators and candidates ``cand``."""
+    table = np.zeros((3, 8))
+    table[:, 0] = values
+    table[:, 1:4] = np.eye(3)
+    return lcp_module._lex_argmin(table, np.array(cand), np.ones(3))
 
 
 def test_a_tie_walk_that_a_nan_ratio_leaves_with_no_row_raises():
@@ -491,8 +488,7 @@ def test_the_scalar_tie_walk_picks_the_numpy_walks_row(n, columns, copies, d, pi
     cand = [r for r in range(n) if picked[r]] or [n - 1]
     d = np.array(d[:n])
     want = _numpy_lex_argmin(table, np.array(cand), d)
-    marked = np.isin(np.arange(n), cand)
-    assert lcp_module._lex_argmin_many(table[None], marked[None], d[None]).tolist() == [want]
+    assert lcp_module._lex_argmin(table, np.array(cand), d) == want
 
 
 def test_a_degenerate_solve_keeps_the_signs_of_its_zeros(monkeypatch):
@@ -592,11 +588,11 @@ def test_the_kernel_gives_the_numpy_bits_on_tie_heavy_stacks(n, k, budget, data)
 @pytest.mark.skipif(lcp_module.KERNEL is None, reason="the compiled kernel did not load")
 @pytest.mark.parametrize("case", ["overflow", "overflow-in-q"])
 def test_a_stack_that_is_not_finite_is_left_to_the_numpy_body(case, monkeypatch):
-    # Where a ratio is not finite the stacked walk need not pick the row
-    # that a walk over one row picks, so the kernel declines the stack.
-    # In the overflow case every candidate ratio of row 0 turns NaN: the
-    # walk keeps no row and raises on both paths (it used to pivot on
-    # tableau row 0 and end on a ray).
+    # Where a ratio is not finite the kernel declines the stack, and the
+    # numpy body, whose minimum keeps a NaN, decides it.  In the overflow
+    # case every candidate ratio of row 0 turns NaN: the walk keeps no
+    # row and raises on both paths (it used to pivot on tableau row 0 and
+    # end on a ray).
     m = np.array([[1.0, 0.0, -1.0], [-1.0, 0.0, 1e308], [1e308, 1.0, 1e-300]])
     q = np.array([[-1.0, 0.0, -2.0], [1.0, 1.0, 1.0]])
     if case == "overflow-in-q":
@@ -619,11 +615,11 @@ def test_lemke_many_rejects_a_stack_that_is_not_finite(case, monkeypatch):
             lemke_many(m, q)
 
 
-# Stacks whose numpy tie walk met a NaN ratio after an overflow and kept
-# no row, though none of their rows raises alone.  In the first, rows that
-# were not candidates tied at an infinite ratio and led the walk to the
-# NaN; a walk among the candidates alone now solves it as its rows solve
-# alone.  The second still raises.
+# Stacks whose numpy tie walk once met a NaN ratio after an overflow and
+# kept no row.  In the first, rows that were not candidates tied at an
+# infinite ratio and led the walk to the NaN; a walk among the candidates
+# alone solves it as its rows solve alone.  In the second, row 1 raises
+# alone too, so the stack raises.
 _OVERFLOWING = [
     (
         [[1.0, -1e308, -2.0, 1e308], [0.5, 1e308, 1e308, 0.5],
@@ -1149,3 +1145,72 @@ def test_a_sweep_the_kernel_declines_runs_in_numpy_from_its_start(monkeypatch):
 
     monkeypatch.setattr(lcp_module, "KERNEL", Declining())
     assert _baseline_bytes(problem, v0, 2) == by_numpy
+
+
+@pytest.mark.skipif(lcp_module.KERNEL is None, reason="the compiled kernel did not load")
+@pytest.mark.parametrize("name", ["ball", *STEP_SCENES])
+def test_the_benchmarks_paths_never_enter_numpy(name, monkeypatch):
+    # With the kernel loaded, sampling, the baselines and the certificate
+    # solve every LCP in C: the numpy bodies are only its reference and
+    # the fallback without a compiler.
+    def numpy_body(*args, **kwargs):
+        raise AssertionError("a numpy body ran with the kernel loaded")
+
+    for module, body in (
+        (lcp_module, "_lemke_many_numpy"), (resolution, "_numpy_step"), (resolution, "_numpy_sweep")
+    ):
+        monkeypatch.setattr(module, body, numpy_body)
+    problem, v0, meta = build_example(name)
+    h = float(meta["h"])
+    for sampler in (SobolSampler(), UniformSampler(seed=1)):
+        approximate(problem, v0, h, h / 10.0, int(meta["n_steps"]), 64, sampler)
+    resolution.baselines(problem, v0)
+    resolution.compute_r(problem)
+
+
+def _random_problem(seed):
+    """A random problem of ``_random_step``'s kind with 2 to 5 contacts,
+    both drawn from ``seed``, and its start velocity."""
+    rng = np.random.default_rng(seed)
+    problem, v, _ = _random_step(rng, int(rng.integers(2, 6)), 1)
+    return problem, v[0]
+
+
+def _run_or_error(run, *args, **kwargs):
+    """``run(*args, **kwargs)``, or the type and message of the error it
+    raised."""
+    try:
+        return run(*args, **kwargs)
+    except errors.MultimpactError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sobol=st.booleans())
+@example(seed=26, sobol=False)  # trajectory 4's step 18 ends on a ray, on both paths
+def test_random_multi_contact_problems_end_to_end(seed, sobol):
+    # Energy never rises along a trajectory, and the sampled set, or the
+    # error it raises, is the same on both paths, for any job count and
+    # block size.
+    problem, v0 = _random_problem(seed)
+    h, n_max = 1.0, 20
+    sampler = SobolSampler() if sobol else UniformSampler(seed=seed)
+    block_size = setapprox.BLOCK_SIZE
+    sets = []
+    with pytest.MonkeyPatch.context() as patch:
+        for _ in kernel_paths(patch):
+            for index in range(3):
+                traj = _run_or_error(sim, problem, v0, h, n_max, sampler, traj_index=index)
+                for step in getattr(traj, "steps", ()):
+                    assert step.energy_after <= step.energy_before * (1.0 + 1e-9)
+            for jobs, block in ((1, block_size), (3, block_size), (1, 7)):
+                patch.setattr(setapprox, "BLOCK_SIZE", block)
+                post = _run_or_error(
+                    approximate, problem, v0, h, h / 10.0, n_max, 16, sampler, jobs=jobs
+                )
+                if isinstance(post, tuple):
+                    sets.append(post)
+                else:
+                    sets.append((post.samples.tobytes(), post.traj_indices.tobytes(),
+                                 post.rejected_count))
+    assert all(got == sets[0] for got in sets[1:])

@@ -454,6 +454,26 @@ def test_termination_constant_rejects_a_non_finite_budget(h):
         termination_constant(ball, h)
 
 
+@pytest.mark.parametrize(
+    "r",
+    [np.zeros(3), np.zeros(0), np.ones(7), np.array([1.0, np.nan, 1.0]), np.ones((1, 3))],
+    ids=["zero", "empty", "wrong-length", "nan", "stacked"],
+)
+def test_termination_constant_rejects_a_certificate_that_is_not_one_nonzero_vector(r):
+    # A zero or empty r gave c = 0, one of the wrong length a constant
+    # for another problem, and a NaN a raw conversion error.
+    phone, _, meta = build_example("phone")
+    with pytest.raises(ValueError, match=r"r must be one finite, nonzero vector of shape \(3,\)"):
+        termination_constant(phone, meta["h"], r=r)
+
+
+def test_termination_constant_rejects_a_certificate_whose_constant_overflows():
+    # Its norm overflows: this raised OverflowError after a RuntimeWarning.
+    phone, _, meta = build_example("phone")
+    with pytest.raises(ValueError, match="r = .* gives no finite termination constant"):
+        termination_constant(phone, meta["h"], r=[1e308] * 3)
+
+
 def test_opposing_contacts_jam():
     # Two opposing frictionless contacts: any impulse pair cancels, so no
     # progress direction exists and the certificate must refuse.
