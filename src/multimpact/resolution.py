@@ -27,7 +27,9 @@ resolution is the step without its budget rows and columns, taken by
 the same ``_step`` on a stack of one, so it has the step's kernel call,
 numpy reference, certification and cone audit.  A whole sweep is one
 kernel call, which takes that resolution of one contact at each visit
-that finds it approaching; ``_numpy_sweep`` is its reference.
+that finds it approaching; ``_numpy_sweep`` is its reference.  Its step
+records are built from the call's record buffer on the first read of
+``steps``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,7 +136,7 @@ class Trajectory:
     ``terminated`` is True exactly when the final velocity no longer has
     any approaching contact."""
 
-    steps: list[StepRecord]
+    steps: Sequence[StepRecord]
     terminated: bool
     h: float
     rng_seed: int | None
@@ -605,7 +607,9 @@ def sequential_resolve(
     the compiled kernel the whole sweep is one call
     (:func:`_kernel_sweep`); without it, or for a sweep the kernel
     declines, :func:`_numpy_sweep`, its reference, runs it from the
-    start.  The energies are ``kinetic_energy``'s, one per resolution.
+    start.  The step records are built on the first read of ``steps``
+    (:class:`_SweepSteps`), their energies ``kinetic_energy``'s, one per
+    resolution.
     """
     v = np.array(_start_velocity(problem, v))
     m = problem.n_contacts
@@ -620,39 +624,71 @@ def sequential_resolve(
     swept = None if _lcp.KERNEL is None else _kernel_sweep(problem, v, cycle)
     records, terminated = swept or _numpy_sweep(problem, v, cycle)
     # A record is the contact resolved, v_after, lambda_n and beta.
-    count, n_v = len(records), problem.n_v
-    contacts, rows = records[:, 0].astype(int), np.arange(count)
-    v_after = records[:, 1 : n_v + 1]
-    v_before = np.vstack([v, v_after[:-1]])
-    lambda_max, lambda_n, beta = np.zeros((count, m)), np.zeros((count, m)), np.zeros((count, m, 2))
-    lambda_max[rows, contacts] = np.inf
-    lambda_n[rows, contacts] = records[:, n_v + 1]
-    beta[rows, contacts] = records[:, n_v + 2 :]
-    beta = beta.reshape(count, 2 * m)
-    energy = kinetic_energy(problem, v)
-    steps: list[StepRecord] = []
-    for j in range(count):
-        # The energy after this resolution is the energy before the next.
-        energy_before, energy = energy, kinetic_energy(problem, v_after[j])
-        steps.append(
-            StepRecord(
-                lambda_max=lambda_max[j],
-                lambda_n=lambda_n[j],
-                beta=beta[j],
-                v_before=v_before[j],
-                v_after=v_after[j],
-                energy_before=energy_before,
-                energy_after=energy,
-            )
-        )
     return Trajectory(
-        steps=steps,
+        steps=_SweepSteps(problem, v.copy(), records),
         terminated=terminated,
         h=math.inf,
         rng_seed=None,
         v0=v,
-        v_final=(v_after[-1] if count else v).copy(),
+        v_final=(records[-1, 1 : problem.n_v + 1] if len(records) else v).copy(),
     )
+
+
+class _SweepSteps(Sequence):
+    """A sequential sweep's :class:`StepRecord` list, built from its
+    record buffer and its own copy of the start velocity on the first
+    read of an item, so a caller that reads only ``v_final`` builds
+    none; its length is the record count."""
+
+    def __init__(self, problem: ImpactProblem, v0: np.ndarray, records: np.ndarray):
+        self._problem, self._v0, self._records = problem, v0, records
+        self._steps: list[StepRecord] | None = None
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+    def _built(self) -> list[StepRecord]:
+        if self._steps is None:
+            self._steps = self._build()
+        return self._steps
+
+    def _build(self) -> list[StepRecord]:
+        problem, v, records = self._problem, self._v0, self._records
+        count, n_v, m = len(records), problem.n_v, problem.n_contacts
+        contacts, rows = records[:, 0].astype(int), np.arange(count)
+        v_after = records[:, 1 : n_v + 1]
+        v_before = np.vstack([v, v_after[:-1]])
+        lambda_max, lambda_n, beta = np.zeros((count, m)), np.zeros((count, m)), np.zeros((count, m, 2))
+        lambda_max[rows, contacts] = np.inf
+        lambda_n[rows, contacts] = records[:, n_v + 1]
+        beta[rows, contacts] = records[:, n_v + 2 :]
+        beta = beta.reshape(count, 2 * m)
+        energy = kinetic_energy(problem, v)
+        steps: list[StepRecord] = []
+        for j in range(count):
+            # The energy after this resolution is the energy before the next.
+            energy_before, energy = energy, kinetic_energy(problem, v_after[j])
+            steps.append(
+                StepRecord(
+                    lambda_max=lambda_max[j],
+                    lambda_n=lambda_n[j],
+                    beta=beta[j],
+                    v_before=v_before[j],
+                    v_after=v_after[j],
+                    energy_before=energy_before,
+                    energy_after=energy,
+                )
+            )
+        return steps
 
 
 class _OneContact:

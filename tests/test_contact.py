@@ -30,7 +30,7 @@ from multimpact import (
     mass_norm,
     sim_step,
 )
-from multimpact.contact import APPROACH_TOL, CONE_TOL
+from multimpact.contact import APPROACH_TOL, CONE_TOL, MASS_SYMMETRY_TOL
 from multimpact.lcp import ordered_matvec, ordered_sum
 from conftest import random_spd_matrix
 
@@ -99,6 +99,25 @@ def test_mass_symmetry_is_checked_at_its_stated_tolerance_alone():
     ImpactProblem(**{**_ONE_CONTACT, "mass": np.array([[1.0, 0.2], [0.2 + 1e-12, 1.0]])})
     with pytest.raises(ValueError, match="symmetric"):
         ImpactProblem(**{**_ONE_CONTACT, "mass": np.array([[1.0, 0.2], [0.2 + 1e-11, 1.0]])})
+
+
+def test_mass_symmetry_accepts_a_difference_at_its_tolerance_and_not_one_ulp_above():
+    # Against a zero entry the difference is the entry itself, exactly.
+    atol = MASS_SYMMETRY_TOL * (1 + 1.0)
+    ImpactProblem(**{**_ONE_CONTACT, "mass": np.array([[1.0, 0.0], [atol, 1.0]])})
+    above = np.nextafter(atol, np.inf)
+    with pytest.raises(ValueError, match="symmetric"):
+        ImpactProblem(**{**_ONE_CONTACT, "mass": np.array([[1.0, 0.0], [above, 1.0]])})
+
+
+def test_mass_symmetry_rejects_an_overflowing_difference_without_a_warning():
+    # 1.7e308 - (-1.7e308) overflows to inf, which is no symmetric mass.
+    big = 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for mass in ([[big, big], [-big, big]], [[big, -big], [big, big]]):
+            with pytest.raises(ValueError, match="symmetric"):
+                ImpactProblem(**{**_ONE_CONTACT, "mass": np.array(mass)})
 
 
 def test_duplicate_contact_labels_are_rejected():

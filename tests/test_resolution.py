@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
@@ -398,6 +400,72 @@ def test_baselines_build_no_problem_besides_the_one_given(monkeypatch):
     assert built == []
     assert rows["kernel"] == rows["numpy"]
     assert len(rows["kernel"]) == 1 + problem.n_contacts
+
+
+def test_readers_of_v_final_build_no_step_records(monkeypatch):
+    # The records of a sweep are built on the first read of ``steps``;
+    # ``v_final``, ``terminated`` and ``n_steps`` need none of them.
+    calls = {"kinetic_energy": 0, "StepRecord": 0}
+    swept = []
+
+    def counted(name, wrapped):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return wrapped(*args, **kwargs)
+        return call
+
+    def kept(wrapped):
+        def call(*args):
+            got = wrapped(*args)
+            swept.append(got)
+            return got
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(resolution, name, counted(name, getattr(resolution, name)))
+    for name in ("_kernel_sweep", "_numpy_sweep"):
+        monkeypatch.setattr(resolution, name, kept(getattr(resolution, name)))
+    for path in kernel_paths(monkeypatch):
+        for scene in BASELINE_SCENES:
+            problem, v0, _ = build_example(scene)
+            baselines(problem, v0)
+            for first in range(problem.n_contacts):
+                swept.clear()
+                traj = sequential_resolve(problem, v0, [first])
+                assert traj.v_final.shape == (problem.n_v,) and traj.terminated
+                records = [got for got in swept if got is not None][-1][0]
+                assert traj.n_steps == len(traj.steps) == len(records) > 0
+            assert calls == {"kinetic_energy": 0, "StepRecord": 0}, (path, scene)
+        # A read builds each record once, with one energy per state.
+        steps = list(traj.steps) + list(traj.steps)
+        assert calls == {"kinetic_energy": traj.n_steps + 1, "StepRecord": traj.n_steps}
+        assert steps[: traj.n_steps] == steps[traj.n_steps :]
+        calls.update(dict.fromkeys(calls, 0))
+
+
+def _all_fields(steps):
+    """Every field of each step record, as bytes."""
+    return [
+        [np.asarray(getattr(step, field.name)).tobytes() for field in dataclasses.fields(step)]
+        for step in steps
+    ]
+
+
+def test_deferred_step_records_do_not_go_stale_and_pickle(monkeypatch):
+    problem, v0, _ = build_example("disk_stack")
+    for _ in kernel_paths(monkeypatch):
+        eager = _all_fields(sequential_resolve(problem, v0, [1]).steps)
+        v = v0.copy()
+        traj = sequential_resolve(problem, v, [1])
+        unread = pickle.loads(pickle.dumps(traj))
+        for state in (v, traj.v0, traj.v_final):
+            state[:] = 7.0
+        assert _all_fields(traj.steps) == eager
+        np.testing.assert_array_equal(traj.steps[0].v_before, v0)
+        assert all(a is b for a, b in zip(traj.steps, traj.steps))
+        read = pickle.loads(pickle.dumps(traj))
+        assert _all_fields(unread.steps) == eager == _all_fields(read.steps)
+        assert unread.n_steps == read.n_steps == traj.n_steps == len(eager)
 
 
 def test_sequential_resolution_cap_triggers(monkeypatch):
