@@ -180,7 +180,7 @@ def _cmd_oracle(args: argparse.Namespace) -> None:
 def _cmd_example(args: argparse.Namespace) -> None:
     text = _bundled_text(args.scene) + "\n"
     if args.output is not None:
-        Path(args.output).write_text(text)
+        mio._write(args.output, text)
         _summary({"scene": args.scene, "output": args.output})
     else:
         sys.stdout.write(text)

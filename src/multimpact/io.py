@@ -18,6 +18,21 @@ formats each distinct double of the table once with ``repr``
 (``_repr_table``) and hands every row to ``csv.writer``; both paths give
 the same bytes.  The JSON writers pass rows on as Python floats
 (``tolist``), which ``json`` formats with ``repr`` as well.
+
+Every file the program writes goes through one writer, ``_write``.  It
+encodes the whole text first, as ``open(path, "w")`` would, so a text
+that cannot be encoded leaves an existing file untouched and creates no
+new one.  It then overwrites the file in place: it opens it without
+``O_TRUNC``, writes the bytes from the start and truncates a regular
+file at their end.  Truncating to zero first costs a rewrite of an
+existing file about 0.1 ms on ext4 (and XFS), whose ``auto_da_alloc``
+starts writeback of the old blocks at close, and the next truncate of
+that file waits for it.  Devices and pipes (``/dev/null``,
+``/dev/stdout``) are written and never truncated.  The trade-off: a
+write cut short by a crash or a full disk leaves the new text's head
+over the old file's tail where ``O_TRUNC`` would leave a short file.
+Neither is a valid output; rerunning the command writes the whole file
+again.
 """
 
 from __future__ import annotations
@@ -25,6 +40,8 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +76,27 @@ _CHUNK_BYTES = 1 << 18
 
 
 def _write(path: str | Path | None, text: str) -> str:
-    if path is not None:
-        Path(path).write_text(text)
+    """Write ``text`` to ``path``, if it is given, with the bytes
+    ``Path.write_text`` writes, overwriting the file in place (see the
+    module docstring); returns ``text``."""
+    if path is None:
+        return text
+    # ``"utf-8"`` in UTF-8 mode, else the locale's encoding, which a text
+    # wrapper names without importing ``locale``.
+    encoding = _io.text_encoding(None)
+    if encoding == "locale":
+        encoding = _io.TextIOWrapper(_io.BytesIO(), encoding="locale").encoding
+    data = (text if os.linesep == "\n" else text.replace("\n", os.linesep)).encode(encoding)
+    # O_BINARY (Windows only) keeps the C runtime from translating newlines again.
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
     return text
 
 

@@ -8,8 +8,12 @@ import io as stdio
 import json
 import math
 import os
+import shutil
+import subprocess
+import sys
 import tempfile
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -594,3 +598,48 @@ def test_more_contacts_than_sobol_dimensions_is_a_config_error(tmp_path, capsys)
         assert err.startswith("error:") and err.count("\n") == 1
         assert "at most 32 dimensions, got 33" in err
     assert not out.exists()
+
+
+def test_an_output_that_cannot_be_encoded_leaves_the_file_as_it_was(tmp_path, capsys):
+    # A lone surrogate is valid JSON but no encoding can write it.
+    data = bundled_scene("phone")
+    data["contacts"][0]["label"] = "\udc80"
+    scene = tmp_path / "surrogate.json"
+    scene.write_text(json.dumps(data))
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_bytes(b"earlier output\n")
+    for out in (old, new):
+        assert cli.main(["compare", "--scene", str(scene), "--m", "8", "--jobs", "1",
+                         "--output", str(out)]) == 1
+        assert "surrogates not allowed" in capsys.readouterr().err
+    assert old.read_bytes() == b"earlier output\n"
+    assert not new.exists()
+
+
+def test_dev_null_is_an_output(capsys):
+    for fmt in ("csv", "json"):
+        assert cli.main(["approximate", "--scene", "phone", "--m", "8", "--jobs", "1",
+                         "--format", fmt, "--output", os.devnull]) == 0
+        assert json.loads(capsys.readouterr().out)["output"] == os.devnull
+    assert cli.main(["example", "--scene", "phone", "--output", os.devnull]) == 0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout") or not shutil.which("cat"),
+                    reason="needs /dev/stdout and cat")
+def test_dev_stdout_piped_into_cat_is_an_output(tmp_path, capsys):
+    args = ["approximate", "--scene", "phone", "--m", "8", "--jobs", "1"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"file.{fmt}"
+        assert cli.main([*args, "--format", fmt, "--output", str(out)]) == 0
+        capsys.readouterr()
+        writer = subprocess.Popen(
+            [sys.executable, "-m", "multimpact", *args, "--format", fmt, "--output", "/dev/stdout"],
+            stdout=subprocess.PIPE, env=env,
+        )
+        reader = subprocess.run(["cat"], stdin=writer.stdout, stdout=subprocess.PIPE)
+        writer.stdout.close()
+        assert writer.wait() == 0 and reader.returncode == 0
+        text = out.read_bytes()
+        assert reader.stdout.startswith(text)
+        assert json.loads(reader.stdout[len(text):])["output"] == "/dev/stdout"

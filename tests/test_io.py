@@ -6,8 +6,10 @@ import csv
 import io as stdio
 import json
 import math
+import os
 import sys
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -430,3 +432,103 @@ def test_compare_csv_does_not_depend_on_the_job_count(tmp_path):
         texts.append(out.read_text())
     assert texts[0] == texts[1]
     assert texts[0].count("\nsampled,") > 0
+
+
+# ---------------------------------------------------------------------------
+# The writer overwrites in place
+
+
+def _every_output(tmp_path) -> list[tuple[str, object, object]]:
+    """Name, writer call and path of each of the eight ``io`` writers and
+    of ``multimpact example --output``, each writing one file in ``tmp_path``."""
+    problem, v0, meta = build_example("phone")
+    ball, ball_v0, _ = build_ball()
+    records = {
+        "trajectory": (sim(problem, v0, meta["h"], 10, UniformSampler(seed=1)), problem),
+        "set": (approximate(problem, v0, meta["h"], meta["h"] / 10, 10, 16,
+                            UniformSampler(seed=0)), problem),
+        "compare": (baselines(problem, v0), problem),
+        "dense": (routh_dense_reference(ball, ball_v0, ds=1e-3), ball),
+    }
+    outputs = [
+        (f"{kind}.{fmt}", partial(getattr(mio, f"{kind}_to_{fmt}"), *records[kind]))
+        for kind in records
+        for fmt in ("csv", "json")
+    ]
+    outputs.append(("example.json", lambda path: cli.main(
+        ["example", "--scene", "phone", "--output", str(path)]
+    )))
+    return [(name, write, tmp_path / name) for name, write in outputs]
+
+
+def test_a_shorter_output_over_a_longer_one_equals_a_fresh_write(tmp_path, monkeypatch, capsys):
+    for path in kernel_paths(monkeypatch):
+        for fmt in ("csv", "json"):
+            texts = []
+            for m, name in (("64", "over"), ("8", "over"), ("8", "fresh")):
+                out = tmp_path / f"{path}-{name}.{fmt}"
+                assert cli.main([
+                    "approximate", "--scene", "phone", "--m", m, "--jobs", "1",
+                    "--format", fmt, "--output", str(out),
+                ]) == 0
+                texts.append(out.read_bytes())
+            long, over, fresh = texts
+            assert over == fresh and len(fresh) < len(long)
+    capsys.readouterr()
+
+
+def test_an_existing_output_keeps_its_inode_mode_and_links(tmp_path, monkeypatch, capsys):
+    for path in kernel_paths(monkeypatch):
+        (tmp_path / path).mkdir()
+        for name, write, out in _every_output(tmp_path / path):
+            fresh = out.with_suffix(".fresh" + out.suffix)
+            write(fresh)
+            out.write_bytes(b"stale " * 100_000)
+            out.chmod(0o640)
+            link = out.with_name("link-" + out.name)
+            os.link(out, link)
+            before = os.stat(out)
+            write(out)
+            after = os.stat(out)
+            assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode), name
+            assert link.read_bytes() == out.read_bytes() == fresh.read_bytes(), name
+    capsys.readouterr()
+
+
+def test_a_new_output_gets_the_mode_open_gives_under_the_umask(tmp_path, monkeypatch, capsys):
+    umask = os.umask(0o027)
+    try:
+        for path in kernel_paths(monkeypatch):
+            (tmp_path / path).mkdir()
+            for name, write, out in _every_output(tmp_path / path):
+                reference = out.with_name("open-" + name)
+                open(reference, "w").close()
+                write(out)
+                assert os.stat(out).st_mode == os.stat(reference).st_mode, name
+                assert os.stat(out).st_mode & 0o777 == 0o640, name
+    finally:
+        os.umask(umask)
+    capsys.readouterr()
+
+
+def test_no_writer_opens_its_output_with_o_trunc(tmp_path, monkeypatch, capsys):
+    # Path.write_text opens with O_TRUNC through io.open, which never calls
+    # os.open: a writer that went back to it would record no call here.
+    flags = []
+    real_open = os.open
+
+    def recording_open(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    for path in kernel_paths(monkeypatch):
+        (tmp_path / path).mkdir()
+        outputs = _every_output(tmp_path / path)
+        monkeypatch.setattr(os, "open", recording_open)
+        for _, write, out in outputs:
+            del flags[:]
+            write(out)
+            assert len(flags) == 1 and flags[0] & os.O_TRUNC == 0
+            assert flags[0] & (os.O_WRONLY | os.O_CREAT) == os.O_WRONLY | os.O_CREAT
+        monkeypatch.setattr(os, "open", real_open)
+    capsys.readouterr()
