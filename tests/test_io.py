@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import io as stdio
 import json
 import math
@@ -532,3 +533,28 @@ def test_no_writer_opens_its_output_with_o_trunc(tmp_path, monkeypatch, capsys):
             assert flags[0] & (os.O_WRONLY | os.O_CREAT) == os.O_WRONLY | os.O_CREAT
         monkeypatch.setattr(os, "open", real_open)
     capsys.readouterr()
+
+
+def test_a_failed_write_leaves_the_prefix_it_wrote(tmp_path, monkeypatch):
+    # A disk that fills after the first 1000 bytes: the output must be those
+    # bytes alone, as under O_TRUNC, and never end with the old file's rows.
+    real_write = os.write
+    calls = []
+
+    def full_disk(fd, data):
+        calls.append(len(data))
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write(fd, data[:1000])
+
+    problem, v0, meta = build_example("phone")
+    post = approximate(problem, v0, meta["h"], meta["h"] / 10, 10, 64, UniformSampler(seed=0))
+    text = mio.set_to_csv(post, problem)
+    out = tmp_path / "set.csv"
+    out.write_bytes(b"0.5,0.5,0.5\n" * 10_000)
+    monkeypatch.setattr(os, "write", full_disk)
+    with pytest.raises(OSError) as err:
+        mio.set_to_csv(post, problem, out)
+    monkeypatch.setattr(os, "write", real_write)
+    assert err.value.errno == errno.ENOSPC and len(calls) == 2
+    assert out.read_bytes() == text.encode()[:1000]
