@@ -6,68 +6,77 @@
    lcp.lemke_many's numpy body is the reference: it solves one row at a
    time, as solve_row does, and this file takes the same IEEE operations
    in the same order, so z, w, the pivot counts and the statuses come out
-   bit for bit alike.  step_stack adds the rest of resolution._step in
-   the same way, sequential_sweep runs resolution._numpy_sweep's loop on
-   step_stack, the draws are numpy's PCG64 seeded by its SeedSequence,
-   and csv_rows writes each double as Python's repr does, both in exact
-   integer arithmetic.  lcp.py builds it with -ffp-contract=off, so no
-   product and sum fuse into one rounding, and passes the tolerances and
-   the pivot budget at each call. */
+   bit for bit alike, and a row whose tie walk keeps no row raises alike.
+   step_stack adds the rest of resolution._step in the same way, with its
+   errors in its order, sequential_sweep runs resolution._numpy_sweep's
+   loop on step_stack, the draws are numpy's PCG64 seeded by its
+   SeedSequence, and csv_rows writes each double as Python's repr does,
+   both in exact integer arithmetic.  lcp.py builds it with
+   -ffp-contract=off, so no product and sum fuse into one rounding, and
+   passes the tolerances and the pivot budget at each call. */
 
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
+/* The draws and csv_rows need 128-bit integers: without them no kernel
+   builds, and numpy serves every path. */
+#ifndef __SIZEOF_INT128__
+#error "the kernel needs a compiler with 128-bit integers (unsigned __int128)"
+#endif
+
 enum { SOLVED = 0, RAY_TERMINATION = 1, MAX_PIVOTS = 2 };
+
+/* The outcomes of the entry points: DONE, or the error that lcp and
+   resolution raise for it (lcp._UNSOLVED and on). */
+enum {
+    DONE = 0, UNSOLVED, RESIDUALS, CONE, CAPPED, BAD_CAPS, NOT_FINITE, OVERFLOW, NO_MEMORY
+};
+
+/* numpy's min and max of two values, which return a NaN operand. */
+static double nan_min(double a, double b) { return isnan(a) || a < b ? a : b; }
+static double nan_max(double a, double b) { return isnan(a) || a > b ? a : b; }
 
 /* lcp._tie_limit: the largest value that ties x. */
 static double tie_limit(double x, double tol) { return x + tol * (1.0 + fabs(x)); }
 
-/* The smallest of x[0..count). */
+/* The smallest of x[0..count), or a NaN of x, as numpy's min. */
 static double smallest(const double *x, int count)
 {
     double low = x[0];
     for (int i = 1; i < count; i++)
-        if (x[i] < low)
-            low = x[i];
+        low = nan_min(x[i], low);
     return low;
 }
 
 /* lcp._lex_argmin: among the rows cand[0..count), in increasing order,
    the lowest that stays tied with the smallest ratio to d of the values,
    then column by column of the basis inverse.  The tied rows' keys are
-   formed for every column first.  Returns -1 if a ratio is not finite:
-   numpy's minimum keeps a NaN, where these comparisons drop it, so
-   numpy decides such a row.  keys holds n * n doubles and alive n ints. */
+   formed for every column first.  A column's smallest key keeps a NaN,
+   as numpy's does; a column whose tie limit is NaN keeps no row, and
+   then the walk returns -1.  keys holds n * n doubles and alive n ints. */
 static int lex_argmin(const double *t, int width, int n, int *cand, int count,
                       const double *d, double *keys, int *alive, double tol)
 {
-    for (int i = 0; i < count; i++) {
+    for (int i = 0; i < count; i++)
         keys[i] = t[cand[i] * width] / d[cand[i]];
-        if (!isfinite(keys[i]))
-            return -1;
-    }
     double limit = tie_limit(smallest(keys, count), tol);
     int tied = 0;
     for (int i = 0; i < count; i++)
         if (keys[i] <= limit)
             cand[tied++] = cand[i];
-    if (tied == 1)
-        return cand[0];
+    if (tied < 2)
+        return tied ? cand[0] : -1;
     for (int i = 0; i < tied; i++) {
         alive[i] = i;
-        for (int c = 0; c < n; c++) {
+        for (int c = 0; c < n; c++)
             keys[i * n + c] = t[cand[i] * width + 1 + c] / d[cand[i]];
-            if (!isfinite(keys[i * n + c]))
-                return -1;
-        }
     }
     for (int c = 0; c < n && tied > 1; c++) {
         double low = keys[alive[0] * n + c];
         for (int i = 1; i < tied; i++)
-            if (keys[alive[i] * n + c] < low)
-                low = keys[alive[i] * n + c];
+            low = nan_min(keys[alive[i] * n + c], low);
         limit = tie_limit(low, tol);
         int kept = 0;
         for (int i = 0; i < tied; i++)
@@ -75,7 +84,7 @@ static int lex_argmin(const double *t, int width, int n, int *cand, int count,
                 alive[kept++] = alive[i];
         tied = kept;
     }
-    return cand[alive[0]];
+    return tied ? cand[alive[0]] : -1;
 }
 
 /* row - di * p, elementwise: no fused multiply-add, so a zero product
@@ -131,7 +140,7 @@ static void form_w(int n, const double *m, const double *q, const double *z, dou
 /* One row of lemke_stack (lcp._solve_row) on the workspace t
    (n x (2n + 2), then p, d and keys) and basis (basis, then cand and
    alive): writes z (which must hold zeros) and the pivot count.  Returns
-   its status, or -1 if a ratio it forms is not finite. */
+   its status, or -1 if its tie walk keeps no row (lcp._OVERFLOW). */
 static int solve_row(int n, const double *m, const double *q, double *z, int64_t *pivots,
                      double pivot_tol, double tie_tol, int64_t max_pivots, double *t,
                      int *basis)
@@ -210,39 +219,33 @@ static int solve_row(int n, const double *m, const double *q, double *z, int64_t
     return status;
 }
 
-/* Solve w = M z + q[s] for s < k: m is n x n and q is k x n, row-major.
-   zw (2 x k x n) receives z, then w; counts (2 x k) each row's pivot
-   count, then its status.  Returns 0, or 1 when m or q holds a NaN or an
-   infinity, or a ratio that a row forms is not finite: lemke_many then
-   rejects the input or solves the stack with its numpy body, which
-   decides such rows. */
+/* Solve w = M z + q[s] for s < k: m is n x n and q is k x n, row-major,
+   both finite (lcp.lemke_many checks them).  zw (2 x k x n) receives z,
+   then w; counts (2 x k) each row's pivot count, then its status.
+   Returns DONE, or OVERFLOW at the first row whose tie walk keeps no
+   row, or NO_MEMORY. */
 int lemke_stack(int k, int n, const double *m, const double *q, double *zw, int64_t *counts,
                 double pivot_tol, double tie_tol, int64_t max_pivots)
 {
     size_t cells = (size_t)k * n;
-    if (!all_finite(m, (size_t)n * n) || !all_finite(q, cells))
-        return 1;
     double *t = malloc(sizeof(double) * (size_t)(n * (2 * n + 2) + (2 * n + 2) + n + n * n));
     int *basis = malloc(sizeof(int) * (size_t)(3 * n));
-    int declined = !t || !basis;
+    int outcome = !t || !basis ? NO_MEMORY : DONE;
     memset(zw, 0, sizeof(double) * cells);
-    for (int s = 0; s < k && !declined; s++) {
+    for (int s = 0; s < k && outcome == DONE; s++) {
         const double *qs = q + (size_t)s * n;
         double *z = zw + (size_t)s * n;
         int status = solve_row(n, m, qs, z, counts + s, pivot_tol, tie_tol, max_pivots, t,
                                basis);
-        declined = status < 0;
+        if (status < 0)
+            outcome = OVERFLOW;
         counts[k + s] = status;
         form_w(n, m, qs, z, z + cells, t);
     }
     free(t);
     free(basis);
-    return declined;
+    return outcome;
 }
-
-/* numpy's min and max of two values, which return a NaN operand. */
-static double nan_min(double a, double b) { return isnan(a) || a < b ? a : b; }
-static double nan_max(double a, double b) { return isnan(a) || a > b ? a : b; }
 
 /* The smallest of 0 and x[0..count), or a NaN of x: x.min(initial=0.0). */
 static double lowest(const double *x, int count)
@@ -313,8 +316,6 @@ static int certified(const double *z, const double *w, int n, double tol, double
     return isfinite(scale) && neg_z <= tol && neg_w <= tol && gap <= tol * scale;
 }
 
-enum { STEPPED = 0, DECLINED = 1, UNSOLVED = 2, RESIDUALS = 3, CONE = 4, CAPPED = 5 };
-
 /* resolution._step on k rows: velocities v (k x nv) and caps (k x m) of
    a problem with m contacts, whose constant blocks `packed` holds one
    after another: jbar = [jn; jd] (3m x nv), minv_jbar_t (nv x 3m), the
@@ -331,12 +332,15 @@ enum { STEPPED = 0, DECLINED = 1, UNSOLVED = 2, RESIDUALS = 3, CONE = 4, CAPPED 
    zeros for rows that do not step, then 10m doubles of detail;
    impacting receives each v_after row's impact test.
 
-   Returns STEPPED; or UNSOLVED with the first unsolved row's status in
-   detail[0], else RESIDUALS with the first row that fails certification's
-   z and w in detail, else CONE if a row fails the audit.  DECLINED leaves
-   the whole step to numpy, which raises or decides: a stepped row whose
-   caps are not finite and nonnegative, a matrix or q that is not finite,
-   or a ratio that is not.
+   The packed blocks must be finite (resolution._Workspace checks them).
+   Returns DONE, or the first error that resolution._numpy_step raises,
+   which assembles every stepped row before it solves one: BAD_CAPS if a
+   stepped row's caps are not finite and nonnegative, else NOT_FINITE if
+   a stepped row's q is not finite, else OVERFLOW at the first row whose
+   tie walk keeps no row, else UNSOLVED with the first unsolved row's
+   status in detail[0], else RESIDUALS with the first row that fails
+   certification's z and w in detail, else CONE if a row fails the
+   audit.  A step that cannot allocate its workspace returns NO_MEMORY.
 
    Protected: sequential_sweep's calls bind here directly.  A call
    through the PLT would add an entry ahead of the code and move every
@@ -353,15 +357,15 @@ int step_stack(int k, int nv, int m, const double *packed, const double *v, cons
     const double *matrix = caps ? full : mu + m;
     double *v_after = out, *lambda_n = v_after + (size_t)k * nv;
     double *beta = lambda_n + (size_t)k * m, *detail = beta + (size_t)k * 2 * m;
-    if (!all_finite(matrix, (size_t)n * n))
-        return DECLINED;
     int terms_size = nv > n ? nv : n;
     double *t = malloc(sizeof(double) * (size_t)(n * (2 * n + 2) + (2 * n + 2) + n + n * n));
     double *q = malloc(sizeof(double) * (size_t)(3 * n + terms_size));
     int *basis = malloc(sizeof(int) * (size_t)(3 * n));
-    int outcome = !t || !q || !basis ? DECLINED : STEPPED, unsolved = 0, failed = 0;
+    int outcome = !t || !q || !basis ? NO_MEMORY : DONE, unsolved = 0, failed = 0;
     double *z = q + n, *w = z + n, *terms = w + n;
-    for (int s = 0; s < k && outcome == STEPPED; s++) {
+    /* Once a row's q is not finite or its walk overflows, the later rows
+       are only assembled, for the caps and q that outrank that error. */
+    for (int s = 0; s < k && outcome != BAD_CAPS && outcome != NO_MEMORY; s++) {
         const double *vs = v + (size_t)s * nv, *cs = caps ? caps + (size_t)s * m : NULL;
         double *va = v_after + (size_t)s * nv, *lam = lambda_n + (size_t)s * m;
         double *bet = beta + (size_t)s * 2 * m;
@@ -374,24 +378,26 @@ int step_stack(int k, int nv, int m, const double *packed, const double *v, cons
         if (live && (!cs || !test_rows || approaching(jbar, m, nv, vs, approach_tol, terms))) {
             for (int i = 0; i < first; i++) {
                 if (!(isfinite(cs[i]) && cs[i] >= 0.0))
-                    outcome = DECLINED;
+                    outcome = BAD_CAPS;
                 q[i] = cs[i];
             }
+            if (outcome == BAD_CAPS)
+                break;
             for (int r = 0; r < width; r++)
                 q[first + r] = ordered_dot(jbar + (size_t)r * nv, vs, nv, terms);
             for (int i = 0; i < m; i++)
                 q[first + width + i] = 0.0;
-            if (outcome != STEPPED || !all_finite(q, (size_t)n)) {
-                outcome = DECLINED;
-                break;
-            }
+            if (!all_finite(q, (size_t)n))
+                outcome = NOT_FINITE;
+            if (outcome != DONE)
+                continue;
             memset(z, 0, sizeof(double) * (size_t)n);
             int64_t pivots;
             int status = solve_row(n, matrix, q, z, &pivots, pivot_tol, tie_tol, max_pivots, t,
                                    basis);
             if (status < 0) {
-                outcome = DECLINED;
-                break;
+                outcome = OVERFLOW;
+                continue;
             }
             form_w(n, matrix, q, z, w, terms);
             if (status != SOLVED) {
@@ -413,7 +419,7 @@ int step_stack(int k, int nv, int m, const double *packed, const double *v, cons
     free(t);
     free(q);
     free(basis);
-    if (outcome != STEPPED)
+    if (outcome != DONE)
         return outcome;
     if (unsolved) {
         detail[0] = unsolved;
@@ -425,9 +431,7 @@ int step_stack(int k, int nv, int m, const double *packed, const double *v, cons
 /* numpy's default_rng([seed, i]): a PCG64 generator (O'Neill 2014: a
    128-bit LCG with the XSL-RR output) seeded by SeedSequence([seed, i]).
    A state is four uint64: the LCG state's high and low words, then the
-   increment's.  Without a 128-bit integer type both entry points return
-   1, and setapprox draws from numpy's generators instead. */
-#ifdef __SIZEOF_INT128__
+   increment's. */
 typedef unsigned __int128 u128;
 
 /* SeedSequence's hash and mixing constants. */
@@ -457,13 +461,14 @@ static u128 pcg_step(u128 state, u128 inc)
 
 /* Seed states[s] (count x 4) for trajectory first + s: the entropy is the
    seed's n_words 32-bit words, least significant first, then the index's
-   (one word below 2**32, else two), as SeedSequence reads [seed, i]. */
+   (one word below 2**32, else two), as SeedSequence reads [seed, i].
+   Returns DONE, or NO_MEMORY. */
 int pcg_seed(int64_t count, const uint32_t *seed_words, int n_words, uint64_t first,
              uint64_t *states)
 {
     uint32_t *entropy = malloc(sizeof(uint32_t) * (size_t)(n_words + 2));
     if (!entropy)
-        return 1;
+        return NO_MEMORY;
     memcpy(entropy, seed_words, sizeof(uint32_t) * (size_t)n_words);
     for (int64_t s = 0; s < count; s++) {
         uint64_t index = first + (uint64_t)s;
@@ -533,26 +538,11 @@ int pcg_draw(int64_t rows, const int64_t *which, int64_t count, int m, uint64_t 
     }
     return 0;
 }
-#else
-int pcg_seed(int64_t count, const uint32_t *seed_words, int n_words, uint64_t first,
-             uint64_t *states)
-{
-    return 1;
-}
-
-int pcg_draw(int64_t rows, const int64_t *which, int64_t count, int m, uint64_t *states,
-             double *out)
-{
-    return 1;
-}
-#endif
 
 /* The CSV text of a table of doubles, each number as Python's repr writes
    it: the shortest digits that read back as the same double (Ryu: Adams,
    "Ryu: fast float-to-string conversion", PLDI 2018), the closest of them
-   to the exact value, ties to even, in repr's layout.  Without a 128-bit
-   integer type csv_rows returns -1 and io formats with repr instead. */
-#ifdef __SIZEOF_INT128__
+   to the exact value, ties to even, in repr's layout. */
 enum { POW5_BITS = 125 };
 
 /* POW5_INV[q] = floor(2**(bit_length(5**q) - 1 + 125) / 5**q) + 1 and
@@ -1101,12 +1091,6 @@ int csv_rows(int64_t rows, int cols, const double *table, const int64_t *lead, c
     }
     return (int)(p - out);
 }
-#else
-int csv_rows(int64_t rows, int cols, const double *table, const int64_t *lead, char *out)
-{
-    return -1;
-}
-#endif
 
 /* The sequential sweep comes last, so that adding it left every function
    above at its address in the library, and with its speed. */
@@ -1148,11 +1132,11 @@ static void gather_contact(int nv, int m, const double *packed, int i, double *b
    beta.  tally receives the number of records, then whether the last
    velocity approaches at some contact of the whole problem.
 
-   Returns STEPPED; or CAPPED when a resolution beyond the first cap is
+   Returns DONE; or CAPPED when a resolution beyond the first cap is
    due, with no record for it; or the outcome of the resolution that
    failed, whose record is the last one written and whose detail
-   follows that record, so out must hold cap (nv + 4) + 10 doubles.
-   DECLINED leaves the whole sweep to numpy. */
+   follows that record, so out must hold cap (nv + 4) + 10 doubles; or
+   NO_MEMORY. */
 int sequential_sweep(int nv, int m, const double *packed, const double *v, const int *cycle,
                      int64_t cap, double *out, int64_t *tally, double pivot_tol, double tie_tol,
                      int64_t max_pivots, double residual_tol, double cone_tol,
@@ -1161,12 +1145,12 @@ int sequential_sweep(int nv, int m, const double *packed, const double *v, const
     const size_t size = (size_t)6 * nv + 42;
     double *blocks = malloc(sizeof(double) * ((size_t)m * size + (size_t)nv));
     if (!blocks)
-        return DECLINED;
+        return NO_MEMORY;
     double *terms = blocks + (size_t)m * size;
     for (int i = 0; i < m; i++)
         gather_contact(nv, m, packed, i, blocks + (size_t)i * size);
     int64_t records = 0;
-    int outcome = STEPPED;
+    int outcome = DONE;
     const double *x = v;
     for (int at = 0, idle = 0; idle < m; at = (at + 1) % m) {
         const int i = cycle[at];
@@ -1186,7 +1170,7 @@ int sequential_sweep(int nv, int m, const double *packed, const double *v, const
         records++;
         outcome = step_stack(1, nv, 1, b, x, NULL, 0, record + 1, &impacting, pivot_tol, tie_tol,
                              max_pivots, residual_tol, cone_tol, approach_tol);
-        if (outcome != STEPPED)
+        if (outcome != DONE)
             break;
         x = record + 1;
     }

@@ -106,6 +106,9 @@ class ImpactProblem:
         set_field("jd", _frozen(np.stack([self.jt, -self.jt], axis=1).reshape(2 * m, n_v)))
         if self.mu.shape != (m,):
             raise ValueError("mu must have one entry per contact")
+        for name in ("jn", "jt", "mu"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if np.any(self.mu <= 0.0):
             raise ValueError("friction coefficients must be positive")
         default = (chr(ord("A") + i) if m <= 26 else f"c{i}" for i in range(m))

@@ -143,10 +143,9 @@ def _field_texts(rows) -> list[str]:
     return texts
 
 
-def _kernel_rows(kernel, table: np.ndarray, lead: np.ndarray | None) -> str | None:
+def _kernel_rows(kernel, table: np.ndarray, lead: np.ndarray | None) -> str:
     """The CSV lines of a C-contiguous float table from the kernel's
-    ``csv_rows``, each row after its ``lead`` entry if ``lead`` is given;
-    ``None`` if the kernel cannot format (no 128-bit integers)."""
+    ``csv_rows``, each row after its ``lead`` entry if ``lead`` is given."""
     n, cols = table.shape
     row_bytes = _NUMBER_BYTES * cols + (0 if lead is None else _LEAD_BYTES)
     step = max(1, _CHUNK_BYTES // row_bytes)
@@ -158,8 +157,6 @@ def _kernel_rows(kernel, table: np.ndarray, lead: np.ndarray | None) -> str | No
             len(rows), cols, rows.ctypes.data,
             None if lead is None else lead[first:].ctypes.data, buf.ctypes.data,
         )
-        if size < 0:
-            return None
         parts.append(buf[:size].tobytes().decode("ascii"))
     return "".join(parts)
 
@@ -181,8 +178,7 @@ def _csv(
     table = np.ascontiguousarray(table, dtype=float)
     if lead is not None:
         lead = np.ascontiguousarray(lead, dtype=np.int64)
-    body = None if lcp.KERNEL is None else _kernel_rows(lcp.KERNEL, table, lead)
-    if body is None:
+    if lcp.KERNEL is None:
         rows = _repr_table(table)
         if lead is not None:
             rows = [[i, *row] for i, row in zip(lead.tolist(), rows)]
@@ -191,6 +187,7 @@ def _csv(
         if after is not None:
             rows = [[*row, *fields] for row, fields in zip(rows, after)]
         return _write(path, _csv_text(header, rows))
+    body = _kernel_rows(lcp.KERNEL, table, lead)
     if before is not None or after is not None:
         # The extra empty field gives each string part its comma and keeps
         # a lone empty string from being quoted as a row of its own.

@@ -30,7 +30,9 @@ baseline on ``step_stack`` (``resolution.sequential_resolve``);
 ``default_rng`` draws (``setapprox.UniformSampler``); and ``csv_rows``
 writes the rows of a float table as CSV text, each number as ``repr``
 writes it (``io._csv``).  Each keeps a Python path as its reference and
-its fallback.
+the path without a kernel (a compiler with 128-bit integers builds it),
+and picks its path from ``KERNEL is None`` alone: the kernel decides
+every input, and raises the numpy path's errors in their order.
 """
 
 from __future__ import annotations
@@ -73,6 +75,9 @@ _STATUSES = np.array(["solved", "ray_termination", "max_pivots"], dtype="<U15")
 _SOLVED, _RAY_TERMINATION, _OUT_OF_PIVOTS = range(3)
 # What a tie walk that a NaN key leaves with no row raises.
 _OVERFLOW = "the tableau overflowed: a pivot ratio is not a number"
+# The failed outcomes of ``_lemke.c``'s entry points, as it numbers them.
+_UNSOLVED, _RESIDUALS, _CONE, _OVER_CAP, _BAD_CAPS = range(1, 6)
+_NOT_FINITE, _OVERFLOWED, _NO_MEMORY = range(6, 9)
 
 
 def _kernel_name(source: bytes, command: tuple) -> str:
@@ -147,10 +152,10 @@ def _load_kernel(source: Path, cache: Path, command: tuple = _CC) -> ctypes.CDLL
     """The compiled kernel from ``cache``, built there first if no
     library of this source and command is there or the one there does
     not load (a corrupt or truncated file); ``None`` if it cannot be
-    built or loaded: no compiler, a cache that cannot be written.  The
-    numpy body then solves every stack.  A build that succeeds removes
-    the other libraries in ``cache``, which older sources or commands
-    built; one that fails removes nothing."""
+    built or loaded: no compiler, one without 128-bit integers, a cache
+    that cannot be written.  The numpy bodies then take every path.  A
+    build that succeeds removes the other libraries in ``cache``, which
+    older sources or commands built; one that fails removes nothing."""
     try:
         target = cache / _kernel_name(source.read_bytes(), command)
         if target.exists():
@@ -177,6 +182,17 @@ def _check_finite(m: np.ndarray, q: np.ndarray) -> None:
     """Raise ``ValueError`` if ``m`` or ``q`` holds a NaN or an infinity."""
     if not (np.isfinite(m).all() and np.isfinite(q).all()):
         raise ValueError("M and q must be finite")
+
+
+def _raise_outcome(outcome: int) -> None:
+    """Raise the error of a kernel outcome that needs no detail: as
+    :func:`_check_finite` and :func:`_lex_argmin` raise, or out of memory."""
+    if outcome == _NOT_FINITE:
+        raise ValueError("M and q must be finite")
+    if outcome == _OVERFLOWED:
+        raise ValueError(_OVERFLOW)
+    if outcome == _NO_MEMORY:
+        raise MemoryError("the compiled kernel could not allocate its workspace")
 
 
 @dataclass(eq=False)
@@ -302,40 +318,38 @@ def lemke_many(m: np.ndarray, q: np.ndarray) -> LcpSolution:
     same bits; ``w`` is summed in :func:`ordered_sum`'s order on either
     path.  Returns an :class:`LcpSolution` with one row (or entry) per
     instance.  An ``M`` or ``q`` that holds a NaN or an infinity raises
-    ``ValueError``, as :class:`LcpInstance` does.
+    ``ValueError``, as :class:`LcpInstance` does, and so does a row whose
+    tie walk keeps no row (``_OVERFLOW``).
     """
     m = np.asarray(m, dtype=float)
     q = np.asarray(q, dtype=float)
     k, n = q.shape
     if m.shape != (n, n):
         raise ValueError(f"M has shape {m.shape}, expected ({n}, {n}) for q of shape {q.shape}")
-    solved = None if KERNEL is None else _kernel_many(m, q)
-    if solved is None:
-        _check_finite(m, q)
+    _check_finite(m, q)
+    if KERNEL is None:
         z, pivot_count, codes = _lemke_many_numpy(m, q)
-        solved = z, ordered_matvec(m, z) + q, pivot_count, codes
-    z, w, pivot_count, codes = solved
+        w = ordered_matvec(m, z) + q
+    else:
+        z, w, pivot_count, codes = _kernel_many(m, q)
     return LcpSolution(z=z, w=w, pivot_count=pivot_count, status=_STATUSES[codes])
 
 
-def _kernel_many(m: np.ndarray, q: np.ndarray) -> tuple | None:
+def _kernel_many(m: np.ndarray, q: np.ndarray) -> tuple:
     """``z``, ``w``, pivot counts and status codes of the stack from the
     compiled kernel, which runs the operations of :func:`lemke_many`'s
-    numpy path one row at a time; ``None`` if ``m`` or ``q``, or a ratio
-    that a row forms, is not finite, where :func:`lemke_many` decides.
-    The outputs come in two blocks, so the call converts four pointers,
-    which cost more than the solve itself on a small LCP."""
+    numpy path one row at a time and raises its errors.  The outputs
+    come in two blocks, so the call converts four pointers, which cost
+    more than the solve itself on a small LCP."""
     k, n = q.shape
     m = np.ascontiguousarray(m)
     q = np.ascontiguousarray(q)
     zw = np.empty((2, k, n))
     counts = np.empty((2, k), dtype=np.int64)
-    declined = KERNEL.lemke_stack(
+    _raise_outcome(KERNEL.lemke_stack(
         k, n, m.ctypes.data, q.ctypes.data, zw.ctypes.data, counts.ctypes.data,
         PIVOT_TOL, LEX_TIE_TOL, MAX_PIVOTS,
-    )
-    if declined:
-        return None
+    ))
     return zw[0], zw[1], counts[0], counts[1]
 
 

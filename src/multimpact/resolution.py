@@ -14,9 +14,11 @@ applies and audits every row's step and tests each stepped row for
 impact.  Its reference, and the path without the kernel, is numpy
 (``_numpy_step``): the stack's step LCPs, which share one matrix, are
 solved in one ``lemke_many`` call, and every check then runs on the
-stack.  Both give the same bits, and ``step_block`` takes the same
-path.  ``sim_step`` and ``sim`` are the same engine on a stack of one,
-and a row's bits do not depend on the stack around it.
+stack.  Each call picks its path from ``lcp.KERNEL is None`` alone: both
+give the same bits and the same errors in the same order, and
+``step_block`` takes the same path.  ``sim_step`` and ``sim`` are the
+same engine on a stack of one, and a row's bits do not depend on the
+stack around it.
 
 Also provided: two deterministic baselines, an impulse-progress
 certificate ``r`` obtained from a small linear program, and the integer
@@ -152,7 +154,8 @@ class _Workspace:
     """Per-problem cached assembly blocks (constant across steps): those
     of the capped step and of the uncapped resolution, which the
     compiled kernel reads from ``packed`` and the sequential sweep
-    gathers per contact from (:class:`_OneContact`)."""
+    gathers per contact from (:class:`_OneContact`).  Blocks that are
+    not finite (an overflowing Delassus matrix) raise ``ValueError``."""
 
     def __init__(self, problem: ImpactProblem):
         m = problem.n_contacts
@@ -186,6 +189,8 @@ class _Workspace:
             [jbar.ravel(), self.minv_jbar_t.ravel(), full.ravel(), problem.mu,
              self.uncapped_matrix.ravel()]
         )
+        if not np.isfinite(self.packed).all():
+            raise ValueError("the problem's step LCP blocks must be finite")
         # ``setapprox.psi``, set on its first call: an SVD that only
         # sampling needs.
         self.psi: float | None = None
@@ -269,7 +274,8 @@ def step_block(
     as :func:`assemble_impact_lcp` checks them.  The other rows' step LCPs
     are solved together; the first row whose LCP does not certify raises
     :class:`LcpSolveError`, and the first whose post-step state fails the
-    friction-cone audit raises :class:`ConeViolationError`.
+    friction-cone audit raises :class:`ConeViolationError`.  A ``v`` that
+    is not a stack of shape (k, n_v) raises ``ValueError``.
     """
     v = np.asarray(v, dtype=float)
     lambda_max = np.asarray(lambda_max, dtype=float)
@@ -293,13 +299,16 @@ def _step(
     rate ``jn_i . v`` is below zero, and ``impacting`` is not read.
 
     With the compiled kernel the whole step is one call
-    (:func:`_kernel_step`); without it, or for a stack the kernel
-    declines, :func:`_numpy_step`, its reference, takes the step."""
-    if _lcp.KERNEL is not None:
-        stepped = _kernel_step(problem, v, lambda_max, impacting is None)
-        if stepped is not None:
-            return stepped
-    return _numpy_step(problem, v, lambda_max, impacting)
+    (:func:`_kernel_step`); without it :func:`_numpy_step`, its
+    reference.  A ``v`` that is not (k, n_v), or caps that are not (k, m),
+    as a sampler may draw them, raise ``ValueError``."""
+    if v.ndim != 2 or v.shape[1] != problem.n_v:
+        raise ValueError(f"v must have shape (k, {problem.n_v}), got {v.shape}")
+    if lambda_max is not None and lambda_max.shape != (len(v), problem.n_contacts):
+        raise ValueError("lambda_max must have one cap per contact")
+    if _lcp.KERNEL is None:
+        return _numpy_step(problem, v, lambda_max, impacting)
+    return _kernel_step(problem, v, lambda_max, impacting is None)
 
 
 def _numpy_step(
@@ -336,9 +345,6 @@ def _numpy_step(
     return v_after, lambda_n, beta, is_impacting(problem, v_after)
 
 
-# Outcomes of ``_lemke.c``'s ``step_stack`` and ``sequential_sweep``
-# other than a step taken (0).
-_DECLINED, _UNSOLVED, _RESIDUALS, _CONE, _OVER_CAP = range(1, 6)
 # The context of a failed solve and the message of a failed cone audit,
 # of a capped step and of the uncapped resolution.
 _CAPPED = ("capped impact step", "post-step state failed the friction-cone feasibility audit")
@@ -347,20 +353,15 @@ _UNCAPPED = ("uncapped resolution", "uncapped resolution failed the friction-con
 
 def _kernel_step(
     problem: ImpactProblem, v: np.ndarray, lambda_max: np.ndarray | None, test_rows: bool
-) -> tuple | None:
+) -> tuple:
     """:func:`_step` in one call of the compiled kernel, which takes
     :func:`_numpy_step`'s operations row by row with its bits, the
     tolerances read here at each call.  It raises the error that
-    :func:`_numpy_step` raises first: an unsolved row, then a row that
-    fails certification, each the first such row, then the cone audit.
-    Returns ``None`` for a stack that is not (k, n_v) with (k, m) caps,
-    or one that the kernel declines (caps, ``q`` or a pivot ratio that is
-    not finite), where :func:`_numpy_step` raises or decides.  Without
-    caps the kernel takes the uncapped resolution."""
+    :func:`_numpy_step` raises first, in the order that ``_lemke.c``'s
+    ``step_stack`` states.  Without caps the kernel takes the uncapped
+    resolution."""
     m, n_v = problem.n_contacts, problem.n_v
     k = len(v)
-    if v.shape != (k, n_v) or lambda_max is not None and lambda_max.shape != (k, m):
-        return None
     v = np.ascontiguousarray(v, dtype=float)
     caps = None if lambda_max is None else np.ascontiguousarray(lambda_max, dtype=float)
     out = np.empty(k * (n_v + 3 * m) + 10 * m)
@@ -371,8 +372,6 @@ def _kernel_step(
         impacting.ctypes.data, _lcp.PIVOT_TOL, _lcp.LEX_TIE_TOL, _lcp.MAX_PIVOTS, RESIDUAL_TOL,
         _contact.CONE_TOL, _contact.APPROACH_TOL,
     )
-    if outcome == _DECLINED:
-        return None
     # Slices, not ``np.split``, whose own cost is most of a small step's.
     a, b, c = k * n_v, k * (n_v + m), k * (n_v + 3 * m)
     v_after, lambda_n, beta, detail = out[:a], out[a:b], out[b:c], out[c:]
@@ -382,14 +381,17 @@ def _kernel_step(
 
 def _raise_failure(outcome: int, detail: np.ndarray, n: int, uncapped: bool) -> None:
     """Raise the error of a ``step_stack`` outcome other than a step
-    taken or declined, from its ``detail``, for an LCP of ``n`` rows."""
+    taken, from its ``detail``, for an LCP of ``n`` rows."""
     context, cone_failure = _UNCAPPED if uncapped else _CAPPED
-    if outcome == _UNSOLVED:
+    _lcp._raise_outcome(outcome)
+    if outcome == _lcp._BAD_CAPS:
+        raise ValueError("impulse caps must be finite and nonnegative")
+    if outcome == _lcp._UNSOLVED:
         raise LcpSolveError(str(_lcp._STATUSES[int(detail[0])]), context)
-    if outcome == _RESIDUALS:
+    if outcome == _lcp._RESIDUALS:
         gap, neg_z, neg_w = _residuals(*detail[: 2 * n].reshape(2, 1, n))
         raise _residual_error(context, gap[0], neg_z[0], neg_w[0])
-    if outcome == _CONE:
+    if outcome == _lcp._CONE:
         raise ConeViolationError(cone_failure)
 
 
@@ -605,11 +607,10 @@ def sequential_resolve(
     the problem's step LCP blocks (:class:`_OneContact`): the impact test
     of its one rate, then the uncapped resolution of :func:`_step`.  With
     the compiled kernel the whole sweep is one call
-    (:func:`_kernel_sweep`); without it, or for a sweep the kernel
-    declines, :func:`_numpy_sweep`, its reference, runs it from the
-    start.  The step records are built on the first read of ``steps``
-    (:class:`_SweepSteps`), their energies ``kinetic_energy``'s, one per
-    resolution.
+    (:func:`_kernel_sweep`); without it :func:`_numpy_sweep`, its
+    reference, runs it.  The step records are built on the first read of
+    ``steps`` (:class:`_SweepSteps`), their energies ``kinetic_energy``'s,
+    one per resolution.
     """
     v = np.array(_start_velocity(problem, v))
     m = problem.n_contacts
@@ -621,8 +622,8 @@ def sequential_resolve(
         cycle.append(idx)
     cycle.extend(i for i in range(m) if i not in cycle)
 
-    swept = None if _lcp.KERNEL is None else _kernel_sweep(problem, v, cycle)
-    records, terminated = swept or _numpy_sweep(problem, v, cycle)
+    sweep = _numpy_sweep if _lcp.KERNEL is None else _kernel_sweep
+    records, terminated = sweep(problem, v, cycle)
     # A record is the contact resolved, v_after, lambda_n and beta.
     return Trajectory(
         steps=_SweepSteps(problem, v.copy(), records),
@@ -748,12 +749,10 @@ def _numpy_sweep(problem: ImpactProblem, v: np.ndarray, cycle: list[int]) -> tup
     return np.array(records).reshape(-1, problem.n_v + 4), not is_impacting(problem, v)
 
 
-def _kernel_sweep(problem: ImpactProblem, v: np.ndarray, cycle: list[int]) -> tuple | None:
+def _kernel_sweep(problem: ImpactProblem, v: np.ndarray, cycle: list[int]) -> tuple:
     """:func:`_numpy_sweep` in one call of the compiled kernel, with its
     bits and its errors, the cap and the tolerances read here at each
-    call; ``None`` for a sweep that the kernel declines (a ``q`` or a
-    pivot ratio that is not finite), which :func:`_numpy_sweep` then
-    runs.  The records are at most ``SEQUENTIAL_CAP`` rows of n_v + 4."""
+    call.  The records are at most ``SEQUENTIAL_CAP`` rows of n_v + 4."""
     n_v, width = problem.n_v, problem.n_v + 4
     cap = SEQUENTIAL_CAP
     # Named, so that each buffer outlives the call that reads its address.
@@ -766,9 +765,7 @@ def _kernel_sweep(problem: ImpactProblem, v: np.ndarray, cycle: list[int]) -> tu
         _lcp.PIVOT_TOL, _lcp.LEX_TIE_TOL, _lcp.MAX_PIVOTS, RESIDUAL_TOL, _contact.CONE_TOL,
         _contact.APPROACH_TOL,
     )
-    if outcome == _DECLINED:
-        return None
-    if outcome == _OVER_CAP:
+    if outcome == _lcp._OVER_CAP:
         raise _cap_exceeded()
     count, approaching = tally.tolist()
     _raise_failure(outcome, out[count * width :], 4, True)

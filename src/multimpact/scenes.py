@@ -501,6 +501,8 @@ def _read_contact(entry: dict, kind: str, bodies: list, planes: list) -> Contact
     label = entry["label"]
     if not isinstance(label, str):
         raise ValueError(f"contact labels must be strings, got {label!r}")
+    if any("\ud800" <= c <= "\udfff" for c in label):  # a lone surrogate, which JSON reads
+        raise ValueError(f"contact label {label!r} cannot be written as UTF-8")
     where = f"contact {label!r}"
     mu = _number(f"{where}: mu", entry["mu"])
     if not mu > 0.0:

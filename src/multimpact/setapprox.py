@@ -228,18 +228,19 @@ class UniformSampler:
             bits = range(0, max(1, self.seed.bit_length()), 32)
             words = np.array([self.seed >> bit & 0xFFFFFFFF for bit in bits], dtype=np.uint32)
             states = np.empty((count, 4), dtype=np.uint64)
-            if not kernel.pcg_seed(count, words.ctypes.data, words.size, first, states.ctypes.data):
+            code = kernel.pcg_seed(count, words.ctypes.data, words.size, first, states.ctypes.data)
+            lcp._raise_outcome(code)
 
-                def draw(rows: np.ndarray, step: int) -> np.ndarray:
-                    rows = np.ascontiguousarray(rows, dtype=np.int64)
-                    out = np.empty((rows.size, m))
-                    if kernel.pcg_draw(
-                        rows.size, rows.ctypes.data, count, m, states.ctypes.data, out.ctypes.data
-                    ):
-                        raise IndexError(outside)
-                    return out
+            def draw(rows: np.ndarray, step: int) -> np.ndarray:
+                rows = np.ascontiguousarray(rows, dtype=np.int64)
+                out = np.empty((rows.size, m))
+                if kernel.pcg_draw(
+                    rows.size, rows.ctypes.data, count, m, states.ctypes.data, out.ctypes.data
+                ):
+                    raise IndexError(outside)
+                return out
 
-                return draw
+            return draw
 
         generators = [np.random.default_rng([self.seed, i]) for i in range(first, first + count)]
 

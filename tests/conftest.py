@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from multimpact import ImpactProblem, LcpInstance, lcp
+from multimpact import ImpactProblem, LcpInstance, lcp, resolution
 from multimpact.scenes import _bundled_text
 
 settings.register_profile("suite", deadline=None)
@@ -78,6 +78,36 @@ def kernel_paths(monkeypatch):
     asserts the kernel loads)."""
     for name, kernel in (("kernel", lcp.KERNEL), ("numpy", None)):
         monkeypatch.setattr(lcp, "KERNEL", kernel)
+        yield name
+
+
+# The numpy engine bodies: the kernel's reference, and the path without it.
+NUMPY_BODIES = (
+    (lcp, "_lemke_many_numpy"), (resolution, "_numpy_step"), (resolution, "_numpy_sweep")
+)
+
+
+def _numpy_body(*args, **kwargs):
+    raise AssertionError("a numpy body ran with the kernel loaded")
+
+
+def forbid_numpy(monkeypatch):
+    """Make every numpy engine body raise ``AssertionError``."""
+    for module, body in NUMPY_BODIES:
+        monkeypatch.setattr(module, body, _numpy_body)
+
+
+def deciding_paths(monkeypatch):
+    """:func:`kernel_paths`, but on the kernel's run every numpy engine
+    body raises, so the kernel must decide each input alone, and on the
+    numpy run they are back."""
+    originals = [getattr(module, body) for module, body in NUMPY_BODIES]
+    for name in kernel_paths(monkeypatch):
+        if name == "kernel" and lcp.KERNEL is not None:
+            forbid_numpy(monkeypatch)
+        else:
+            for (module, body), original in zip(NUMPY_BODIES, originals):
+                monkeypatch.setattr(module, body, original)
         yield name
 
 

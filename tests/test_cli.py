@@ -600,20 +600,52 @@ def test_more_contacts_than_sobol_dimensions_is_a_config_error(tmp_path, capsys)
     assert not out.exists()
 
 
-def test_an_output_that_cannot_be_encoded_leaves_the_file_as_it_was(tmp_path, capsys):
-    # A lone surrogate is valid JSON but no encoding can write it.
+def test_an_output_that_cannot_be_encoded_leaves_the_file_as_it_was(tmp_path):
+    # Under an ASCII locale without UTF-8 mode the scene reader takes the
+    # label "é", but no output can write it.
+    data = bundled_scene("phone")
+    data["contacts"][0]["label"] = "\u00e9"
+    scene = tmp_path / "accented.json"
+    scene.write_text(json.dumps(data))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "PYTHONUTF8": "0",
+           "LC_ALL": "C"}
+    probe = [sys.executable, "-c", "import io; print(io.TextIOWrapper(io.BytesIO()).encoding)"]
+    if subprocess.run(probe, env=env, capture_output=True, text=True).stdout.strip() not in (
+        "ascii", "ANSI_X3.4-1968"
+    ):
+        pytest.skip("LC_ALL=C is not an ASCII locale here")
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_bytes(b"earlier output\n")
+    for out in (old, new):
+        run = subprocess.run(
+            [sys.executable, "-m", "multimpact", "compare", "--scene", str(scene), "--m", "8",
+             "--jobs", "1", "--output", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 1
+        assert "can't encode character" in run.stderr
+    assert old.read_bytes() == b"earlier output\n"
+    assert not new.exists()
+
+
+def test_a_label_that_utf_8_cannot_encode_fails_before_any_work(tmp_path, capsys, monkeypatch):
+    # A lone surrogate is valid JSON, but no output could write it: the
+    # scene is rejected before sampling, not at export.
     data = bundled_scene("phone")
     data["contacts"][0]["label"] = "\udc80"
     scene = tmp_path / "surrogate.json"
     scene.write_text(json.dumps(data))
-    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
-    old.write_bytes(b"earlier output\n")
-    for out in (old, new):
-        assert cli.main(["compare", "--scene", str(scene), "--m", "8", "--jobs", "1",
-                         "--output", str(out)]) == 1
-        assert "surrogates not allowed" in capsys.readouterr().err
-    assert old.read_bytes() == b"earlier output\n"
-    assert not new.exists()
+
+    def sampled(*args, **kwargs):
+        raise AssertionError("sampling ran")
+
+    monkeypatch.setattr(cli, "approximate", sampled)
+    out = tmp_path / "out.csv"
+    assert cli.main(["approximate", "--scene", str(scene), "--m", "8", "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and err.count("\n") == 1
+    assert "contact label '\\udc80' cannot be written as UTF-8" in err
+    assert not out.exists()
 
 
 def test_dev_null_is_an_output(capsys):

@@ -85,8 +85,14 @@ _ONE_CONTACT = dict(
         ({"mass": np.ones((2, 3))}, "mass matrix must be square"),
         ({"jn": np.array([[0.0, 1.0, 0.0]])}, r"jn must have shape \(m, n_v\)"),
         ({"mu": np.array([0.5, 0.5])}, "mu must have one entry per contact"),
+        # Accepted, these reached the LCP as "M and q must be finite".
+        ({"jn": np.array([[np.nan, 1.0]])}, "jn must be finite"),
+        ({"jt": np.array([[np.inf, 0.0]])}, "jt must be finite"),
+        ({"mu": np.array([np.inf])}, "mu must be finite"),
+        ({"mu": np.array([np.nan])}, "mu must be finite"),
     ],
-    ids=["mass-asymmetric", "mass-not-square", "jn-width", "mu-length"],
+    ids=["mass-asymmetric", "mass-not-square", "jn-width", "mu-length", "jn-nan", "jt-inf",
+         "mu-inf", "mu-nan"],
 )
 def test_problem_rejects_each_malformed_field(edit, message):
     with pytest.raises(ValueError, match=message):

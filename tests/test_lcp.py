@@ -212,6 +212,19 @@ def test_a_build_that_succeeds_removes_the_stale_kernels(build, tmp_path):
         assert sorted(tmp_path.glob("_lemke.*")) == [target]
 
 
+@needs_kernel
+def test_a_compiler_without_128_bit_integers_builds_no_kernel(tmp_path):
+    # The draws and the CSV rows need them: the source stops at its
+    # #error, no half kernel loads, and the cache keeps its libraries.
+    kept = tmp_path / lcp_module._kernel_name(KERNEL_SOURCE.read_bytes(), lcp_module._CC)
+    kept.write_bytes(Path(lcp_module.KERNEL._name).read_bytes())
+    stale = tmp_path / "_lemke.0badcafe.so"
+    stale.write_bytes(b"an older library")
+    command = (*lcp_module._CC, "-U__SIZEOF_INT128__")
+    assert lcp_module._load_kernel(KERNEL_SOURCE, tmp_path, command) is None
+    assert sorted(tmp_path.iterdir()) == sorted([kept, stale])
+
+
 def _running(pid: int) -> bool:
     """Whether process ``pid`` exists and is not a zombie."""
     try:

@@ -50,7 +50,7 @@ from multimpact.errors import LcpSolveError
 from multimpact.io import set_to_csv
 from multimpact.lcp import RESIDUAL_TOL, ordered_matvec
 from multimpact.resolution import _workspace
-from conftest import kernel_paths, random_spd_matrix, solved_parts
+from conftest import deciding_paths, forbid_numpy, kernel_paths, random_spd_matrix, solved_parts
 from test_resolution import _sweep_outcomes
 
 CASES = {
@@ -587,19 +587,25 @@ def test_the_kernel_gives_the_numpy_bits_on_tie_heavy_stacks(n, k, budget, data)
 
 @pytest.mark.skipif(lcp_module.KERNEL is None, reason="the compiled kernel did not load")
 @pytest.mark.parametrize("case", ["overflow", "overflow-in-q"])
-def test_a_stack_that_is_not_finite_is_left_to_the_numpy_body(case, monkeypatch):
-    # Where a ratio is not finite the kernel declines the stack, and the
-    # numpy body, whose minimum keeps a NaN, decides it.  In the overflow
-    # case every candidate ratio of row 0 turns NaN: the walk keeps no
-    # row and raises on both paths (it used to pivot on tableau row 0 and
-    # end on a ray).
+def test_the_kernel_decides_a_stack_whose_ratios_are_not_finite(case, monkeypatch):
+    # The kernel's tie walk keeps a NaN key as numpy's minimum does, so it
+    # decides these stacks itself, with the numpy body's bits or error.
+    # In the overflow case every candidate ratio of row 0 turns NaN: the
+    # walk keeps no row and raises on both paths (it once pivoted on
+    # tableau row 0 and ended on a ray).  In the other, ratios overflow
+    # to infinities and the stack solves.
     m = np.array([[1.0, 0.0, -1.0], [-1.0, 0.0, 1e308], [1e308, 1.0, 1e-300]])
     q = np.array([[-1.0, 0.0, -2.0], [1.0, 1.0, 1.0]])
     if case == "overflow-in-q":
         m, q = np.array([[1.0, 1.0], [0.5, 1.0]]), np.array([[-1e308, 1.0], [-1.0, -1.0]])
-    with np.errstate(all="ignore"):
-        assert lcp_module._kernel_many(m, q) is None
-    outcomes = {path: _outcome(m, q) for path in kernel_paths(monkeypatch)}
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+        forbid_numpy(patch)
+        if case == "overflow":
+            with pytest.raises(ValueError, match=lcp_module._OVERFLOW):
+                lcp_module._kernel_many(m, q)
+        else:
+            assert len(lcp_module._kernel_many(m, q)) == 4
+    outcomes = {path: _outcome(m, q) for path in deciding_paths(monkeypatch)}
     assert outcomes["kernel"] == outcomes["numpy"]
     assert isinstance(outcomes["numpy"], str) == (case == "overflow")
 
@@ -644,18 +650,20 @@ def _outcome(m, q):
 
 
 def test_stacks_of_huge_entries_solve_or_raise_alike_on_both_paths(monkeypatch):
+    # The kernel decides every stack, with no numpy body to fall back on:
+    # 58 of the 802 raise, and the other 744 solve.
     rng = np.random.default_rng(0)
     values = [-1e308, 1e308, -1.0, 0.0, 1.0, 0.5, -2.0]
     stacks = [(np.array(m), np.array(q)) for m, q in _OVERFLOWING]
     for _ in range(800):
         n, k = rng.integers(2, 5, size=2)
         stacks.append((rng.choice(values, size=(n, n)), rng.choice(values, size=(k, n))))
-    outcomes = {path: [_outcome(m, q) for m, q in stacks] for path in kernel_paths(monkeypatch)}
+    outcomes = {path: [_outcome(m, q) for m, q in stacks] for path in deciding_paths(monkeypatch)}
     assert outcomes["kernel"] == outcomes["numpy"]
     raised = [isinstance(outcome, str) for outcome in outcomes["numpy"]]
     assert raised[: len(_OVERFLOWING)] == [False, True]
     assert outcomes["numpy"][1] == "the tableau overflowed: a pivot ratio is not a number"
-    assert not all(raised)
+    assert sum(raised) == 58
     m, q = stacks[0]
     with np.errstate(all="ignore"):
         stack = lemke_many(m, q)
@@ -695,14 +703,13 @@ def _step_bytes(stepped):
 
 
 def _assert_steps_alike(problem, v, caps, impacting=None):
-    """The compiled step, in one kernel call that must not decline, and
-    the numpy ``_step`` on the Lemke fallback give the same bytes."""
+    """The compiled step, in one kernel call, and the numpy ``_step`` on
+    the Lemke fallback give the same bytes."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lcp_module, "KERNEL", None)
         reference = resolution._numpy_step(problem, v, caps, impacting)
     if lcp_module.KERNEL is not None:
         fused = resolution._kernel_step(problem, v, caps, impacting is None)
-        assert fused is not None
         assert _step_bytes(fused) == _step_bytes(reference)
     return reference
 
@@ -1029,19 +1036,11 @@ def _baseline_bytes(problem, v, first):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5), first=st.integers(0, 4))
 def test_the_baselines_have_the_same_bytes_on_both_paths(seed, m, first):
-    # Each uncapped resolution is one kernel call that must not decline.
+    # Each uncapped resolution and each sweep is one kernel call.
     problem, v, _ = _random_step(np.random.default_rng(seed), m, 1)
-    kernel_step = resolution._kernel_step
-
-    def taken(*args):
-        stepped = kernel_step(*args)
-        assert stepped is not None
-        return stepped
-
     outcomes = {}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(resolution, "_kernel_step", taken)
-        for path in kernel_paths(patch):
+        for path in deciding_paths(patch):
             outcomes[path] = _baseline_bytes(problem, v[0], first % m)
     assert outcomes["kernel"] == outcomes["numpy"]
 
@@ -1049,20 +1048,12 @@ def test_the_baselines_have_the_same_bytes_on_both_paths(seed, m, first):
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5))
 def test_sweeps_of_random_problems_give_the_reference_loops_bytes(seed, m):
-    # Every sweep is one kernel call that must not decline, and gives the
-    # bytes of a loop on ``restrict_contacts``' one-contact problems, on
-    # the kernel and in numpy.
+    # Every sweep is one kernel call, and gives the bytes of a loop on
+    # ``restrict_contacts``' one-contact problems, on the kernel and in
+    # numpy.
     problem, v, _ = _random_step(np.random.default_rng(seed), m, 1)
-    kernel_sweep = resolution._kernel_sweep
-
-    def taken(*args):
-        swept = kernel_sweep(*args)
-        assert swept is not None
-        return swept
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(resolution, "_kernel_sweep", taken)
-        for _ in kernel_paths(patch):
+        for _ in deciding_paths(patch):
             ours, reference = _sweep_outcomes(problem, v[0])
             assert ours == reference
 
@@ -1124,27 +1115,87 @@ def test_a_sweep_is_one_kernel_call(monkeypatch):
     assert calls == {"sequential_sweep": 1}
 
 
-def test_a_sweep_the_kernel_declines_runs_in_numpy_from_its_start(monkeypatch):
-    kernel = lcp_module.KERNEL
-    if kernel is None:
-        pytest.skip("the compiled kernel did not load")
-    problem, v0, _ = build_example("disk_stack")
-    monkeypatch.setattr(lcp_module, "KERNEL", None)
-    by_numpy = _baseline_bytes(problem, v0, 2)
+# disk_stack velocities, in units of 1e307, whose sweep from a contact
+# overflows: the first's tie walk at contact D keeps no row, the
+# second's rates at contact B overflow to give a q that is not finite.
+_OVERFLOWING_SWEEPS = {
+    "walk": ([3.0, 0.0, 5.0, -7.0, -2.0, -5.0, 6.0, 0.0, -3.0], "D",
+             "the tableau overflowed: a pivot ratio is not a number"),
+    "q": ([3.0, 8.0, 3.0, -13.0, 9.0, 4.0, -5.0, 6.0, 4.0], "B", "M and q must be finite"),
+}
 
-    class Declining:
-        """The kernel, but its sweeps, once run, decline."""
 
-        def __getattr__(self, name):
-            return getattr(kernel, name)
+@pytest.mark.parametrize("case", sorted(_OVERFLOWING_SWEEPS))
+def test_an_overflowing_sweep_raises_alike_on_both_paths(case, monkeypatch):
+    velocity, first, message = _OVERFLOWING_SWEEPS[case]
+    problem, _, _ = build_example("disk_stack")
+    v = 1e307 * np.array(velocity)
+    raised = {}
+    for path in deciding_paths(monkeypatch):
+        with pytest.raises(ValueError) as info, np.errstate(all="ignore"):
+            sequential_resolve(problem, v, [first])
+        raised[path] = str(info.value)
+    assert raised == {"kernel": message, "numpy": message}
 
-        @staticmethod
-        def sequential_sweep(*args):
-            kernel.sequential_sweep(*args)
-            return resolution._DECLINED
 
-    monkeypatch.setattr(lcp_module, "KERNEL", Declining())
-    assert _baseline_bytes(problem, v0, 2) == by_numpy
+def _step_outcome(problem, v, caps, impacting):
+    """``_step``'s output bytes, or the type and message of its error."""
+    try:
+        with np.errstate(all="ignore"):
+            return _step_bytes(resolution._step(problem, v, caps, impacting))
+    except (ValueError, errors.MultimpactError) as exc:
+        return type(exc), str(exc)
+
+
+_HUGE = [1.7e308, -1.7e308, 1e308, -1e308, 1e200]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    capped=st.booleans(),
+    test_rows=st.booleans(),
+    huge=st.sampled_from([0.0, 0.1, 0.4]),
+    bad=st.sampled_from([0.0, 0.1, 0.3]),
+)
+def test_a_step_of_huge_velocities_and_bad_caps_fails_in_numpys_order(
+    seed, capped, test_rows, huge, bad
+):
+    # Some velocity entries are up to +-1.7e308, so that some rates
+    # overflow, and some caps NaN, infinite or negative.
+    # Numpy assembles every live row before it solves one, so its first
+    # error is bad caps in a live row, else a live q that is not finite,
+    # else the first row whose walk overflows, else an unsolved row, a
+    # residual, the cone; the kernel, and no numpy body, raises the same.
+    rng = np.random.default_rng(seed)
+    problem, v, caps = _random_step(rng, int(rng.integers(1, 4)), 6)
+    at = rng.random(v.shape) < huge
+    v[at] = rng.choice(_HUGE, size=at.sum())
+    at = rng.random(caps.shape) < bad
+    caps[at] = rng.choice([np.nan, -1.0, -0.0, np.inf], size=at.sum())
+    caps = caps if capped else None
+    impacting = None if test_rows else True
+    outcomes = {}
+    with pytest.MonkeyPatch.context() as patch:
+        for path in deciding_paths(patch):
+            outcomes[path] = _step_outcome(problem, v, caps, impacting)
+    assert outcomes["kernel"] == outcomes["numpy"]
+    with np.errstate(all="ignore"):
+        rates = ordered_matvec(problem.jbar, v)
+        if capped:
+            tested = is_impacting(problem, v) if test_rows else np.ones(len(v), dtype=bool)
+            live = tested & np.any(caps > 0.0, axis=1)
+            bad_caps = live & ~np.all(np.isfinite(caps) & (caps >= 0.0), axis=1)
+        else:
+            live = ~np.all(rates[:, : problem.n_contacts] >= 0.0, axis=1)
+            bad_caps = np.zeros(len(v), dtype=bool)
+    bad_q = live & ~np.all(np.isfinite(rates), axis=1)
+    if bad_caps.any():
+        assert outcomes["numpy"] == (ValueError, "impulse caps must be finite and nonnegative")
+    elif bad_q.any():
+        assert outcomes["numpy"] == (ValueError, "M and q must be finite")
+    else:
+        assert outcomes["numpy"] != (ValueError, "M and q must be finite")
 
 
 @pytest.mark.skipif(lcp_module.KERNEL is None, reason="the compiled kernel did not load")
@@ -1152,20 +1203,26 @@ def test_a_sweep_the_kernel_declines_runs_in_numpy_from_its_start(monkeypatch):
 def test_the_benchmarks_paths_never_enter_numpy(name, monkeypatch):
     # With the kernel loaded, sampling, the baselines and the certificate
     # solve every LCP in C: the numpy bodies are only its reference and
-    # the fallback without a compiler.
-    def numpy_body(*args, **kwargs):
-        raise AssertionError("a numpy body ran with the kernel loaded")
-
-    for module, body in (
-        (lcp_module, "_lemke_many_numpy"), (resolution, "_numpy_step"), (resolution, "_numpy_sweep")
-    ):
-        monkeypatch.setattr(module, body, numpy_body)
+    # the path without a compiler.  So are the inputs that overflow, each
+    # tested against that reference above with the numpy bodies raising:
+    # the huge-entry stacks, the steps of huge velocities or bad caps and
+    # the overflowing sweeps.  Here the bundled scene's step, at a live
+    # row whose q is not finite or whose caps are bad, raises without them.
+    forbid_numpy(monkeypatch)
     problem, v0, meta = build_example(name)
     h = float(meta["h"])
     for sampler in (SobolSampler(), UniformSampler(seed=1)):
         approximate(problem, v0, h, h / 10.0, int(meta["n_steps"]), 64, sampler)
     resolution.baselines(problem, v0)
     resolution.compute_r(problem)
+    caps, bad_caps = np.full((2, problem.n_contacts), h), np.full((2, problem.n_contacts), h)
+    bad_caps[1, 0] = np.inf  # a positive cap, so the row is live
+    for v, row_caps, message in (
+        (np.stack([v0, np.full(problem.n_v, np.inf)]), caps, "M and q must be finite"),
+        (np.stack([v0, v0]), bad_caps, "impulse caps must be finite and nonnegative"),
+    ):
+        with pytest.raises(ValueError, match=message), np.errstate(all="ignore"):
+            resolution._step(problem, v, row_caps, True)
 
 
 def _random_problem(seed):

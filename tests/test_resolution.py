@@ -602,6 +602,31 @@ def test_step_block_checks_every_rows_caps_first(bad):
         sim_step(problem, v0, caps[1])
 
 
+@pytest.mark.parametrize(
+    "shape", [(3,), (2, 4), (2, 2), (2, 3, 1)], ids=["1-d", "wide", "narrow", "3-d"]
+)
+def test_step_block_takes_a_stack_of_velocities(shape, monkeypatch):
+    # A 1-D v with one row of caps once met numpy's AxisError, and a wide
+    # one a broadcast error, on both paths.
+    problem, _, _ = build_example("phone")
+    caps = np.full(shape[:-1] + (problem.n_contacts,), 0.1)
+    for _ in kernel_paths(monkeypatch):
+        with pytest.raises(ValueError, match=re.escape(f"v must have shape (k, 3), got {shape}")):
+            resolution.step_block(problem, np.zeros(shape), caps)
+
+
+def test_a_sampler_that_draws_the_wrong_shape_raises_alike_on_both_paths(monkeypatch):
+    problem, v0, _ = build_example("phone")
+
+    class Wide:
+        def stream(self, first, count, n, m):
+            return lambda rows, step: np.full((len(rows), m + 1), 0.5)
+
+    for _ in kernel_paths(monkeypatch):
+        with pytest.raises(ValueError, match="lambda_max must have one cap per contact"):
+            resolution.sim_block(problem, v0, 0.3, 10, Wide(), 0, 2)
+
+
 @pytest.mark.parametrize("bad", [2.5, True, np.float64(3.0)])
 def test_sim_rejects_a_step_cap_that_is_not_an_integer(bad):
     problem, v0, _ = build_example("phone")

@@ -170,6 +170,16 @@ def test_scene_with_duplicate_labels_is_a_format_error():
         scene_from_dict(data)
 
 
+def test_a_label_that_utf_8_cannot_encode_is_a_format_error():
+    data = bundled_scene("phone")
+    data["contacts"][1]["label"] = "B\udc80"
+    message = r"contact label 'B\\udc80' cannot be written as UTF-8"
+    with pytest.raises(SceneFormatError, match=message):
+        scene_from_dict(data)
+    data["contacts"][1]["label"] = "Bé→"
+    assert scene_from_dict(data).contacts[1].label == "Bé→"
+
+
 def test_scene_missing_a_field_is_a_format_error_naming_it():
     data = bundled_scene("phone")
     del data["contacts"][0]["mu"]
