@@ -1,7 +1,8 @@
 /* Lemke's method on each row of a stack of LCPs that share M, one whole
    capped or uncapped step of a stack of velocities, a whole sequential
    sweep of one-contact resolutions, the uniform draws of their
-   generators, and the CSV text of a table of doubles.
+   generators, the CSV text of a table of doubles, and a whole lockstep
+   block of sampled trajectories.
 
    lcp.lemke_many's numpy body is the reference: it solves one row at a
    time, as solve_row does, and this file takes the same IEEE operations
@@ -11,7 +12,10 @@
    errors in its order, sequential_sweep runs resolution._numpy_sweep's
    loop on step_stack, the draws are numpy's PCG64 seeded by its
    SeedSequence, and csv_rows writes each double as Python's repr does,
-   both in exact integer arithmetic.  lcp.py builds it with
+   both in exact integer arithmetic.  sim_stack runs
+   resolution.sim_block's loop and setapprox's finishing step on
+   step_stack, with setapprox.sobol_block's Gray-code Sobol draws or the
+   PCG64 draws.  lcp.py builds it with
    -ffp-contract=off, so no product and sum fuse into one rounding, and
    passes the tolerances and the pivot budget at each call. */
 
@@ -516,7 +520,9 @@ int pcg_seed(int64_t count, const uint32_t *seed_words, int n_words, uint64_t fi
 
 /* Fill out (rows x m) with the next m doubles of states[which[r]] each,
    as Generator.random does: the top 53 bits of each output over 2**53.
-   Returns 1, drawing nothing, if an index lies outside [0, count). */
+   Returns 1, drawing nothing, if an index lies outside [0, count).
+   Protected, as step_stack is: sim_stack's calls bind here directly. */
+__attribute__((visibility("protected")))
 int pcg_draw(int64_t rows, const int64_t *which, int64_t count, int m, uint64_t *states,
              double *out)
 {
@@ -1177,5 +1183,93 @@ int sequential_sweep(int nv, int m, const double *packed, const double *v, const
     tally[0] = records;
     tally[1] = approaching(packed, m, nv, x, approach_tol, terms);
     free(blocks);
+    return outcome;
+}
+
+/* The lockstep block comes after the sweep, for the same reason. */
+
+/* The caps in [0, 1), scaled by h, of step j of the block's trajectories
+   rows[0..live): caps (live x m).  Given a Sobol byte table (7 x 256 x m,
+   C-ordered: setapprox._byte_table(m), so m <= 32), trajectory r takes
+   setapprox.sobol_block's point start + r stride + j; else the next m
+   doubles of its PCG64 state of states (count x 4), as pcg_draw draws. */
+static void draw_caps(int64_t live, const int64_t *rows, int m, int64_t j, const uint64_t *sobol,
+                      int64_t start, int64_t stride, int64_t count, uint64_t *states, double h,
+                      double *caps)
+{
+    if (!sobol)
+        pcg_draw(live, rows, count, m, states, caps);
+    for (int64_t r = 0; r < live && sobol; r++) {
+        uint64_t index = (uint64_t)(start + rows[r] * stride + j), gray = index ^ index >> 1;
+        uint64_t point[32] = {0};
+        for (const uint64_t *byte = sobol; gray; gray >>= 8, byte += (size_t)256 * m)
+            for (int c = 0; c < m; c++)
+                point[c] ^= byte[(gray & 255) * m + c];
+        for (int c = 0; c < m; c++)
+            caps[r * m + c] = (double)point[c] / 4503599627370496.0;
+    }
+    for (int64_t c = 0; c < live * m; c++)
+        caps[c] = h * caps[c];
+}
+
+/* setapprox's block of count trajectories in lockstep: resolution.sim_block
+   from v0 (nv, or count x nv when each is set) with budget h and step cap
+   n_max, its caps drawn by draw_caps, then the finishing step, a step of
+   every trajectory with the caps finishing (m), into out and impacting as
+   step_stack writes them.  Each step is one step_stack call.  Step 0
+   takes every row with its impact tested, which steps the rows that
+   impact and leaves the others as they are, and a later step takes the
+   rows whose last step left them impacting as impacting.  (sim_block
+   draws only for the rows that impact at the start, but the other rows'
+   draws are never read again.)  The finishing step tests every row.  The
+   workspace holds count rows, whatever n_max is.
+
+   Returns DONE, or the outcome of the first step that failed, whose detail
+   it copies to out's detail, after its count rows; or NO_MEMORY. */
+int sim_stack(int count, int nv, int m, const double *packed, const double *v0, int each, double h,
+              int64_t n_max, const uint64_t *sobol, int64_t start, int64_t stride,
+              uint64_t *states, const double *finishing, double *out, unsigned char *impacting,
+              double pivot_tol, double tie_tol, int64_t max_pivots, double residual_tol,
+              double cone_tol, double approach_tol)
+{
+    const size_t rowsize = (size_t)nv + 3 * (size_t)m, detail = (size_t)count * rowsize;
+    double *v = malloc(sizeof(double) * ((size_t)count * (2 * nv + m) + detail + 10 * m));
+    int64_t *rows = malloc(sizeof(int64_t) * ((size_t)count + 1));
+    unsigned char *stepped = malloc((size_t)count + 1);
+    int outcome = !v || !rows || !stepped ? NO_MEMORY : DONE;
+    double *before = v + (size_t)count * nv, *caps = before + (size_t)count * nv;
+    double *step = caps + (size_t)count * m;
+    int64_t live = outcome == DONE ? count : 0;
+    for (int s = 0; s < live; s++) {
+        memcpy(v + (size_t)s * nv, v0 + (each ? (size_t)s * nv : 0), sizeof(double) * (size_t)nv);
+        rows[s] = s;
+    }
+    for (int64_t j = 0; j < n_max && live; j++) {
+        draw_caps(live, rows, m, j, sobol, start, stride, count, states, h, caps);
+        for (int64_t r = 0; r < live; r++)
+            memcpy(before + r * nv, v + rows[r] * nv, sizeof(double) * (size_t)nv);
+        outcome = step_stack((int)live, nv, m, packed, before, caps, j == 0, step, stepped,
+                             pivot_tol, tie_tol, max_pivots, residual_tol, cone_tol,
+                             approach_tol);
+        if (outcome != DONE) {
+            memcpy(out + detail, step + (size_t)live * rowsize, sizeof(double) * 10 * (size_t)m);
+            break;
+        }
+        int64_t kept = 0;
+        for (int64_t r = 0; r < live; r++) {
+            memcpy(v + rows[r] * nv, step + r * nv, sizeof(double) * (size_t)nv);
+            if (stepped[r])
+                rows[kept++] = rows[r];
+        }
+        live = kept;
+    }
+    for (int s = 0; s < count && outcome == DONE; s++)
+        memcpy(caps + (size_t)s * m, finishing, sizeof(double) * (size_t)m);
+    if (outcome == DONE)
+        outcome = step_stack(count, nv, m, packed, v, caps, 1, out, impacting, pivot_tol, tie_tol,
+                             max_pivots, residual_tol, cone_tol, approach_tol);
+    free(v);
+    free(rows);
+    free(stepped);
     return outcome;
 }

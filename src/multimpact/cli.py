@@ -46,6 +46,19 @@ def _make_sampler(args: argparse.Namespace):
     return (UniformSampler if args.sampler == "uniform" else SobolSampler)(args.seed)
 
 
+def _sampling_scene(args: argparse.Namespace) -> tuple:
+    """The scene's problem, start velocity and meta, with the flags left
+    unset taken from it (:func:`_fill_defaults`).  A CSV output names
+    every contact label, so one that the output's encoding cannot write
+    raises ``UnicodeEncodeError`` here, before any work, as the export
+    would after it.  (JSON escapes every label.)"""
+    problem, v0, meta = build_example(args.scene)
+    _fill_defaults(args, meta)
+    if args.fmt == "csv":
+        ",".join(problem.labels).encode(mio._encoding())
+    return problem, v0, meta
+
+
 def _fill_defaults(args: argparse.Namespace, meta: dict) -> None:
     """Take the flags left unset from the scene.  Each flag alone was
     checked when it was parsed, and the scene's defaults when the scene
@@ -86,8 +99,7 @@ def _summary(payload: dict) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
-    problem, v0, meta = build_example(args.scene)
-    _fill_defaults(args, meta)
+    problem, v0, meta = _sampling_scene(args)
     traj = sim(
         problem, v0, args.h, args.n, _make_sampler(args), traj_index=args.traj_index
     )
@@ -115,8 +127,7 @@ def _approximate_set(
 
 
 def _cmd_approximate(args: argparse.Namespace) -> None:
-    problem, v0, meta = build_example(args.scene)
-    _fill_defaults(args, meta)
+    problem, v0, meta = _sampling_scene(args)
     post_set = _approximate_set(args, problem, v0)
     path = _export(args, meta, "set", post_set, problem)
     _summary(
@@ -134,8 +145,7 @@ def _cmd_approximate(args: argparse.Namespace) -> None:
 
 
 def _cmd_compare(args: argparse.Namespace) -> None:
-    problem, v0, meta = build_example(args.scene)
-    _fill_defaults(args, meta)
+    problem, v0, meta = _sampling_scene(args)
     # Sampling first: an argument it rejects fails before the baselines run.
     post_set = _approximate_set(args, problem, v0)
     rows = baselines(problem, v0)

@@ -80,20 +80,26 @@ _LEAD_BYTES, _NUMBER_BYTES = 21, 25
 _CHUNK_BYTES = 1 << 18
 
 
+def _encoding() -> str:
+    """The encoding ``_write`` writes with, as ``Path.write_text`` does:
+    ``"utf-8"`` in UTF-8 mode, else the locale's encoding, which a text
+    wrapper names without importing ``locale``."""
+    encoding = _io.text_encoding(None)
+    if encoding == "locale":
+        encoding = _io.TextIOWrapper(_io.BytesIO(), encoding="locale").encoding
+    return encoding
+
+
 def _write(path: str | Path | None, text: str) -> str:
     """Write ``text`` to ``path``, if it is given, with the bytes
     ``Path.write_text`` writes, overwriting the file in place (see the
     module docstring); returns ``text``."""
     if path is None:
         return text
-    # ``"utf-8"`` in UTF-8 mode, else the locale's encoding, which a text
-    # wrapper names without importing ``locale``.  ``str.encode`` costs a
-    # tenth of a ``TextIOWrapper`` over a buffer on a 3 MB text.
-    encoding = _io.text_encoding(None)
-    if encoding == "locale":
-        encoding = _io.TextIOWrapper(_io.BytesIO(), encoding="locale").encoding
+    # ``str.encode`` costs a tenth of a ``TextIOWrapper`` over a buffer on a
+    # 3 MB text.
     lines = text if os.linesep == "\n" else text.replace("\n", os.linesep)
-    data = memoryview(lines.encode(encoding))
+    data = memoryview(lines.encode(_encoding()))
     # O_BINARY (Windows only) keeps the C runtime from translating newlines again.
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     written = 0

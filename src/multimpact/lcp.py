@@ -26,13 +26,19 @@ velocities, this module's solve included (``resolution._step``): a
 capped step of the sampler's trajectories, or the baselines' uncapped
 resolution; ``sequential_sweep`` runs a whole sweep of the sequential
 baseline on ``step_stack`` (``resolution.sequential_resolve``);
-``pcg_seed`` and ``pcg_draw`` give the uniform sampler numpy's
-``default_rng`` draws (``setapprox.UniformSampler``); and ``csv_rows``
-writes the rows of a float table as CSV text, each number as ``repr``
-writes it (``io._csv``).  Each keeps a Python path as its reference and
-the path without a kernel (a compiler with 128-bit integers builds it),
-and picks its path from ``KERNEL is None`` alone: the kernel decides
-every input, and raises the numpy path's errors in their order.
+``sim_stack`` runs a whole lockstep block of sampled trajectories, its
+draws, every step on ``step_stack`` and the finishing step
+(``setapprox._run_block``); ``pcg_seed`` and ``pcg_draw`` give the
+uniform sampler numpy's ``default_rng`` draws
+(``setapprox.UniformSampler``); and ``csv_rows`` writes the rows of a
+float table as CSV text, each number as ``repr`` writes it
+(``io._csv``).  Each keeps a Python path as its reference and the path
+without a kernel (a compiler with 128-bit integers builds it), and
+picks its path from ``KERNEL is None`` alone: the kernel decides every
+input, and raises the numpy path's errors in their order.  The one
+exception is ``sim_stack``, whose reference loop also runs on the
+kernel for a caller that watches each step and for a sampler that only
+has a ``stream``.
 """
 
 from __future__ import annotations
@@ -123,8 +129,8 @@ def _open(path: Path) -> ctypes.CDLL:
     ``lemke_stack`` (``lemke_many``), ``step_stack``
     (``resolution._step``), ``sequential_sweep``
     (``resolution.sequential_resolve``), ``pcg_seed`` and ``pcg_draw``
-    (``setapprox.UniformSampler.stream``), and ``csv_rows``
-    (``io._csv``).  A library that does not end
+    (``setapprox.UniformSampler``), ``csv_rows`` (``io._csv``) and
+    ``sim_stack`` (``resolution._kernel_block``).  A library that does not end
     in the crc32 of the bytes before it raises ``OSError`` unloaded:
     loading a truncated library can kill the process with SIGBUS instead
     of raising.  (The loader ignores the bytes past the library's last
@@ -141,6 +147,8 @@ def _open(path: Path) -> ctypes.CDLL:
         ("pcg_seed", [i64, p, i32, ctypes.c_uint64, p]),
         ("pcg_draw", [i64, p, i64, i32, p, p]),
         ("csv_rows", [i64, i32, p, p, p]),
+        ("sim_stack", [i32, i32, i32, p, p, i32, f64, i64, p, i64, i64, p, p, p, p, f64, f64, i64,
+                       f64, f64, f64]),
     ):
         entry = getattr(lib, name)
         entry.argtypes = argtypes
@@ -327,6 +335,12 @@ def lemke_many(m: np.ndarray, q: np.ndarray) -> LcpSolution:
     if m.shape != (n, n):
         raise ValueError(f"M has shape {m.shape}, expected ({n}, {n}) for q of shape {q.shape}")
     _check_finite(m, q)
+    return _lemke_many(m, q)
+
+
+def _lemke_many(m: np.ndarray, q: np.ndarray) -> LcpSolution:
+    """:func:`lemke_many` of a float ``M`` and ``q`` whose shapes and
+    finiteness are already checked, on the kernel or on numpy."""
     if KERNEL is None:
         z, pivot_count, codes = _lemke_many_numpy(m, q)
         w = ordered_matvec(m, z) + q
@@ -413,15 +427,17 @@ def _solve_row(m: np.ndarray, q: np.ndarray) -> tuple:
 def lemke_solve(lcp: LcpInstance) -> LcpSolution:
     """Solve one LCP by Lemke complementary pivoting: :func:`lemke_many`
     on a stack of one, whose row it returns, with an ``int`` pivot count
-    and a ``str`` status.  For the copositive matrices produced by the
-    impact assembly (whose homogeneous solutions satisfy the required
-    feasibility side condition) termination with ``status="solved"`` is
-    guaranteed up to floating-point degeneracy; instances outside that
-    class may end in ``ray_termination``.
+    and a ``str`` status.  The instance checked its shapes and finiteness
+    when it was built, so they are not checked again.  For the
+    copositive matrices produced by the impact assembly (whose
+    homogeneous solutions satisfy the required feasibility side
+    condition) termination with ``status="solved"`` is guaranteed up to
+    floating-point degeneracy; instances outside that class may end in
+    ``ray_termination``.
     """
     if lcp.q.ndim != 1:
         raise ValueError("lemke_solve takes one instance; solve a stack with lemke_many")
-    sol = lemke_many(lcp.m, lcp.q[None])
+    sol = _lemke_many(lcp.m, lcp.q[None])
     return LcpSolution(
         z=sol.z[0], w=sol.w[0], pivot_count=int(sol.pivot_count[0]), status=str(sol.status[0])
     )

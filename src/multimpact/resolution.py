@@ -18,7 +18,9 @@ stack.  Each call picks its path from ``lcp.KERNEL is None`` alone: both
 give the same bits and the same errors in the same order, and
 ``step_block`` takes the same path.  ``sim_step`` and ``sim`` are the
 same engine on a stack of one, and a row's bits do not depend on the
-stack around it.
+stack around it.  ``sim_block``'s loop is itself the reference of
+``_kernel_block``, which takes a whole block of sampled trajectories,
+their draws, steps and finishing step, in one kernel call.
 
 Also provided: two deterministic baselines, an impulse-progress
 certificate ``r`` obtained from a small linear program, and the integer
@@ -377,6 +379,38 @@ def _kernel_step(
     v_after, lambda_n, beta, detail = out[:a], out[a:b], out[b:c], out[c:]
     _raise_failure(outcome, detail, 4 * m if caps is None else 5 * m, caps is None)
     return v_after.reshape(k, n_v), lambda_n.reshape(k, m), beta.reshape(k, 2 * m), impacting
+
+
+def _kernel_block(
+    problem: ImpactProblem, v0: np.ndarray, h: float, n_max: int, count: int, draws: tuple,
+    finishing: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sim_block` of ``count`` trajectories from ``v0`` and then the
+    :func:`_step` of each with the caps ``finishing``, in one call of the
+    compiled kernel, ``sim_stack``; returns that step's ``v_after`` and
+    the impact test of each of its rows.  ``draws`` is what the sampler's
+    ``_kernel_draws`` gives: a Sobol byte table, the first index and the
+    stride, then PCG64 states (the table ``None``, or the states).  The
+    kernel takes :func:`sim_block`'s steps, each a ``step_stack`` call,
+    with their bits and their errors: the first step that fails raises
+    as :func:`_kernel_step` would.  Nothing it holds grows with
+    ``n_max``."""
+    m, n_v = problem.n_contacts, problem.n_v
+    sobol, start, stride, states = draws
+    v0 = np.ascontiguousarray(v0, dtype=float)
+    finishing = np.ascontiguousarray(finishing, dtype=float)
+    out = np.empty(count * (n_v + 3 * m) + 10 * m)
+    impacting = np.empty(count, dtype=bool)
+    outcome = _lcp.KERNEL.sim_stack(
+        count, n_v, m, _workspace(problem).packed.ctypes.data, v0.ctypes.data, v0.ndim == 2, h,
+        # No trajectory takes 2**63 steps.
+        min(n_max, 2**63 - 1), None if sobol is None else sobol.ctypes.data, start, stride,
+        None if states is None else states.ctypes.data, finishing.ctypes.data, out.ctypes.data,
+        impacting.ctypes.data, _lcp.PIVOT_TOL, _lcp.LEX_TIE_TOL, _lcp.MAX_PIVOTS, RESIDUAL_TOL,
+        _contact.CONE_TOL, _contact.APPROACH_TOL,
+    )
+    _raise_failure(outcome, out[count * (n_v + 3 * m) :], 5 * m, False)
+    return out[: count * n_v].reshape(count, n_v), impacting
 
 
 def _raise_failure(outcome: int, detail: np.ndarray, n: int, uncapped: bool) -> None:

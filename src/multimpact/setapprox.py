@@ -20,11 +20,15 @@ post-impact set.  This module provides:
   ``epsilon_net_check``, and the grid-based ``sample_count_bound``.
 
 ``approximate`` runs contiguous blocks of ``BLOCK_SIZE`` trajectories in
-lockstep (``resolution.sim_block``), each step drawing the caps of the
-block's trajectories that still impact.  With ``jobs > 1`` the calling
-process runs the first of ``jobs`` contiguous ranges itself while
-``jobs - 1`` child processes run the rest, and every child has ended
-before the call returns.  A trajectory's bits depend neither on the
+lockstep, each step drawing the caps of the block's trajectories that
+still impact, and ends each block with the finishing step.  With the
+compiled kernel a block of either sampler is one call, which draws
+from the samplers' own tables and states (``_kernel_draws``); its
+reference, and the path for a sampler that only has ``stream``, is
+``resolution.sim_block`` and the finishing ``_step``.  With ``jobs > 1``
+the calling process runs the first of ``jobs`` contiguous ranges itself
+while ``jobs - 1`` child processes run the rest, and every child has
+ended before the call returns.  A trajectory's bits depend neither on the
 block it falls in nor on the job count.
 """
 
@@ -39,7 +43,8 @@ import numpy as np
 from . import lcp
 from .contact import ImpactProblem
 from .contact import is_impacting  # noqa: F401  (stays importable from here)
-from .resolution import _check_budget, _check_integers, _start_velocity, _step, _workspace
+from .resolution import _check_budget, _check_integers, _kernel_block, _start_velocity, _step
+from .resolution import _workspace
 from .resolution import sim_block, step_block
 from .resolution import sim, sim_step  # noqa: F401  (stay importable from here)
 
@@ -148,6 +153,8 @@ def _byte_table(dimension: int) -> np.ndarray:
     values = np.arange(256, dtype=np.uint64)
     bits = (values[:, None] >> np.arange(8, dtype=np.uint64)) & np.uint64(1)  # (value, bit)
     table = np.bitwise_xor.reduce(bits[None, :, None, :] * columns[:, None], axis=3)
+    # C-ordered, so that ``_lemke.c``'s ``sim_stack`` reads it in place.
+    table = np.ascontiguousarray(table)
     table.flags.writeable = False
     return table
 
@@ -187,11 +194,17 @@ class SobolSampler:
         of trajectories ``first + rows``, shape (len(rows), m), by
         ``sobol_block``.  An index range beyond the sequence, or more than
         ``MAX_DIMENSION`` contacts, raises ``ValueError`` here."""
+        _, start, _, _ = self._kernel_draws(first, count, n, m)
+        return lambda rows, step: sobol_block(m, start + rows * n + step)
+
+    def _kernel_draws(self, first: int, count: int, n: int, m: int) -> tuple:
+        """``stream``'s draws as ``resolution._kernel_block`` takes them,
+        after ``stream``'s checks: the byte table, the index of trajectory
+        ``first``'s first draw and the stride."""
         if 1 + (first + count) * n >= 1 << MAXBIT:
             raise ValueError("Sobol index range exceeds the 52-bit sequence")
-        _byte_table(m)  # checks m, and builds the table before any child starts
-        start = 1 + first * n
-        return lambda rows, step: sobol_block(m, start + rows * n + step)
+        # Checks m, and builds the table before any child starts.
+        return _byte_table(m), 1 + first * n, n, None
 
 
 class UniformSampler:
@@ -225,11 +238,7 @@ class UniformSampler:
         outside = f"draw rows must lie in [0, {count})"
         kernel = lcp.KERNEL
         if kernel is not None and first + count <= 1 << 64:
-            bits = range(0, max(1, self.seed.bit_length()), 32)
-            words = np.array([self.seed >> bit & 0xFFFFFFFF for bit in bits], dtype=np.uint32)
-            states = np.empty((count, 4), dtype=np.uint64)
-            code = kernel.pcg_seed(count, words.ctypes.data, words.size, first, states.ctypes.data)
-            lcp._raise_outcome(code)
+            states = self._states(first, count)
 
             def draw(rows: np.ndarray, step: int) -> np.ndarray:
                 rows = np.ascontiguousarray(rows, dtype=np.int64)
@@ -254,6 +263,23 @@ class UniformSampler:
             return out
 
         return draw
+
+    def _kernel_draws(self, first: int, count: int, n: int, m: int) -> tuple | None:
+        """``stream``'s draws as ``resolution._kernel_block`` takes them,
+        the generators' PCG64 states, or ``None`` for indices past 2**64."""
+        if first + count > 1 << 64:
+            return None
+        return None, 0, 0, self._states(first, count)
+
+    def _states(self, first: int, count: int) -> np.ndarray:
+        """The PCG64 states (count, 4) of trajectories ``first ..
+        first+count-1``' generators, seeded by the compiled kernel."""
+        bits = range(0, max(1, self.seed.bit_length()), 32)
+        words = np.array([self.seed >> bit & 0xFFFFFFFF for bit in bits], dtype=np.uint32)
+        states = np.empty((count, 4), dtype=np.uint64)
+        code = lcp.KERNEL.pcg_seed(count, words.ctypes.data, words.size, first, states.ctypes.data)
+        lcp._raise_outcome(code)
+        return states
 
 
 @dataclass(eq=False)
@@ -295,13 +321,38 @@ def _run_trajectories(
     indices, samples = [], []
     for first in range(start, stop, BLOCK_SIZE):
         count = min(BLOCK_SIZE, stop - first)
-        v = sim_block(problem, v0, h, n_max, sampler, first, count)
-        caps = np.broadcast_to(finishing, (count, finishing.size))
-        v_fin, _, _, impacting = _step(problem, v, caps)
+        v_fin, impacting = _run_block(problem, v0, h, n_max, sampler, finishing, first, count)
         kept = ~impacting
         indices.append(first + np.flatnonzero(kept))
         samples.append(v_fin[kept])
     return np.concatenate(indices), np.concatenate(samples)
+
+
+def _run_block(
+    problem: ImpactProblem,
+    v0: np.ndarray,
+    h: float,
+    n_max: int,
+    sampler,
+    finishing: np.ndarray,
+    first: int,
+    count: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trajectories ``first .. first+count-1`` in lockstep, each ended by
+    the finishing step with caps ``finishing``: their final velocities
+    and whether each still impacts.  With the compiled kernel and a
+    sampler that draws in it (``_kernel_draws``) the block is one call,
+    ``resolution._kernel_block``; otherwise, as for a sampler that has
+    only ``stream``, ``sim_block`` and the finishing ``_step``, its
+    reference, with the same bits and errors."""
+    kernel_draws = getattr(sampler, "_kernel_draws", None)
+    if lcp.KERNEL is not None and kernel_draws is not None:
+        draws = kernel_draws(first, count, n_max, problem.n_contacts)
+        if draws is not None:
+            return _kernel_block(problem, v0, h, n_max, count, draws, finishing)
+    v = sim_block(problem, v0, h, n_max, sampler, first, count)
+    v_fin, _, _, impacting = _step(problem, v, np.broadcast_to(finishing, (count, finishing.size)))
+    return v_fin, impacting
 
 
 def _run_share(conn, args: tuple, start: int, stop: int) -> None:

@@ -28,6 +28,7 @@ from multimpact import (
     classify_outcomes,
 )
 from multimpact import cli
+from multimpact import io as mio
 from multimpact.scenes import EXAMPLE_NAMES, MAX_MAGNITUDE
 
 from conftest import bundled_scene
@@ -626,6 +627,37 @@ def test_an_output_that_cannot_be_encoded_leaves_the_file_as_it_was(tmp_path):
         assert "can't encode character" in run.stderr
     assert old.read_bytes() == b"earlier output\n"
     assert not new.exists()
+
+
+def test_a_label_the_output_cannot_encode_fails_before_any_work(tmp_path, capsys, monkeypatch):
+    # Under an ASCII output encoding a CSV output cannot write the label
+    # "é": each command that writes one exits 1 before it samples, steps
+    # or runs the baselines, and leaves an existing output as it was.  A
+    # JSON output escapes the label and is written.
+    data = bundled_scene("phone")
+    data["contacts"][0]["label"] = "\u00e9"
+    scene = tmp_path / "accented.json"
+    scene.write_text(json.dumps(data))
+    monkeypatch.setattr(mio, "_encoding", lambda: "ascii")
+    out = tmp_path / "out.json"
+    args = ["--scene", str(scene), "--m", "8", "--jobs", "1"]
+    assert cli.main(["compare", *args, "--format", "json", "--output", str(out)]) == 0
+    assert "\\u00e9" in out.read_text()
+    capsys.readouterr()
+
+    def ran(*args, **kwargs):
+        raise AssertionError("work ran")
+
+    for name in ("approximate", "baselines", "sim"):
+        monkeypatch.setattr(cli, name, ran)
+    out = tmp_path / "old.csv"
+    out.write_bytes(b"earlier output\n")
+    for command in (["simulate", "--scene", str(scene)], ["approximate", *args], ["compare", *args]):
+        assert cli.main([*command, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "can't encode character" in err
+    assert out.read_bytes() == b"earlier output\n"
 
 
 def test_a_label_that_utf_8_cannot_encode_fails_before_any_work(tmp_path, capsys, monkeypatch):

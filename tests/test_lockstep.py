@@ -98,7 +98,7 @@ def _child_pids() -> set[int]:
     return children
 
 
-# Children see a monkeypatched ``sim_block`` only if they are forked.
+# Children see a monkeypatched ``_run_block`` only if they are forked.
 needs_fork = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork", reason="needs forked children"
 )
@@ -129,17 +129,17 @@ def test_no_child_process_outlives_approximate():
 
 
 def _fail_on(monkeypatch, bad):
-    """Make ``setapprox.sim_block`` raise ``LcpSolveError`` for any block
+    """Make ``setapprox._run_block`` raise ``LcpSolveError`` for any block
     holding a trajectory index in ``bad``, naming the lowest such index."""
-    real = setapprox.sim_block
+    real = setapprox._run_block
 
-    def sim_block(problem, v0, h, n_max, sampler, first, count):
+    def run_block(problem, v0, h, n_max, sampler, finishing, first, count):
         held = bad & set(range(first, first + count))
         if held:
             raise LcpSolveError("ray_termination", f"trajectory {min(held)}")
-        return real(problem, v0, h, n_max, sampler, first, count)
+        return real(problem, v0, h, n_max, sampler, finishing, first, count)
 
-    monkeypatch.setattr(setapprox, "sim_block", sim_block)
+    monkeypatch.setattr(setapprox, "_run_block", run_block)
 
 
 @needs_fork
@@ -169,14 +169,14 @@ def test_a_failing_share_raises_as_a_serial_run_would(bad, monkeypatch):
 def test_a_child_that_exits_without_results_is_reported(monkeypatch):
     problem, v0, meta = build_example("phone")
     h = float(meta["h"])
-    parent, real = os.getpid(), setapprox.sim_block
+    parent, real = os.getpid(), setapprox._run_block
 
-    def sim_block(*args):
+    def run_block(*args):
         if os.getpid() != parent:
             os._exit(3)
         return real(*args)
 
-    monkeypatch.setattr(setapprox, "sim_block", sim_block)
+    monkeypatch.setattr(setapprox, "_run_block", run_block)
     with pytest.raises(RuntimeError, match="exited with code 3"):
         approximate(problem, v0, h, h / 10.0, int(meta["n_steps"]), 7, UniformSampler(), jobs=2)
 
@@ -187,12 +187,12 @@ def test_children_are_terminated_when_the_own_share_raises(monkeypatch):
     h = float(meta["h"])
     parent = os.getpid()
 
-    def sim_block(*args):
+    def run_block(*args):
         if os.getpid() != parent:
             time.sleep(60.0)
         raise LcpSolveError("max_pivots", "own share")
 
-    monkeypatch.setattr(setapprox, "sim_block", sim_block)
+    monkeypatch.setattr(setapprox, "_run_block", run_block)
     start = time.perf_counter()
     with pytest.raises(LcpSolveError, match="own share"):
         approximate(problem, v0, h, h / 10.0, int(meta["n_steps"]), 7, UniformSampler(), jobs=3)
@@ -717,11 +717,19 @@ def _assert_steps_alike(problem, v, caps, impacting=None):
 @pytest.mark.parametrize("sampler", sorted(SET_SAMPLERS))
 @pytest.mark.parametrize("name", ["ball", *STEP_SCENES])
 def test_a_sampled_set_has_the_same_bytes_on_both_lemke_paths(name, sampler, monkeypatch):
-    # Every step that sampling takes on the kernel is taken again by the
-    # numpy ``_step`` and compared bitwise, and the exported sets must
-    # match too.
+    # The exported sets match on both paths.  The set is one block, which
+    # the kernel runs in one call; the reference loop (``sim_block``, then
+    # the finishing ``_step``) gives its samples on the kernel, and each
+    # step the loop takes there is taken again by the numpy ``_step`` and
+    # compared bitwise.
     problem, v0, meta = build_example(name)
-    h = float(meta["h"])
+    h, n_max, m = float(meta["h"]), int(meta["n_steps"]), problem.n_contacts
+    exported = {}
+    for path in kernel_paths(monkeypatch):
+        post = approximate(problem, v0, h, h / 10.0, n_max, 256, SET_SAMPLERS[sampler])
+        exported[path] = set_to_csv(post, problem)
+    assert exported["kernel"] == exported["numpy"]
+    monkeypatch.undo()
     steps = []
     kernel_step = resolution._kernel_step
 
@@ -730,22 +738,22 @@ def test_a_sampled_set_has_the_same_bytes_on_both_lemke_paths(name, sampler, mon
         return kernel_step(*args)
 
     monkeypatch.setattr(resolution, "_kernel_step", recording)
-    exported = {}
-    for path in kernel_paths(monkeypatch):
-        post = approximate(
-            problem, v0, h, h / 10.0, int(meta["n_steps"]), 256, SET_SAMPLERS[sampler]
-        )
-        exported[path] = set_to_csv(post, problem)
-    assert exported["kernel"] == exported["numpy"]
+    on_step = []
+    v = resolution.sim_block(
+        problem, v0, h, n_max, SET_SAMPLERS[sampler], 0, 256, on_step=lambda *s: on_step.append(s)
+    )
+    finishing = np.broadcast_to(h / 10.0 / (3.0 * psi(problem)) * np.ones(m), (256, m))
+    v_fin, _, _, impacting = resolution._step(problem, v, finishing)
     monkeypatch.undo()
-    assert steps or lcp_module.KERNEL is None
+    assert v_fin[~impacting].tobytes() == post.samples.tobytes()
+    assert len(steps) == len(on_step) + 1 or lcp_module.KERNEL is None
     for problem, v, caps, test_rows in steps:
         _assert_steps_alike(problem, v, caps, None if test_rows else True)
 
 
-def test_a_lockstep_step_is_one_kernel_call(monkeypatch):
-    # One call opens the uniform stream, and each step is one call that
-    # draws and one that steps every live row; nothing else is called.
+def _count_kernel_calls(monkeypatch) -> collections.Counter:
+    """Count each lookup of a kernel entry point from here on, by name;
+    skip the test without a kernel."""
     kernel = lcp_module.KERNEL
     if kernel is None:
         pytest.skip("the compiled kernel did not load")
@@ -757,6 +765,13 @@ def test_a_lockstep_step_is_one_kernel_call(monkeypatch):
             return getattr(kernel, name)
 
     monkeypatch.setattr(lcp_module, "KERNEL", Counting())
+    return calls
+
+
+def test_a_lockstep_step_is_one_kernel_call(monkeypatch):
+    # One call opens the uniform stream, and each step is one call that
+    # draws and one that steps every live row; nothing else is called.
+    calls = _count_kernel_calls(monkeypatch)
     problem, v0, meta = build_example("disk_stack")
     steps = []
     resolution.sim_block(
@@ -765,6 +780,22 @@ def test_a_lockstep_step_is_one_kernel_call(monkeypatch):
     )
     assert len(steps) > 1
     assert calls == {"pcg_seed": 1, "pcg_draw": len(steps), "step_stack": len(steps)}
+
+
+@pytest.mark.parametrize("sampler", sorted(SET_SAMPLERS))
+def test_a_sampled_block_is_one_kernel_call(sampler, monkeypatch):
+    # Each block of a sampled set is one call that takes every step, the
+    # draws and the finishing step; the uniform stream is seeded once
+    # when ``approximate`` opens it and once per block.
+    calls = _count_kernel_calls(monkeypatch)
+    monkeypatch.setattr(setapprox, "BLOCK_SIZE", 32)
+    problem, v0, meta = build_example("disk_stack")
+    h = float(meta["h"])
+    approximate(problem, v0, h, h / 10.0, int(meta["n_steps"]), 64, SET_SAMPLERS[sampler])
+    expected = {"sim_stack": 2}
+    if sampler == "uniform":
+        expected["pcg_seed"] = 3
+    assert calls == expected
 
 
 def test_a_problem_without_contacts_is_rejected():
@@ -1099,17 +1130,7 @@ def test_a_failing_sweep_raises_alike_on_both_paths(seed):
 
 
 def test_a_sweep_is_one_kernel_call(monkeypatch):
-    kernel = lcp_module.KERNEL
-    if kernel is None:
-        pytest.skip("the compiled kernel did not load")
-    calls = collections.Counter()
-
-    class Counting:
-        def __getattr__(self, name):
-            calls[name] += 1
-            return getattr(kernel, name)
-
-    monkeypatch.setattr(lcp_module, "KERNEL", Counting())
+    calls = _count_kernel_calls(monkeypatch)
     problem, v0, _ = build_example("disk_stack")
     assert sequential_resolve(problem, v0, ["A"]).n_steps > 1
     assert calls == {"sequential_sweep": 1}
@@ -1271,3 +1292,91 @@ def test_random_multi_contact_problems_end_to_end(seed, sobol):
                     sets.append((post.samples.tobytes(), post.traj_indices.tobytes(),
                                  post.rejected_count))
     assert all(got == sets[0] for got in sets[1:])
+
+
+class _StreamOnly:
+    """``sampler`` with only its stream, as a user-written sampler has it:
+    ``approximate`` then takes the reference loop, on the kernel too."""
+
+    def __init__(self, sampler):
+        self.stream, self.kind, self.seed = sampler.stream, sampler.kind, sampler.seed
+
+
+def _block_outcome(*args):
+    """The bytes of ``setapprox._run_block(*args)``'s velocities and
+    verdicts, or the type and message of the error it raised."""
+    block = _run_or_error(setapprox._run_block, *args)
+    return block if isinstance(block[0], type) else [part.tobytes() for part in block]
+
+
+def _set_outcome(*args, **kwargs):
+    """The bytes of ``approximate(*args, **kwargs)``'s set, or the type and
+    message of the error it raised."""
+    post = _run_or_error(approximate, *args, **kwargs)
+    if isinstance(post, tuple):
+        return post
+    return post.samples.tobytes(), post.traj_indices.tobytes(), post.rejected_count
+
+
+@pytest.mark.skipif(lcp_module.KERNEL is None, reason="the compiled kernel did not load")
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5), sobol=st.booleans())
+def test_a_kernel_block_gives_the_loops_bytes(seed, m, sobol):
+    # One kernel call per block, and the reference loop on the kernel,
+    # give the same velocities, verdicts and sets, or the same error: for
+    # one start velocity or one per trajectory, and for any block size
+    # and job count.
+    problem, v, _ = _random_step(np.random.default_rng(seed), m, 9)
+    h, n_max = 1.0, 20
+    sampler = SobolSampler() if sobol else UniformSampler(seed=seed)
+    finishing = h / 10.0 / (3.0 * psi(problem)) * np.ones(m)
+    for first, count in ((0, 9), (5, 4)):
+        for v0 in (v[0], v[:count], np.asfortranarray(v[:count])):
+            outcomes = [
+                _block_outcome(problem, v0, h, n_max, draws, finishing, first, count)
+                for draws in (sampler, _StreamOnly(sampler))
+            ]
+            assert outcomes[0] == outcomes[1]
+    outcomes = []
+    with pytest.MonkeyPatch.context() as patch:
+        for block, jobs in ((7, 1), (7, 3), (256, 1), (256, 3)):
+            patch.setattr(setapprox, "BLOCK_SIZE", block)
+            for draws in (sampler, _StreamOnly(sampler)):
+                outcomes.append(_set_outcome(problem, v[0], h, h / 10.0, n_max, 16, draws, jobs=jobs))
+    assert all(got == outcomes[0] for got in outcomes[1:])
+
+
+@pytest.mark.parametrize(
+    "n_max, tolerance",
+    [(20, None), (20, "residuals"), (0, "residuals"), (20, "cone"), (0, "cone")],
+    ids=["ray", "residuals", "finishing-residuals", "cone", "finishing-cone"],
+)
+def test_a_failing_block_raises_as_the_loop_does(n_max, tolerance, monkeypatch):
+    # Seed 26's trajectory 4 ends a step on a ray; a tolerance that fails
+    # every certification or every cone audit fails the first step, or
+    # with no steps the finishing step.  The kernel block, the loop on
+    # the kernel and the numpy loop raise the same error, its residuals
+    # included.
+    problem, v0 = _random_problem(26)
+    if tolerance == "residuals":
+        monkeypatch.setattr(resolution, "RESIDUAL_TOL", -1.0)
+    elif tolerance == "cone":
+        monkeypatch.setattr(contact, "CONE_TOL", -1.0)
+    sampler = UniformSampler(seed=26)
+    failures = []
+    for _ in kernel_paths(monkeypatch):
+        for draws in (sampler, _StreamOnly(sampler)):
+            failures.append(_set_outcome(problem, v0, 1.0, 0.1, n_max, 16, draws))
+    assert all(got == failures[0] for got in failures[1:])
+    kind, message = failures[0]
+    if tolerance == "cone":
+        assert (kind, message) == (
+            errors.ConeViolationError, "post-step state failed the friction-cone feasibility audit"
+        )
+    else:
+        assert kind is LcpSolveError
+        failed = "LCP solve failed with status"
+        if tolerance is None:
+            assert message == f"{failed} 'ray_termination': capped impact step"
+        else:
+            assert message.startswith(f"{failed} 'solved': capped impact step: residuals exceed")

@@ -625,6 +625,9 @@ def test_a_sampler_that_draws_the_wrong_shape_raises_alike_on_both_paths(monkeyp
     for _ in kernel_paths(monkeypatch):
         with pytest.raises(ValueError, match="lambda_max must have one cap per contact"):
             resolution.sim_block(problem, v0, 0.3, 10, Wide(), 0, 2)
+        # A sampler that has only ``stream`` samples through that loop.
+        with pytest.raises(ValueError, match="lambda_max must have one cap per contact"):
+            approximate(problem, v0, 0.3, 0.03, 10, 2, Wide())
 
 
 @pytest.mark.parametrize("bad", [2.5, True, np.float64(3.0)])

@@ -137,9 +137,11 @@ def test_sobol_indices_stay_in_the_sequence():
 
 
 def test_cached_direction_tables_are_read_only():
+    # The byte table is C-ordered too, as the compiled block reads it.
     for build in (_direction_table, _byte_table):
         table = build(4)
         assert build(4) is table
+        assert table.flags.c_contiguous
         with pytest.raises(ValueError):
             table[0, 0] = 1
 
@@ -478,7 +480,7 @@ def test_a_sobol_range_beyond_the_sequence_fails_before_any_trajectory(monkeypat
     def never(*args, **kwargs):
         raise AssertionError("a trajectory ran")
 
-    monkeypatch.setattr(setapprox, "sim_block", never)
+    monkeypatch.setattr(setapprox, "_run_block", never)
     problem, v0, _ = build_example("phone")
     # 1 + m*n must stay below 2**52; m = 2**49, n = 8 gives exactly 2**52 + 1.
     with pytest.raises(ValueError, match="exceeds the 52-bit sequence"):
