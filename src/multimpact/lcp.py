@@ -28,11 +28,11 @@ resolution; ``sequential_sweep`` runs a whole sweep of the sequential
 baseline on ``step_stack`` (``resolution.sequential_resolve``);
 ``sim_stack`` runs a whole lockstep block of sampled trajectories, its
 draws, every step on ``step_stack`` and the finishing step
-(``setapprox._run_block``); ``pcg_seed`` and ``pcg_draw`` give the
-uniform sampler numpy's ``default_rng`` draws
-(``setapprox.UniformSampler``); and ``csv_rows`` writes the rows of a
-float table as CSV text, each number as ``repr`` writes it
-(``io._csv``).  Each keeps a Python path as its reference and the path
+(``setapprox._run_block``); ``pcg_seed`` and ``pcg_draw`` give its
+uniform draws numpy's ``default_rng`` bits
+(``setapprox.UniformSampler._kernel_draws``); and ``csv_rows`` writes
+the rows of a float table as CSV text, each number as ``repr`` writes
+it (``io._csv``).  Each keeps a Python path as its reference and the path
 without a kernel (a compiler with 128-bit integers builds it), and
 picks its path from ``KERNEL is None`` alone: the kernel decides every
 input, and raises the numpy path's errors in their order.  The one
@@ -129,7 +129,7 @@ def _open(path: Path) -> ctypes.CDLL:
     ``lemke_stack`` (``lemke_many``), ``step_stack``
     (``resolution._step``), ``sequential_sweep``
     (``resolution.sequential_resolve``), ``pcg_seed`` and ``pcg_draw``
-    (``setapprox.UniformSampler``), ``csv_rows`` (``io._csv``) and
+    (``sim_stack``'s uniform draws), ``csv_rows`` (``io._csv``) and
     ``sim_stack`` (``resolution._kernel_block``).  A library that does not end
     in the crc32 of the bytes before it raises ``OSError`` unloaded:
     loading a truncated library can kill the process with SIGBUS instead

@@ -18,9 +18,10 @@ stack.  Each call picks its path from ``lcp.KERNEL is None`` alone: both
 give the same bits and the same errors in the same order, and
 ``step_block`` takes the same path.  ``sim_step`` and ``sim`` are the
 same engine on a stack of one, and a row's bits do not depend on the
-stack around it.  ``sim_block``'s loop is itself the reference of
-``_kernel_block``, which takes a whole block of sampled trajectories,
-their draws, steps and finishing step, in one kernel call.
+stack around it.  ``sim_block``'s loop, which draws from the sampler's
+``stream`` in numpy, is itself the reference of ``_kernel_block``, which
+takes a whole block of sampled trajectories, their draws, steps and
+finishing step, in one kernel call.
 
 Also provided: two deterministic baselines, an impulse-progress
 certificate ``r`` obtained from a small linear program, and the integer

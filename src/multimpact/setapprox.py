@@ -23,9 +23,10 @@ post-impact set.  This module provides:
 lockstep, each step drawing the caps of the block's trajectories that
 still impact, and ends each block with the finishing step.  With the
 compiled kernel a block of either sampler is one call, which draws
-from the samplers' own tables and states (``_kernel_draws``); its
-reference, and the path for a sampler that only has ``stream``, is
-``resolution.sim_block`` and the finishing ``_step``.  With ``jobs > 1``
+from the samplers' own tables and states (``_kernel_draws``); only
+there does the kernel draw.  Its reference, and the path for a sampler
+that only has ``stream``, is ``resolution.sim_block`` and the finishing
+``_step``; ``stream`` draws in numpy on either engine.  With ``jobs > 1``
 the calling process runs the first of ``jobs`` contiguous ranges itself
 while ``jobs - 1`` child processes run the rest, and every child has
 ended before the call returns.  A trajectory's bits depend neither on the
@@ -178,15 +179,24 @@ def sobol_block(dimension: int, indices) -> np.ndarray:
     return points / float(1 << MAXBIT)
 
 
+def _check_seed(seed) -> int:
+    """``seed`` as an ``int``, if it is a nonnegative integer and not a bool."""
+    _check_integers(seed=seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return int(seed)
+
+
 class SobolSampler:
     """Low-discrepancy draw source.  Trajectory ``i`` with step cap ``n``
     draws step ``j`` at index ``1 + i*n + j``, so the draw a trajectory
-    sees is independent of scheduling or job count."""
+    sees is independent of scheduling or job count.  ``seed``, checked as
+    ``UniformSampler``'s unless ``None``, is only kept for the record."""
 
     kind = "sobol"
 
     def __init__(self, seed: int | None = None):
-        self.seed = seed  # accepted for interface parity; the stream is seedless
+        self.seed = None if seed is None else _check_seed(seed)
 
     def stream(self, first: int, count: int, n: int, m: int):
         """Cap draws in [0, 1) of trajectories ``first .. first+count-1``,
@@ -201,7 +211,8 @@ class SobolSampler:
         """``stream``'s draws as ``resolution._kernel_block`` takes them,
         after ``stream``'s checks: the byte table, the index of trajectory
         ``first``'s first draw and the stride."""
-        if 1 + (first + count) * n >= 1 << MAXBIT:
+        # The last trajectory's last draw is at index (first + count) * n.
+        if (first + count) * n >= 1 << MAXBIT:
             raise ValueError("Sobol index range exceeds the 52-bit sequence")
         # Checks m, and builds the table before any child starts.
         return _byte_table(m), 1 + first * n, n, None
@@ -215,43 +226,19 @@ class UniformSampler:
     kind = "uniform"
 
     def __init__(self, seed: int = 0):
-        _check_integers(seed=seed)
-        if seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {seed}")
-        self.seed = int(seed)
+        self.seed = _check_seed(seed)
 
     def stream(self, first: int, count: int, n: int, m: int):
         """Cap draws in [0, 1) of trajectories ``first .. first+count-1``,
         one step at a time: ``draw(rows, step)`` gives the next ``random(m)``
         of each trajectory ``first + rows``' generator
-        ``np.random.default_rng([seed, i])``, shape (len(rows), m).  A
-        trajectory drawn at every step so far gets the bits of one
-        ``random((n, m))``, as the live rows of ``sim_block`` are.
-
-        With the compiled kernel, one call seeds every generator's PCG64
-        state from its ``SeedSequence`` and one call per ``draw`` fills
-        the rows, with numpy's bits; the seed's 32-bit words, as
-        ``SeedSequence`` reads them, are formed here.  Without it, or for
-        indices past 2**64, the ``default_rng`` generators draw.  On
-        either path a row outside ``[0, count)`` raises ``IndexError``
-        before any generator draws."""
+        ``np.random.default_rng([seed, i])``, shape (len(rows), m); a
+        row's generator is built on its first draw.  A trajectory drawn at
+        every step so far gets the bits of one ``random((n, m))``, as the
+        live rows of ``sim_block`` are.  A row outside ``[0, count)``
+        raises ``IndexError`` before any generator draws."""
         outside = f"draw rows must lie in [0, {count})"
-        kernel = lcp.KERNEL
-        if kernel is not None and first + count <= 1 << 64:
-            states = self._states(first, count)
-
-            def draw(rows: np.ndarray, step: int) -> np.ndarray:
-                rows = np.ascontiguousarray(rows, dtype=np.int64)
-                out = np.empty((rows.size, m))
-                if kernel.pcg_draw(
-                    rows.size, rows.ctypes.data, count, m, states.ctypes.data, out.ctypes.data
-                ):
-                    raise IndexError(outside)
-                return out
-
-            return draw
-
-        generators = [np.random.default_rng([self.seed, i]) for i in range(first, first + count)]
+        generators = {}
 
         def draw(rows: np.ndarray, step: int) -> np.ndarray:
             indices = rows.tolist()
@@ -259,27 +246,27 @@ class UniformSampler:
                 raise IndexError(outside)
             out = np.empty((len(indices), m))
             for row, index in enumerate(indices):
+                if index not in generators:
+                    generators[index] = np.random.default_rng([self.seed, first + index])
                 generators[index].random(out=out[row])
             return out
 
         return draw
 
     def _kernel_draws(self, first: int, count: int, n: int, m: int) -> tuple | None:
-        """``stream``'s draws as ``resolution._kernel_block`` takes them,
-        the generators' PCG64 states, or ``None`` for indices past 2**64."""
+        """``stream``'s draws as ``resolution._kernel_block`` takes them:
+        the PCG64 states (count, 4) of the generators of trajectories
+        ``first .. first+count-1``, which the compiled kernel seeds from
+        the seed's 32-bit words as ``SeedSequence`` reads them; ``None``
+        for indices past 2**64."""
         if first + count > 1 << 64:
             return None
-        return None, 0, 0, self._states(first, count)
-
-    def _states(self, first: int, count: int) -> np.ndarray:
-        """The PCG64 states (count, 4) of trajectories ``first ..
-        first+count-1``' generators, seeded by the compiled kernel."""
         bits = range(0, max(1, self.seed.bit_length()), 32)
         words = np.array([self.seed >> bit & 0xFFFFFFFF for bit in bits], dtype=np.uint32)
         states = np.empty((count, 4), dtype=np.uint64)
         code = lcp.KERNEL.pcg_seed(count, words.ctypes.data, words.size, first, states.ctypes.data)
         lcp._raise_outcome(code)
-        return states
+        return None, 0, 0, states
 
 
 @dataclass(eq=False)
@@ -444,6 +431,8 @@ def approximate(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if n_max < 0:
         raise ValueError("step cap must be nonnegative")
+    h, epsilon = float(h), float(epsilon)
+    n_max, m_trajectories, jobs = int(n_max), int(m_trajectories), int(jobs)
     v0 = _start_velocity(problem, v0)
     sampler.stream(m_trajectories - 1, 1, n_max, problem.n_contacts)
     finishing = (epsilon / (3.0 * psi(problem))) * np.ones(problem.n_contacts)
@@ -582,7 +571,11 @@ def estimate_step_lipschitz(
 
     The pairs are drawn one by one, then stepped in lockstep
     (``step_block``) in chunks of ``BLOCK_SIZE`` rows, the two velocities
-    of a pair side by side."""
+    of a pair side by side.  ``h`` and ``scale`` must be positive and
+    finite, and ``n_pairs`` at least 1, or ``ValueError`` is raised."""
+    _check_budget(h)
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale!r}")
     _check_integers(n_pairs=n_pairs)
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")

@@ -72,8 +72,9 @@ def solved_parts(sol) -> list:
 
 def kernel_paths(monkeypatch):
     """Run the caller's loop body once on each path: the compiled kernel
-    (Lemke, the fused step and the uniform draws), then the numpy
-    fallback, forced by setting ``lcp.KERNEL`` to ``None``.  Yields the
+    (Lemke, the fused step, the sweep, the sampled block and the CSV
+    rows), then the numpy fallback, forced by setting ``lcp.KERNEL`` to
+    ``None``.  A sampler's ``stream`` draws in numpy on both.  Yields the
     path's name.  Without a compiler both runs take the fallback (CI
     asserts the kernel loads)."""
     for name, kernel in (("kernel", lcp.KERNEL), ("numpy", None)):

@@ -24,7 +24,8 @@ from multimpact import (
     sample_count_bound,
     sim,
 )
-from multimpact import lcp
+from multimpact import io as mio
+from multimpact import lcp, setapprox
 from multimpact.resolution import _workspace
 from multimpact.setapprox import MAX_DIMENSION, MAXBIT, _byte_table, _direction_table, sobol_block
 from conftest import kernel_paths
@@ -128,10 +129,16 @@ def test_sobol_indices_stay_in_the_sequence():
     for bad in ([-1], [3, 2**MAXBIT]):
         with pytest.raises(ValueError, match="52-bit sequence"):
             sobol_block(2, bad)
-    # Trajectory 0 with step cap n draws indices 1 .. n.
+    # Trajectory 0 with step cap n draws indices 1 .. n, so a cap of
+    # 2**MAXBIT - 1 reaches the sequence's last point.
     draw = SobolSampler().stream(0, 1, 2**MAXBIT - 2, 3)
     assert draw(np.array([0]), 2**MAXBIT - 3).shape == (1, 3)
-    for first, count, n in ((0, 1, 2**MAXBIT - 1), (2**40, 2**12, 2**30)):
+    draw = SobolSampler().stream(0, 1, 2**MAXBIT - 1, 3)
+    last = draw(np.array([0]), 2**MAXBIT - 2)
+    assert last.tobytes() == sobol_block(3, [2**MAXBIT - 1]).tobytes()
+    for first, count, n in (
+        (0, 1, 2**MAXBIT), (1, 1, 2**MAXBIT - 1), (2**40, 2**12, 2**30)
+    ):
         with pytest.raises(ValueError, match="52-bit sequence"):
             SobolSampler().stream(first, count, n, 3)
 
@@ -166,11 +173,36 @@ def _block_layout(sampler, first, count, n, m):
     )
 
 
-def _live_draws(sampler, first, count, n, m, seed):
-    """``(rows, step, draw)`` of one stream over a random run of live rows:
+def _kernel_stream(sampler, first, count, n, m):
+    """A uniform stream drawn as the compiled block draws it: the PCG64
+    states of ``_kernel_draws``, stepped by the kernel's ``pcg_draw``."""
+    states = sampler._kernel_draws(first, count, n, m)[3]
+
+    def draw(rows, step):
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        out = np.empty((rows.size, m))
+        drawn = lcp.KERNEL.pcg_draw(
+            rows.size, rows.ctypes.data, count, m, states.ctypes.data, out.ctypes.data
+        )
+        assert drawn == 0
+        return out
+
+    return draw
+
+
+def _streams(sampler, first, count, n, m):
+    """``(name, draw)`` of each way to draw these trajectories: the
+    sampler's ``stream`` and, for the uniform sampler with the kernel
+    loaded, the kernel's draws."""
+    yield "stream", sampler.stream(first, count, n, m)
+    if sampler.kind == "uniform" and lcp.KERNEL is not None:
+        yield "kernel", _kernel_stream(sampler, first, count, n, m)
+
+
+def _live_draws(draw, count, n, seed):
+    """``(rows, step, draws)`` of one stream over a random run of live rows:
     every step keeps a random subset of the rows live at the step before."""
     rng = np.random.default_rng(seed)
-    draw = sampler.stream(first, count, n, m)
     rows = np.arange(count)
     out = []
     for step in range(n):
@@ -181,22 +213,22 @@ def _live_draws(sampler, first, count, n, m, seed):
 
 @pytest.mark.parametrize("sampler", [SobolSampler(), UniformSampler(seed=11)], ids=["sobol", "uniform"])
 @pytest.mark.parametrize("first, count", [(0, 1), (0, 9), (37, 20)])
-def test_stream_draws_the_block_layout_bit_for_bit(sampler, first, count, monkeypatch):
+def test_stream_draws_the_block_layout_bit_for_bit(sampler, first, count):
     n, m = 6, 3
     layout = _block_layout(sampler, first, count, n, m)
-    for path in kernel_paths(monkeypatch):
-        for seed in range(5):
-            for rows, step, drawn in _live_draws(sampler, first, count, n, m, seed):
+    for seed in range(5):
+        for name, draw in _streams(sampler, first, count, n, m):
+            for rows, step, drawn in _live_draws(draw, count, n, seed):
                 assert drawn.shape == (len(rows), m)
                 want = layout[rows, step]
-                np.testing.assert_array_equal(drawn.view(np.uint64), want.view(np.uint64))
+                np.testing.assert_array_equal(drawn.view(np.uint64), want.view(np.uint64), name)
 
 
 _SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**30]
 _INDICES = [0, 2**32 - 1, 2**32, 2**52 - 1]
 
 
-def test_uniform_draws_are_numpys_for_any_seed_and_index(monkeypatch):
+def test_uniform_draws_are_numpys_for_any_seed_and_index():
     # Seeds of one to four 32-bit words and indices of one or two, with
     # the stream's next index crossing a word boundary at 2**32 - 1.
     rng = np.random.default_rng(8)
@@ -204,29 +236,42 @@ def test_uniform_draws_are_numpys_for_any_seed_and_index(monkeypatch):
     seeds.append(int(rng.integers(1, 2**62)) << 70)
     indices = _INDICES + [int(x) for x in rng.integers(0, 2**52, 4)]
     n, m = 3, 5
-    for seed in seeds:
+    for k, seed in enumerate(seeds):
         for first in indices:
-            want = [np.random.default_rng([seed, i]).random((n, m)) for i in (first, first + 1)]
-            for path in kernel_paths(monkeypatch):
-                draw = UniformSampler(seed).stream(first, 2, n, m)
-                got = np.stack([draw(np.arange(2), j) for j in range(n)], axis=1)
-                assert got.tobytes() == np.array(want).tobytes(), (path, seed, first)
+            want = np.array(
+                [np.random.default_rng([seed, i]).random((n, m)) for i in (first, first + 1)]
+            )
+            for name, draw in _streams(UniformSampler(seed), first, 2, n, m):
+                for rows, step, drawn in _live_draws(draw, 2, n, k):
+                    assert drawn.tobytes() == want[rows, step].tobytes(), (name, seed, first)
 
 
-def test_the_kernel_stream_builds_no_numpy_generator(monkeypatch):
-    if lcp.KERNEL is None:
-        pytest.skip("the compiled kernel did not load")
-    want = np.random.default_rng([7, 3]).random((2, 4))
+def _refuse_draws(monkeypatch):
+    """Make building a numpy generator raise ``AssertionError``."""
 
     def refused(*args):
         raise AssertionError("a numpy generator was built")
 
     monkeypatch.setattr(np.random, "default_rng", refused)
-    draw = UniformSampler(7).stream(2, 3, 2, 4)
-    got = np.stack([draw(np.array([1]), j)[0] for j in range(2)])
-    assert got.tobytes() == want.tobytes()
-    with pytest.raises(IndexError):
-        draw(np.array([3]), 2)
+
+
+def test_a_kernel_set_builds_no_numpy_generator(monkeypatch):
+    # The kernel draws every block, and ``approximate``'s range probe
+    # opens a stream that builds nothing until it draws.
+    if lcp.KERNEL is None:
+        pytest.skip("the compiled kernel did not load")
+    monkeypatch.setattr(setapprox, "BLOCK_SIZE", 20)
+    problem, v0, _ = build_example("phone")
+
+    def sampled_set():
+        post = approximate(problem, v0, 0.3, 0.03, 10, 40, UniformSampler(7))
+        return mio.set_to_json(post, problem)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lcp, "KERNEL", None)
+        want = sampled_set()
+    _refuse_draws(monkeypatch)
+    assert sampled_set() == want
 
 
 @pytest.mark.parametrize("rows", [[-1], [3], [0, -3], [2, 4]])
@@ -449,11 +494,34 @@ def test_post_impact_set_is_a_plain_record():
     assert ps.rejected_count == 0
 
 
-@pytest.mark.parametrize("h", [math.nan, -1.0])
-def test_step_lipschitz_rejects_caps_from_a_bad_budget(h):
+@pytest.mark.parametrize("h", [math.nan, -1.0, 0.0, math.inf])
+def test_step_lipschitz_rejects_caps_from_a_bad_budget(h, monkeypatch):
     phone, _, _ = build_example("phone")
-    with pytest.raises(ValueError, match="impulse caps must be finite and nonnegative"):
+    _refuse_draws(monkeypatch)
+    with pytest.raises(ValueError, match="impulse budget h must be positive and finite"):
         estimate_step_lipschitz(phone, h=h, n_pairs=4)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+def test_step_lipschitz_rejects_a_bad_scale(scale, monkeypatch):
+    phone, _, _ = build_example("phone")
+    _refuse_draws(monkeypatch)
+    with pytest.raises(ValueError, match="scale must be positive and finite"):
+        estimate_step_lipschitz(phone, h=1.0, n_pairs=4, scale=scale)
+
+
+def test_a_run_made_with_numpy_integers_exports_the_plain_runs_json():
+    phone, v0, _ = build_example("phone")
+    made = {}
+    for number in (int, np.int64):
+        post = approximate(phone, v0, 1.0, 0.1, number(10), number(8), SobolSampler(number(0)))
+        traj = sim(phone, v0, 1.0, number(10), SobolSampler(number(0)))
+        made[number] = (mio.set_to_json(post, phone), mio.trajectory_to_json(traj, phone))
+    assert made[np.int64] == made[int]
+    assert type(SobolSampler(np.int64(3)).seed) is int
+    for bad in (-1, True, 2.0):
+        with pytest.raises(ValueError, match="seed must be"):
+            SobolSampler(bad)
 
 
 @pytest.mark.parametrize(
