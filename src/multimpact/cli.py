@@ -281,8 +281,8 @@ def _build_parser() -> _Parser:
         )
         p.add_argument(
             "--jobs", type=_int_at_least(1), default=_usable_cpus(),
-            help="processes that sample, this one included "
-            "(default: the CPUs this process may run on)",
+            help="threads that sample on the compiled kernel, this one included; "
+            "one without it (default: the CPUs this process may run on)",
         )
         p.add_argument(
             "--paper-scale", action="store_true", dest="paper_scale",

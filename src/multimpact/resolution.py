@@ -492,6 +492,14 @@ def _check_integers(**values) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _recorded_seed(sampler):
+    """The sampler's ``seed`` as a run records it: an integer that is not a
+    bool as an ``int`` (a numpy integer does not serialize), anything else
+    as it is, ``None`` if it has none."""
+    seed = getattr(sampler, "seed", None)
+    return int(seed) if isinstance(seed, numbers.Integral) and not isinstance(seed, bool) else seed
+
+
 def _start_velocity(
     problem: ImpactProblem, v: np.ndarray, count: int | None = None
 ) -> np.ndarray:
@@ -570,7 +578,7 @@ def sim(
         steps=steps,
         terminated=not is_impacting(problem, v)[0],
         h=h,
-        rng_seed=getattr(sampler, "seed", None),
+        rng_seed=_recorded_seed(sampler),
         v0=v0.copy(),
         v_final=v[0],
     )

@@ -27,16 +27,20 @@ from the samplers' own tables and states (``_kernel_draws``); only
 there does the kernel draw.  Its reference, and the path for a sampler
 that only has ``stream``, is ``resolution.sim_block`` and the finishing
 ``_step``; ``stream`` draws in numpy on either engine.  With ``jobs > 1``
-the calling process runs the first of ``jobs`` contiguous ranges itself
-while ``jobs - 1`` child processes run the rest, and every child has
-ended before the call returns.  A trajectory's bits depend neither on the
-block it falls in nor on the job count.
+on the kernel, the calling thread runs the first of ``jobs`` contiguous
+ranges itself while ``jobs - 1`` threads run the rest: the kernel's
+block call releases the GIL and keeps no mutable global state.  Every
+thread has ended before the call returns.  The numpy reference holds the
+GIL, so there one range runs, whatever ``jobs`` is.  A trajectory's bits
+depend neither on the block it falls in nor on the job count.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +48,8 @@ import numpy as np
 from . import lcp
 from .contact import ImpactProblem
 from .contact import is_impacting  # noqa: F401  (stays importable from here)
-from .resolution import _check_budget, _check_integers, _kernel_block, _start_velocity, _step
-from .resolution import _workspace
+from .resolution import _check_budget, _check_integers, _kernel_block, _recorded_seed
+from .resolution import _start_velocity, _step, _workspace
 from .resolution import sim_block, step_block
 from .resolution import sim, sim_step  # noqa: F401  (stay importable from here)
 
@@ -214,7 +218,7 @@ class SobolSampler:
         # The last trajectory's last draw is at index (first + count) * n.
         if (first + count) * n >= 1 << MAXBIT:
             raise ValueError("Sobol index range exceeds the 52-bit sequence")
-        # Checks m, and builds the table before any child starts.
+        # Checks m, and builds the table before any thread starts.
         return _byte_table(m), 1 + first * n, n, None
 
 
@@ -301,10 +305,12 @@ def _run_trajectories(
     finishing: np.ndarray,
     start: int,
     stop: int,
+    stopped: Callable[[], bool],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Trajectories ``start .. stop-1`` in lockstep blocks of
     ``BLOCK_SIZE``, each ended by the finishing step; returns the indices
-    and final velocities of those that no longer impact."""
+    and final velocities of those that no longer impact.  Once
+    ``stopped()`` holds after a block, the blocks run so far are returned."""
     indices, samples = [], []
     for first in range(start, stop, BLOCK_SIZE):
         count = min(BLOCK_SIZE, stop - first)
@@ -312,7 +318,16 @@ def _run_trajectories(
         kept = ~impacting
         indices.append(first + np.flatnonzero(kept))
         samples.append(v_fin[kept])
+        if stopped():
+            break
     return np.concatenate(indices), np.concatenate(samples)
+
+
+def _kernel_draws_of(sampler) -> Callable | None:
+    """The sampler's ``_kernel_draws`` if the compiled kernel is loaded,
+    so that its blocks run in kernel calls that release the GIL; ``None``
+    if they run in numpy (no kernel, or a sampler with only ``stream``)."""
+    return None if lcp.KERNEL is None else getattr(sampler, "_kernel_draws", None)
 
 
 def _run_block(
@@ -328,12 +343,12 @@ def _run_block(
     """Trajectories ``first .. first+count-1`` in lockstep, each ended by
     the finishing step with caps ``finishing``: their final velocities
     and whether each still impacts.  With the compiled kernel and a
-    sampler that draws in it (``_kernel_draws``) the block is one call,
+    sampler that draws in it (``_kernel_draws_of``) the block is one call,
     ``resolution._kernel_block``; otherwise, as for a sampler that has
     only ``stream``, ``sim_block`` and the finishing ``_step``, its
     reference, with the same bits and errors."""
-    kernel_draws = getattr(sampler, "_kernel_draws", None)
-    if lcp.KERNEL is not None and kernel_draws is not None:
+    kernel_draws = _kernel_draws_of(sampler)
+    if kernel_draws is not None:
         draws = kernel_draws(first, count, n_max, problem.n_contacts)
         if draws is not None:
             return _kernel_block(problem, v0, h, n_max, count, draws, finishing)
@@ -342,59 +357,43 @@ def _run_block(
     return v_fin, impacting
 
 
-def _run_share(conn, args: tuple, start: int, stop: int) -> None:
-    """Child process body: send ``(True, result)`` of one range, or
-    ``(False, exception)`` if it raised."""
-    try:
-        reply = (True, _run_trajectories(*args, start, stop))
-    except BaseException as exc:  # the parent re-raises it
-        reply = (False, exc)
-    conn.send(reply)
-    conn.close()
-
-
 def _fan_out(args: tuple, bounds: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Results of the ranges ``bounds[k] .. bounds[k+1]-1`` in order: the
-    first from this process, the others from one child process each, so
-    a single range starts no child.
+    first from this thread, the others from one thread each, so a single
+    range starts no thread.
 
-    If anything raises here (this process's own range, an error a child
-    sent back, or ``KeyboardInterrupt``), the children still running are
-    terminated.  Every child is joined before this returns or raises."""
-    children = []
+    A range stops after its current block once an earlier range has
+    raised, or once this thread is interrupted.  Every thread is joined
+    before this returns or raises, and what it raises is the exception of
+    the earliest range that raised: the one a single range raises."""
+    ranges = list(zip(bounds, bounds[1:]))
+    failed = [False] * len(ranges)
+    results: list = [None] * len(ranges)
+
+    def run(k: int) -> None:
+        try:
+            results[k] = _run_trajectories(*args, *ranges[k], lambda: any(failed[:k]))
+        except BaseException as exc:  # raised below, once every thread has ended
+            results[k] = exc
+            failed[k] = True
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, len(ranges))]
     try:
-        for start, stop in zip(bounds[1:], bounds[2:]):
-            # Imported by the first child's start: it costs tens of ms,
-            # which a single range never pays.
-            import multiprocessing
-
-            receive, send = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.Process(target=_run_share, args=(send, args, start, stop))
-            child.start()
-            send.close()
-            children.append((child, receive))
-        parts = [_run_trajectories(*args, bounds[0], bounds[1])]
-        for child, receive in children:
-            try:
-                ok, value = receive.recv()
-            except EOFError:
-                child.join()
-                raise RuntimeError(
-                    f"trajectory worker exited with code {child.exitcode} "
-                    "before sending its results"
-                ) from None
-            if not ok:
-                raise value
-            parts.append(value)
-    except BaseException:
-        for child, _ in children:
-            child.terminate()
+        for thread in threads:
+            thread.start()
+        run(0)
+        for thread in threads:
+            thread.join()
+    except BaseException:  # interrupted outside ``run``: every other range stops
+        failed[0] = True
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
         raise
-    finally:
-        for child, receive in children:
-            child.join()
-            receive.close()
-    return parts
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return results
 
 
 def approximate(
@@ -416,10 +415,11 @@ def approximate(
     ``0 < epsilon < h``, one finite ``v0`` and integer counts, and opens the
     last trajectory's draw stream, so that a range or dimension the
     sampler rejects fails before any trajectory runs.  With ``jobs > 1`` the
-    trajectories are split into ``jobs`` contiguous ranges: this process
-    runs the first and ``jobs - 1`` child processes run the others, all
-    ended before the call returns.  Outputs are identical for any job
-    count.
+    trajectories are split into ``jobs`` contiguous ranges: this thread
+    runs the first and ``jobs - 1`` threads run the others, all ended
+    before the call returns.  Only kernel blocks run in parallel, so on
+    the numpy reference one range runs.  Outputs are identical for any
+    job count.
     """
     _check_budget(h)
     if not 0.0 < epsilon < h:
@@ -437,7 +437,7 @@ def approximate(
     sampler.stream(m_trajectories - 1, 1, n_max, problem.n_contacts)
     finishing = (epsilon / (3.0 * psi(problem))) * np.ones(problem.n_contacts)
 
-    jobs = min(jobs, m_trajectories)
+    jobs = 1 if _kernel_draws_of(sampler) is None else min(jobs, m_trajectories)
     parts = _fan_out(
         (problem, v0, h, n_max, sampler, finishing),
         [k * m_trajectories // jobs for k in range(jobs + 1)],
@@ -454,7 +454,7 @@ def approximate(
             "n_max": n_max,
             "m_trajectories": m_trajectories,
             "sampler": sampler.kind,
-            "seed": getattr(sampler, "seed", None),
+            "seed": _recorded_seed(sampler),
         },
     )
 
@@ -594,9 +594,9 @@ def estimate_step_lipschitz(
         chunk = slice(first, first + BLOCK_SIZE)
         out[chunk] = step_block(problem, rows[chunk], row_caps[chunk])[0]
     out = out.reshape(v.shape)
-    worst = 0.0
-    for i in range(n_pairs):
-        gap = float(np.linalg.norm(v[i, 0] - v[i, 1]))
-        if gap > 0.0:
-            worst = max(worst, float(np.linalg.norm(out[i, 0] - out[i, 1])) / gap)
-    return worst
+    # Each distance as ``np.linalg.norm`` takes it: the root of one dot
+    # product, which ``matmul`` takes row by row.
+    diffs = np.stack([v[:, 0] - v[:, 1], out[:, 0] - out[:, 1]])  # (2, n_pairs, n_v)
+    gap, moved = np.sqrt(diffs[..., None, :] @ diffs[..., None]).reshape(2, n_pairs)
+    positive = gap > 0.0
+    return float((moved[positive] / gap[positive]).max(initial=0.0))

@@ -221,17 +221,18 @@ def test_import_loads_neither_the_cli_nor_argparse():
 
 
 def test_approximate_on_one_job_loads_no_multiprocessing():
-    # One range runs in this process, so no child starts and the module
-    # that starts them is never imported.
+    # Every range runs in this process, one or three, so no child starts
+    # and the module that starts them is never imported.
     src = str(Path(multimpact.__file__).parents[1])
     code = ("import sys, multimpact as mm; p, v0, meta = mm.build_example('phone'); "
             "h = float(meta['h']); "
-            "post = mm.approximate(p, v0, h, h / 10, 10, 8, mm.SobolSampler(), jobs=1); "
-            "print(len(post.traj_indices) + post.rejected_count, "
+            "posts = [mm.approximate(p, v0, h, h / 10, 10, 8, mm.SobolSampler(), jobs=jobs) "
+            "for jobs in (1, 3)]; "
+            "print(*[len(post.traj_indices) + post.rejected_count for post in posts], "
             "'multiprocessing' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == ["8", "False"]
+    assert out.stdout.split() == ["8", "8", "False"]
 
 
 # The package's names before its list was built from the modules' lists.

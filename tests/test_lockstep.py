@@ -1,8 +1,8 @@
 """Tests for lockstep stepping: results do not depend on the block size
 or the job count, ``sim`` and ``approximate`` agree bit for bit, the
 single-instance Lemke solver gives bitwise the row of a stack of one,
-and the fan-out over processes reports errors as a serial run would and
-leaves no child process behind."""
+and the fan-out over threads reports errors as a serial run would, stops
+within a block of a failure and leaves no thread or process behind."""
 
 from __future__ import annotations
 
@@ -10,10 +10,10 @@ import collections
 import dataclasses
 import hashlib
 import itertools
-import multiprocessing
 import os
 import pickle
 import random
+import threading
 import time
 from pathlib import Path
 
@@ -98,12 +98,6 @@ def _child_pids() -> set[int]:
     return children
 
 
-# Children see a monkeypatched ``_run_block`` only if they are forked.
-needs_fork = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork", reason="needs forked children"
-)
-
-
 def _run_seven(name, jobs):
     problem, v0, meta = build_example(name)
     h = float(meta["h"])
@@ -121,11 +115,11 @@ def test_uneven_splits_over_processes_match_one_process(name):
         assert post.rejected_count == serial.rejected_count
 
 
-@pytest.mark.skipif(not HAS_PROC, reason="needs /proc")
 def test_no_child_process_outlives_approximate():
-    before = _child_pids()
+    before, threads = _child_pids(), threading.enumerate()
     _run_seven("compass", 3)
     assert _child_pids() <= before
+    assert threading.enumerate() == threads
 
 
 def _fail_on(monkeypatch, bad):
@@ -142,7 +136,6 @@ def _fail_on(monkeypatch, bad):
     monkeypatch.setattr(setapprox, "_run_block", run_block)
 
 
-@needs_fork
 @pytest.mark.parametrize(
     "bad",
     [{3, 5}, {1}],
@@ -165,38 +158,62 @@ def test_a_failing_share_raises_as_a_serial_run_would(bad, monkeypatch):
     assert _child_pids() <= before
 
 
-@needs_fork
-def test_a_child_that_exits_without_results_is_reported(monkeypatch):
+def test_a_later_ranges_error_leaves_the_earlier_ranges_whole(monkeypatch):
+    # Ranges [0, 2), [2, 4) and [4, 7): trajectory 4 raises first, and the
+    # two earlier ranges run every block only after its thread has ended.
+    monkeypatch.setattr(setapprox, "BLOCK_SIZE", 1)
     problem, v0, meta = build_example("phone")
-    h = float(meta["h"])
-    parent, real = os.getpid(), setapprox._run_block
+    h, n = float(meta["h"]), int(meta["n_steps"])
+    sampler = UniformSampler(seed=2)
+    _fail_on(monkeypatch, {3, 4})
+    with pytest.raises(LcpSolveError) as serial:
+        approximate(problem, v0, h, h / 10.0, n, 7, sampler, jobs=1)
+    failing, later, entered, ran = setapprox._run_block, [], threading.Event(), []
 
     def run_block(*args):
-        if os.getpid() != parent:
-            os._exit(3)
-        return real(*args)
+        first = args[-2]
+        ran.append(first)
+        if first >= 4:
+            later.append(threading.current_thread())
+            entered.set()
+        else:
+            assert entered.wait(30.0)
+            later[0].join(30.0)
+        return failing(*args)
 
     monkeypatch.setattr(setapprox, "_run_block", run_block)
-    with pytest.raises(RuntimeError, match="exited with code 3"):
-        approximate(problem, v0, h, h / 10.0, int(meta["n_steps"]), 7, UniformSampler(), jobs=2)
+    with pytest.raises(LcpSolveError) as fanned:
+        approximate(problem, v0, h, h / 10.0, n, 7, sampler, jobs=3)
+    assert str(fanned.value) == str(serial.value) and "trajectory 3" in str(serial.value)
+    assert sorted(ran) == [0, 1, 2, 3, 4]
 
 
-@needs_fork
-def test_children_are_terminated_when_the_own_share_raises(monkeypatch):
+@pytest.mark.parametrize(
+    "error", [LcpSolveError("max_pivots", "own share"), KeyboardInterrupt("own share")],
+    ids=["error", "interrupt"],
+)
+def test_other_ranges_stop_when_the_own_range_raises(error, monkeypatch):
+    monkeypatch.setattr(setapprox, "BLOCK_SIZE", 1)
     problem, v0, meta = build_example("phone")
     h = float(meta["h"])
-    parent = os.getpid()
+    caller, raised, blocks = threading.get_ident(), threading.Event(), collections.Counter()
 
     def run_block(*args):
-        if os.getpid() != parent:
-            time.sleep(60.0)
-        raise LcpSolveError("max_pivots", "own share")
+        if threading.get_ident() == caller:
+            raised.set()
+            raise error
+        blocks[threading.get_ident()] += 1
+        assert raised.wait(30.0)
+        time.sleep(0.05)
+        return np.zeros((args[-1], problem.n_v)), np.zeros(args[-1], dtype=bool)
 
     monkeypatch.setattr(setapprox, "_run_block", run_block)
-    start = time.perf_counter()
-    with pytest.raises(LcpSolveError, match="own share"):
+    threads = threading.enumerate()
+    # Ranges [0, 2), [2, 4) and [4, 7): the other two hold 2 and 3 blocks.
+    with pytest.raises(type(error), match="own share"):
         approximate(problem, v0, h, h / 10.0, int(meta["n_steps"]), 7, UniformSampler(), jobs=3)
-    assert time.perf_counter() - start < 30.0
+    assert threading.enumerate() == threads
+    assert len(blocks) == 2 and max(blocks.values()) == 1
 
 
 @pytest.mark.parametrize("name", errors.__all__)

@@ -524,6 +524,29 @@ def test_a_run_made_with_numpy_integers_exports_the_plain_runs_json():
             SobolSampler(bad)
 
 
+def test_a_user_samplers_numpy_integer_seed_exports_as_the_plain_seed():
+    # ``approximate`` and ``sim`` record the seed of a sampler they did
+    # not check: an integer as an ``int``, which JSON writes.
+    phone, v0, _ = build_example("phone")
+
+    class Mine:
+        kind = "mine"
+
+        def __init__(self, seed):
+            self.seed = seed
+
+        def stream(self, first, count, n, m):
+            return UniformSampler(5).stream(first, count, n, m)
+
+    made = {}
+    for seed in (5, np.int64(5)):
+        post = approximate(phone, v0, 1.0, 0.1, 10, 8, Mine(seed))
+        traj = sim(phone, v0, 1.0, 10, Mine(seed))
+        made[type(seed)] = (mio.set_to_json(post, phone), mio.trajectory_to_json(traj, phone))
+        assert type(post.params["seed"]) is int and type(traj.rng_seed) is int
+    assert made[np.int64] == made[int]
+
+
 @pytest.mark.parametrize(
     "name, value",
     [("jobs", 2.5), ("jobs", True), ("m_trajectories", 4.0), ("n_max", 2.5), ("n_max", False)],
