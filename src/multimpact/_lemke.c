@@ -144,7 +144,13 @@ static void form_w(int n, const double *m, const double *q, const double *z, dou
 /* One row of lemke_stack (lcp._solve_row) on the workspace t
    (n x (2n + 2), then p, d and keys) and basis (basis, then cand and
    alive): writes z (which must hold zeros) and the pivot count.  Returns
-   its status, or -1 if its tie walk keeps no row (lcp._OVERFLOW). */
+   its status, or -1 if its tie walk keeps no row (lcp._OVERFLOW).
+   glibc's x86-64 loader picks the widest clone the CPU runs: the rank-one
+   update only multiplies and subtracts elementwise, and nothing fuses, so
+   every clone gives the same bits.  Other targets have no clones. */
+#if defined(__x86_64__) && defined(__GLIBC__)
+__attribute__((target_clones("default", "avx2", "avx512f")))
+#endif
 static int solve_row(int n, const double *m, const double *q, double *z, int64_t *pivots,
                      double pivot_tol, double tie_tol, int64_t max_pivots, double *t,
                      int *basis)

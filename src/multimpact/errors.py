@@ -9,6 +9,7 @@ __all__ = [
     "NonDegeneracyViolation",
     "SequentialCapExceeded",
     "SceneFormatError",
+    "ThreadStartError",
 ]
 
 
@@ -52,3 +53,9 @@ class SceneFormatError(ValueError):
     example a ``v0`` whose length differs from the scene's velocity
     dimension).  Not a solver failure, so it does not derive from
     :class:`MultimpactError`."""
+
+
+class ThreadStartError(OSError):
+    """The system would not start a thread for one of ``approximate``'s
+    job ranges (it is out of threads or memory).  An ``OSError``, as a
+    failed ``fork`` is, so the command line exits with code 3."""

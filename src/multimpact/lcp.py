@@ -72,8 +72,10 @@ MAX_PIVOTS = 5000
 RESIDUAL_TOL = 1e-9
 
 # How the compiled kernel is built: no fused multiply-add and no fast
-# math, so that it rounds as numpy does.
-_CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# math, so that it rounds as numpy does.  -O3 vectorizes the pivot's
+# rank-one update in the CPU clones of _lemke.c's solve_row; no
+# -march=native, since the cached library's name does not key the CPU.
+_CC = ("cc", "-O3", "-ffp-contract=off", "-shared", "-fPIC")
 # A compiler that runs longer than this is stopped, and numpy solves.
 _BUILD_TIMEOUT_S = 120.0
 _STATUSES = np.array(["solved", "ray_termination", "max_pivots"], dtype="<U15")

@@ -48,6 +48,7 @@ import numpy as np
 from . import lcp
 from .contact import ImpactProblem
 from .contact import is_impacting  # noqa: F401  (stays importable from here)
+from .errors import ThreadStartError
 from .resolution import _check_budget, _check_integers, _kernel_block, _recorded_seed
 from .resolution import _start_velocity, _step, _workspace
 from .resolution import sim_block, step_block
@@ -365,7 +366,9 @@ def _fan_out(args: tuple, bounds: list[int]) -> list[tuple[np.ndarray, np.ndarra
     A range stops after its current block once an earlier range has
     raised, or once this thread is interrupted.  Every thread is joined
     before this returns or raises, and what it raises is the exception of
-    the earliest range that raised: the one a single range raises."""
+    the earliest range that raised: the one a single range raises.  A
+    thread that the system cannot start raises ``ThreadStartError``, once
+    the threads already started have stopped."""
     ranges = list(zip(bounds, bounds[1:]))
     failed = [False] * len(ranges)
     results: list = [None] * len(ranges)
@@ -379,12 +382,17 @@ def _fan_out(args: tuple, bounds: list[int]) -> list[tuple[np.ndarray, np.ndarra
 
     threads = [threading.Thread(target=run, args=(k,)) for k in range(1, len(ranges))]
     try:
-        for thread in threads:
-            thread.start()
+        for k, thread in enumerate(threads, 1):
+            try:
+                thread.start()
+            except RuntimeError as exc:  # "can't start new thread"
+                raise ThreadStartError(
+                    f"could not start a thread for job range {k + 1} of {len(ranges)}: {exc}"
+                ) from exc
         run(0)
         for thread in threads:
             thread.join()
-    except BaseException:  # interrupted outside ``run``: every other range stops
+    except BaseException:  # interrupted, or a thread did not start: every other range stops
         failed[0] = True
         for thread in threads:
             if thread.is_alive():

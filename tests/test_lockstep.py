@@ -45,7 +45,7 @@ from multimpact import (
 )
 from multimpact import errors
 from multimpact import lcp as lcp_module
-from multimpact import contact, resolution, setapprox
+from multimpact import cli, contact, resolution, setapprox
 from multimpact.errors import LcpSolveError
 from multimpact.io import set_to_csv
 from multimpact.lcp import RESIDUAL_TOL, ordered_matvec
@@ -214,6 +214,36 @@ def test_other_ranges_stop_when_the_own_range_raises(error, monkeypatch):
         approximate(problem, v0, h, h / 10.0, int(meta["n_steps"]), 7, UniformSampler(), jobs=3)
     assert threading.enumerate() == threads
     assert len(blocks) == 2 and max(blocks.values()) == 1
+
+
+@pytest.mark.skipif(lcp_module.KERNEL is None, reason="only kernel blocks run on threads")
+def test_a_thread_that_cannot_start_raises_a_typed_error(tmp_path, monkeypatch, capsys):
+    # The second start fails as CPython's does when the system is out of
+    # threads: the range whose thread started stops and is joined, and
+    # the command line reports an OSError, exit code 3, in one line.
+    problem, v0, meta = build_example("phone")
+    h, n = float(meta["h"]), int(meta["n_steps"])
+    start, starts = threading.Thread.start, []
+
+    def failing_start(thread):
+        starts.append(thread)
+        if len(starts) % 2 == 0:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    threads = threading.enumerate()
+    monkeypatch.setattr(threading.Thread, "start", failing_start)
+    with pytest.raises(errors.ThreadStartError, match="job range 3 of 3: can't start new thread"):
+        approximate(problem, v0, h, h / 10.0, n, 7, UniformSampler(), jobs=3)
+    assert len(starts) == 2 and not starts[0].is_alive()
+    out = tmp_path / "set.csv"
+    argv = ["approximate", "--scene", "phone", "--m", "7", "--jobs", "3", "--output", str(out)]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "can't start new thread" in err and err.count("\n") == 1
+    assert not out.exists() and len(starts) == 4
+    monkeypatch.undo()
+    assert threading.enumerate() == threads
 
 
 @pytest.mark.parametrize("name", errors.__all__)
@@ -666,15 +696,22 @@ def _outcome(m, q):
         return str(exc)
 
 
-def test_stacks_of_huge_entries_solve_or_raise_alike_on_both_paths(monkeypatch):
-    # The kernel decides every stack, with no numpy body to fall back on:
-    # 58 of the 802 raise, and the other 744 solve.
+def _huge_entry_stacks() -> list:
+    """``_OVERFLOWING``, then 800 stacks of 2 to 4 rows and columns whose
+    entries are ±1e308 or small."""
     rng = np.random.default_rng(0)
     values = [-1e308, 1e308, -1.0, 0.0, 1.0, 0.5, -2.0]
     stacks = [(np.array(m), np.array(q)) for m, q in _OVERFLOWING]
     for _ in range(800):
         n, k = rng.integers(2, 5, size=2)
         stacks.append((rng.choice(values, size=(n, n)), rng.choice(values, size=(k, n))))
+    return stacks
+
+
+def test_stacks_of_huge_entries_solve_or_raise_alike_on_both_paths(monkeypatch):
+    # The kernel decides every stack, with no numpy body to fall back on:
+    # 58 of the 802 raise, and the other 744 solve.
+    stacks = _huge_entry_stacks()
     outcomes = {path: [_outcome(m, q) for m, q in stacks] for path in deciding_paths(monkeypatch)}
     assert outcomes["kernel"] == outcomes["numpy"]
     raised = [isinstance(outcome, str) for outcome in outcomes["numpy"]]
@@ -731,6 +768,19 @@ def _assert_steps_alike(problem, v, caps, impacting=None):
     return reference
 
 
+def _recording_steps(monkeypatch) -> list:
+    """The arguments of each ``resolution._kernel_step`` call from here
+    on, in a list that the calls fill."""
+    steps, kernel_step = [], resolution._kernel_step
+
+    def recording(*args):
+        steps.append(args)
+        return kernel_step(*args)
+
+    monkeypatch.setattr(resolution, "_kernel_step", recording)
+    return steps
+
+
 @pytest.mark.parametrize("sampler", sorted(SET_SAMPLERS))
 @pytest.mark.parametrize("name", ["ball", *STEP_SCENES])
 def test_a_sampled_set_has_the_same_bytes_on_both_lemke_paths(name, sampler, monkeypatch):
@@ -747,14 +797,7 @@ def test_a_sampled_set_has_the_same_bytes_on_both_lemke_paths(name, sampler, mon
         exported[path] = set_to_csv(post, problem)
     assert exported["kernel"] == exported["numpy"]
     monkeypatch.undo()
-    steps = []
-    kernel_step = resolution._kernel_step
-
-    def recording(*args):
-        steps.append(args)
-        return kernel_step(*args)
-
-    monkeypatch.setattr(resolution, "_kernel_step", recording)
+    steps = _recording_steps(monkeypatch)
     on_step = []
     v = resolution.sim_block(
         problem, v0, h, n_max, SET_SAMPLERS[sampler], 0, 256, on_step=lambda *s: on_step.append(s)
@@ -766,6 +809,43 @@ def test_a_sampled_set_has_the_same_bytes_on_both_lemke_paths(name, sampler, mon
     assert len(steps) == len(on_step) + 1 or lcp_module.KERNEL is None
     for problem, v, caps, test_rows in steps:
         _assert_steps_alike(problem, v, caps, None if test_rows else True)
+
+
+@pytest.mark.skipif(lcp_module.KERNEL is None, reason="the compiled kernel did not load")
+def test_the_pivots_cpu_clones_give_the_default_builds_bits(tmp_path, monkeypatch):
+    # The loaded kernel runs the widest clone of solve_row that this CPU
+    # has; a copy built without the clones runs only the default code.
+    # Both give the same bytes for every step that the reference loop and
+    # its finishing step take on each scene with both samplers, for the
+    # sampled sets, and for the huge-entry stacks.
+    source = Path(lcp_module.__file__).with_name("_lemke.c").read_text()
+    clones = '__attribute__((target_clones("default", "avx2", "avx512f")))\n'
+    assert source.count(clones) == 1
+    (tmp_path / "_lemke.c").write_text(source.replace(clones, ""))
+    plain = lcp_module._load_kernel(tmp_path / "_lemke.c", tmp_path)
+    assert plain is not None
+    steps, sets = [], []
+    for name in ["ball", *STEP_SCENES]:
+        problem, v0, meta = build_example(name)
+        h, n_max = float(meta["h"]), int(meta["n_steps"])
+        finishing = np.full((256, problem.n_contacts), h / 10.0 / (3.0 * psi(problem)))
+        for sampler in SET_SAMPLERS.values():
+            recorded = _recording_steps(monkeypatch)
+            resolution._step(problem, resolution.sim_block(problem, v0, h, n_max, sampler, 0, 256),
+                             finishing)
+            monkeypatch.undo()
+            assert len(recorded) >= 2  # the loop's first step and the finishing step
+            steps += recorded
+            sets.append((problem, v0, h, h / 10.0, n_max, 256, sampler))
+    outcomes = []
+    for kernel in (lcp_module.KERNEL, plain):
+        monkeypatch.setattr(lcp_module, "KERNEL", kernel)
+        outcomes.append((
+            [_step_bytes(resolution._kernel_step(*step)) for step in steps],
+            [set_to_csv(approximate(*args), args[0]) for args in sets],
+            [_outcome(m, q) for m, q in _huge_entry_stacks()],
+        ))
+    assert outcomes[0] == outcomes[1]
 
 
 def _count_kernel_calls(monkeypatch) -> collections.Counter:
